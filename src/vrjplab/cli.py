@@ -74,13 +74,9 @@ def _jsonable(obj):
 
 
 def _format_cell(v) -> str:
-    if isinstance(v, bool):
-        return str(v)
-    if isinstance(v, float):
-        return repr(v)
-    if hasattr(v, "item"):
-        return _format_cell(v.item())
-    return str(v)
+    if hasattr(v, "item"):    # numpy scalar; np.float64's repr names its type
+        v = v.item()
+    return repr(v) if isinstance(v, float) else str(v)
 
 
 def _write_csv(path: Path, rows: list[dict]) -> None:

@@ -20,6 +20,13 @@ stable; the only approximation is the piecewise-constant coefficient.
 Gauge re-projection at each cell boundary goes through atan2, which
 saturates gracefully where tan(theta) overflows.
 
+The cell recurrence is sequential, so it runs by one of two routes,
+chosen by the caller's shape.  A single path (renewal statistics, single
+counts) goes through a scalar loop over fixed-size chunks of the path
+that records only the cells where a crossing happens.  A batch of equal
+paths (the density-of-states sweep) advances every (replica x E) lane at
+once, one numpy step per cell, over fixed-size blocks of cells.
+
 Matrix routes.  The scaled discrete circle operator (weight n) has
 eigenvalues approximating the continuum ones, counted by a dense
 eigensolve.  A conservative finite-difference operator built from a
@@ -43,18 +50,6 @@ import scipy.sparse.linalg
 
 from .beta_field import BetaField, dense_h
 from .stochastic import PathKind, RngStream, SampledPath, sample_brownian_path
-
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-        return wrap if not (len(args) == 1 and callable(args[0])) else args[0]
 
 _PI = math.pi
 
@@ -86,54 +81,121 @@ class DiscreteSpectrum:
 _CROSS_TOL = 1e-10   # endpoint-exact crossings round to the crossed side
 
 
-@njit(cache=True)
-def _phase_core(logc, dpsi):
-    """Advance the gauge angle across all cells; branch counts and entry angles.
+def _first_crossing_angle() -> float:
+    """Smallest advanced angle x whose crossing count (x + tol) // pi is >= 1.
 
-    logc[i] = log of sqrt(E) * (frozen M^2 on cell i); dpsi = sqrt(E)*h.
-    The state never leaves the gauge: at a cell boundary the angle is
-    rescaled by the neighbouring-cell ratio exp(logc[i] - logc[i-1]),
-    which stays O(1) on a Brownian grid, so no precision is lost even
-    when M^2 itself spans hundreds of e-folds.
+    fl(x + tol) is monotone in x, so x < this bound is exactly the test
+    (x + tol) // pi == 0, with one comparison instead of an add and a divide.
     """
-    n = logc.size
-    kcum = np.empty(n + 1, dtype=np.int64)
-    psi_in = np.empty(n)
-    kcum[0] = 0
-    k = 0
-    psi = 0.0                    # fractional gauge angle in [0, pi)
-    for i in range(n):
-        if i > 0:
-            r = math.exp(logc[i] - logc[i - 1])
-            psi = math.atan2(r * math.sin(psi), math.cos(psi))
-            if psi < 0.0:
-                psi = 0.0
-        psi_in[i] = psi
-        psi_new = psi + dpsi
-        ncross = int((psi_new + _CROSS_TOL) // _PI)
-        k += ncross
-        psi = psi_new - ncross * _PI
-        if psi < 0.0:
-            psi = 0.0
-        kcum[i + 1] = k
-    return kcum, psi_in, psi
+    x = _PI - _CROSS_TOL
+    while x + _CROSS_TOL >= _PI:
+        x = math.nextafter(x, 0.0)
+    while x + _CROSS_TOL < _PI:
+        x = math.nextafter(x, 4.0)
+    return x
 
 
-def _log_m(path: SampledPath) -> np.ndarray:
-    """log of the geometric path; a brownian input B is read as e^{B - t/2}.
+_CROSS_ANGLE = _first_crossing_angle()
+_SCAN_CHUNK = 1 << 15   # cells per chunk of the scalar route (one tolist() each)
+_LANE_BLOCK = 2048      # cells per block of the lane route
+
+
+def _log_m(path: SampledPath, lo: int = 0, hi: int | None = None) -> np.ndarray:
+    """log of the geometric path on nodes lo..hi-1; a brownian input B is read as e^{B - t/2}.
 
     Reading the log directly keeps long horizons representable where the
     geometric values themselves would over/underflow float64.
     """
+    vals = path.values[lo:hi]
     if path.kind is PathKind.GBM:
-        return np.log(path.values)
-    return path.values - path.times / 2.0
+        return np.log(vals)
+    times = path.t0 + path.step * np.arange(lo, lo + vals.size)
+    return vals - times / 2.0
 
 
-def _cell_log_coefficients(path: SampledPath, e_level: float) -> tuple[np.ndarray, float]:
-    logm = _log_m(path)
-    logc = 0.5 * math.log(e_level) + logm[:-1] + logm[1:]
-    return logc, math.sqrt(e_level) * path.step
+def _cell_log_coefficients(path: SampledPath, c0: float, lo: int, hi: int) -> np.ndarray:
+    """logc on cells lo..hi-1: c0 + log of the frozen M^2 (c0 = log sqrt(E))."""
+    logm = _log_m(path, lo, hi + 1)
+    return c0 + logm[:-1] + logm[1:]
+
+
+def _scan_cells(ratios: list[float], psi: float, dpsi: float, first: int,
+                record_at: float, records: list) -> float:
+    """Advance the gauge angle psi in [0, pi) across consecutive cells.
+
+    ratios[j] = log of the coefficient ratio between cell first+j and the
+    cell before it.  At a cell boundary the angle is rescaled by that
+    ratio, which stays O(1) on a Brownian grid, so no precision is lost
+    even when M^2 itself spans hundreds of e-folds.  The rescaled angle
+    is nonnegative (sin psi >= 0 on [0, pi)).  A cell whose advanced
+    angle reaches record_at appends (cell, entry angle, crossings).
+    """
+    exp, sin, cos, atan2 = math.exp, math.sin, math.cos, math.atan2
+    for i, d in enumerate(ratios, first):
+        psi = atan2(exp(d) * sin(psi), cos(psi))
+        x = psi + dpsi
+        if x < record_at:
+            psi = x
+            continue
+        ncross = int((x + _CROSS_TOL) // _PI)
+        records.append((i, psi, ncross))
+        psi = x - ncross * _PI
+        if psi < 0.0:
+            psi = 0.0
+    return psi
+
+
+@dataclass
+class _Scan:
+    """One path's propagation: crossing records and the final gauge state."""
+    cells: np.ndarray      # recorded cells, increasing
+    psi_in: np.ndarray     # gauge angle on entering each recorded cell
+    ncross: np.ndarray     # pi-crossings within each recorded cell
+    psi: float             # final gauge angle
+    logc_last: float       # logc of the last cell
+
+    @property
+    def count(self) -> int:
+        return int(self.ncross.sum())
+
+
+def _phase_scan(gbm: SampledPath, e_level: float, every_cell: bool = False) -> _Scan:
+    """Scalar route: propagate one path from theta = 0, chunk by chunk.
+
+    Records the crossing cells only, so memory beyond the path is one
+    chunk plus the records; every_cell records all cells (short paths).
+    """
+    n = gbm.values.size - 1
+    c0 = 0.5 * math.log(e_level)
+    dpsi = math.sqrt(e_level) * gbm.step
+    record_at = -math.inf if every_cell else _CROSS_ANGLE
+    records: list = []
+    psi = 0.0
+    prev = None
+    for lo in range(0, n, _SCAN_CHUNK):
+        logc = _cell_log_coefficients(gbm, c0, lo, min(n, lo + _SCAN_CHUNK))
+        ratios = np.empty(logc.size)
+        # the first cell has no predecessor; psi = 0 is invariant under rescaling
+        ratios[0] = 0.0 if prev is None else logc[0] - prev
+        np.subtract(logc[1:], logc[:-1], out=ratios[1:])
+        prev = logc[-1]
+        psi = _scan_cells(ratios.tolist(), psi, dpsi, lo, record_at, records)
+    rec = np.array(records, dtype=float).reshape(-1, 3)
+    return _Scan(rec[:, 0].astype(np.int64), rec[:, 1], rec[:, 2].astype(np.int64),
+                 psi, float(prev))
+
+
+def _crossing_times(scan: _Scan, step: float, e_level: float) -> np.ndarray:
+    """Times of the pi-crossings, offsets from the path start.
+
+    Within cell i the gauge angle moves at rate sqrt(E) from its entry
+    angle, so its j-th crossing is at i*h + (j*pi - psi_in)/sqrt(E).
+    """
+    nc = scan.ncross
+    cells = np.repeat(scan.cells, nc)
+    psi_in = np.repeat(scan.psi_in, nc)
+    j = np.arange(1, cells.size + 1) - np.repeat(np.cumsum(nc) - nc, nc)
+    return cells * step + (j * _PI - psi_in) / math.sqrt(e_level)
 
 
 def phase_propagate(e_level: float, gbm: SampledPath,
@@ -141,31 +203,63 @@ def phase_propagate(e_level: float, gbm: SampledPath,
     """Propagate the phase over the whole path span from theta = 0."""
     if e_level <= 0:
         raise ValueError("E must be positive")
-    logc, dpsi = _cell_log_coefficients(gbm, e_level)
-    kcum, psi_in, psi = _phase_core(logc, dpsi)
+    scan = _phase_scan(gbm, e_level)
+    psi = scan.psi
     # unwind the final gauge angle to the raw phase fraction
-    phi = math.atan2(math.sin(psi), math.exp(min(logc[-1], 700.0)) * math.cos(psi))
+    phi = math.atan2(math.sin(psi), math.exp(min(scan.logc_last, 700.0)) * math.cos(psi))
     if phi < 0.0:
         phi = 0.0
-    theta_final = float(kcum[-1]) * _PI + phi
-    crossings = np.empty(0)
-    if collect_crossings:
-        dk = np.diff(kcum)
-        cells = np.nonzero(dk)[0]
-        sqrt_e = math.sqrt(e_level)
-        times = []
-        for i in cells:
-            j = np.arange(1, dk[i] + 1)
-            times.append(i * gbm.step + (j * _PI - psi_in[i]) / sqrt_e)
-        if times:
-            crossings = np.concatenate(times)
+    count = scan.count
+    theta_final = float(count) * _PI + phi
+    crossings = _crossing_times(scan, gbm.step, e_level) if collect_crossings else np.empty(0)
     lam = 0.5 * (gbm.t_end - gbm.t0)
-    return PhaseTrace(e_level, lam, theta_final, crossings, gbm.step, int(kcum[-1]))
+    return PhaseTrace(e_level, lam, theta_final, crossings, gbm.step, count)
 
 
 def count_states_phase(e_level: float, gbm: SampledPath) -> int:
     """floor(theta(lam)/pi); brackets the true count within -1/+2."""
     return phase_propagate(e_level, gbm, collect_crossings=False).count
+
+
+def _lane_counts(logm: np.ndarray, step: float, e_list) -> np.ndarray:
+    """Lane route: pi-crossing counts of every (E, replica) lane at once.
+
+    logm holds one log-M path per row, all on the same grid.  Each cell
+    takes the scalar route's steps on all lanes together: rescale through
+    arctan2, advance by sqrt(E)*h, then (only in cells where some lane
+    crosses) floor-divide by pi with the tolerance and clamp at 0.  Cells
+    go in blocks of _LANE_BLOCK, so memory beyond logm is O(lanes x block).
+    Returns counts of shape (len(e_list), replicas).
+    """
+    n_rep, n = logm.shape[0], logm.shape[1] - 1
+    c0 = np.array([0.5 * math.log(e) for e in e_list])[:, None, None]
+    dpsi = np.repeat([math.sqrt(e) * step for e in e_list], n_rep)
+    n_lanes = dpsi.size
+    psi = np.zeros(n_lanes)
+    count = np.zeros(n_lanes)
+    sn, cs, nc = np.empty(n_lanes), np.empty(n_lanes), np.empty(n_lanes)
+    crossing = np.empty(n_lanes, dtype=bool)
+    for lo in range(0, n, _LANE_BLOCK):
+        hi = min(n, lo + _LANE_BLOCK)
+        first = max(lo - 1, 0)       # the cell before the block, for the first ratio
+        logc = c0 + logm[None, :, first:hi] + logm[None, :, first + 1:hi + 1]
+        if lo == 0:                  # the first cell has no predecessor: log ratio 0
+            logc = np.concatenate([logc[:, :, :1], logc], axis=2)
+        ratios = np.moveaxis(np.diff(logc, axis=2), 2, 0)
+        for r in np.exp(ratios).reshape(hi - lo, n_lanes):
+            np.sin(psi, out=sn)
+            np.cos(psi, out=cs)
+            np.multiply(r, sn, out=sn)
+            np.arctan2(sn, cs, out=psi)
+            np.add(psi, dpsi, out=psi)
+            np.greater_equal(psi, _CROSS_ANGLE, out=crossing)
+            if np.count_nonzero(crossing):
+                np.add(psi, _CROSS_TOL, out=nc)
+                np.floor_divide(nc, _PI, out=nc)
+                count += nc
+                psi -= nc * _PI
+                np.maximum(psi, 0.0, out=psi)
+    return count.astype(np.int64).reshape(len(e_list), n_rep)
 
 
 def phase_propagate_rk4(e_level: float, gbm: SampledPath,
@@ -207,8 +301,8 @@ def riccati_cell_check(e_level: float, gbm: SampledPath, n_cells: int = 200,
     exact in-cell propagation at the cell midpoint, skipping cells where
     cot is ill-conditioned.
     """
-    logc, dpsi = _cell_log_coefficients(gbm, e_level)
-    _, psi_in, _ = _phase_core(logc, dpsi)
+    logc = _cell_log_coefficients(gbm, 0.5 * math.log(e_level), 0, gbm.values.size - 1)
+    psi_in = _phase_scan(gbm, e_level, every_cell=True).psi_in
     h = gbm.step
     sqrt_e = math.sqrt(e_level)
     worst = 0.0
@@ -387,11 +481,13 @@ def dos_sweep(e_list, lam: float, replicas: int, s: RngStream,
     then monotone-coupled, which tightens ratio comparisons).
     """
     e_list = list(e_list)
-    counts = np.empty((len(e_list), replicas))
+    logm = None                  # (replicas x nodes), allocated once the grid is known
     for r in range(replicas):
-        gbm = two_sided_path_for_dos(lam, step, s.substream(r + 1))
-        for ei, e_level in enumerate(e_list):
-            counts[ei, r] = count_states_phase(e_level, gbm)
+        path_logm = _log_m(sample_brownian_path(-lam, lam, step, s.substream(r + 1)))
+        if logm is None:
+            logm = np.empty((replicas, path_logm.size))
+        logm[r] = path_logm
+    counts = _lane_counts(logm, step, e_list)
     rows = []
     for ei, e_level in enumerate(e_list):
         dens = counts[ei] / (2.0 * lam)
@@ -399,10 +495,6 @@ def dos_sweep(e_list, lam: float, replicas: int, s: RngStream,
         hw = float(2.5758 * np.std(dens, ddof=1) / math.sqrt(replicas))
         rows.append(DosRow(e_level, lam, replicas, mean, hw, math.sqrt(e_level) / _PI))
     return rows
-
-
-def two_sided_path_for_dos(lam: float, step: float, s: RngStream) -> SampledPath:
-    return sample_brownian_path(-lam, lam, step, s)
 
 
 # ---------------------------------------------------------------------------

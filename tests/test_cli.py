@@ -92,3 +92,13 @@ def test_console_entry_point(tmp_path):
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "renewal_mean" in proc.stdout
+
+
+def test_numpy_scalars_written_as_plain_decimals(tmp_path):
+    cfg = ExperimentConfig("dos_sweep", seed=2,
+                           params={"lam": 2.0, "replicas": 3, "e_list": [1.0, 4.0]},
+                           output_dir=tmp_path)
+    run(cfg)
+    text = (tmp_path / "dos_sweep/results.csv").read_text()
+    assert "np." not in text
+    assert text.splitlines()[1].startswith("1.0,")

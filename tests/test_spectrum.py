@@ -11,9 +11,9 @@ from vrjplab.spectrum import (count_states_fd_dirichlet, count_states_matrix,
                               dos_sweep, f_star_negative, fd_spectrum_twisted,
                               mean_t1_from_f_star, mean_t1_quadrature,
                               phase_propagate, phase_propagate_rk4,
-                              renewal_statistics, riccati_cell_check,
-                              two_sided_path_for_dos)
-from vrjplab.stochastic import PathKind, SampledPath, new_stream
+                              renewal_statistics, riccati_cell_check)
+from vrjplab.stochastic import (PathKind, SampledPath, new_stream,
+                                sample_brownian_path)
 
 
 def _flat_gbm(lam, step):
@@ -37,7 +37,7 @@ def test_phase_constant_coefficient_crossings():
 
 
 def test_phase_trace_invariants():
-    gbm = two_sided_path_for_dos(3.0, 1e-3, new_stream(1, 0))
+    gbm = sample_brownian_path(-3.0, 3.0, 1e-3, new_stream(1, 0))
     tr = phase_propagate(2.0, gbm)
     assert tr.theta_final >= 0
     assert tr.count == int(tr.theta_final / math.pi)
@@ -45,7 +45,7 @@ def test_phase_trace_invariants():
 
 
 def test_phase_monotone_in_energy():
-    gbm = two_sided_path_for_dos(3.0, 1e-3, new_stream(2, 0))
+    gbm = sample_brownian_path(-3.0, 3.0, 1e-3, new_stream(2, 0))
     t1 = phase_propagate(1.0, gbm, collect_crossings=False).theta_final
     t4 = phase_propagate(4.0, gbm, collect_crossings=False).theta_final
     assert t4 > t1
@@ -53,7 +53,7 @@ def test_phase_monotone_in_energy():
 
 def test_phase_monotone_in_span():
     # theta(lam) grows with lam on a nested path
-    gbm = two_sided_path_for_dos(4.0, 1e-3, new_stream(3, 0))
+    gbm = sample_brownian_path(-4.0, 4.0, 1e-3, new_stream(3, 0))
     sub = SampledPath(gbm.t0, gbm.step, gbm.values[:4001], gbm.kind)
     t_short = phase_propagate(1.0, sub, collect_crossings=False).theta_final
     t_long = phase_propagate(1.0, gbm, collect_crossings=False).theta_final
@@ -66,14 +66,14 @@ def test_phase_rejects_bad_energy():
 
 
 def test_phase_rk4_oracle():
-    gbm = two_sided_path_for_dos(5.0, 1e-3, new_stream(4, 0))
+    gbm = sample_brownian_path(-5.0, 5.0, 1e-3, new_stream(4, 0))
     exact = phase_propagate(1.0, gbm, collect_crossings=False).theta_final
     rk4 = phase_propagate_rk4(1.0, gbm)
     assert abs(exact - rk4) < 1e-3
 
 
 def test_riccati_cell_identity():
-    gbm = two_sided_path_for_dos(5.0, 1e-3, new_stream(5, 0))
+    gbm = sample_brownian_path(-5.0, 5.0, 1e-3, new_stream(5, 0))
     assert riccati_cell_check(1.0, gbm) < 0.01
 
 
@@ -87,7 +87,7 @@ def test_count_states_phase_flat_path():
 
 
 def test_count_nondecreasing_in_energy():
-    gbm = two_sided_path_for_dos(5.0, 1e-3, new_stream(6, 0))
+    gbm = sample_brownian_path(-5.0, 5.0, 1e-3, new_stream(6, 0))
     counts = [count_states_phase(e, gbm) for e in (0.5, 1.0, 2.0, 4.0, 8.0)]
     assert all(b >= a for a, b in zip(counts, counts[1:]))
 
@@ -125,7 +125,7 @@ def test_fd_dirichlet_count_flat_path():
 
 def test_phase_fd_bracket_on_shared_path():
     for seed in (0, 1):
-        gbm = two_sided_path_for_dos(10.0, 1e-3, new_stream(8, seed))
+        gbm = sample_brownian_path(-10.0, 10.0, 1e-3, new_stream(8, seed))
         from vrjplab.stochastic import gbm_from_brownian
         geo = gbm_from_brownian(gbm)
         for e_level in (1.0, 4.0):
@@ -143,7 +143,7 @@ def test_matrix_vs_phase_mean_counts():
         e_level, construct_beta_circle(lam, 32, new_stream(9, r)), 32)
         for r in range(reps)])
     pc = np.array([count_states_phase(
-        e_level, two_sided_path_for_dos(lam, 1e-3, new_stream(10, r)))
+        e_level, sample_brownian_path(-lam, lam, 1e-3, new_stream(10, r)))
         for r in range(reps)])
     ci = 2.58 * (mc.std(ddof=1) + pc.std(ddof=1)) / math.sqrt(reps)
     assert abs(mc.mean() - pc.mean()) <= 2.0 + 2 * ci

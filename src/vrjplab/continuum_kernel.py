@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .stats import TestReport, ks_one_sample
-from .stochastic import (PathKind, RngStream, SampledPath, gbm_from_brownian,
+from .stochastic import (PathKind, RngStream, SampledPath, gbm_from_brownian, grid_cells,
                          inverse_gamma_half_cdf, sample_brownian_path)
 
 _DEGENERATE_REL_TOL = 1e-12
@@ -41,22 +41,21 @@ class DegeneratePathError(ValueError):
     """Raised when M_lam = M_-lam (probability-zero event) makes the kernel singular."""
 
 
-def _cumtrapz(y: np.ndarray, h: float, axis: int = -1) -> np.ndarray:
+def _cumtrapz(y: np.ndarray, h: float) -> np.ndarray:
+    """Cumulative trapezoid of y along its last axis, 0 in the first column."""
     y = np.asarray(y, dtype=float)
-    cells = 0.5 * h * (np.take(y, range(1, y.shape[axis]), axis=axis)
-                       + np.take(y, range(0, y.shape[axis] - 1), axis=axis))
-    out_shape = list(y.shape)
-    out = np.zeros(out_shape)
-    idx = [slice(None)] * y.ndim
-    idx[axis] = slice(1, None)
-    out[tuple(idx)] = np.cumsum(cells, axis=axis)
+    out = np.empty(y.shape)
+    cells = out[..., 1:]
+    np.add(y[..., 1:], y[..., :-1], out=cells)
+    cells *= 0.5 * h
+    np.cumsum(cells, axis=-1, out=cells)
+    out[..., 0] = 0.0
     return out
 
 
 def two_sided_gbm(lam: float, step: float, s: RngStream) -> SampledPath:
     """GBM on [-lam, lam] anchored at M_0 = 1, grid chosen to hit 0 and +-lam."""
-    half = max(1, int(math.ceil(lam / step - 1e-9)))
-    h = lam / half
+    _, h = grid_cells(lam, step)
     b = sample_brownian_path(-lam, lam, h, s)
     return gbm_from_brownian(b)
 
@@ -289,60 +288,92 @@ def line_kernel_eval(k: LineKernel, t: float, t2: float) -> float:
 # Ensemble samplers (vectorized across replicas)
 # ---------------------------------------------------------------------------
 
-def _gbm_matrix(lam: float, step: float, n_rep: int, s: RngStream):
-    """(n_rep, K+1) matrix of two-sided GBM values on [-lam, lam], plus grid."""
-    half = max(1, int(math.ceil(lam / step - 1e-9)))
-    h = lam / half
+# The two matrix samplers draw their replicas in stream blocks: replicas
+# done .. done + block - 1 come, row after row, from s.substream(done + 1).
+# The block sizes fix the seeded output, so they are constants, not memory
+# knobs.  A stream block is built one row block of about _ROW_BLOCK_ELEMS
+# grid values (256 KB) at a time, so the working set stays in cache and
+# memory does not grow with n_rep; numpy fills rows in order, so the draws
+# do not depend on the row block.
+_DIAGONAL_STREAM_BLOCK = 2000
+_QUADRATIC_STREAM_BLOCK = 1000
+_ROW_BLOCK_ELEMS = 1 << 15
+
+
+def _gbm_row_blocks(lam: float, half: int, h: float, n_rep: int, s: RngStream,
+                    stream_block: int):
+    """Yield (first replica, rows of two-sided GBM on [-lam, lam]) blocks.
+
+    The grid is -lam + h*k, k = 0..2*half, with M = 1 at k = half.  The
+    yielded array is overwritten by the next block.
+    """
     n_cells = 2 * half
-    incr = s.gen.standard_normal((n_rep, n_cells)) * math.sqrt(h)
-    b = np.concatenate([np.zeros((n_rep, 1)), np.cumsum(incr, axis=1)], axis=1)
-    b -= b[:, half][:, None]
-    times = -lam + h * np.arange(n_cells + 1)
-    return np.exp(b - times / 2.0), times, h
+    half_times = (-lam + h * np.arange(n_cells + 1)) / 2.0
+    rows = max(1, _ROW_BLOCK_ELEMS // (n_cells + 1))
+    incr_buf = np.empty((rows, n_cells))
+    m_buf = np.empty((rows, n_cells + 1))
+    sqrt_h = math.sqrt(h)
+    for done in range(0, n_rep, stream_block):
+        gen = s.substream(done + 1).gen
+        stop = min(done + stream_block, n_rep)
+        for lo in range(done, stop, rows):
+            r = min(rows, stop - lo)
+            incr, m = incr_buf[:r], m_buf[:r]
+            gen.standard_normal(out=incr)
+            incr *= sqrt_h
+            m[:, 0] = 0.0
+            np.cumsum(incr, axis=1, out=m[:, 1:])
+            m -= m[:, half, None].copy()
+            m -= half_times
+            np.exp(m, out=m)
+            yield lo, m
 
 
 def sample_kernel_diagonal(lam: float, t: float, step: float, n_rep: int,
-                           s: RngStream, batch: int = 2000) -> np.ndarray:
+                           s: RngStream) -> np.ndarray:
     """Replicated G(t, t) values; distributed as 1/(2*gamma) for every t."""
+    half, h = grid_cells(lam, step)
+    j = int(round((t + lam) / h))
     out = np.empty(n_rep)
-    done = 0
-    while done < n_rep:
-        b = min(batch, n_rep - done)
-        m, times, h = _gbm_matrix(lam, step, b, s.substream(done + 1))
-        ic = _cumtrapz(1.0 / m ** 2, h, axis=1)
-        j = int(round((t + lam) / h))
-        ml, mr = m[:, 0], m[:, -1]
-        total = ic[:, -1]
-        bracket = mr ** 2 * (total - ic[:, j]) + ml ** 2 * ic[:, j]
-        out[done:done + b] = m[:, j] ** 2 * bracket / (mr - ml) ** 2
-        done += b
+    for lo, m in _gbm_row_blocks(lam, half, h, n_rep, s, _DIAGONAL_STREAM_BLOCK):
+        ml, mr, mj = m[:, 0].copy(), m[:, -1].copy(), m[:, j].copy()
+        np.square(m, out=m)
+        np.divide(1.0, m, out=m)
+        ic = _cumtrapz(m, h)
+        total, icj = ic[:, -1], ic[:, j]
+        bracket = mr ** 2 * (total - icj) + ml ** 2 * icj
+        out[lo:lo + m.shape[0]] = mj ** 2 * bracket / (mr - ml) ** 2
     return out
 
 
 def sample_quadratic_form(lam: float, f, step: float, n_rep: int,
-                          s: RngStream, batch: int = 1000) -> np.ndarray:
+                          s: RngStream) -> np.ndarray:
     """Replicated <f, Gf> values for a deterministic f (callable on times)."""
+    half, h = grid_cells(lam, step)
+    fv = np.asarray(f(-lam + h * np.arange(2 * half + 1)), dtype=float)
     out = np.empty(n_rep)
-    done = 0
-    while done < n_rep:
-        b = min(batch, n_rep - done)
-        m, times, h = _gbm_matrix(lam, step, b, s.substream(done + 1))
-        fv = np.asarray(f(times), dtype=float)
-        ml, mr = m[:, 0:1], m[:, -1:]
-        c = _cumtrapz(fv[None, :] * m, h, axis=1)
-        total = c[:, -1:]
-        integrand = (ml * (total - c) + mr * c) ** 2 / m ** 2
-        qf = np.trapezoid(integrand, dx=h, axis=1) / (mr[:, 0] - ml[:, 0]) ** 2
-        out[done:done + b] = qf
-        done += b
+    for lo, m in _gbm_row_blocks(lam, half, h, n_rep, s, _QUADRATIC_STREAM_BLOCK):
+        ml, mr = m[:, 0:1].copy(), m[:, -1:].copy()
+        p = fv * m
+        c = _cumtrapz(p, h)
+        total = c[:, -1:].copy()
+        # integrand (ml (total - c) + mr c)^2 / M^2, built in p
+        np.subtract(total, c, out=p)
+        p *= ml
+        c *= mr
+        p += c
+        np.square(p, out=p)
+        np.square(m, out=m)
+        p /= m
+        out[lo:lo + m.shape[0]] = (np.trapezoid(p, dx=h, axis=1)
+                                   / (mr[:, 0] - ml[:, 0]) ** 2)
     return out
 
 
 def sample_dufresne_ratio(lam: float, step: float, n_rep: int, s: RngStream,
                           batch: int = 4000) -> np.ndarray:
     """int_0^lam e^{2a_s - s} ds / (e^{a_lam - lam/2} - 1)^2 per replica."""
-    half = max(1, int(math.ceil(lam / step - 1e-9)))
-    h = lam / half
+    half, h = grid_cells(lam, step)
     out = np.empty(n_rep)
     done = 0
     while done < n_rep:
@@ -365,8 +396,7 @@ def sample_dufresne_ratio(lam: float, step: float, n_rep: int, s: RngStream,
 def sample_line_diagonal(horizon: float, step: float, n_rep: int, s: RngStream,
                          batch: int = 2000) -> np.ndarray:
     """G_inf(0, 0) = int_{-horizon}^0 ds/M^2 per replica (one-sided walk)."""
-    half = max(1, int(math.ceil(horizon / step - 1e-9)))
-    h = horizon / half
+    half, h = grid_cells(horizon, step)
     out = np.empty(n_rep)
     done = 0
     while done < n_rep:

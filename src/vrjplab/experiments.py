@@ -17,7 +17,7 @@ import numpy as np
 
 from . import beta_field, continuum_kernel, green_circle, matsumoto_yor, spectrum
 from .stats import TestReport, ks_one_sample, ks_two_sample
-from .stochastic import (IGParams, PathKind, RngStream, SampledPath,
+from .stochastic import (IGParams, PathKind, RngStream, SampledPath, grid_cells,
                          inverse_gamma_half_cdf, inverse_gaussian_cdf_arrays,
                          sample_inverse_gaussian, scaled_inverse_gamma_half_cdf)
 
@@ -68,8 +68,7 @@ def _report_row(r: TestReport) -> dict:
 
 def deterministic_flat_gbm(lam: float, step: float) -> SampledPath:
     """The drift-only geometric path e^{-t/2} on [-lam, lam] (flat noise)."""
-    half = max(1, int(math.ceil(lam / step - 1e-9)))
-    h = lam / half
+    half, h = grid_cells(lam, step)
     times = -lam + h * np.arange(2 * half + 1)
     return SampledPath(-lam, h, np.exp(-times / 2.0), PathKind.GBM)
 

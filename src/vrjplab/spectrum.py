@@ -393,10 +393,14 @@ def fd_operator_twisted(gbm: SampledPath) -> scipy.sparse.csr_matrix:
 
 
 def fd_spectrum_twisted(gbm: SampledPath, k: int = 8) -> DiscreteSpectrum:
-    """Lowest k eigenvalues of the twisted FD operator (shift-invert)."""
+    """Lowest k eigenvalues of the twisted FD operator (shift-invert).
+
+    ARPACK starts from the fixed vector of ones, not a random one, so the
+    eigenvalues repeat to the last digit on every run.
+    """
     a = fd_operator_twisted(gbm).tocsc()
     vals = scipy.sparse.linalg.eigsh(a, k=k, sigma=0.0, which="LM",
-                                     return_eigenvectors=False)
+                                     v0=np.ones(a.shape[0]), return_eigenvectors=False)
     return DiscreteSpectrum(np.sort(vals), DiscreteSpectrum.Source.FD_OPERATOR)
 
 

@@ -127,6 +127,18 @@ def sample_gamma_half(s: RngStream, size: int | None = None):
     return float(g) if size is None else g
 
 
+def grid_cells(span: float, step: float) -> tuple[int, float]:
+    """Cells n and cell width span/n of the grid on a span of length ``span``.
+
+    n = max(1, ceil(span/step)) is the fewest cells no wider than ``step``
+    (up to a 1e-9 tolerance, so a span that is a whole number of steps is
+    not given an extra cell by roundoff).  Two-sided samplers on
+    [-lam, lam] use it per side, so the grid hits -lam, 0 and lam.
+    """
+    n = max(1, int(math.ceil(span / step - 1e-9)))
+    return n, span / n
+
+
 def sample_brownian_path(t0: float, t1: float, step: float, s: RngStream) -> SampledPath:
     """Two-sided Brownian path on the grid covering [t0, t1].
 
@@ -140,10 +152,12 @@ def sample_brownian_path(t0: float, t1: float, step: float, s: RngStream) -> Sam
     if t0 >= t1:
         raise ValueError("need t0 < t1")
     ncells = int(math.ceil((t1 - t0) / step - 1e-9))
-    incr = s.gen.standard_normal(ncells) * math.sqrt(step)
     vals = np.empty(ncells + 1)
     vals[0] = 0.0
-    np.cumsum(incr, out=vals[1:])
+    incr = vals[1:]
+    s.gen.standard_normal(out=incr)
+    incr *= math.sqrt(step)
+    np.cumsum(incr, out=incr)
     anchor = int(np.clip(round(-t0 / step), 0, ncells))
     vals -= vals[anchor]
     return SampledPath(t0, step, vals, PathKind.BROWNIAN)

@@ -54,6 +54,14 @@ def test_run_reproducibility_byte_identical(tmp_path):
     assert c1 == c2
 
 
+def test_spectrum_oracle_rerun_byte_identical(tmp_path):
+    for sub in ("a", "b"):
+        run(ExperimentConfig("spectrum_oracle", seed=11, output_dir=tmp_path / sub))
+    c1 = (tmp_path / "a/spectrum_oracle/results.csv").read_bytes()
+    c2 = (tmp_path / "b/spectrum_oracle/results.csv").read_bytes()
+    assert c1 == c2
+
+
 def test_run_rejects_unknown_param(tmp_path):
     cfg = ExperimentConfig("mean_t1_quadrature", seed=1,
                            params={"bogus": 1}, output_dir=tmp_path)

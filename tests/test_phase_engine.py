@@ -9,14 +9,12 @@ must reproduce every count.
 import math
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 import vrjplab.spectrum as sp
 from vrjplab.spectrum import _CROSS_TOL, _PI, dos_sweep, phase_propagate
 from vrjplab.stochastic import PathKind, SampledPath, new_stream, sample_brownian_path
-
-SETTINGS = settings(max_examples=25, deadline=None, derandomize=True, database=None)
 
 
 def _phase_core(logc, dpsi):
@@ -78,7 +76,6 @@ energies = st.sampled_from([0.25, 0.5, 1.0, 2.0, 4.0, 9.0, 16.0, 30.0])
 steps = st.sampled_from([1e-3, 4e-3, 1e-2])
 
 
-@SETTINGS
 @given(seed=st.integers(0, 2 ** 32 - 1), e_level=energies,
        lam=st.floats(0.05, 5.0), step=steps)
 def test_scalar_route_bit_identical_to_oracle(seed, e_level, lam, step):
@@ -128,7 +125,6 @@ def _lane_case(seed, lam, step, replicas, e_list):
     return lanes, oracle
 
 
-@SETTINGS
 @given(seed=st.integers(0, 2 ** 32 - 8), lam=st.floats(0.05, 3.0), step=steps,
        replicas=st.integers(1, 4),
        e_list=st.lists(energies, min_size=1, max_size=4, unique=True).map(sorted))

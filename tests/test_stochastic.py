@@ -8,7 +8,7 @@ import scipy.integrate as si
 
 from vrjplab.stats import ks_one_sample, moment_ci
 from vrjplab.stochastic import (IGParams, PathKind, SampledPath,
-                                gamma_half_cdf, gbm_from_brownian,
+                                gamma_half_cdf, gbm_from_brownian, grid_cells,
                                 inverse_gamma_half_cdf, inverse_gaussian_cdf,
                                 new_stream, sample_brownian_path,
                                 sample_gamma_half, sample_inverse_gaussian)
@@ -106,6 +106,22 @@ def test_brownian_preconditions():
         sample_brownian_path(0.0, 1.0, 0.0, s)
     with pytest.raises(ValueError):
         sample_brownian_path(1.0, 1.0, 0.1, s)
+
+
+def test_brownian_path_is_cumsum_of_scaled_draws():
+    # the path is filled in place; its values are those of the plain
+    # cumsum of the scaled increments, anchored at the grid point nearest 0
+    path = sample_brownian_path(-1.0, 2.0, 1e-2, new_stream(4, 2))
+    incr = new_stream(4, 2).gen.standard_normal(300) * math.sqrt(1e-2)
+    want = np.concatenate([[0.0], np.cumsum(incr)])
+    assert np.array_equal(path.values, want - want[100])
+
+
+def test_grid_cells():
+    assert grid_cells(1.0, 1e-3) == (1000, 1.0 / 1000)
+    assert grid_cells(4.9, 0.7) == (7, 4.9 / 7)      # 4.9/0.7 rounds above 7
+    assert grid_cells(0.3, 0.07) == (5, 0.3 / 5)
+    assert grid_cells(0.01, 1.0) == (1, 0.01)
 
 
 def test_gbm_deterministic_transform():

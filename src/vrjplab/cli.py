@@ -108,9 +108,7 @@ def run(config: ExperimentConfig) -> RunManifest:
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / "results.csv"
     _write_csv(csv_path, result.rows)
-    verdicts = [{"label": r.label, "statistic": r.statistic, "critical": r.critical,
-                 "n": r.n, "alpha": r.alpha, "verdict": r.verdict}
-                for r in result.reports]
+    verdicts = [r.as_row() for r in result.reports]
     manifest = RunManifest(config, __version__, started, finished,
                            [csv_path.name], verdicts)
     (out_dir / "manifest.json").write_text(json.dumps(manifest.to_json(), indent=2))

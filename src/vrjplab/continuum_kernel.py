@@ -31,8 +31,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .stats import TestReport, ks_one_sample
-from .stochastic import (PathKind, RngStream, SampledPath, gbm_from_brownian, grid_cells,
-                         inverse_gamma_half_cdf, sample_brownian_path)
+from .stochastic import (PathKind, RngStream, SampledPath, cumtrapz, exp_functional_walk,
+                         gbm_from_brownian, grid_cells, inverse_gamma_half_cdf,
+                         sample_brownian_path, stream_blocks)
 
 _DEGENERATE_REL_TOL = 1e-12
 
@@ -41,16 +42,14 @@ class DegeneratePathError(ValueError):
     """Raised when M_lam = M_-lam (probability-zero event) makes the kernel singular."""
 
 
-def _cumtrapz(y: np.ndarray, h: float) -> np.ndarray:
-    """Cumulative trapezoid of y along its last axis, 0 in the first column."""
-    y = np.asarray(y, dtype=float)
-    out = np.empty(y.shape)
-    cells = out[..., 1:]
-    np.add(y[..., 1:], y[..., :-1], out=cells)
-    cells *= 0.5 * h
-    np.cumsum(cells, axis=-1, out=cells)
-    out[..., 0] = 0.0
-    return out
+def _read_path(gbm: SampledPath, inv_sq_cum: np.ndarray, x: float) -> tuple[float, float]:
+    """(M, I) at grid coordinate x: M log-linear and I linear between nodes."""
+    i = min(int(x), gbm.values.size - 2)
+    f = x - i
+    v = gbm.values
+    m = float(np.exp((1 - f) * np.log(v[i]) + f * np.log(v[i + 1])))
+    ic = float((1 - f) * inv_sq_cum[i] + f * inv_sq_cum[i + 1])
+    return m, ic
 
 
 def two_sided_gbm(lam: float, step: float, s: RngStream) -> SampledPath:
@@ -78,7 +77,7 @@ class CircleKernel:
         lam = gbm.t_end
         if abs(gbm.t0 + lam) > 1e-9 * max(1.0, lam):
             raise ValueError("path must cover [-lam, lam]")
-        ic = _cumtrapz(1.0 / gbm.values ** 2, gbm.step)
+        ic = cumtrapz(1.0 / gbm.values ** 2, gbm.step)
         return cls(lam, gbm, ic)
 
     @classmethod
@@ -91,18 +90,8 @@ class CircleKernel:
             raise ValueError(f"t={t} outside [-{self.lam}, {self.lam}]")
         return min(max((t + self.lam) / self.gbm.step, 0.0), self.gbm.values.size - 1.0)
 
-    def m_at(self, t: float) -> float:
-        x = self._coord(t)
-        i = min(int(x), self.gbm.values.size - 2)
-        f = x - i
-        v = self.gbm.values
-        return float(np.exp((1 - f) * np.log(v[i]) + f * np.log(v[i + 1])))
-
-    def ic_at(self, t: float) -> float:
-        x = self._coord(t)
-        i = min(int(x), self.inv_sq_cum.size - 2)
-        f = x - i
-        return float((1 - f) * self.inv_sq_cum[i] + f * self.inv_sq_cum[i + 1])
+    def _read(self, t: float) -> tuple[float, float]:
+        return _read_path(self.gbm, self.inv_sq_cum, self._coord(t))
 
     @property
     def m_left(self) -> float:
@@ -117,10 +106,11 @@ def kernel_eval(k: CircleKernel, t: float, t2: float) -> float:
     """Symmetric kernel value at (t, t2)."""
     a, b = (t, t2) if t <= t2 else (t2, t)
     ml, mr = k.m_left, k.m_right
-    ic_a, ic_b = k.ic_at(a), k.ic_at(b)
+    ma, ic_a = k._read(a)
+    mb, ic_b = k._read(b)
     total = float(k.inv_sq_cum[-1])
     bracket = (mr * mr * (total - ic_b) + mr * ml * (ic_b - ic_a) + ml * ml * ic_a)
-    return k.m_at(a) * k.m_at(b) * bracket / (mr - ml) ** 2
+    return ma * mb * bracket / (mr - ml) ** 2
 
 
 def kernel_matrix(k: CircleKernel, stride: int = 1) -> np.ndarray:
@@ -150,7 +140,7 @@ def quadratic_form(k: CircleKernel, f) -> float:
     m = k.gbm.values
     h = k.gbm.step
     ml, mr = k.m_left, k.m_right
-    c = _cumtrapz(fv * m, h)
+    c = cumtrapz(fv * m, h)
     total = c[-1]
     integrand = (ml * (total - c) + mr * c) ** 2 / m ** 2
     return float(np.trapezoid(integrand, dx=h) / (mr - ml) ** 2)
@@ -175,8 +165,8 @@ def apply_kernel(k: CircleKernel, f) -> np.ndarray:
     ml, mr = k.m_left, k.m_right
     ic = k.inv_sq_cum
     p = fv * m
-    cp = _cumtrapz(p, h)
-    cq = _cumtrapz(p * ic, h)
+    cp = cumtrapz(p, h)
+    cq = cumtrapz(p * ic, h)
     pt, q, u = cp[-1], cq[-1], ic[-1]
     dm2 = (mr - ml) ** 2
     const = (mr * mr * (u * pt - q) + mr * ml * q) / dm2
@@ -200,7 +190,7 @@ def flux_closed_form(k: CircleKernel, f) -> np.ndarray:
     m = k.gbm.values
     h = k.gbm.step
     ml, mr = k.m_left, k.m_right
-    cp = _cumtrapz(fv * m, h)
+    cp = cumtrapz(fv * m, h)
     pt = cp[-1]
     cp_half = 0.5 * (cp[1:] + cp[:-1])
     return -(cp_half + ml * pt / (mr - ml))
@@ -258,20 +248,15 @@ class LineKernel:
     @classmethod
     def sample(cls, horizon: float, step: float, s: RngStream) -> "LineKernel":
         gbm = two_sided_gbm(horizon, step, s)
-        return cls(horizon, gbm, _cumtrapz(1.0 / gbm.values ** 2, gbm.step))
+        return cls(horizon, gbm, cumtrapz(1.0 / gbm.values ** 2, gbm.step))
 
     @classmethod
     def from_path(cls, gbm: SampledPath) -> "LineKernel":
-        return cls(gbm.t_end, gbm, _cumtrapz(1.0 / gbm.values ** 2, gbm.step))
+        return cls(gbm.t_end, gbm, cumtrapz(1.0 / gbm.values ** 2, gbm.step))
 
     def _read(self, t: float) -> tuple[float, float]:
         x = min(max((t + self.horizon) / self.gbm.step, 0.0), self.gbm.values.size - 1.0)
-        i = min(int(x), self.gbm.values.size - 2)
-        f = x - i
-        v = self.gbm.values
-        m = float(np.exp((1 - f) * np.log(v[i]) + f * np.log(v[i + 1])))
-        ic = float((1 - f) * self.inv_sq_cum[i] + f * self.inv_sq_cum[i + 1])
-        return m, ic
+        return _read_path(self.gbm, self.inv_sq_cum, x)
 
 
 def line_kernel_eval(k: LineKernel, t: float, t2: float) -> float:
@@ -288,15 +273,16 @@ def line_kernel_eval(k: LineKernel, t: float, t2: float) -> float:
 # Ensemble samplers (vectorized across replicas)
 # ---------------------------------------------------------------------------
 
-# The two matrix samplers draw their replicas in stream blocks: replicas
-# done .. done + block - 1 come, row after row, from s.substream(done + 1).
+# The four samplers below take their replica streams from stream_blocks.
 # The block sizes fix the seeded output, so they are constants, not memory
-# knobs.  A stream block is built one row block of about _ROW_BLOCK_ELEMS
-# grid values (256 KB) at a time, so the working set stays in cache and
-# memory does not grow with n_rep; numpy fills rows in order, so the draws
-# do not depend on the row block.
+# knobs.  A matrix sampler's stream block is built one row block of about
+# _ROW_BLOCK_ELEMS grid values (256 KB) at a time, so the working set stays
+# in cache and memory does not grow with n_rep; numpy fills rows in order,
+# so the draws do not depend on the row block.
 _DIAGONAL_STREAM_BLOCK = 2000
 _QUADRATIC_STREAM_BLOCK = 1000
+_RATIO_STREAM_BLOCK = 4000
+_LINE_STREAM_BLOCK = 2000
 _ROW_BLOCK_ELEMS = 1 << 15
 
 
@@ -313,10 +299,10 @@ def _gbm_row_blocks(lam: float, half: int, h: float, n_rep: int, s: RngStream,
     incr_buf = np.empty((rows, n_cells))
     m_buf = np.empty((rows, n_cells + 1))
     sqrt_h = math.sqrt(h)
-    for done in range(0, n_rep, stream_block):
-        gen = s.substream(done + 1).gen
-        stop = min(done + stream_block, n_rep)
-        for lo in range(done, stop, rows):
+    for first, count, block_stream in stream_blocks(s, n_rep, stream_block):
+        gen = block_stream.gen
+        stop = first + count
+        for lo in range(first, stop, rows):
             r = min(rows, stop - lo)
             incr, m = incr_buf[:r], m_buf[:r]
             gen.standard_normal(out=incr)
@@ -339,7 +325,7 @@ def sample_kernel_diagonal(lam: float, t: float, step: float, n_rep: int,
         ml, mr, mj = m[:, 0].copy(), m[:, -1].copy(), m[:, j].copy()
         np.square(m, out=m)
         np.divide(1.0, m, out=m)
-        ic = _cumtrapz(m, h)
+        ic = cumtrapz(m, h)
         total, icj = ic[:, -1], ic[:, j]
         bracket = mr ** 2 * (total - icj) + ml ** 2 * icj
         out[lo:lo + m.shape[0]] = mj ** 2 * bracket / (mr - ml) ** 2
@@ -355,7 +341,7 @@ def sample_quadratic_form(lam: float, f, step: float, n_rep: int,
     for lo, m in _gbm_row_blocks(lam, half, h, n_rep, s, _QUADRATIC_STREAM_BLOCK):
         ml, mr = m[:, 0:1].copy(), m[:, -1:].copy()
         p = fv * m
-        c = _cumtrapz(p, h)
+        c = cumtrapz(p, h)
         total = c[:, -1:].copy()
         # integrand (ml (total - c) + mr c)^2 / M^2, built in p
         np.subtract(total, c, out=p)
@@ -370,50 +356,31 @@ def sample_quadratic_form(lam: float, f, step: float, n_rep: int,
     return out
 
 
-def sample_dufresne_ratio(lam: float, step: float, n_rep: int, s: RngStream,
-                          batch: int = 4000) -> np.ndarray:
+def _walk_ends(span: float, step: float, n_rep: int, s: RngStream,
+               block: int) -> tuple[np.ndarray, np.ndarray]:
+    """(a_span, int_0^span e^{2a_s - s} ds) per replica, on the grid_cells grid."""
+    nsteps, h = grid_cells(span, step)
+    alpha = np.empty(n_rep)
+    integ = np.empty(n_rep)
+    for first, count, block_stream in stream_blocks(s, n_rep, block):
+        stop = first + count
+        alpha[first:stop], integ[first:stop], _ = exp_functional_walk(
+            block_stream.gen, count, h, nsteps)
+    return alpha, integ
+
+
+def sample_dufresne_ratio(lam: float, step: float, n_rep: int, s: RngStream) -> np.ndarray:
     """int_0^lam e^{2a_s - s} ds / (e^{a_lam - lam/2} - 1)^2 per replica."""
-    half, h = grid_cells(lam, step)
-    out = np.empty(n_rep)
-    done = 0
-    while done < n_rep:
-        b = min(batch, n_rep - done)
-        gen = s.substream(done + 1).gen
-        alpha = np.zeros(b)
-        integ = np.zeros(b)
-        prev = np.ones(b)  # e^{2 a_0 - 0}
-        for k in range(1, half + 1):
-            alpha = alpha + gen.standard_normal(b) * math.sqrt(h)
-            cur = np.exp(2.0 * alpha - k * h)
-            integ += 0.5 * h * (prev + cur)
-            prev = cur
-        denom = (np.exp(alpha - 0.5 * lam) - 1.0) ** 2
-        out[done:done + b] = integ / denom
-        done += b
-    return out
+    alpha, integ = _walk_ends(lam, step, n_rep, s, _RATIO_STREAM_BLOCK)
+    return integ / (np.exp(alpha - 0.5 * lam) - 1.0) ** 2
 
 
-def sample_line_diagonal(horizon: float, step: float, n_rep: int, s: RngStream,
-                         batch: int = 2000) -> np.ndarray:
-    """G_inf(0, 0) = int_{-horizon}^0 ds/M^2 per replica (one-sided walk)."""
-    half, h = grid_cells(horizon, step)
-    out = np.empty(n_rep)
-    done = 0
-    while done < n_rep:
-        b = min(batch, n_rep - done)
-        gen = s.substream(done + 1).gen
-        # integrate backward from 0: s -> -s turns 1/M^2 into e^{2w_s - s}
-        w = np.zeros(b)
-        integ = np.zeros(b)
-        prev = np.ones(b)
-        for k in range(1, half + 1):
-            w = w + gen.standard_normal(b) * math.sqrt(h)
-            cur = np.exp(2.0 * w - k * h)
-            integ += 0.5 * h * (prev + cur)
-            prev = cur
-        out[done:done + b] = integ
-        done += b
-    return out
+def sample_line_diagonal(horizon: float, step: float, n_rep: int, s: RngStream) -> np.ndarray:
+    """G_inf(0, 0) = int_{-horizon}^0 ds/M^2 per replica (one-sided walk).
+
+    Integrating backward from 0, s -> -s turns 1/M^2 into e^{2w_s - s}.
+    """
+    return _walk_ends(horizon, step, n_rep, s, _LINE_STREAM_BLOCK)[1]
 
 
 def dufresne_ratio_check(lam: float, s: RngStream, n_rep: int = 10_000,
@@ -427,22 +394,23 @@ def dufresne_ratio_check(lam: float, s: RngStream, n_rep: int = 10_000,
 
 @dataclass
 class MbgReport:
+    """Marginals of ln V_t per snapshot time, and the verdicts on them.
+
+    ``reports`` holds, for each t, the mean check |mean + t/2| <= 3 se and
+    the variance check |var - t| <= 0.1 t, then the increment
+    decorrelation check |corr| <= z_0.995 / sqrt(n).
+    """
+
     t_grid: tuple[float, ...]
     mean_log: np.ndarray
     se_mean: np.ndarray
     var_log: np.ndarray
     incr_corr: float
-    corr_half_width: float
-    n: int
+    reports: list[TestReport]
 
     @property
     def passed(self) -> bool:
-        mean_ok = np.all(np.abs(self.mean_log + np.array(self.t_grid) / 2.0)
-                         <= 3.0 * self.se_mean)
-        var_ok = np.all(np.abs(self.var_log - np.array(self.t_grid))
-                        <= 0.10 * np.array(self.t_grid))
-        corr_ok = abs(self.incr_corr) <= self.corr_half_width
-        return bool(mean_ok and var_ok and corr_ok)
+        return all(r.passed for r in self.reports)
 
 
 def mbg_transform_check(s: RngStream, t_grid: tuple[float, ...] = (0.5, 1.0, 2.0),
@@ -455,36 +423,30 @@ def mbg_transform_check(s: RngStream, t_grid: tuple[float, ...] = (0.5, 1.0, 2.0
     of ln V_t and the decorrelation of increments.
     """
     t_grid = tuple(sorted(t_grid))
-    if len(t_grid) != 3 or t_grid[0] <= 0:
-        raise ValueError("mbg check needs three positive snapshot times")
+    snaps = tuple(int(round(t / step)) for t in t_grid)
+    if len(t_grid) != 3 or not 0 < snaps[0] < snaps[1] < snaps[2]:
+        raise ValueError("mbg check needs three positive snapshot times on distinct steps")
     horizon = t_grid[-1] + tail
     nsteps = int(round(horizon / step))
-    snap_idx = {int(round(t / step)): ti for ti, t in enumerate(t_grid)}
-    gen = s.gen
-    alpha = np.zeros(n_rep)
-    integ = np.zeros(n_rep)
-    prev = np.ones(n_rep)
-    alpha_at = np.empty((len(t_grid), n_rep))
-    integ_at = np.empty((len(t_grid), n_rep))
-    sq = math.sqrt(step)
-    for k in range(1, nsteps + 1):
-        alpha += gen.standard_normal(n_rep) * sq
-        cur = np.exp(2.0 * alpha - k * step)
-        integ += 0.5 * step * (prev + cur)
-        prev = cur
-        if k in snap_idx:
-            ti = snap_idx[k]
-            alpha_at[ti] = alpha
-            integ_at[ti] = integ
+    _, integ, at = exp_functional_walk(s.gen, n_rep, step, nsteps, snaps)
     log_v = np.empty((len(t_grid), n_rep))
-    for ti, t in enumerate(t_grid):
-        log_v[ti] = (-alpha_at[ti] + t / 2.0
-                     + np.log(integ - integ_at[ti]) - np.log(integ))
+    for ti, (t, (alpha_t, integ_t)) in enumerate(zip(t_grid, at)):
+        log_v[ti] = -alpha_t + t / 2.0 + np.log(integ - integ_t) - np.log(integ)
     mean_log = log_v.mean(axis=1)
     se = log_v.std(axis=1, ddof=1) / math.sqrt(n_rep)
     var_log = log_v.var(axis=1, ddof=1)
     d1 = log_v[1] - log_v[0]
     d2 = log_v[2] - log_v[1]
     corr = float(np.corrcoef(d1, d2)[0, 1])
-    return MbgReport(t_grid, mean_log, se, var_log, corr,
-                     2.5758 / math.sqrt(n_rep), n_rep)
+    reports = []
+    for i, t in enumerate(t_grid):
+        dev = abs(mean_log[i] + t / 2.0)
+        reports.append(TestReport(dev, n_rep, 0.0, 3.0 * se[i], bool(dev <= 3.0 * se[i]),
+                                  f"ln V mean t={t}"))
+        dev = abs(var_log[i] - t)
+        reports.append(TestReport(dev, n_rep, 0.0, 0.10 * t, bool(dev <= 0.10 * t),
+                                  f"ln V variance t={t}"))
+    half_width = 2.5758 / math.sqrt(n_rep)
+    reports.append(TestReport(abs(corr), n_rep, 0.0, half_width, abs(corr) <= half_width,
+                              "increment decorrelation"))
+    return MbgReport(t_grid, mean_log, se, var_log, corr, reports)

@@ -61,11 +61,6 @@ def list_experiments() -> list[ExperimentSpec]:
     return [_REGISTRY[k] for k in sorted(_REGISTRY)]
 
 
-def _report_row(r: TestReport) -> dict:
-    return {"label": r.label, "statistic": r.statistic, "critical": r.critical,
-            "n": r.n, "alpha": r.alpha, "verdict": r.verdict}
-
-
 def deterministic_flat_gbm(lam: float, step: float) -> SampledPath:
     """The drift-only geometric path e^{-t/2} on [-lam, lam] (flat noise)."""
     half, h = grid_cells(lam, step)
@@ -86,7 +81,7 @@ def _exp_dufresne_diagonal(p: dict, s: RngStream) -> ExperimentResult:
                                                       int(p["n"]), s)
     rep = ks_one_sample(samples, inverse_gamma_half_cdf, p["alpha"],
                         label=f"kernel-diagonal lam={p['lam']} t={p['t']}")
-    return ExperimentResult([_report_row(rep)], [rep])
+    return ExperimentResult([rep.as_row()], [rep])
 
 
 @register("dufresne_ratio",
@@ -99,7 +94,7 @@ def _exp_dufresne_ratio(p: dict, s: RngStream) -> ExperimentResult:
         rep = continuum_kernel.dufresne_ratio_check(float(lam), s.substream(i),
                                                     int(p["n"]), p["step"], p["alpha"])
         reps.append(rep)
-        rows.append({"lam": float(lam), **_report_row(rep)})
+        rows.append({"lam": float(lam), **rep.as_row()})
     return ExperimentResult(rows, reps)
 
 
@@ -120,7 +115,7 @@ def _exp_functional_identity(p: dict, s: RngStream) -> ExperimentResult:
         cdf = lambda x, c=integral ** 2: scaled_inverse_gamma_half_cdf(x, c)
         rep = ks_one_sample(samples, cdf, p["alpha"], label=f"quadratic-form {label}")
         reps.append(rep)
-        rows.append({"f": label, "integral": integral, **_report_row(rep)})
+        rows.append({"f": label, "integral": integral, **rep.as_row()})
     return ExperimentResult(rows, reps)
 
 
@@ -138,7 +133,7 @@ def _exp_discrete_green(p: dict, s: RngStream) -> ExperimentResult:
     g00 = green_circle.green_entries_from_a(a, float(n_w), size, size)
     rep = ks_one_sample(g00, inverse_gamma_half_cdf, p["alpha"],
                         label=f"discrete-green-diagonal n={n_w} lam={p['lam']}")
-    return ExperimentResult([_report_row(rep)], [rep])
+    return ExperimentResult([rep.as_row()], [rep])
 
 
 @register("explicit_inverse",
@@ -180,7 +175,7 @@ def _exp_my_kernel(p: dict, s: RngStream) -> ExperimentResult:
         z_ker = matsumoto_yor.kernel_step(z_ker, m, ker_stream)
     rep = ks_two_sample(z_con, z_ker, p["alpha"],
                         label=f"kernel-vs-construction z_{length} m={m}")
-    return ExperimentResult([_report_row(rep)], [rep])
+    return ExperimentResult([rep.as_row()], [rep])
 
 
 @register("intertwining",
@@ -210,7 +205,7 @@ def _exp_intertwining(p: dict, s: RngStream) -> ExperimentResult:
         var_ratio = float(np.var(sel, ddof=1)) / z_med
         var_ratios.append(var_ratio)
         rows.append({"bin": b, "z_median": z_med, "n_bin": int(sel.size),
-                     "var_ratio": var_ratio, **_report_row(rep)})
+                     "var_ratio": var_ratio, **rep.as_row()})
         reps.append(rep)
     bin_rep = TestReport(10 - n_pass, n, p["alpha"], 10 - p["min_pass"] + 0.5,
                          n_pass >= p["min_pass"], f"bins passed: {n_pass}/10")
@@ -228,7 +223,7 @@ def _exp_intertwining(p: dict, s: RngStream) -> ExperimentResult:
 def _exp_z_diffusion(p: dict, s: RngStream) -> ExperimentResult:
     rep = matsumoto_yor.z_diffusion_step_check(p["tmax"], s, int(p["n"]),
                                                p["step"], p["step"], p["alpha"])
-    return ExperimentResult([_report_row(rep)], [rep])
+    return ExperimentResult([rep.as_row()], [rep])
 
 
 @register("mbg_corollary",
@@ -239,20 +234,12 @@ def _exp_mbg(p: dict, s: RngStream) -> ExperimentResult:
     rep = continuum_kernel.mbg_transform_check(s, (0.5, 1.0, 2.0), int(p["n"]),
                                                p["step"], p["tail"])
     rows = []
-    reports = []
     for i, t in enumerate(rep.t_grid):
-        mean_ok = abs(rep.mean_log[i] + t / 2.0) <= 3.0 * rep.se_mean[i]
-        var_ok = abs(rep.var_log[i] - t) <= 0.10 * t
+        mean_rep, var_rep = rep.reports[2 * i:2 * i + 2]
         rows.append({"t": t, "mean_log": rep.mean_log[i], "se": rep.se_mean[i],
-                     "var_log": rep.var_log[i], "mean_ok": mean_ok, "var_ok": var_ok})
-        reports.append(TestReport(abs(rep.mean_log[i] + t / 2.0), rep.n, 0.0,
-                                  3.0 * rep.se_mean[i], bool(mean_ok), f"ln V mean t={t}"))
-        reports.append(TestReport(abs(rep.var_log[i] - t), rep.n, 0.0, 0.10 * t,
-                                  bool(var_ok), f"ln V variance t={t}"))
-    reports.append(TestReport(abs(rep.incr_corr), rep.n, 0.0, rep.corr_half_width,
-                              abs(rep.incr_corr) <= rep.corr_half_width,
-                              "increment decorrelation"))
-    return ExperimentResult(rows, reports)
+                     "var_log": rep.var_log[i], "mean_ok": mean_rep.passed,
+                     "var_ok": var_rep.passed})
+    return ExperimentResult(rows, rep.reports)
 
 
 @register("mean_t1_quadrature",

@@ -1,4 +1,4 @@
-"""Operator assembly and Green function on the discrete circle.
+"""The Green function on the discrete circle: closed form and oracles.
 
 The operator on a circle field factorizes as H = w * D^-1 R D^-1 with
 D = diag(sqrt(A_i)) and R the cyclic tridiagonal matrix built from
@@ -23,7 +23,7 @@ from enum import Enum
 
 import numpy as np
 
-from .beta_field import BetaField, GraphShape, dense_h
+from .beta_field import BetaField, dense_h
 
 _INVERSE_REL_TOL = 1e-10
 
@@ -31,25 +31,6 @@ _INVERSE_REL_TOL = 1e-10
 class Provenance(Enum):
     EXPLICIT_FORMULA = "explicit_formula"
     DENSE_SOLVE = "dense_solve"
-    PATH_SUM = "path_sum"
-
-
-@dataclass
-class HMatrix:
-    """Symmetric cyclic tridiagonal operator: diag 2*beta_i, -W on edges."""
-
-    dim: int
-    diag: np.ndarray
-    offweight: float
-
-    def to_dense(self) -> np.ndarray:
-        h = np.zeros((self.dim, self.dim))
-        np.fill_diagonal(h, self.diag)
-        for i in range(self.dim):
-            j = (i + 1) % self.dim
-            h[i, j] -= self.offweight
-            h[j, i] -= self.offweight
-        return h
 
 
 @dataclass
@@ -74,12 +55,6 @@ class USequence:
             raise ValueError("u entries must be positive")
         if abs(np.sum(np.log(self.u))) < 1e-12:
             raise ValueError("degenerate u sequence: prod(u) = 1")
-
-
-def assemble_H(field: BetaField) -> HMatrix:
-    if field.graph.shape is not GraphShape.CIRCLE:
-        raise ValueError("assemble_H expects a circle field")
-    return HMatrix(field.graph.n_vertices, 2.0 * field.beta, field.weight)
 
 
 def u_sequence(field: BetaField) -> USequence:

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .stats import TestReport, ks_two_sample
-from .stochastic import (IGParams, RngStream, SampledPath,
-                         sample_inverse_gaussian)
+from .stochastic import (IGParams, RngStream, SampledPath, cumtrapz, exp_functional_walk,
+                         ig_root_draws, sample_gbm_path, sample_inverse_gaussian)
 
 
 @dataclass
@@ -94,17 +94,8 @@ def kernel_step(z, m: int, s: RngStream):
     scalar = zs.ndim == 0
     zs = np.atleast_1d(zs)
     eta = m + 1.0 / zs
-    out = (zs / m) * eta / _ig_mean1_shape(eta, s)
+    out = (zs / m) * eta / ig_root_draws(1.0, eta, s.gen, eta.size)
     return float(out[0]) if scalar else out
-
-
-def _ig_mean1_shape(shape: np.ndarray, s: RngStream) -> np.ndarray:
-    """IG(1, shape) draws with per-element shape parameters."""
-    g = s.gen.standard_gamma(0.5, size=shape.size)
-    y = 2.0 * g
-    x = 1.0 + y / (2.0 * shape) - np.sqrt(4.0 * shape * y + y * y) / (2.0 * shape)
-    u = s.gen.uniform(size=shape.size)
-    return np.where(u <= 1.0 / (1.0 + x), x, 1.0 / x)
 
 
 def conditional_psi_given_z(z, s: RngStream):
@@ -114,7 +105,7 @@ def conditional_psi_given_z(z, s: RngStream):
         raise ValueError("z must be positive")
     scalar = zs.ndim == 0
     zs = np.atleast_1d(zs)
-    out = _ig_mean1_shape(1.0 / zs, s)
+    out = ig_root_draws(1.0, 1.0 / zs, s.gen, zs.size)
     return float(out[0]) if scalar else out
 
 
@@ -137,26 +128,16 @@ def build_continuum(tmax: float, step: float, s: RngStream) -> MYContinuum:
 
     The grid must resolve e^2; step <= 1e-3 is the documented default.
     """
-    from .stochastic import sample_gbm_path
     gbm = sample_gbm_path(0.0, tmax, step, s)
-    e2 = gbm.values ** 2
-    big_t = np.empty_like(e2)
-    big_t[0] = 0.0
-    np.cumsum(0.5 * step * (e2[1:] + e2[:-1]), out=big_t[1:])
+    big_t = cumtrapz(gbm.values ** 2, step)
     return MYContinuum(gbm, big_t, big_t / gbm.values)
 
 
 def sample_z_pathwise(tmax: float, step: float, n_rep: int, s: RngStream) -> np.ndarray:
-    """Ensemble of Z_tmax from the pathwise construction (stepwise, O(n_rep) memory)."""
+    """Ensemble of Z_tmax = int_0^tmax e^2 / e_tmax, e_t = e^{a_t - t/2} (O(n_rep) memory)."""
     nsteps = int(round(tmax / step))
-    e = np.ones(n_rep)
-    t_acc = np.zeros(n_rep)
-    sq = math.sqrt(step)
-    for _ in range(nsteps):
-        e_new = e * np.exp(sq * s.gen.standard_normal(n_rep) - 0.5 * step)
-        t_acc += 0.5 * step * (e * e + e_new * e_new)
-        e = e_new
-    return t_acc / e
+    alpha, integ, _ = exp_functional_walk(s.gen, n_rep, step, nsteps)
+    return integ / np.exp(alpha - nsteps * step / 2)
 
 
 def euler_maruyama_z(tmax: float, step: float, n_rep: int, s: RngStream,

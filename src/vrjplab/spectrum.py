@@ -49,7 +49,7 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from .beta_field import BetaField, dense_h
-from .stochastic import PathKind, RngStream, SampledPath, sample_brownian_path
+from .stochastic import PathKind, RngStream, SampledPath, sample_brownian_path, stream_blocks
 
 _PI = math.pi
 
@@ -486,8 +486,8 @@ def dos_sweep(e_list, lam: float, replicas: int, s: RngStream,
     """
     e_list = list(e_list)
     logm = None                  # (replicas x nodes), allocated once the grid is known
-    for r in range(replicas):
-        path_logm = _log_m(sample_brownian_path(-lam, lam, step, s.substream(r + 1)))
+    for r, _, path_stream in stream_blocks(s, replicas, 1):
+        path_logm = _log_m(sample_brownian_path(-lam, lam, step, path_stream))
         if logm is None:
             logm = np.empty((replicas, path_logm.size))
         logm[r] = path_logm

@@ -34,6 +34,11 @@ class TestReport:
     def verdict(self) -> str:
         return "pass" if self.passed else "fail"
 
+    def as_row(self) -> dict:
+        """The verdict as one row: the keys of results.csv and manifest.json."""
+        return {"label": self.label, "statistic": self.statistic, "critical": self.critical,
+                "n": self.n, "alpha": self.alpha, "verdict": self.verdict}
+
     def __str__(self) -> str:
         return (f"[{self.verdict.upper():4s}] {self.label}: stat={self.statistic:.5g} "
                 f"crit={self.critical:.5g} n={self.n} alpha={self.alpha}")

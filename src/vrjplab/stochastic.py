@@ -101,7 +101,14 @@ class SampledPath:
 
 
 def sample_inverse_gaussian(p: IGParams, s: RngStream, size: int | None = None):
-    """Draw from IG(mu, lam) via one Gamma(1/2,1) draw plus a uniform acceptance.
+    """Draw from IG(mu, lam) via one Gamma(1/2,1) draw plus a uniform acceptance."""
+    n = 1 if size is None else size
+    out = ig_root_draws(p.mu, p.lam, s.gen, n)
+    return float(out[0]) if size is None else out
+
+
+def ig_root_draws(mu, lam, gen: np.random.Generator, n: int) -> np.ndarray:
+    """n draws from IG(mu, lam); ``lam`` may be an array of n shapes.
 
     The root construction: with y = 2*gamma (gamma ~ Gamma(1/2,1)),
 
@@ -110,15 +117,12 @@ def sample_inverse_gaussian(p: IGParams, s: RngStream, size: int | None = None):
     is the smaller root of the IG quadratic; accept x with probability
     mu/(mu + x), else return mu^2/x.  Exact, no rejection loop.
     """
-    n = 1 if size is None else size
-    g = s.gen.standard_gamma(0.5, size=n)
+    g = gen.standard_gamma(0.5, size=n)
     y = 2.0 * g
-    mu, lam = p.mu, p.lam
     x = mu + mu * mu * y / (2.0 * lam) \
         - (mu / (2.0 * lam)) * np.sqrt(4.0 * mu * lam * y + mu * mu * y * y)
-    u = s.gen.uniform(size=n)
-    out = np.where(u <= mu / (mu + x), x, mu * mu / x)
-    return float(out[0]) if size is None else out
+    u = gen.uniform(size=n)
+    return np.where(u <= mu / (mu + x), x, mu * mu / x)
 
 
 def sample_gamma_half(s: RngStream, size: int | None = None):
@@ -139,6 +143,52 @@ def grid_cells(span: float, step: float) -> tuple[int, float]:
     return n, span / n
 
 
+def cumtrapz(y: np.ndarray, h: float) -> np.ndarray:
+    """Cumulative trapezoid of y along its last axis, 0 in the first column."""
+    y = np.asarray(y, dtype=float)
+    out = np.empty(y.shape)
+    cells = out[..., 1:]
+    np.add(y[..., 1:], y[..., :-1], out=cells)
+    cells *= 0.5 * h
+    np.cumsum(cells, axis=-1, out=cells)
+    out[..., 0] = 0.0
+    return out
+
+
+def stream_blocks(s: RngStream, n_rep: int, block: int):
+    """Yield (first, count, stream): replicas first .. first + count - 1 draw from stream.
+
+    The one rule that maps replicas to streams: blocks of ``block`` replicas,
+    the block at ``first`` drawing from s.substream(first + 1).  The block
+    size fixes the seeded output, so callers pass a constant.
+    """
+    for first in range(0, n_rep, block):
+        yield first, min(block, n_rep - first), s.substream(first + 1)
+
+
+def exp_functional_walk(gen: np.random.Generator, n: int, h: float, nsteps: int,
+                        snaps: tuple[int, ...] = ()):
+    """Walk a_k = a_{k-1} + sqrt(h) N(0, 1) from a_0 = 0 for n replicas, nsteps steps.
+
+    Draws one (n,) block per step from ``gen``.  Returns a_nsteps, the
+    trapezoid sum I of e^{2 a_k - k h} over k = 0..nsteps, and a list of
+    copies of (a_k, I_k) for each step k in ``snaps`` (1 <= k <= nsteps).
+    """
+    sqrt_h = math.sqrt(h)
+    alpha = np.zeros(n)
+    integ = np.zeros(n)
+    prev = np.ones(n)  # e^{2 a_0 - 0}
+    seen = {}
+    for k in range(1, nsteps + 1):
+        alpha += gen.standard_normal(n) * sqrt_h
+        cur = np.exp(2.0 * alpha - k * h)
+        integ += 0.5 * h * (prev + cur)
+        prev = cur
+        if k in snaps:
+            seen[k] = (alpha.copy(), integ.copy())
+    return alpha, integ, [seen[k] for k in snaps]
+
+
 def sample_brownian_path(t0: float, t1: float, step: float, s: RngStream) -> SampledPath:
     """Two-sided Brownian path on the grid covering [t0, t1].
 
@@ -151,7 +201,7 @@ def sample_brownian_path(t0: float, t1: float, step: float, s: RngStream) -> Sam
         raise ValueError("step must be positive")
     if t0 >= t1:
         raise ValueError("need t0 < t1")
-    ncells = int(math.ceil((t1 - t0) / step - 1e-9))
+    ncells, _ = grid_cells(t1 - t0, step)
     vals = np.empty(ncells + 1)
     vals[0] = 0.0
     incr = vals[1:]

@@ -169,6 +169,12 @@ def test_mbg_transform():
     assert abs(rep.var_log[2] - 2.0) < 0.2
 
 
+def test_mbg_snapshots_must_fall_on_distinct_positive_steps():
+    for t_grid in ((0.0004, 1.0, 2.0), (0.5, 0.5004, 2.0), (0.0, 1.0, 2.0), (1.0, 2.0)):
+        with pytest.raises(ValueError):
+            mbg_transform_check(new_stream(21, 0), t_grid, n_rep=10, step=1e-3, tail=1.0)
+
+
 def test_mbg_v_at_zero_is_one():
     # V_0 is the ratio of identical integrals
     gen = new_stream(20, 0).gen

@@ -7,7 +7,7 @@ import pytest
 
 from vrjplab.beta_field import circle_field_from_a, dense_h, sample_circle_field
 from vrjplab.green_circle import (Provenance, USequence,
-                                  assemble_H, green_entries_from_a,
+                                  green_entries_from_a,
                                   green_from_field, interpolate_green,
                                   invert_R_explicit, path_sum_green,
                                   u_sequence, vrjp_rates)
@@ -29,8 +29,7 @@ def test_assemble_h_uniform_case():
     a = np.full(3, 2.0)
     # force beta = w + g via a synthetic field: beta_i = (w/2)(A_{i+1} + 1/A_i)
     f = circle_field_from_a(a, 1.0)
-    h = assemble_H(f)
-    dense = h.to_dense()
+    dense = dense_h(f.graph, f.beta)
     assert np.allclose(np.diag(dense), 2 * f.beta)
     assert dense[0, 1] == -1.0 and dense[0, 2] == -1.0
     assert np.array_equal(dense, dense.T)

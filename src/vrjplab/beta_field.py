@@ -62,15 +62,6 @@ class WeightedGraph1D:
             e.append((n - 1, 0))
         return e
 
-    def vertex_to_index(self, v: int) -> int:
-        if self.shape is GraphShape.CIRCLE:
-            if not -self.size <= v <= self.size:
-                raise ValueError(f"vertex {v} outside circle of size {self.size}")
-            return v + self.size
-        if not 1 <= v <= self.size:
-            raise ValueError(f"vertex {v} outside segment 1..{self.size}")
-        return v - 1
-
 
 @dataclass
 class BetaField:
@@ -86,15 +77,15 @@ class BetaField:
         n = self.graph.n_vertices
         if self.beta.size != n or self.a_seq.size != n:
             raise ValueError("beta/a_seq length must match the vertex count")
+        # For beta built from the A's, H_beta > 0 follows from these two: on
+        # the segment the LDL^T pivots of H are w/A_i, and on the circle H = w D^-1 B B^T D^-1 with
+        # D = diag(sqrt(A)) and B cyclic bidiagonal, det B = 1 - prod A.
+        if not np.all(self.a_seq > 0):
+            raise ValueError("multipliers A_i must be positive")
         if self.graph.shape is GraphShape.CIRCLE:
             # prod A_i = 1 makes H_beta singular (probability-zero event)
             if abs(np.sum(np.log(self.a_seq))) < _DEGENERATE_TOL:
                 raise ValueError("degenerate field: prod(A_i) = 1, H_beta singular")
-        # H_beta > 0 is an a.s. event; a factorization failure signals a bug.
-        try:
-            np.linalg.cholesky(dense_h(self.graph, self.beta))
-        except np.linalg.LinAlgError as exc:
-            raise ValueError("constructed field fails the H_beta > 0 check") from exc
 
     @property
     def weight(self) -> float:

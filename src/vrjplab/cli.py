@@ -5,7 +5,8 @@
 
 Each run writes <out>/<name>/results.csv (numeric table, shortest
 round-trip decimals, byte-identical across reruns of the same config)
-and manifest.json (config, package version, timestamps, verdicts).
+and manifest.json (the effective parameters, package and library
+versions, timestamps, verdicts).
 Exit code 0 when every verdict passes, 1 otherwise, 2 on usage errors.
 """
 
@@ -15,10 +16,14 @@ import argparse
 import csv
 import json
 import os
+import platform
 import sys
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
+
+import numpy as np
+import scipy
 
 from . import __version__
 from .experiments import ExperimentResult, get_experiment, list_experiments
@@ -38,6 +43,7 @@ class ExperimentConfig:
 @dataclass
 class RunManifest:
     config: ExperimentConfig
+    params: dict              # the registered defaults with config.params applied
     artifact_version: str
     started: str
     finished: str
@@ -52,9 +58,12 @@ class RunManifest:
         return {
             "name": self.config.name,
             "seed": self.config.seed,
-            "params": _jsonable(self.config.params),
+            "params": _jsonable(self.params),
             "output_dir": str(self.config.output_dir),
             "artifact_version": self.artifact_version,
+            # bit streams are pinned per numpy release
+            "versions": {"numpy": np.__version__, "scipy": scipy.__version__,
+                         "python": platform.python_version()},
             "started": self.started,
             "finished": self.finished,
             "result_files": self.result_files,
@@ -109,7 +118,7 @@ def run(config: ExperimentConfig) -> RunManifest:
     csv_path = out_dir / "results.csv"
     _write_csv(csv_path, result.rows)
     verdicts = [r.as_row() for r in result.reports]
-    manifest = RunManifest(config, __version__, started, finished,
+    manifest = RunManifest(config, params, __version__, started, finished,
                            [csv_path.name], verdicts)
     (out_dir / "manifest.json").write_text(json.dumps(manifest.to_json(), indent=2))
     return manifest

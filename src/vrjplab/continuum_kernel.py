@@ -113,18 +113,6 @@ def kernel_eval(k: CircleKernel, t: float, t2: float) -> float:
     return ma * mb * bracket / (mr - ml) ** 2
 
 
-def kernel_matrix(k: CircleKernel, stride: int = 1) -> np.ndarray:
-    """Kernel evaluated on the (strided) path grid as a dense symmetric matrix."""
-    m = k.gbm.values[::stride]
-    ic = k.inv_sq_cum[::stride]
-    ml, mr = k.m_left, k.m_right
-    total = float(k.inv_sq_cum[-1])
-    ic_lo = np.minimum.outer(ic, ic)
-    ic_hi = np.maximum.outer(ic, ic)
-    bracket = mr * mr * (total - ic_hi) + mr * ml * (ic_hi - ic_lo) + ml * ml * ic_lo
-    return np.outer(m, m) * bracket / (mr - ml) ** 2
-
-
 def _f_values(k: CircleKernel, f) -> np.ndarray:
     if callable(f):
         return np.asarray(f(k.gbm.times), dtype=float)
@@ -144,17 +132,6 @@ def quadratic_form(k: CircleKernel, f) -> float:
     total = c[-1]
     integrand = (ml * (total - c) + mr * c) ** 2 / m ** 2
     return float(np.trapezoid(integrand, dx=h) / (mr - ml) ** 2)
-
-
-def quadratic_form_double_route(k: CircleKernel, f, stride: int = 1) -> float:
-    """Oracle: direct 2-D trapezoid of f(t) G(t,t') f(t')."""
-    fv = _f_values(k, f)[::stride]
-    g = kernel_matrix(k, stride)
-    h = k.gbm.step * stride
-    w = np.full(fv.size, h)
-    w[0] = w[-1] = h / 2.0
-    wf = w * fv
-    return float(wf @ g @ wf)
 
 
 def apply_kernel(k: CircleKernel, f) -> np.ndarray:

@@ -32,16 +32,13 @@ eigenvalues approximating the continuum ones, counted by a dense
 eigensolve.  A conservative finite-difference operator built from a
 sampled path (fluxes from the trapezoid resistances, boundary seam
 implementing g(-lam) = g(lam) and the twisted flux matching) provides
-the deterministic spectral oracle; a Dirichlet variant with an O(dim)
-inertia count serves at sizes where dense solves are impossible (the
-Dirichlet and twisted counts interlace within 1).
+the deterministic spectral oracle.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 import scipy.integrate
@@ -56,26 +53,9 @@ _PI = math.pi
 
 @dataclass
 class PhaseTrace:
-    e_level: float
-    lam: float
     theta_final: float
     crossings: np.ndarray     # times of pi-crossings, offsets from the path start
-    grid_step: float
-    branch_count: int         # exact number of pi-crossings; equals floor(theta/pi)
-
-    @property
-    def count(self) -> int:
-        return self.branch_count
-
-
-@dataclass
-class DiscreteSpectrum:
-    class Source(Enum):
-        BETA_MATRIX = "beta_matrix"
-        FD_OPERATOR = "fd_operator"
-
-    eigenvalues: np.ndarray
-    source: "DiscreteSpectrum.Source"
+    count: int                # exact number of pi-crossings; equals floor(theta/pi)
 
 
 _CROSS_TOL = 1e-10   # endpoint-exact crossings round to the crossed side
@@ -113,14 +93,8 @@ def _log_m(path: SampledPath, lo: int = 0, hi: int | None = None) -> np.ndarray:
     return vals - times / 2.0
 
 
-def _cell_log_coefficients(path: SampledPath, c0: float, lo: int, hi: int) -> np.ndarray:
-    """logc on cells lo..hi-1: c0 + log of the frozen M^2 (c0 = log sqrt(E))."""
-    logm = _log_m(path, lo, hi + 1)
-    return c0 + logm[:-1] + logm[1:]
-
-
 def _scan_cells(ratios: list[float], psi: float, dpsi: float, first: int,
-                record_at: float, records: list) -> float:
+                records: list) -> float:
     """Advance the gauge angle psi in [0, pi) across consecutive cells.
 
     ratios[j] = log of the coefficient ratio between cell first+j and the
@@ -128,13 +102,14 @@ def _scan_cells(ratios: list[float], psi: float, dpsi: float, first: int,
     ratio, which stays O(1) on a Brownian grid, so no precision is lost
     even when M^2 itself spans hundreds of e-folds.  The rescaled angle
     is nonnegative (sin psi >= 0 on [0, pi)).  A cell whose advanced
-    angle reaches record_at appends (cell, entry angle, crossings).
+    angle crosses pi appends (cell, entry angle, crossings).
     """
     exp, sin, cos, atan2 = math.exp, math.sin, math.cos, math.atan2
+    cross_at = _CROSS_ANGLE
     for i, d in enumerate(ratios, first):
         psi = atan2(exp(d) * sin(psi), cos(psi))
         x = psi + dpsi
-        if x < record_at:
+        if x < cross_at:
             psi = x
             continue
         ncross = int((x + _CROSS_TOL) // _PI)
@@ -159,27 +134,28 @@ class _Scan:
         return int(self.ncross.sum())
 
 
-def _phase_scan(gbm: SampledPath, e_level: float, every_cell: bool = False) -> _Scan:
+def _phase_scan(gbm: SampledPath, e_level: float) -> _Scan:
     """Scalar route: propagate one path from theta = 0, chunk by chunk.
 
     Records the crossing cells only, so memory beyond the path is one
-    chunk plus the records; every_cell records all cells (short paths).
+    chunk plus the records.
     """
     n = gbm.values.size - 1
     c0 = 0.5 * math.log(e_level)
     dpsi = math.sqrt(e_level) * gbm.step
-    record_at = -math.inf if every_cell else _CROSS_ANGLE
     records: list = []
     psi = 0.0
     prev = None
     for lo in range(0, n, _SCAN_CHUNK):
-        logc = _cell_log_coefficients(gbm, c0, lo, min(n, lo + _SCAN_CHUNK))
+        # logc on the chunk's cells: c0 + log of the frozen M^2 (c0 = log sqrt(E))
+        logm = _log_m(gbm, lo, min(n, lo + _SCAN_CHUNK) + 1)
+        logc = c0 + logm[:-1] + logm[1:]
         ratios = np.empty(logc.size)
         # the first cell has no predecessor; psi = 0 is invariant under rescaling
         ratios[0] = 0.0 if prev is None else logc[0] - prev
         np.subtract(logc[1:], logc[:-1], out=ratios[1:])
         prev = logc[-1]
-        psi = _scan_cells(ratios.tolist(), psi, dpsi, lo, record_at, records)
+        psi = _scan_cells(ratios.tolist(), psi, dpsi, lo, records)
     rec = np.array(records, dtype=float).reshape(-1, 3)
     return _Scan(rec[:, 0].astype(np.int64), rec[:, 1], rec[:, 2].astype(np.int64),
                  psi, float(prev))
@@ -212,8 +188,7 @@ def phase_propagate(e_level: float, gbm: SampledPath,
     count = scan.count
     theta_final = float(count) * _PI + phi
     crossings = _crossing_times(scan, gbm.step, e_level) if collect_crossings else np.empty(0)
-    lam = 0.5 * (gbm.t_end - gbm.t0)
-    return PhaseTrace(e_level, lam, theta_final, crossings, gbm.step, count)
+    return PhaseTrace(theta_final, crossings, count)
 
 
 def count_states_phase(e_level: float, gbm: SampledPath) -> int:
@@ -262,80 +237,6 @@ def _lane_counts(logm: np.ndarray, step: float, e_list) -> np.ndarray:
     return count.astype(np.int64).reshape(len(e_list), n_rep)
 
 
-def phase_propagate_rk4(e_level: float, gbm: SampledPath,
-                        max_step_angle: float = 0.05) -> float:
-    """Generic RK4 integration of the phase ODE with the same frozen cells.
-
-    Small-scale oracle for the closed-form propagation; substeps per
-    cell are chosen so the angle advance stays below max_step_angle.
-    """
-    logm = _log_m(gbm)
-    h = gbm.step
-    theta = 0.0
-    for i in range(logm.size - 1):
-        m2 = math.exp(logm[i] + logm[i + 1])
-        a = 1.0 / m2
-        b = e_level * m2
-        rate = max(a, b)
-        nsub = max(1, int(math.ceil(rate * h / max_step_angle)))
-        dt = h / nsub
-
-        for _ in range(nsub):
-            k1 = a * math.cos(theta) ** 2 + b * math.sin(theta) ** 2
-            t2 = theta + 0.5 * dt * k1
-            k2 = a * math.cos(t2) ** 2 + b * math.sin(t2) ** 2
-            t3 = theta + 0.5 * dt * k2
-            k3 = a * math.cos(t3) ** 2 + b * math.sin(t3) ** 2
-            t4 = theta + dt * k3
-            k4 = a * math.cos(t4) ** 2 + b * math.sin(t4) ** 2
-            theta += dt * (k1 + 2 * k2 + 2 * k3 + k4) / 6.0
-    return theta
-
-
-def riccati_cell_check(e_level: float, gbm: SampledPath, n_cells: int = 200,
-                       eps_frac: float = 0.02) -> float:
-    """Max relative deviation of the per-cell Riccati identity.
-
-    Within a cell (coefficient frozen), j = -cot(theta) must satisfy
-    j' = j^2 / M^2 + E M^2.  Checked by centered differences of the
-    exact in-cell propagation at the cell midpoint, skipping cells where
-    cot is ill-conditioned.
-    """
-    logc = _cell_log_coefficients(gbm, 0.5 * math.log(e_level), 0, gbm.values.size - 1)
-    psi_in = _phase_scan(gbm, e_level, every_cell=True).psi_in
-    h = gbm.step
-    sqrt_e = math.sqrt(e_level)
-    worst = 0.0
-    checked = 0
-    for i in range(0, logc.size, max(1, logc.size // (4 * n_cells))):
-        c = math.exp(logc[i])
-        m2 = c / sqrt_e
-
-        def theta_at(delta):
-            psi = psi_in[i] + sqrt_e * delta
-            kk = math.floor(psi / _PI)
-            frac = psi - kk * _PI
-            return kk * _PI + math.atan2(math.sin(frac), c * math.cos(frac))
-
-        mid = 0.5 * h
-        eps = eps_frac * h
-        th = theta_at(mid)
-        if min(abs(math.sin(th)), abs(math.cos(th))) < 0.2:
-            continue
-        j_mid = -1.0 / math.tan(th)
-        j_plus = -1.0 / math.tan(theta_at(mid + eps))
-        j_minus = -1.0 / math.tan(theta_at(mid - eps))
-        fd = (j_plus - j_minus) / (2.0 * eps)
-        rhs = j_mid * j_mid / m2 + e_level * m2
-        worst = max(worst, abs(fd - rhs) / abs(rhs))
-        checked += 1
-        if checked >= n_cells:
-            break
-    if checked == 0:
-        raise RuntimeError("no well-conditioned cells found for the check")
-    return worst
-
-
 # ---------------------------------------------------------------------------
 # Matrix routes
 # ---------------------------------------------------------------------------
@@ -343,25 +244,17 @@ def riccati_cell_check(e_level: float, gbm: SampledPath, n_cells: int = 200,
 _DENSE_EIG_BUDGET = 4000
 
 
-def discrete_spectrum_matrix(field: BetaField, n: int) -> DiscreteSpectrum:
-    """Eigenvalues of the scaled discrete operator n * H_beta."""
+def discrete_spectrum_matrix(field: BetaField, n: int) -> np.ndarray:
+    """Eigenvalues of the scaled discrete operator n * H_beta, ascending."""
     h = dense_h(field.graph, field.beta)
     if h.shape[0] > _DENSE_EIG_BUDGET:
         raise ValueError(f"dense eigensolve budget exceeded: {h.shape[0]} > {_DENSE_EIG_BUDGET}")
-    vals = np.linalg.eigvalsh(n * h)
-    return DiscreteSpectrum(vals, DiscreteSpectrum.Source.BETA_MATRIX)
+    return np.linalg.eigvalsh(n * h)
 
 
 def count_states_matrix(e_level: float, field: BetaField, n: int) -> int:
     """Number of eigenvalues of n * H_beta at or below E."""
-    spec = discrete_spectrum_matrix(field, n)
-    return int(np.searchsorted(spec.eigenvalues, e_level, side="right"))
-
-
-def _fd_resistances(gbm: SampledPath) -> np.ndarray:
-    """Per-cell resistance of the conservative stencil: trapezoid of 1/M^2."""
-    m = gbm.values
-    return 0.5 * gbm.step * (1.0 / m[:-1] ** 2 + 1.0 / m[1:] ** 2)
+    return int(np.searchsorted(discrete_spectrum_matrix(field, n), e_level, side="right"))
 
 
 def fd_operator_twisted(gbm: SampledPath) -> scipy.sparse.csr_matrix:
@@ -376,7 +269,7 @@ def fd_operator_twisted(gbm: SampledPath) -> scipy.sparse.csr_matrix:
     """
     m = gbm.values
     h = gbm.step
-    r = _fd_resistances(gbm)
+    r = 0.5 * h * (1.0 / m[:-1] ** 2 + 1.0 / m[1:] ** 2)   # cell resistance: trapezoid of 1/M^2
     n = m.size - 1                       # distinct nodes on the circle
     alpha = 1.0 / m                      # 1/M at nodes 0..N (N = seam twin of 0)
     rows, cols, vals = [], [], []
@@ -392,7 +285,7 @@ def fd_operator_twisted(gbm: SampledPath) -> scipy.sparse.csr_matrix:
     return a / h
 
 
-def fd_spectrum_twisted(gbm: SampledPath, k: int = 8) -> DiscreteSpectrum:
+def fd_spectrum_twisted(gbm: SampledPath, k: int = 8) -> np.ndarray:
     """Lowest k eigenvalues of the twisted FD operator (shift-invert).
 
     ARPACK starts from the fixed vector of ones, not a random one, so the
@@ -401,31 +294,7 @@ def fd_spectrum_twisted(gbm: SampledPath, k: int = 8) -> DiscreteSpectrum:
     a = fd_operator_twisted(gbm).tocsc()
     vals = scipy.sparse.linalg.eigsh(a, k=k, sigma=0.0, which="LM",
                                      v0=np.ones(a.shape[0]), return_eigenvectors=False)
-    return DiscreteSpectrum(np.sort(vals), DiscreteSpectrum.Source.FD_OPERATOR)
-
-
-def count_states_fd_dirichlet(gbm: SampledPath, e_level: float) -> int:
-    """Dirichlet eigenvalue count below E by LDL inertia, O(dim).
-
-    Interlaces the twisted count within 1; usable at grid sizes far
-    beyond the dense budget.
-    """
-    m = gbm.values
-    h = gbm.step
-    w = 1.0 / _fd_resistances(gbm)       # cell stiffness, phi variables
-    # interior nodes 1..N-1 of the Dirichlet problem in phi
-    diag = w[:-1] + w[1:] - e_level * h * m[1:-1] ** 2
-    off = -w[1:-1]
-    count = 0
-    d = diag[0]
-    if d < 0:
-        count += 1
-    for i in range(1, diag.size):
-        denom = d if d != 0.0 else 1e-300
-        d = diag[i] - off[i - 1] ** 2 / denom
-        if d < 0:
-            count += 1
-    return count
+    return np.sort(vals)
 
 
 # ---------------------------------------------------------------------------
@@ -534,55 +403,3 @@ def mean_t1_quadrature(e_level: float, epsrel: float = 1e-8) -> float:
     if rel > 1e-4:
         raise RuntimeError(f"quadrature did not converge: rel err {rel:.2e}")
     return val
-
-
-def f_star_negative(z: float, e_level: float) -> float:
-    """Bounded solution of the generator equation L f = 1 on the negative axis.
-
-    f(z) = -int_z^0 h(u) du.  The outer integrand h pairs an exploding
-    exponential with a vanishing one; the inner integral is evaluated in
-    a rescaled variable that combines the two exponents into a single
-    nonpositive one, so the removable singularity at 0 evaluates cleanly
-    to 1/E.
-    """
-    if z > 0:
-        raise ValueError("negative-branch argument must be <= 0")
-    val, _ = scipy.integrate.quad(_f_star_outer_neg, z, 0.0,
-                                  args=(e_level,), limit=200)
-    return -val
-
-
-def _f_star_outer_neg(u: float, e_level: float) -> float:
-    a = abs(u)
-    e = e_level
-    rate = a * a / e + 1.0   # total decay scale of the inner integrand
-
-    def inner(v: float) -> float:
-        w = v / rate
-        s = 2.0 * a * w / e
-        return math.exp(-(a * a / e) * w - w / (1.0 + s)) / math.sqrt(1.0 + s)
-
-    val, _ = scipy.integrate.quad(inner, 0.0, np.inf, limit=200)
-    return val / (e * rate)
-
-
-def _f_star_outer_pos(u: float, e_level: float) -> float:
-    e = e_level
-    rate = u * u / e + 1.0
-
-    def inner(v: float) -> float:
-        w = v / rate
-        s = 2.0 * u * w / e
-        return math.exp(-(u * u / e) * w / (1.0 + s) - w) / (1.0 + s) ** 1.5
-
-    val, _ = scipy.integrate.quad(inner, 0.0, np.inf, limit=200)
-    return val / (e * rate)
-
-
-def mean_t1_from_f_star(e_level: float) -> float:
-    """Cross-check route: f*(+inf) - f*(-inf) by two 1-D outer quadratures."""
-    neg, _ = scipy.integrate.quad(_f_star_outer_neg, -np.inf, 0.0,
-                                  args=(e_level,), limit=300)
-    pos, _ = scipy.integrate.quad(_f_star_outer_pos, 0.0, np.inf,
-                                  args=(e_level,), limit=300)
-    return neg + pos

@@ -58,6 +58,16 @@ def test_degenerate_all_ones_rejected():
         circle_field_from_a(np.ones(7), 3.0)
 
 
+def test_negative_multiplier_rejected():
+    # each field below also has an indefinite H_beta
+    with pytest.raises(ValueError):
+        circle_field_from_a(np.array([-1.0, 2.0, 0.5]), 1.0)
+    a = np.array([1.0, -1.0])
+    graph = WeightedGraph1D(GraphShape.HALFLINE_SEGMENT, 2, 2.0)
+    with pytest.raises(ValueError):
+        BetaField(graph, halfline_betas_from_a(a, 2.0), a)
+
+
 def test_positive_definite_check_always_passes():
     for i in range(30):
         f = sample_circle_field(6, 4.0, new_stream(4, i))

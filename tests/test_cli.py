@@ -1,10 +1,13 @@
 """CLI registry, persistence, reproducibility, exit codes."""
 
 import json
+import platform
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+import scipy
 
 from vrjplab.cli import ExperimentConfig, main, run
 from vrjplab.experiments import get_experiment, list_experiments
@@ -38,6 +41,12 @@ def test_run_writes_results_and_manifest(tmp_path):
     assert data["seed"] == 5
     assert data["result_files"] == ["results.csv"]
     assert data["artifact_version"]
+    # the effective parameters: registered defaults with the overrides applied
+    defaults = get_experiment("mean_t1_quadrature").defaults
+    assert data["params"] == {**{k: list(v) if isinstance(v, tuple) else v
+                                 for k, v in defaults.items()}, "e_list": [1.0, 4.0]}
+    assert data["versions"] == {"numpy": np.__version__, "scipy": scipy.__version__,
+                                "python": platform.python_version()}
     header = (out / "results.csv").read_text().splitlines()[0]
     assert header.startswith("E,")
 

@@ -8,10 +8,9 @@ import pytest
 from vrjplab.continuum_kernel import (CircleKernel, DegeneratePathError,
                                       LineKernel, apply_kernel,
                                       dufresne_ratio_check, flux_closed_form,
-                                      flux_fd, kernel_eval, kernel_matrix,
+                                      flux_fd, kernel_eval,
                                       line_kernel_eval, mbg_transform_check,
                                       operator_residual, quadratic_form,
-                                      quadratic_form_double_route,
                                       sample_kernel_diagonal,
                                       sample_line_diagonal,
                                       sample_quadratic_form, two_sided_gbm,
@@ -26,6 +25,29 @@ def _flat_gbm(lam, step):
     h = lam / half
     times = -lam + h * np.arange(2 * half + 1)
     return SampledPath(-lam, h, np.exp(-times / 2.0), PathKind.GBM)
+
+
+def kernel_matrix(k: CircleKernel, stride: int = 1) -> np.ndarray:
+    """Kernel evaluated on the (strided) path grid as a dense symmetric matrix."""
+    m = k.gbm.values[::stride]
+    ic = k.inv_sq_cum[::stride]
+    ml, mr = k.m_left, k.m_right
+    total = float(k.inv_sq_cum[-1])
+    ic_lo = np.minimum.outer(ic, ic)
+    ic_hi = np.maximum.outer(ic, ic)
+    bracket = mr * mr * (total - ic_hi) + mr * ml * (ic_hi - ic_lo) + ml * ml * ic_lo
+    return np.outer(m, m) * bracket / (mr - ml) ** 2
+
+
+def quadratic_form_double_route(k: CircleKernel, f, stride: int = 1) -> float:
+    """Oracle: direct 2-D trapezoid of f(t) G(t,t') f(t')."""
+    fv = np.asarray(f(k.gbm.times) if callable(f) else f, dtype=float)[::stride]
+    g = kernel_matrix(k, stride)
+    h = k.gbm.step * stride
+    w = np.full(fv.size, h)
+    w[0] = w[-1] = h / 2.0
+    wf = w * fv
+    return float(wf @ g @ wf)
 
 
 def test_kernel_deterministic_value():

@@ -1,4 +1,8 @@
-"""Explicit circle inverse against oracles, interpolation, path sums, rates."""
+"""Explicit circle inverse against oracles, interpolation, path sums, rates.
+
+The truncated path-sum expansion of G and the loop that built the arc
+table of the closed form are reference routes, kept here as oracles.
+"""
 
 import math
 
@@ -6,11 +10,10 @@ import numpy as np
 import pytest
 
 from vrjplab.beta_field import circle_field_from_a, dense_h, sample_circle_field
-from vrjplab.green_circle import (Provenance, USequence,
-                                  green_entries_from_a,
+import vrjplab.green_circle as gc
+from vrjplab.green_circle import (Provenance, green_entries_from_a,
                                   green_from_field, interpolate_green,
-                                  invert_R_explicit, path_sum_green,
-                                  u_sequence, vrjp_rates)
+                                  invert_R_explicit, u_sequence, vrjp_rates)
 from vrjplab.stats import ks_two_sample
 from vrjplab.stochastic import IGParams, new_stream, sample_inverse_gaussian
 
@@ -23,6 +26,44 @@ def _r_dense(u):
         r[i, (i + 1) % n] -= u[i]
         r[(i + 1) % n, i] -= u[i]
     return r
+
+
+def path_sum_green(field, i: int, j: int, max_len: int) -> float:
+    """Truncated path-sum expansion of G(i, j).
+
+    Sums W_sigma / (2 beta)_sigma over paths of length <= max_len; the
+    partial sums increase monotonically to the true entry.
+    """
+    n = field.graph.n_vertices
+    if n > 7:
+        raise ValueError("path sums restricted to graphs with <= 7 vertices")
+    if max_len > 30:
+        raise ValueError("max_len capped at 30")
+    h = dense_h(field.graph, field.beta)
+    off = -np.triu(h, 1) - np.tril(h, -1)      # conductance matrix
+    q = off / (2.0 * field.beta)[None, :]      # step i->j weight W_ij/(2 beta_j)
+    r = np.zeros(n)
+    r[i % n] = 1.0
+    total = 0.0
+    for _ in range(max_len + 1):
+        total += r[j % n]
+        r = r @ q
+    return total / (2.0 * field.beta[i % n])
+
+
+def _arc_table_loop(u):
+    """cum_g[s, e] = 1 + sum_{s' <= s} prod_{d=0..s'} w[(e-d) mod n], w = u^2."""
+    n = u.size
+    w = u * u
+    cum_g = np.empty((n - 1, n))
+    row = w.copy()
+    acc = 1.0 + row
+    cum_g[0] = acc
+    for s in range(1, n - 1):
+        row = row * np.roll(w, s)
+        acc = acc + row
+        cum_g[s] = acc
+    return cum_g
 
 
 def test_assemble_h_uniform_case():
@@ -41,12 +82,12 @@ def test_h_factorization_identity():
     u = u_sequence(f)
     d_inv = np.diag(1.0 / np.sqrt(f.a_seq))
     lhs = dense_h(f.graph, f.beta)
-    rhs = f.weight * d_inv @ _r_dense(u.u) @ d_inv
+    rhs = f.weight * d_inv @ _r_dense(u) @ d_inv
     assert np.max(np.abs(lhs - rhs)) < 1e-12
 
 
 def test_invert_r_three_vertex_exact():
-    inv = invert_R_explicit(USequence(np.full(3, 2.0))).entries
+    inv = invert_R_explicit(np.full(3, 2.0))
     assert abs(inv[0, 0] - 3.0 / 7.0) < 1e-14
     assert abs(inv[0, 1] - 2.0 / 7.0) < 1e-14
     assert abs(inv[2, 0] - 2.0 / 7.0) < 1e-14
@@ -54,18 +95,33 @@ def test_invert_r_three_vertex_exact():
 
 def test_invert_r_random_against_dense():
     gen = new_stream(2, 0).gen
-    u = USequence(gen.uniform(0.5, 2.0, size=50))
-    inv = invert_R_explicit(u).entries
-    dense = np.linalg.inv(_r_dense(u.u))
+    u = gen.uniform(0.5, 2.0, size=50)
+    inv = invert_R_explicit(u)
+    dense = np.linalg.inv(_r_dense(u))
     assert np.max(np.abs(inv - dense) / np.abs(dense)) < 1e-10
-    assert np.max(np.abs(_r_dense(u.u) @ inv - np.eye(50))) < 1e-10
+    assert np.max(np.abs(_r_dense(u) @ inv - np.eye(50))) < 1e-10
+
+
+def test_arc_table_bit_identical_to_loop():
+    for dim in (3, 4, 5, 17, 100, 101, 401):
+        for seed in range(4):
+            u = new_stream(30 + seed, dim).gen.uniform(0.5, 2.0, size=dim)
+            s, _, _ = gc._arcs(u * u, np.log(u), np.arange(dim), dim - 1)
+            assert np.array_equal(s[1:], _arc_table_loop(u))
+            assert np.array_equal(s[0], np.ones(dim))
+    for size in (1, 8, 200):
+        u = u_sequence(sample_circle_field(size, 8.0, new_stream(31, size)))
+        s, _, _ = gc._arcs(u * u, np.log(u), np.arange(u.size), u.size - 1)
+        assert np.array_equal(s[1:], _arc_table_loop(u))
 
 
 def test_invert_r_guards():
     with pytest.raises(ValueError):
-        invert_R_explicit(USequence(np.array([2.0, 0.5])))   # dim < 3
+        invert_R_explicit(np.array([2.0, 0.5]))              # dim < 3
     with pytest.raises(ValueError):
-        USequence(np.ones(5))                                # prod u = 1
+        invert_R_explicit(np.ones(5))                        # prod u = 1
+    with pytest.raises(ValueError):
+        invert_R_explicit(np.array([2.0, -0.5, 1.0]))        # u <= 0
 
 
 def test_green_routes_agree():
@@ -73,15 +129,15 @@ def test_green_routes_agree():
         f = sample_circle_field(4 + 3 * i, 3.0, new_stream(3, i))
         ge = green_from_field(f, Provenance.EXPLICIT_FORMULA)
         gd = green_from_field(f, Provenance.DENSE_SOLVE)
-        assert np.max(np.abs(ge.entries - gd.entries) / np.abs(gd.entries)) < 1e-10
-        assert np.all(ge.entries > 0)
+        assert np.max(np.abs(ge - gd) / np.abs(gd)) < 1e-10
+        assert np.all(ge > 0)
         h = dense_h(f.graph, f.beta)
-        assert np.max(np.abs(h @ ge.entries - np.eye(h.shape[0]))) < 1e-9
+        assert np.max(np.abs(h @ ge - np.eye(h.shape[0]))) < 1e-9
 
 
 def test_green_single_entry_matches_full():
     f = sample_circle_field(7, 2.0, new_stream(4, 0))
-    g = green_from_field(f).entries
+    g = green_from_field(f)
     n = g.shape[0]
     for (i, j) in ((0, 0), (3, 3), (2, 9), (14, 1), (9, 2)):
         val = green_entries_from_a(f.a_seq[None, :], f.weight, i, j)[0]
@@ -107,11 +163,11 @@ def test_interpolation_nodes_and_midpoint():
     n = 4  # weight used as the grid scale
     size = 5
     for (i, j) in ((0, 0), (2, -3), (-5, 5)):
-        exact = g.entries[i + size, j + size]
+        exact = g[i + size, j + size]
         assert interpolate_green(g, n, i / n, j / n) == pytest.approx(exact, rel=1e-14)
     mid = interpolate_green(g, n, 0.5 / n, 0.5 / n)
-    corners = (g.entries[size, size] + g.entries[size + 1, size]
-               + g.entries[size, size + 1] + g.entries[size + 1, size + 1]) / 4.0
+    corners = (g[size, size] + g[size + 1, size]
+               + g[size, size + 1] + g[size + 1, size + 1]) / 4.0
     assert mid == pytest.approx(corners, rel=1e-14)
 
 
@@ -144,7 +200,7 @@ def test_path_sum_converges_to_green():
     # radius of the step matrix; this seed gives rho ~ 0.73 so 31 terms
     # leave a sub-1e-3 gap (near-singular fields converge far slower)
     f = sample_circle_field(1, 1.0, new_stream(10, 3))
-    gd = green_from_field(f, Provenance.DENSE_SOLVE).entries
+    gd = green_from_field(f, Provenance.DENSE_SOLVE)
     val = path_sum_green(f, 0, 1, 30)
     assert abs(val - gd[0, 1]) / gd[0, 1] < 1e-3
     assert val <= gd[0, 1]
@@ -172,12 +228,12 @@ def test_vrjp_rates():
     rates = vrjp_rates(g, f, i0)
     assert all(v > 0 for v in rates.values())
     assert rates[(0, 1)] == pytest.approx(
-        0.5 * f.weight * g.entries[i0, 1] / g.entries[i0, 0], rel=1e-14)
+        0.5 * f.weight * g[i0, 1] / g[i0, 0], rel=1e-14)
     # reversibility wrt pi_i = G(i0, i)^2
     for (i, j), r in rates.items():
         back = rates[(j, i)]
-        lhs = g.entries[i0, i] ** 2 * r
-        rhs = g.entries[i0, j] ** 2 * back
+        lhs = g[i0, i] ** 2 * r
+        rhs = g[i0, j] ** 2 * back
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
 

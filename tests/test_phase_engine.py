@@ -3,7 +3,9 @@
 _phase_core below is the original scalar propagation, kept verbatim as
 the oracle.  The scalar route must reproduce it bit for bit; the lane
 route (numpy transcendentals, which may differ from math.* by an ulp)
-must reproduce every count.
+must reproduce every count.  Two more reference routes check the closed
+form itself: a generic RK4 integration of the phase ODE, and the
+per-cell Riccati identity at the oracle's entry angles.
 """
 
 import math
@@ -49,8 +51,13 @@ def _phase_core(logc, dpsi):
     return kcum, psi_in, psi
 
 
+def _oracle_logm(path):
+    """log M on the path nodes; a brownian input B is read as e^{B - t/2}."""
+    return np.log(path.values) if path.kind is PathKind.GBM else path.values - path.times / 2.0
+
+
 def _oracle_logc(path, e_level):
-    logm = np.log(path.values) if path.kind is PathKind.GBM else path.values - path.times / 2.0
+    logm = _oracle_logm(path)
     return 0.5 * math.log(e_level) + logm[:-1] + logm[1:]
 
 
@@ -101,15 +108,6 @@ def test_scalar_route_across_chunk_seams():
         assert np.array_equal(tr.crossings, times)
 
 
-def test_every_cell_records_oracle_entry_angles():
-    path = _path(5, 2.0, 1e-3)
-    logc = _oracle_logc(path, 2.0)
-    _, psi_in, _ = _phase_core(logc, math.sqrt(2.0) * path.step)
-    scan = sp._phase_scan(path, 2.0, every_cell=True)
-    assert np.array_equal(scan.cells, np.arange(logc.size))
-    assert np.array_equal(scan.psi_in, psi_in)
-
-
 def test_gbm_path_bit_identical_to_oracle():
     b = _path(8, 3.0, 1e-3)
     geo = SampledPath(b.t0, b.step, np.exp(b.values - b.times / 2.0), PathKind.GBM)
@@ -144,3 +142,89 @@ def test_dos_sweep_spans_several_lane_blocks():
         dens = np.array([_oracle(p, e_level)[0] for p in paths]) / (2.0 * lam)
         assert row.mean_density == float(np.mean(dens))
         assert row.half_width == float(2.5758 * np.std(dens, ddof=1) / math.sqrt(replicas))
+
+
+def phase_propagate_rk4(e_level: float, gbm: SampledPath,
+                        max_step_angle: float = 0.05) -> float:
+    """Generic RK4 integration of the phase ODE with the same frozen cells.
+
+    Small-scale oracle for the closed-form propagation; substeps per
+    cell are chosen so the angle advance stays below max_step_angle.
+    """
+    logm = _oracle_logm(gbm)
+    h = gbm.step
+    theta = 0.0
+    for i in range(logm.size - 1):
+        m2 = math.exp(logm[i] + logm[i + 1])
+        a = 1.0 / m2
+        b = e_level * m2
+        rate = max(a, b)
+        nsub = max(1, int(math.ceil(rate * h / max_step_angle)))
+        dt = h / nsub
+
+        for _ in range(nsub):
+            k1 = a * math.cos(theta) ** 2 + b * math.sin(theta) ** 2
+            t2 = theta + 0.5 * dt * k1
+            k2 = a * math.cos(t2) ** 2 + b * math.sin(t2) ** 2
+            t3 = theta + 0.5 * dt * k2
+            k3 = a * math.cos(t3) ** 2 + b * math.sin(t3) ** 2
+            t4 = theta + dt * k3
+            k4 = a * math.cos(t4) ** 2 + b * math.sin(t4) ** 2
+            theta += dt * (k1 + 2 * k2 + 2 * k3 + k4) / 6.0
+    return theta
+
+
+def riccati_cell_check(e_level: float, gbm: SampledPath, n_cells: int = 200,
+                       eps_frac: float = 0.02) -> float:
+    """Max relative deviation of the per-cell Riccati identity.
+
+    Within a cell (coefficient frozen), j = -cot(theta) must satisfy
+    j' = j^2 / M^2 + E M^2.  Checked by centered differences of the
+    exact in-cell propagation at the cell midpoint, skipping cells where
+    cot is ill-conditioned.
+    """
+    logc = _oracle_logc(gbm, e_level)
+    _, psi_in, _ = _phase_core(logc, math.sqrt(e_level) * gbm.step)
+    h = gbm.step
+    sqrt_e = math.sqrt(e_level)
+    worst = 0.0
+    checked = 0
+    for i in range(0, logc.size, max(1, logc.size // (4 * n_cells))):
+        c = math.exp(logc[i])
+        m2 = c / sqrt_e
+
+        def theta_at(delta):
+            psi = psi_in[i] + sqrt_e * delta
+            kk = math.floor(psi / math.pi)
+            frac = psi - kk * math.pi
+            return kk * math.pi + math.atan2(math.sin(frac), c * math.cos(frac))
+
+        mid = 0.5 * h
+        eps = eps_frac * h
+        th = theta_at(mid)
+        if min(abs(math.sin(th)), abs(math.cos(th))) < 0.2:
+            continue
+        j_mid = -1.0 / math.tan(th)
+        j_plus = -1.0 / math.tan(theta_at(mid + eps))
+        j_minus = -1.0 / math.tan(theta_at(mid - eps))
+        fd = (j_plus - j_minus) / (2.0 * eps)
+        rhs = j_mid * j_mid / m2 + e_level * m2
+        worst = max(worst, abs(fd - rhs) / abs(rhs))
+        checked += 1
+        if checked >= n_cells:
+            break
+    if checked == 0:
+        raise RuntimeError("no well-conditioned cells found for the check")
+    return worst
+
+
+def test_phase_rk4_oracle():
+    gbm = sample_brownian_path(-5.0, 5.0, 1e-3, new_stream(4, 0))
+    exact = phase_propagate(1.0, gbm, collect_crossings=False).theta_final
+    rk4 = phase_propagate_rk4(1.0, gbm)
+    assert abs(exact - rk4) < 1e-3
+
+
+def test_riccati_cell_identity():
+    gbm = sample_brownian_path(-5.0, 5.0, 1e-3, new_stream(5, 0))
+    assert riccati_cell_check(1.0, gbm) < 0.01

@@ -6,7 +6,8 @@
 Each run writes <out>/<name>/results.csv (numeric table, shortest
 round-trip decimals, byte-identical across reruns of the same config)
 and manifest.json (the effective parameters, package and library
-versions, timestamps, verdicts).
+versions, the worker-pool size and BLAS thread settings, timestamps,
+verdicts).
 Exit code 0 when every verdict passes, 1 otherwise, 2 on usage errors.
 """
 
@@ -27,9 +28,10 @@ import scipy
 
 from . import __version__
 from .experiments import ExperimentResult, get_experiment, list_experiments
-from .stochastic import new_stream
+from .stochastic import new_stream, pool_workers
 
 OUTPUT_ENV_VAR = "VRJPLAB_OUT"
+BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS")
 
 
 @dataclass
@@ -64,6 +66,10 @@ class RunManifest:
             # bit streams are pinned per numpy release
             "versions": {"numpy": np.__version__, "scipy": scipy.__version__,
                          "python": platform.python_version()},
+            # seeded draws do not depend on the worker count; the dense
+            # inverse of explicit_inverse depends on the BLAS thread count
+            "workers": pool_workers(),
+            "thread_env": {v: os.environ.get(v) for v in BLAS_THREAD_VARS},
             "started": self.started,
             "finished": self.finished,
             "result_files": self.result_files,

@@ -33,7 +33,7 @@ import numpy as np
 from .stats import TestReport, ks_one_sample
 from .stochastic import (PathKind, RngStream, SampledPath, cumtrapz, exp_functional_walk,
                          gbm_from_brownian, grid_cells, inverse_gamma_half_cdf,
-                         sample_brownian_path, stream_blocks)
+                         map_stream_blocks, sample_brownian_path, stream_blocks)
 
 _DEGENERATE_REL_TOL = 1e-12
 
@@ -252,10 +252,14 @@ def line_kernel_eval(k: LineKernel, t: float, t2: float) -> float:
 
 # The four samplers below take their replica streams from stream_blocks.
 # The block sizes fix the seeded output, so they are constants, not memory
-# knobs.  A matrix sampler's stream block is built one row block of about
-# _ROW_BLOCK_ELEMS grid values (256 KB) at a time, so the working set stays
-# in cache and memory does not grow with n_rep; numpy fills rows in order,
-# so the draws do not depend on the row block.
+# knobs.  The matrix samplers run their stream blocks on the worker pool
+# (stochastic.map_stream_blocks), each block writing its own slice of the
+# output, so the output does not depend on the worker count.  A block is
+# built one row block of about _ROW_BLOCK_ELEMS grid values (256 KB) at a
+# time, so the working set stays in cache and memory does not grow with
+# n_rep; numpy fills rows in order, so the draws do not depend on the row
+# block.  The stepwise samplers walk their blocks in turn: the walk itself
+# draws ahead on the pool, and a pool task never submits to the pool.
 _DIAGONAL_STREAM_BLOCK = 2000
 _QUADRATIC_STREAM_BLOCK = 1000
 _RATIO_STREAM_BLOCK = 4000
@@ -263,12 +267,13 @@ _LINE_STREAM_BLOCK = 2000
 _ROW_BLOCK_ELEMS = 1 << 15
 
 
-def _gbm_row_blocks(lam: float, half: int, h: float, n_rep: int, s: RngStream,
-                    stream_block: int):
-    """Yield (first replica, rows of two-sided GBM on [-lam, lam]) blocks.
+def _gbm_rows(lam: float, half: int, h: float, first: int, count: int,
+              block_stream: RngStream):
+    """Yield (first replica, rows of two-sided GBM on [-lam, lam]) for one stream block.
 
     The grid is -lam + h*k, k = 0..2*half, with M = 1 at k = half.  The
-    yielded array is overwritten by the next block.
+    block's replicas first .. first + count - 1 come a row block at a time;
+    the yielded array is overwritten by the next row block.
     """
     n_cells = 2 * half
     half_times = (-lam + h * np.arange(n_cells + 1)) / 2.0
@@ -276,20 +281,19 @@ def _gbm_row_blocks(lam: float, half: int, h: float, n_rep: int, s: RngStream,
     incr_buf = np.empty((rows, n_cells))
     m_buf = np.empty((rows, n_cells + 1))
     sqrt_h = math.sqrt(h)
-    for first, count, block_stream in stream_blocks(s, n_rep, stream_block):
-        gen = block_stream.gen
-        stop = first + count
-        for lo in range(first, stop, rows):
-            r = min(rows, stop - lo)
-            incr, m = incr_buf[:r], m_buf[:r]
-            gen.standard_normal(out=incr)
-            incr *= sqrt_h
-            m[:, 0] = 0.0
-            np.cumsum(incr, axis=1, out=m[:, 1:])
-            m -= m[:, half, None].copy()
-            m -= half_times
-            np.exp(m, out=m)
-            yield lo, m
+    gen = block_stream.gen
+    stop = first + count
+    for lo in range(first, stop, rows):
+        r = min(rows, stop - lo)
+        incr, m = incr_buf[:r], m_buf[:r]
+        gen.standard_normal(out=incr)
+        incr *= sqrt_h
+        m[:, 0] = 0.0
+        np.cumsum(incr, axis=1, out=m[:, 1:])
+        m -= m[:, half, None].copy()
+        m -= half_times
+        np.exp(m, out=m)
+        yield lo, m
 
 
 def sample_kernel_diagonal(lam: float, t: float, step: float, n_rep: int,
@@ -298,14 +302,18 @@ def sample_kernel_diagonal(lam: float, t: float, step: float, n_rep: int,
     half, h = grid_cells(lam, step)
     j = int(round((t + lam) / h))
     out = np.empty(n_rep)
-    for lo, m in _gbm_row_blocks(lam, half, h, n_rep, s, _DIAGONAL_STREAM_BLOCK):
-        ml, mr, mj = m[:, 0].copy(), m[:, -1].copy(), m[:, j].copy()
-        np.square(m, out=m)
-        np.divide(1.0, m, out=m)
-        ic = cumtrapz(m, h)
-        total, icj = ic[:, -1], ic[:, j]
-        bracket = mr ** 2 * (total - icj) + ml ** 2 * icj
-        out[lo:lo + m.shape[0]] = mj ** 2 * bracket / (mr - ml) ** 2
+
+    def block(first: int, count: int, block_stream: RngStream) -> None:
+        for lo, m in _gbm_rows(lam, half, h, first, count, block_stream):
+            ml, mr, mj = m[:, 0].copy(), m[:, -1].copy(), m[:, j].copy()
+            np.square(m, out=m)
+            np.divide(1.0, m, out=m)
+            ic = cumtrapz(m, h)
+            total, icj = ic[:, -1], ic[:, j]
+            bracket = mr ** 2 * (total - icj) + ml ** 2 * icj
+            out[lo:lo + m.shape[0]] = mj ** 2 * bracket / (mr - ml) ** 2
+
+    map_stream_blocks(block, s, n_rep, _DIAGONAL_STREAM_BLOCK)
     return out
 
 
@@ -315,21 +323,25 @@ def sample_quadratic_form(lam: float, f, step: float, n_rep: int,
     half, h = grid_cells(lam, step)
     fv = np.asarray(f(-lam + h * np.arange(2 * half + 1)), dtype=float)
     out = np.empty(n_rep)
-    for lo, m in _gbm_row_blocks(lam, half, h, n_rep, s, _QUADRATIC_STREAM_BLOCK):
-        ml, mr = m[:, 0:1].copy(), m[:, -1:].copy()
-        p = fv * m
-        c = cumtrapz(p, h)
-        total = c[:, -1:].copy()
-        # integrand (ml (total - c) + mr c)^2 / M^2, built in p
-        np.subtract(total, c, out=p)
-        p *= ml
-        c *= mr
-        p += c
-        np.square(p, out=p)
-        np.square(m, out=m)
-        p /= m
-        out[lo:lo + m.shape[0]] = (np.trapezoid(p, dx=h, axis=1)
-                                   / (mr[:, 0] - ml[:, 0]) ** 2)
+
+    def block(first: int, count: int, block_stream: RngStream) -> None:
+        for lo, m in _gbm_rows(lam, half, h, first, count, block_stream):
+            ml, mr = m[:, 0:1].copy(), m[:, -1:].copy()
+            p = fv * m
+            c = cumtrapz(p, h)
+            total = c[:, -1:].copy()
+            # integrand (ml (total - c) + mr c)^2 / M^2, built in p
+            np.subtract(total, c, out=p)
+            p *= ml
+            c *= mr
+            p += c
+            np.square(p, out=p)
+            np.square(m, out=m)
+            p /= m
+            out[lo:lo + m.shape[0]] = (np.trapezoid(p, dx=h, axis=1)
+                                       / (mr[:, 0] - ml[:, 0]) ** 2)
+
+    map_stream_blocks(block, s, n_rep, _QUADRATIC_STREAM_BLOCK)
     return out
 
 

@@ -21,6 +21,7 @@ import math
 from enum import Enum
 
 import numpy as np
+from scipy.linalg import solve_triangular
 
 from .beta_field import BetaField, dense_h
 
@@ -105,9 +106,9 @@ def green_from_field(field: BetaField, method: Provenance = Provenance.EXPLICIT_
         return (np.outer(d, d) * rinv) / field.weight
     if method is Provenance.DENSE_SOLVE:
         h = dense_h(field.graph, field.beta)
-        chol = np.linalg.cholesky(h)
-        eye = np.eye(h.shape[0])
-        g = np.linalg.solve(chol.T, np.linalg.solve(chol, eye))
+        # H = L L^T, so H^-1 = L^-T L^-1
+        chol_inv = solve_triangular(np.linalg.cholesky(h), np.eye(h.shape[0]), lower=True)
+        g = chol_inv.T @ chol_inv
         return 0.5 * (g + g.T)
     raise ValueError(f"unsupported method {method}")
 

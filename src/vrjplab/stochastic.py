@@ -11,11 +11,19 @@ stable across numpy versions).
 Reference distributions used throughout the verification suites
 (Inverse Gaussian, Gamma(1/2, 1), and the law of 1/(2*gamma)) live here
 as closed-form CDFs.
+
+The ensemble samplers use up to one thread per usable CPU, through one
+private pool (``_pool``).  A pool task either owns one stream block and
+its slice of the output, or draws the next chunk of a walk's normals, so
+seeded output does not depend on the thread count.  Pool tasks call
+numpy and untraced helpers only, and never submit to the pool themselves.
 """
 
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -155,6 +163,32 @@ def cumtrapz(y: np.ndarray, h: float) -> np.ndarray:
     return out
 
 
+_POOL: ThreadPoolExecutor | None = None
+
+
+def _pool() -> ThreadPoolExecutor:
+    """The package's worker pool, built on first use: one thread per usable CPU."""
+    global _POOL
+    if _POOL is None:
+        _POOL = ThreadPoolExecutor(len(os.sched_getaffinity(0)),
+                                   thread_name_prefix="vrjplab")
+    return _POOL
+
+
+def _forget_pool() -> None:
+    # a forked child has none of the parent's threads; it builds its own pool
+    global _POOL
+    _POOL = None
+
+
+os.register_at_fork(after_in_child=_forget_pool)
+
+
+def pool_workers() -> int:
+    """Number of threads in the worker pool."""
+    return _pool()._max_workers
+
+
 def stream_blocks(s: RngStream, n_rep: int, block: int):
     """Yield (first, count, stream): replicas first .. first + count - 1 draw from stream.
 
@@ -166,26 +200,61 @@ def stream_blocks(s: RngStream, n_rep: int, block: int):
         yield first, min(block, n_rep - first), s.substream(first + 1)
 
 
+def map_stream_blocks(fn, s: RngStream, n_rep: int, block: int) -> None:
+    """Run fn(first, count, stream) for every stream block, blocks on the pool.
+
+    Each call must write only its own replicas' slice of the output.
+    """
+    tasks = [_pool().submit(fn, *b) for b in stream_blocks(s, n_rep, block)]
+    wait(tasks)
+    for task in tasks:
+        task.result()
+
+
+# A draw chunk of the walk holds about this many normals (1 MB); two are
+# alive at once.  Larger chunks cost resident memory, smaller ones more
+# hand-offs between the threads.
+_DRAW_CHUNK_ELEMS = 1 << 17
+
+
 def exp_functional_walk(gen: np.random.Generator, n: int, h: float, nsteps: int,
                         snaps: tuple[int, ...] = ()):
     """Walk a_k = a_{k-1} + sqrt(h) N(0, 1) from a_0 = 0 for n replicas, nsteps steps.
 
-    Draws one (n,) block per step from ``gen``.  Returns a_nsteps, the
-    trapezoid sum I of e^{2 a_k - k h} over k = 0..nsteps, and a list of
-    copies of (a_k, I_k) for each step k in ``snaps`` (1 <= k <= nsteps).
+    The step-k increments are the k-th (n,) block of normals from ``gen``.
+    They are drawn (steps x n) chunks at a time on the pool, one chunk ahead
+    of the steps; numpy fills a chunk in row order, so the draws are those
+    of one (n,) draw per step.  Returns a_nsteps, the trapezoid sum I of
+    e^{2 a_k - k h} over k = 0..nsteps, and a list of copies of (a_k, I_k)
+    for each step k in ``snaps`` (1 <= k <= nsteps).
     """
     sqrt_h = math.sqrt(h)
+    rows = max(1, min(nsteps, _DRAW_CHUNK_ELEMS // max(n, 1)))
+    bufs = (np.empty((rows, n)), np.empty((rows, n)))
+
+    def draw(j: int) -> np.ndarray:
+        z = bufs[j % 2][:min(rows, nsteps - j * rows)]
+        gen.standard_normal(out=z)
+        return z
+
     alpha = np.zeros(n)
     integ = np.zeros(n)
     prev = np.ones(n)  # e^{2 a_0 - 0}
     seen = {}
-    for k in range(1, nsteps + 1):
-        alpha += gen.standard_normal(n) * sqrt_h
-        cur = np.exp(2.0 * alpha - k * h)
-        integ += 0.5 * h * (prev + cur)
-        prev = cur
-        if k in snaps:
-            seen[k] = (alpha.copy(), integ.copy())
+    chunks = -(-nsteps // rows)
+    pending = _pool().submit(draw, 0)
+    for j in range(chunks):
+        normals = pending.result()
+        if j + 1 < chunks:
+            pending = _pool().submit(draw, j + 1)
+        for i, z in enumerate(normals):
+            k = j * rows + i + 1
+            alpha += z * sqrt_h
+            cur = np.exp(2.0 * alpha - k * h)
+            integ += 0.5 * h * (prev + cur)
+            prev = cur
+            if k in snaps:
+                seen[k] = (alpha.copy(), integ.copy())
     return alpha, integ, [seen[k] for k in snaps]
 
 

@@ -1,6 +1,7 @@
 """CLI registry, persistence, reproducibility, exit codes."""
 
 import json
+import os
 import platform
 import subprocess
 import sys
@@ -47,6 +48,10 @@ def test_run_writes_results_and_manifest(tmp_path):
                                  for k, v in defaults.items()}, "e_list": [1.0, 4.0]}
     assert data["versions"] == {"numpy": np.__version__, "scipy": scipy.__version__,
                                 "python": platform.python_version()}
+    # the worker-pool size (one thread per usable CPU) and the BLAS thread settings
+    assert data["workers"] == len(os.sched_getaffinity(0))
+    assert data["thread_env"] == {v: os.environ.get(v)
+                                  for v in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS")}
     header = (out / "results.csv").read_text().splitlines()[0]
     assert header.startswith("E,")
 

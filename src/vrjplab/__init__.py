@@ -5,8 +5,8 @@ Modules
 stochastic       seedable streams, elementary samplers, reference CDFs
 beta_field       the random potential on circle and half-line, its measure
 green_circle     operator assembly and the closed-form circle inverse
-matsumoto_yor    discrete hidden-Markov chains and their continuum limits
-continuum_kernel the limiting kernel, quadratic form, operator checks
+matsumoto_yor    discrete hidden-Markov chains and the samplers of the Z diffusion
+continuum_kernel the circle and line kernels of one path, operator checks, ensembles
 spectrum         phase-counting, FD spectra, renewal and density of states
 stats            KS tests and moment confidence intervals
 experiments/cli  registered, seeded verification runs

@@ -8,7 +8,8 @@ round-trip decimals, byte-identical across reruns of the same config)
 and manifest.json (the effective parameters, package and library
 versions, the worker-pool size and BLAS thread settings, timestamps,
 verdicts).
-Exit code 0 when every verdict passes, 1 otherwise, 2 on usage errors.
+Exit code 0 when every verdict passes, 1 otherwise, 2 on usage errors,
+including parameters too small to form a statistic.
 """
 
 from __future__ import annotations
@@ -180,7 +181,7 @@ def main(argv: list[str] | None = None) -> int:
         except KeyError as exc:
             print(f"error: {exc.args[0]}", file=sys.stderr)
             return 2
-        except ValueError as exc:
+        except (ValueError, RuntimeError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
         for v in manifest.verdicts:

@@ -1,8 +1,8 @@
 """The limiting kernel on the circle and on the line, with its operator checks.
 
-A kernel instance wraps one geometric Brownian path M on [-lam, lam]
-(anchored M_0 = 1) plus the cumulative trapezoid of 1/M^2.  For t <= t'
-the circle kernel value is
+One class, KernelPath, holds one geometric Brownian path M on [-lam, lam]
+(anchored M_0 = 1) plus the cumulative trapezoid of 1/M^2; both kernels
+are read from it.  For t <= t' the circle kernel value is
 
     M_t M_t' / (M_lam - M_-lam)^2 * ( M_lam^2  I(t', lam)
                                     + M_lam M_-lam I(t, t')
@@ -10,8 +10,8 @@ the circle kernel value is
 
 with I(a, b) = int_a^b ds / M_s^2.  All integrals are trapezoid sums on
 the path grid; no Ito correction applies since these are path
-functionals, not stochastic integrals.  The line kernel truncates the
-lower limit of I at the sampled horizon.
+functionals, not stochastic integrals.  The line kernel
+M_t M_t' I(-lam, t) truncates the lower limit of I at the sampled end -lam.
 
 The inverse operator is applied through conservative finite
 differences: fluxes of g/M use the resistances h / (I_{i+1} - I_i) of
@@ -30,26 +30,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .stats import TestReport, ks_one_sample
+from .stats import TestReport
 from .stochastic import (PathKind, RngStream, SampledPath, cumtrapz, exp_functional_walk,
-                         gbm_from_brownian, grid_cells, inverse_gamma_half_cdf,
-                         map_stream_blocks, sample_brownian_path, stream_blocks)
+                         gbm_from_brownian, grid_cells, map_stream_blocks,
+                         sample_brownian_path, stream_blocks)
 
 _DEGENERATE_REL_TOL = 1e-12
 
 
 class DegeneratePathError(ValueError):
     """Raised when M_lam = M_-lam (probability-zero event) makes the kernel singular."""
-
-
-def _read_path(gbm: SampledPath, inv_sq_cum: np.ndarray, x: float) -> tuple[float, float]:
-    """(M, I) at grid coordinate x: M log-linear and I linear between nodes."""
-    i = min(int(x), gbm.values.size - 2)
-    f = x - i
-    v = gbm.values
-    m = float(np.exp((1 - f) * np.log(v[i]) + f * np.log(v[i + 1])))
-    ic = float((1 - f) * inv_sq_cum[i] + f * inv_sq_cum[i + 1])
-    return m, ic
 
 
 def two_sided_gbm(lam: float, step: float, s: RngStream) -> SampledPath:
@@ -60,7 +50,7 @@ def two_sided_gbm(lam: float, step: float, s: RngStream) -> SampledPath:
 
 
 @dataclass
-class CircleKernel:
+class KernelPath:
     lam: float
     gbm: SampledPath
     inv_sq_cum: np.ndarray
@@ -71,9 +61,9 @@ class CircleKernel:
             raise DegeneratePathError("M_lam and M_-lam coincide")
 
     @classmethod
-    def from_path(cls, gbm: SampledPath) -> "CircleKernel":
+    def from_path(cls, gbm: SampledPath) -> "KernelPath":
         if gbm.kind is not PathKind.GBM:
-            raise ValueError("CircleKernel needs a gbm path")
+            raise ValueError("KernelPath needs a gbm path")
         lam = gbm.t_end
         if abs(gbm.t0 + lam) > 1e-9 * max(1.0, lam):
             raise ValueError("path must cover [-lam, lam]")
@@ -81,17 +71,19 @@ class CircleKernel:
         return cls(lam, gbm, ic)
 
     @classmethod
-    def sample(cls, lam: float, step: float, s: RngStream) -> "CircleKernel":
+    def sample(cls, lam: float, step: float, s: RngStream) -> "KernelPath":
         return cls.from_path(two_sided_gbm(lam, step, s))
 
-    # -- interpolated path reads ------------------------------------------
-    def _coord(self, t: float) -> float:
+    def _read(self, t: float) -> tuple[float, float]:
+        """(M, I) at time t: M log-linear and I linear between grid nodes."""
         if not -self.lam - 1e-12 <= t <= self.lam + 1e-12:
             raise ValueError(f"t={t} outside [-{self.lam}, {self.lam}]")
-        return min(max((t + self.lam) / self.gbm.step, 0.0), self.gbm.values.size - 1.0)
-
-    def _read(self, t: float) -> tuple[float, float]:
-        return _read_path(self.gbm, self.inv_sq_cum, self._coord(t))
+        v, ic = self.gbm.values, self.inv_sq_cum
+        x = min(max((t + self.lam) / self.gbm.step, 0.0), v.size - 1.0)
+        i = min(int(x), v.size - 2)
+        f = x - i
+        return (float(np.exp((1 - f) * np.log(v[i]) + f * np.log(v[i + 1]))),
+                float((1 - f) * ic[i] + f * ic[i + 1]))
 
     @property
     def m_left(self) -> float:
@@ -102,7 +94,7 @@ class CircleKernel:
         return float(self.gbm.values[-1])
 
 
-def kernel_eval(k: CircleKernel, t: float, t2: float) -> float:
+def kernel_eval(k: KernelPath, t: float, t2: float) -> float:
     """Symmetric kernel value at (t, t2)."""
     a, b = (t, t2) if t <= t2 else (t2, t)
     ml, mr = k.m_left, k.m_right
@@ -113,16 +105,14 @@ def kernel_eval(k: CircleKernel, t: float, t2: float) -> float:
     return ma * mb * bracket / (mr - ml) ** 2
 
 
-def _f_values(k: CircleKernel, f) -> np.ndarray:
-    if callable(f):
-        return np.asarray(f(k.gbm.times), dtype=float)
+def _f_values(k: KernelPath, f) -> np.ndarray:
     fv = np.asarray(f, dtype=float)
     if fv.size != k.gbm.values.size:
         raise ValueError("sampled f must live on the kernel grid")
     return fv
 
 
-def quadratic_form(k: CircleKernel, f) -> float:
+def quadratic_form(k: KernelPath, f) -> float:
     """Energy <f, Gf> via the single-integral closed form."""
     fv = _f_values(k, f)
     m = k.gbm.values
@@ -134,7 +124,7 @@ def quadratic_form(k: CircleKernel, f) -> float:
     return float(np.trapezoid(integrand, dx=h) / (mr - ml) ** 2)
 
 
-def apply_kernel(k: CircleKernel, f) -> np.ndarray:
+def apply_kernel(k: KernelPath, f) -> np.ndarray:
     """g = Gf on the path grid, O(grid) via cumulative trapezoid sums."""
     fv = _f_values(k, f)
     m = k.gbm.values
@@ -150,7 +140,7 @@ def apply_kernel(k: CircleKernel, f) -> np.ndarray:
     return m * ((cq - ic * cp) + const - ic * pt * ml * (mr - ml) / dm2)
 
 
-def flux_fd(k: CircleKernel, g: np.ndarray) -> np.ndarray:
+def flux_fd(k: KernelPath, g: np.ndarray) -> np.ndarray:
     """M^2 (g/M)' at half nodes by conservative differences.
 
     The half-node coefficient is the resistance form h / (I_{i+1} - I_i)
@@ -161,7 +151,7 @@ def flux_fd(k: CircleKernel, g: np.ndarray) -> np.ndarray:
     return np.diff(phi) / d_ic
 
 
-def flux_closed_form(k: CircleKernel, f) -> np.ndarray:
+def flux_closed_form(k: KernelPath, f) -> np.ndarray:
     """Closed form of M^2 (Gf/M)' at half nodes."""
     fv = _f_values(k, f)
     m = k.gbm.values
@@ -173,7 +163,7 @@ def flux_closed_form(k: CircleKernel, f) -> np.ndarray:
     return -(cp_half + ml * pt / (mr - ml))
 
 
-def operator_residual(k: CircleKernel, f) -> float:
+def operator_residual(k: KernelPath, f) -> float:
     """Relative L2 residual of H(Gf) - f over the interior grid.
 
     H g = -(1/M) (M^2 (g/M)')' applied with the conservative stencil.
@@ -189,7 +179,7 @@ def operator_residual(k: CircleKernel, f) -> float:
     return num / den if den > 0 else num
 
 
-def twisted_neumann_mismatch(k: CircleKernel, g: np.ndarray) -> float:
+def twisted_neumann_mismatch(k: KernelPath, g: np.ndarray) -> float:
     """Relative gap in M_-lam (g/M)'(-lam) = M_lam (g/M)'(lam).
 
     One-sided estimate from the boundary: the conservative half-node
@@ -204,42 +194,17 @@ def twisted_neumann_mismatch(k: CircleKernel, g: np.ndarray) -> float:
     return abs(left - right) / scale
 
 
-# ---------------------------------------------------------------------------
-# Line (infinite-volume) kernel
-# ---------------------------------------------------------------------------
+def line_kernel_eval(k: KernelPath, t: float, t2: float) -> float:
+    """Truncated infinite-volume kernel: lower integration limit -lam.
 
-@dataclass
-class LineKernel:
-    """Truncated infinite-volume kernel: lower integration limit -horizon.
-
-    The discarded tail int_{-inf}^{-horizon} ds/M^2 is pathwise of order
-    e^{-horizon}; no correction term is added (the tail has infinite
-    mean).  Evaluation is restricted to |t| <= horizon/2 to keep the
-    truncation bias negligible.
+    The discarded tail int_{-inf}^{-lam} ds/M^2 is pathwise of order
+    e^{-lam}; no correction term is added (the tail has infinite mean).
+    Evaluation is restricted to |t| <= lam/2 to keep the truncation bias
+    negligible.
     """
-
-    horizon: float
-    gbm: SampledPath
-    inv_sq_cum: np.ndarray
-
-    @classmethod
-    def sample(cls, horizon: float, step: float, s: RngStream) -> "LineKernel":
-        gbm = two_sided_gbm(horizon, step, s)
-        return cls(horizon, gbm, cumtrapz(1.0 / gbm.values ** 2, gbm.step))
-
-    @classmethod
-    def from_path(cls, gbm: SampledPath) -> "LineKernel":
-        return cls(gbm.t_end, gbm, cumtrapz(1.0 / gbm.values ** 2, gbm.step))
-
-    def _read(self, t: float) -> tuple[float, float]:
-        x = min(max((t + self.horizon) / self.gbm.step, 0.0), self.gbm.values.size - 1.0)
-        return _read_path(self.gbm, self.inv_sq_cum, x)
-
-
-def line_kernel_eval(k: LineKernel, t: float, t2: float) -> float:
     for arg in (t, t2):
-        if abs(arg) > 0.5 * k.horizon + 1e-12:
-            raise ValueError("evaluation restricted to [-horizon/2, horizon/2]")
+        if abs(arg) > 0.5 * k.lam + 1e-12:
+            raise ValueError("evaluation restricted to [-lam/2, lam/2]")
     a, b = (t, t2) if t <= t2 else (t2, t)
     ma, ic_a = k._read(a)
     mb, _ = k._read(b)
@@ -360,6 +325,8 @@ def _walk_ends(span: float, step: float, n_rep: int, s: RngStream,
 
 def sample_dufresne_ratio(lam: float, step: float, n_rep: int, s: RngStream) -> np.ndarray:
     """int_0^lam e^{2a_s - s} ds / (e^{a_lam - lam/2} - 1)^2 per replica."""
+    if lam <= 0:
+        raise ValueError("lam must be positive")
     alpha, integ = _walk_ends(lam, step, n_rep, s, _RATIO_STREAM_BLOCK)
     return integ / (np.exp(alpha - 0.5 * lam) - 1.0) ** 2
 
@@ -370,15 +337,6 @@ def sample_line_diagonal(horizon: float, step: float, n_rep: int, s: RngStream) 
     Integrating backward from 0, s -> -s turns 1/M^2 into e^{2w_s - s}.
     """
     return _walk_ends(horizon, step, n_rep, s, _LINE_STREAM_BLOCK)[1]
-
-
-def dufresne_ratio_check(lam: float, s: RngStream, n_rep: int = 10_000,
-                         step: float = 1e-3, alpha: float = 0.01) -> TestReport:
-    if lam <= 0:
-        raise ValueError("lam must be positive")
-    samples = sample_dufresne_ratio(lam, step, n_rep, s)
-    return ks_one_sample(samples, inverse_gamma_half_cdf, alpha,
-                         label=f"dufresne-ratio lam={lam}")
 
 
 @dataclass

@@ -18,7 +18,7 @@ import numpy as np
 from . import beta_field, continuum_kernel, green_circle, matsumoto_yor, spectrum
 from .stats import TestReport, ks_one_sample, ks_two_sample
 from .stochastic import (IGParams, PathKind, RngStream, SampledPath, grid_cells,
-                         inverse_gamma_half_cdf, inverse_gaussian_cdf_arrays,
+                         inverse_gamma_half_cdf, inverse_gaussian_cdf,
                          sample_inverse_gaussian, scaled_inverse_gamma_half_cdf)
 
 
@@ -91,10 +91,13 @@ def _exp_dufresne_diagonal(p: dict, s: RngStream) -> ExperimentResult:
 def _exp_dufresne_ratio(p: dict, s: RngStream) -> ExperimentResult:
     rows, reps = [], []
     for i, lam in enumerate(tuple(np.atleast_1d(p["lams"]))):
-        rep = continuum_kernel.dufresne_ratio_check(float(lam), s.substream(i),
-                                                    int(p["n"]), p["step"], p["alpha"])
+        lam = float(lam)
+        samples = continuum_kernel.sample_dufresne_ratio(lam, p["step"], int(p["n"]),
+                                                         s.substream(i))
+        rep = ks_one_sample(samples, inverse_gamma_half_cdf, p["alpha"],
+                            label=f"dufresne-ratio lam={lam}")
         reps.append(rep)
-        rows.append({"lam": float(lam), **rep.as_row()})
+        rows.append({"lam": lam, **rep.as_row()})
     return ExperimentResult(rows, reps)
 
 
@@ -198,7 +201,7 @@ def _exp_intertwining(p: dict, s: RngStream) -> ExperimentResult:
         z_med = float(np.median(z_sel))
         # condition on each sample's own z: under the null the transformed
         # values are exactly uniform, so decile width does not bias the bin
-        u = inverse_gaussian_cdf_arrays(sel, 1.0, 1.0 / z_sel)
+        u = inverse_gaussian_cdf(sel, 1.0, 1.0 / z_sel)
         rep = ks_one_sample(u, lambda x: np.clip(x, 0.0, 1.0), p["alpha"],
                             label=f"intertwining bin {b}")
         n_pass += rep.passed
@@ -221,8 +224,10 @@ def _exp_intertwining(p: dict, s: RngStream) -> ExperimentResult:
           "Z is a diffusion with generator (z^2/2) d^2/dz^2 + (1+z) d/dz",
           {"tmax": 1.0, "n": 10_000, "step": 1e-3, "alpha": 0.01})
 def _exp_z_diffusion(p: dict, s: RngStream) -> ExperimentResult:
-    rep = matsumoto_yor.z_diffusion_step_check(p["tmax"], s, int(p["n"]),
-                                               p["step"], p["step"], p["alpha"])
+    n = int(p["n"])
+    za = matsumoto_yor.sample_z_pathwise(p["tmax"], p["step"], n, s)
+    zb = matsumoto_yor.euler_maruyama_z(p["tmax"], p["step"], n, s.substream(1))
+    rep = ks_two_sample(za, zb, p["alpha"], label=f"z-diffusion t={p['tmax']}")
     return ExperimentResult([rep.as_row()], [rep])
 
 

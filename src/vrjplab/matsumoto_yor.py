@@ -10,50 +10,19 @@ which are the half-line Green quantities written directly in the
 multipliers.  The hidden-Markov structure is exposed through two
 samplers: the one-step transition kernel of z and the conditional law
 of psi given z (an IG(1, 1/z) draw).  Rescaling step 1/m, the pair
-converges to the geometric Brownian motion e_t and Z_t = (int e^2) / e,
-whose pathwise construction and diffusion check live here too.
+converges to the geometric Brownian motion e_t and Z_t = (int e^2) / e.
+Z_t has two ensemble samplers here: pathwise, from the exponential-
+functional walk, and the Euler-Maruyama scheme of its diffusion.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .stats import TestReport, ks_two_sample
-from .stochastic import (IGParams, RngStream, SampledPath, cumtrapz, exp_functional_walk,
-                         ig_root_draws, sample_gbm_path, sample_inverse_gaussian)
-
-
-@dataclass
-class MYChain:
-    m: int
-    length: int
-    psi: np.ndarray      # psi_1..psi_length
-    zhat: np.ndarray     # z_1..z_length
-    g11: np.ndarray
-    a_seq: np.ndarray
-
-
-@dataclass
-class MYContinuum:
-    gbm: SampledPath
-    big_t: np.ndarray    # cumulative trapezoid of e^2
-    z: np.ndarray        # big_t / e
-
-
-@dataclass
-class LinearPath:
-    """Piecewise-linear interpolation used for the rescaled chains."""
-
-    t0: float
-    step: float
-    values: np.ndarray
-
-    def at(self, t):
-        times = self.t0 + self.step * np.arange(self.values.size)
-        return np.interp(t, times, self.values)
+from .stochastic import (IGParams, RngStream, exp_functional_walk, ig_root_draws,
+                         sample_inverse_gaussian)
 
 
 def chain_arrays_from_a(a: np.ndarray, m: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -65,16 +34,10 @@ def chain_arrays_from_a(a: np.ndarray, m: float) -> tuple[np.ndarray, np.ndarray
     return psi, g11, g11 / psi
 
 
-def build_my_chain(m: int, length: int, s: RngStream) -> MYChain:
+def build_my_chains(m: int, length: int, n_rep: int, s: RngStream):
+    """(psi, g11, z) arrays of shape (n_rep, length), one chain per replica."""
     if m < 1 or length < 1:
         raise ValueError("need m >= 1 and length >= 1")
-    a = sample_inverse_gaussian(IGParams(1.0, float(m)), s, size=length)
-    psi, g11, z = chain_arrays_from_a(a, float(m))
-    return MYChain(m, length, psi, z, g11, a)
-
-
-def build_my_chains(m: int, length: int, n_rep: int, s: RngStream):
-    """Ensemble version: (psi, g11, z) arrays of shape (n_rep, length)."""
     a = sample_inverse_gaussian(IGParams(1.0, float(m)), s,
                                 size=n_rep * length).reshape(n_rep, length)
     return chain_arrays_from_a(a, float(m))
@@ -109,30 +72,6 @@ def conditional_psi_given_z(z, s: RngStream):
     return float(out[0]) if scalar else out
 
 
-def scale_to_continuum(chain: MYChain) -> tuple[LinearPath, LinearPath]:
-    """Rescaled piecewise-linear paths (psi~, z~) on [0, length/m].
-
-    Node k/m carries (psi_k, z_k) with the conventional start
-    (psi_0, z_0) = (1, 0).
-    """
-    if chain.length < chain.m:
-        raise ValueError("chain too short to cover t in [0, 1]")
-    psi_vals = np.concatenate([[1.0], chain.psi])
-    z_vals = np.concatenate([[0.0], chain.zhat])
-    h = 1.0 / chain.m
-    return LinearPath(0.0, h, psi_vals), LinearPath(0.0, h, z_vals)
-
-
-def build_continuum(tmax: float, step: float, s: RngStream) -> MYContinuum:
-    """Pathwise (e, T, Z) on [0, tmax]; T by the trapezoid rule.
-
-    The grid must resolve e^2; step <= 1e-3 is the documented default.
-    """
-    gbm = sample_gbm_path(0.0, tmax, step, s)
-    big_t = cumtrapz(gbm.values ** 2, step)
-    return MYContinuum(gbm, big_t, big_t / gbm.values)
-
-
 def sample_z_pathwise(tmax: float, step: float, n_rep: int, s: RngStream) -> np.ndarray:
     """Ensemble of Z_tmax = int_0^tmax e^2 / e_tmax, e_t = e^{a_t - t/2} (O(n_rep) memory)."""
     nsteps = int(round(tmax / step))
@@ -140,22 +79,12 @@ def sample_z_pathwise(tmax: float, step: float, n_rep: int, s: RngStream) -> np.
     return integ / np.exp(alpha - nsteps * step / 2)
 
 
-def euler_maruyama_z(tmax: float, step: float, n_rep: int, s: RngStream,
-                     noise: bool = True) -> np.ndarray:
+def euler_maruyama_z(tmax: float, step: float, n_rep: int, s: RngStream) -> np.ndarray:
     """Euler-Maruyama ensemble for dZ = Z dW + (1 + Z) dt from Z_0 = 0."""
     nsteps = int(round(tmax / step))
     z = np.zeros(n_rep)
     sq = math.sqrt(step)
     for _ in range(nsteps):
-        dw = sq * s.gen.standard_normal(n_rep) if noise else 0.0
+        dw = sq * s.gen.standard_normal(n_rep)
         z = z + z * dw + (1.0 + z) * step
     return z
-
-
-def z_diffusion_step_check(tmax: float, s: RngStream, n_rep: int = 10_000,
-                           path_step: float = 1e-3, euler_step: float = 1e-3,
-                           alpha: float = 0.01) -> TestReport:
-    """Two-sample KS: pathwise Z_tmax vs the Euler-Maruyama ensemble."""
-    za = sample_z_pathwise(tmax, path_step, n_rep, s)
-    zb = euler_maruyama_z(tmax, euler_step, n_rep, s.substream(1))
-    return ks_two_sample(za, zb, alpha, label=f"z-diffusion t={tmax}")

@@ -1,5 +1,9 @@
 """Deterministic, seedable randomness and the elementary samplers.
 
+The samplers are the Inverse Gaussian draw, the two-sided Brownian path and
+its geometric map, and the exponential-functional walk that every stepwise
+ensemble runs.
+
 Every stochastic routine in this package consumes an explicit
 :class:`RngStream`.  A stream is identified by a ``(seed, stream_id)``
 pair and is backed by the counter-based Philox generator, so distinct
@@ -131,12 +135,6 @@ def ig_root_draws(mu, lam, gen: np.random.Generator, n: int) -> np.ndarray:
         - (mu / (2.0 * lam)) * np.sqrt(4.0 * mu * lam * y + mu * mu * y * y)
     u = gen.uniform(size=n)
     return np.where(u <= mu / (mu + x), x, mu * mu / x)
-
-
-def sample_gamma_half(s: RngStream, size: int | None = None):
-    """Draw from Gamma(shape 1/2, rate 1)."""
-    g = s.gen.standard_gamma(0.5, size=size)
-    return float(g) if size is None else g
 
 
 def grid_cells(span: float, step: float) -> tuple[int, float]:
@@ -290,10 +288,6 @@ def gbm_from_brownian(b: SampledPath) -> SampledPath:
     return SampledPath(b.t0, b.step, vals, PathKind.GBM)
 
 
-def sample_gbm_path(t0: float, t1: float, step: float, s: RngStream) -> SampledPath:
-    return gbm_from_brownian(sample_brownian_path(t0, t1, step, s))
-
-
 # ---------------------------------------------------------------------------
 # Reference CDFs
 # ---------------------------------------------------------------------------
@@ -322,14 +316,11 @@ def scaled_inverse_gamma_half_cdf(x, c: float):
     return inverse_gamma_half_cdf(np.asarray(x, dtype=float) / c)
 
 
-def inverse_gaussian_cdf(x, p: IGParams):
-    """CDF of IG(mu, lam), stable for large shape via log-normal-cdf."""
-    out = inverse_gaussian_cdf_arrays(x, p.mu, p.lam)
-    return float(out) if np.ndim(out) == 0 else out
+def inverse_gaussian_cdf(x, mu, lam):
+    """CDF of IG(mu, lam), elementwise over broadcastable (x, mu, lam).
 
-
-def inverse_gaussian_cdf_arrays(x, mu, lam):
-    """Elementwise IG CDF for broadcastable (x, mu, lam) arrays."""
+    Stable for large shape: the second term is taken through log_ndtr.
+    """
     x = np.asarray(x, dtype=float)
     mu = np.asarray(mu, dtype=float)
     lam = np.asarray(lam, dtype=float)

@@ -40,7 +40,7 @@ def test_circle_marginal_law():
     w = 8.0
     betas = _circle_beta_matrix(8, w, 10_000, new_stream(2, 0))
     x = 1.0 / (2.0 * betas[:, 3])
-    rep = ks_one_sample(x, lambda v: inverse_gaussian_cdf(v, IGParams(1.0 / (2 * w), 1.0)), 0.01)
+    rep = ks_one_sample(x, lambda v: inverse_gaussian_cdf(v, 1.0 / (2 * w), 1.0), 0.01)
     assert rep.passed, rep
 
 
@@ -88,7 +88,7 @@ def test_halfline_count_one_law():
     m = 4.0
     a = sample_inverse_gaussian(IGParams(1.0, m), new_stream(6, 0), size=10_000)
     x = 2.0 * halfline_betas_from_a(a.reshape(-1, 1), m)[:, 0] / m
-    rep = ks_one_sample(1.0 / x, lambda v: inverse_gaussian_cdf(v, IGParams(1.0, m)), 0.01)
+    rep = ks_one_sample(1.0 / x, lambda v: inverse_gaussian_cdf(v, 1.0, m), 0.01)
     assert rep.passed
 
 

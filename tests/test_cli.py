@@ -101,6 +101,20 @@ def test_main_list_and_exit_codes(tmp_path, capsys):
     assert rc == 2
 
 
+
+@pytest.mark.parametrize("name, param, message", [
+    ("renewal_mean", "horizon_crossings=10", "insufficient data"),
+    ("intertwining", "length=0", "length >= 1"),
+])
+def test_main_params_too_small_exit_2(tmp_path, capsys, name, param, message):
+    # parameters too small to form a statistic are a usage error, not a failed verdict
+    rc = main(["run", "--name", name, "--param", param, "--out", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not (tmp_path / name).exists()
+
+
 def test_output_env_var(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("VRJPLAB_OUT", str(tmp_path / "envout"))
     rc = main(["run", "--name", "mean_t1_quadrature", "--seed", "1",

@@ -5,29 +5,22 @@ import math
 import numpy as np
 import pytest
 
-from vrjplab.continuum_kernel import (CircleKernel, DegeneratePathError,
-                                      LineKernel, apply_kernel,
-                                      dufresne_ratio_check, flux_closed_form,
-                                      flux_fd, kernel_eval,
-                                      line_kernel_eval, mbg_transform_check,
-                                      operator_residual, quadratic_form,
+from vrjplab.continuum_kernel import (DegeneratePathError, KernelPath,
+                                      apply_kernel, flux_closed_form, flux_fd,
+                                      kernel_eval, line_kernel_eval,
+                                      mbg_transform_check, operator_residual,
+                                      quadratic_form, sample_dufresne_ratio,
                                       sample_kernel_diagonal,
                                       sample_line_diagonal,
                                       sample_quadratic_form, two_sided_gbm,
                                       twisted_neumann_mismatch)
+from vrjplab.experiments import deterministic_flat_gbm
 from vrjplab.stats import ks_one_sample, ks_two_sample
 from vrjplab.stochastic import (PathKind, SampledPath, inverse_gamma_half_cdf,
                                 new_stream, scaled_inverse_gamma_half_cdf)
 
 
-def _flat_gbm(lam, step):
-    half = int(round(lam / step))
-    h = lam / half
-    times = -lam + h * np.arange(2 * half + 1)
-    return SampledPath(-lam, h, np.exp(-times / 2.0), PathKind.GBM)
-
-
-def kernel_matrix(k: CircleKernel, stride: int = 1) -> np.ndarray:
+def kernel_matrix(k: KernelPath, stride: int = 1) -> np.ndarray:
     """Kernel evaluated on the (strided) path grid as a dense symmetric matrix."""
     m = k.gbm.values[::stride]
     ic = k.inv_sq_cum[::stride]
@@ -39,9 +32,9 @@ def kernel_matrix(k: CircleKernel, stride: int = 1) -> np.ndarray:
     return np.outer(m, m) * bracket / (mr - ml) ** 2
 
 
-def quadratic_form_double_route(k: CircleKernel, f, stride: int = 1) -> float:
-    """Oracle: direct 2-D trapezoid of f(t) G(t,t') f(t')."""
-    fv = np.asarray(f(k.gbm.times) if callable(f) else f, dtype=float)[::stride]
+def quadratic_form_double_route(k: KernelPath, f, stride: int = 1) -> float:
+    """Oracle: direct 2-D trapezoid of f(t) G(t,t') f(t') for f sampled on the grid."""
+    fv = np.asarray(f, dtype=float)[::stride]
     g = kernel_matrix(k, stride)
     h = k.gbm.step * stride
     w = np.full(fv.size, h)
@@ -51,13 +44,13 @@ def quadratic_form_double_route(k: CircleKernel, f, stride: int = 1) -> float:
 
 
 def test_kernel_deterministic_value():
-    k = CircleKernel.from_path(_flat_gbm(2.0, 1e-3))
+    k = KernelPath.from_path(deterministic_flat_gbm(2.0, 1e-3))
     expect = (math.e ** 2 - math.e ** -2) / (math.e - math.e ** -1) ** 2
     assert kernel_eval(k, 0.0, 0.0) == pytest.approx(expect, rel=1e-6)
 
 
 def test_kernel_symmetry_and_positivity():
-    k = CircleKernel.sample(1.0, 1e-3, new_stream(1, 0))
+    k = KernelPath.sample(1.0, 1e-3, new_stream(1, 0))
     for (t, t2) in ((0.3, -0.4), (-0.9, 0.9), (0.0, 0.5)):
         a = kernel_eval(k, t, t2)
         assert a == kernel_eval(k, t2, t)
@@ -65,12 +58,12 @@ def test_kernel_symmetry_and_positivity():
 
 
 def test_kernel_range_and_degenerate_errors():
-    k = CircleKernel.sample(1.0, 1e-3, new_stream(2, 0))
+    k = KernelPath.sample(1.0, 1e-3, new_stream(2, 0))
     with pytest.raises(ValueError):
         kernel_eval(k, 1.5, 0.0)
     flat = SampledPath(-1.0, 1e-2, np.ones(201), PathKind.GBM)
     with pytest.raises(DegeneratePathError):
-        CircleKernel.from_path(flat)
+        KernelPath.from_path(flat)
 
 
 def test_diagonal_law_and_t_invariance():
@@ -81,7 +74,7 @@ def test_diagonal_law_and_t_invariance():
 
 
 def test_quadratic_form_zero_and_positive():
-    k = CircleKernel.sample(1.0, 1e-3, new_stream(4, 0))
+    k = KernelPath.sample(1.0, 1e-3, new_stream(4, 0))
     assert quadratic_form(k, np.zeros(k.gbm.values.size)) == 0.0
     t = k.gbm.times
     for f in (np.sin(np.pi * t), t ** 2, np.cos(3 * t) + 0.1):
@@ -89,7 +82,7 @@ def test_quadratic_form_zero_and_positive():
 
 
 def test_quadratic_form_double_route_oracle():
-    k = CircleKernel.sample(1.0, 1e-3, new_stream(5, 3))
+    k = KernelPath.sample(1.0, 1e-3, new_stream(5, 3))
     f = np.cos(np.pi * k.gbm.times) + 2.0
     q1 = quadratic_form(k, f)
     q2 = quadratic_form_double_route(k, f)
@@ -105,7 +98,7 @@ def test_quadratic_form_law_f_one():
 
 
 def test_apply_kernel_matches_matrix_route():
-    k = CircleKernel.sample(1.0, 1e-3, new_stream(7, 0))
+    k = KernelPath.sample(1.0, 1e-3, new_stream(7, 0))
     f = np.cos(np.pi * k.gbm.times) + 2.0
     g = apply_kernel(k, f)
     gm = kernel_matrix(k)
@@ -116,7 +109,7 @@ def test_apply_kernel_matches_matrix_route():
 
 
 def test_apply_kernel_boundary_and_neumann():
-    k = CircleKernel.sample(1.0, 1e-3, new_stream(8, 0))
+    k = KernelPath.sample(1.0, 1e-3, new_stream(8, 0))
     f = np.sin(2 * np.pi * k.gbm.times) + 1.5
     g = apply_kernel(k, f)
     assert abs(g[0] - g[-1]) < 1e-8 * max(abs(g[0]), abs(g[-1]))
@@ -124,7 +117,7 @@ def test_apply_kernel_boundary_and_neumann():
 
 
 def test_apply_kernel_linearity():
-    k = CircleKernel.sample(0.5, 1e-3, new_stream(9, 0))
+    k = KernelPath.sample(0.5, 1e-3, new_stream(9, 0))
     t = k.gbm.times
     f1, f2 = np.cos(t), np.exp(-t * t)
     lhs = apply_kernel(k, 2.0 * f1 + 3.0 * f2)
@@ -133,14 +126,14 @@ def test_apply_kernel_linearity():
 
 
 def test_operator_residual_small():
-    k = CircleKernel.sample(1.0, 1e-3, new_stream(10, 0))
+    k = KernelPath.sample(1.0, 1e-3, new_stream(10, 0))
     f = np.cos(np.pi * k.gbm.times) + 2.0
     assert operator_residual(k, f) < 1e-2
     assert operator_residual(k, np.zeros_like(f) + 1e-300) == pytest.approx(0.0, abs=1e-6)
 
 
 def test_flux_fd_matches_closed_form():
-    k = CircleKernel.sample(1.0, 1e-3, new_stream(11, 0))
+    k = KernelPath.sample(1.0, 1e-3, new_stream(11, 0))
     f = np.cos(np.pi * k.gbm.times) + 2.0
     g = apply_kernel(k, f)
     a = flux_fd(k, g)
@@ -155,17 +148,16 @@ def test_line_kernel_diag_law():
 
 def test_line_kernel_truncation_bias_pathwise():
     gbm = two_sided_gbm(40.0, 1e-3, new_stream(13, 0))
-    ck = CircleKernel.from_path(gbm)
-    lk = LineKernel.from_path(gbm)
+    k = KernelPath.from_path(gbm)
     worst = 0.0
     for t in np.linspace(-2, 2, 7):
         for t2 in np.linspace(-2, 2, 7):
-            worst = max(worst, abs(kernel_eval(ck, t, t2) - line_kernel_eval(lk, t, t2)))
+            worst = max(worst, abs(kernel_eval(k, t, t2) - line_kernel_eval(k, t, t2)))
     assert worst < 1e-3
 
 
 def test_line_kernel_ratio_is_geometric_path():
-    lk = LineKernel.sample(20.0, 1e-3, new_stream(14, 0))
+    lk = KernelPath.sample(20.0, 1e-3, new_stream(14, 0))
     g00 = line_kernel_eval(lk, 0.0, 0.0)
     for t in (0.5, 1.0, 3.0):
         ratio = line_kernel_eval(lk, 0.0, t) / g00
@@ -174,14 +166,17 @@ def test_line_kernel_ratio_is_geometric_path():
 
 
 def test_line_kernel_range_guard():
-    lk = LineKernel.sample(10.0, 1e-2, new_stream(15, 0))
+    lk = KernelPath.sample(10.0, 1e-2, new_stream(15, 0))
     with pytest.raises(ValueError):
         line_kernel_eval(lk, 6.0, 0.0)
 
 
 def test_dufresne_ratio_small_lambda():
-    rep = dufresne_ratio_check(0.1, new_stream(16, 0), n_rep=4000)
+    samples = sample_dufresne_ratio(0.1, 1e-3, 4000, new_stream(16, 0))
+    rep = ks_one_sample(samples, inverse_gamma_half_cdf, 0.01)
     assert rep.passed, rep
+    with pytest.raises(ValueError):
+        sample_dufresne_ratio(0.0, 1e-3, 10, new_stream(16, 1))
 
 
 def test_mbg_transform():
@@ -195,17 +190,6 @@ def test_mbg_snapshots_must_fall_on_distinct_positive_steps():
     for t_grid in ((0.0004, 1.0, 2.0), (0.5, 0.5004, 2.0), (0.0, 1.0, 2.0), (1.0, 2.0)):
         with pytest.raises(ValueError):
             mbg_transform_check(new_stream(21, 0), t_grid, n_rep=10, step=1e-3, tail=1.0)
-
-
-def test_mbg_v_at_zero_is_one():
-    # V_0 is the ratio of identical integrals
-    gen = new_stream(20, 0).gen
-    alpha = np.concatenate([[0.0], np.cumsum(gen.standard_normal(2000) * math.sqrt(1e-2))])
-    t = 1e-2 * np.arange(2001)
-    integrand = np.exp(2 * alpha - t)
-    total = np.trapezoid(integrand, dx=1e-2)
-    v0 = math.exp(0.0) * total / total
-    assert v0 == 1.0
 
 
 def test_interpolated_discrete_matches_kernel_law():
@@ -233,7 +217,7 @@ def test_interpolated_discrete_matches_kernel_law():
     cont = np.empty(nrep)
     s = new_stream(19, 0)
     for r in range(nrep):
-        k = CircleKernel.sample(1.0, 2e-3, s.substream(r + 1))
+        k = KernelPath.sample(1.0, 2e-3, s.substream(r + 1))
         cont[r] = kernel_eval(k, t, t2)
     rep = ks_two_sample(disc, cont, 0.01)
     assert rep.passed, rep

@@ -6,13 +6,12 @@ import numpy as np
 import pytest
 
 from vrjplab.beta_field import dense_h, GraphShape, WeightedGraph1D
-from vrjplab.matsumoto_yor import (build_continuum, build_my_chain,
-                                   build_my_chains, chain_arrays_from_a,
+from vrjplab.matsumoto_yor import (build_my_chains, chain_arrays_from_a,
                                    conditional_psi_given_z, euler_maruyama_z,
-                                   kernel_step, sample_z_pathwise,
-                                   scale_to_continuum, z_diffusion_step_check)
+                                   kernel_step, sample_z_pathwise)
 from vrjplab.stats import ks_two_sample, moment_ci
-from vrjplab.stochastic import new_stream
+from vrjplab.stochastic import (IGParams, exp_functional_walk, new_stream,
+                                sample_inverse_gaussian)
 
 
 def test_chain_all_ones_degenerate():
@@ -25,17 +24,26 @@ def test_chain_all_ones_degenerate():
 def test_chain_matches_dense_inverse():
     # psi_n = m Ghat(1, n) and g11_n = Ghat(1, 1) for the half-line operator
     m, length = 3, 8
-    chain = build_my_chain(m, length, new_stream(1, 0))
+    a = sample_inverse_gaussian(IGParams(1.0, float(m)), new_stream(1, 0), size=length)
+    psi, g11, z = chain_arrays_from_a(a, float(m))
     from vrjplab.beta_field import halfline_betas_from_a
-    beta = halfline_betas_from_a(chain.a_seq, float(m))
+    beta = halfline_betas_from_a(a, float(m))
     g = WeightedGraph1D(GraphShape.HALFLINE_SEGMENT, length, float(m))
     for n in (1, 4, 8):
         h_n = dense_h(g, beta)[:n, :n]
         ghat = np.linalg.inv(h_n)
-        assert chain.psi[n - 1] == pytest.approx(m * ghat[0, n - 1], rel=1e-10)
-        assert chain.g11[n - 1] == pytest.approx(ghat[0, 0], rel=1e-10)
-        assert chain.zhat[n - 1] == pytest.approx(ghat[0, 0] / (m * ghat[0, n - 1]),
-                                                  rel=1e-10)
+        assert psi[n - 1] == pytest.approx(m * ghat[0, n - 1], rel=1e-10)
+        assert g11[n - 1] == pytest.approx(ghat[0, 0], rel=1e-10)
+        assert z[n - 1] == pytest.approx(ghat[0, 0] / (m * ghat[0, n - 1]), rel=1e-10)
+
+
+def test_chain_first_z_and_guards():
+    # z_1 = g11_1 / psi_1 = A_1 / (m A_1) = 1/m on every replica
+    _, _, z = build_my_chains(16, 4, 100, new_stream(10, 0))
+    assert np.allclose(z[:, 0] * 16, 1.0, rtol=1e-12, atol=0.0)
+    for m, length in ((0, 4), (16, 0)):
+        with pytest.raises(ValueError):
+            build_my_chains(m, length, 10, new_stream(10, 1))
 
 
 def test_psi_is_mean_one_martingale():
@@ -112,19 +120,6 @@ def test_conditional_variance_matches_z():
     assert abs(var - z_mid) / z_mid < 0.15
 
 
-def test_scale_to_continuum_nodes_and_slope():
-    chain = build_my_chain(16, 32, new_stream(10, 0))
-    psi_p, z_p = scale_to_continuum(chain)
-    assert psi_p.at(0.0) == 1.0 and z_p.at(0.0) == 0.0
-    k = 7
-    assert psi_p.at(k / 16) == pytest.approx(chain.psi[k - 1], rel=1e-14)
-    assert z_p.at(k / 16) == pytest.approx(chain.zhat[k - 1], rel=1e-14)
-    # small-t slope of z~ is ~ 1: z(1/m) = 1/m exactly by construction
-    assert z_p.at(1 / 16) * 16 == pytest.approx(1.0, rel=1e-12)
-    with pytest.raises(ValueError):
-        scale_to_continuum(build_my_chain(16, 8, new_stream(10, 1)))
-
-
 def test_scaled_chain_marginal_matches_gbm():
     m, n_rep = 64, 10_000
     psi, _, _ = build_my_chains(m, m, n_rep, new_stream(11, 0))
@@ -141,28 +136,30 @@ def test_scaling_stability_m64_vs_m256():
     assert ks_two_sample(z64[:, -1], z256[:, -1], 0.01).passed
 
 
-def test_build_continuum_invariants():
-    s = new_stream(13, 0)
-    c = build_continuum(1.0, 1e-3, s)
-    assert c.z[0] == 0.0
-    assert np.all(np.diff(c.big_t) >= 0)
-    ends = np.array([build_continuum(1.0, 1e-2, new_stream(13, i + 1)).gbm.values[-1]
-                     for i in range(3000)])
-    est, half = moment_ci(ends, 1, 0.01)
+def test_continuum_walk_invariants():
+    # T_t = int_0^t e^2 is the walk's trapezoid sum I; e_1 = e^{a_1 - 1/2}
+    # is a mean-1 martingale
+    alpha, integ, at = exp_functional_walk(new_stream(13, 0).gen, 4000, 1e-2, 100,
+                                           (50,))
+    assert np.all(integ > at[0][1]) and np.all(at[0][1] > 0)
+    est, half = moment_ci(np.exp(alpha - 0.5), 1, 0.01)
     assert abs(est - 1.0) < half
 
 
 def test_continuum_mean_t_one():
     # E[T_1] = e - 1 by Fubini on the second moment of the geometric path
-    t1 = np.array([build_continuum(1.0, 1e-2, new_stream(14, i)).big_t[-1]
-                   for i in range(4000)])
+    _, t1, _ = exp_functional_walk(new_stream(14, 0).gen, 4000, 1e-2, 100)
     est, half = moment_ci(t1, 1, 0.01)
     assert abs(est - (math.e - 1.0)) < max(half, 5e-3)
 
 
 def test_z_drift_only_ode():
-    z = euler_maruyama_z(1.0, 1e-4, 1, new_stream(15, 0), noise=False)
-    assert z[0] == pytest.approx(math.e - 1.0, rel=1e-3)
+    # the scheme's ensemble mean follows its drift-only recursion exactly:
+    # E[Z_{k+1}] = (1 + h) E[Z_k] + h, so E[Z_n] = (1 + h)^n - 1
+    h, n = 1e-3, 50_000
+    z = euler_maruyama_z(1.0, h, n, new_stream(15, 0))
+    est, half = moment_ci(z, 1, 0.01)
+    assert abs(est - ((1.0 + h) ** round(1.0 / h) - 1.0)) < half
 
 
 def test_z_mean_slope_at_zero():
@@ -174,5 +171,8 @@ def test_z_mean_slope_at_zero():
 
 
 def test_z_diffusion_two_sample():
-    rep = z_diffusion_step_check(1.0, new_stream(17, 0), n_rep=4000)
+    s = new_stream(17, 0)
+    za = sample_z_pathwise(1.0, 1e-3, 4000, s)
+    zb = euler_maruyama_z(1.0, 1e-3, 4000, s.substream(1))
+    rep = ks_two_sample(za, zb, 0.01)
     assert rep.passed, rep

@@ -7,19 +7,13 @@ import pytest
 import scipy.integrate
 
 from vrjplab.beta_field import construct_beta_circle
+from vrjplab.experiments import deterministic_flat_gbm
 from vrjplab.spectrum import (count_states_matrix, count_states_phase,
                               discrete_spectrum_matrix, dos_sweep,
                               fd_spectrum_twisted, mean_t1_quadrature,
                               phase_propagate, renewal_statistics)
 from vrjplab.stochastic import (PathKind, SampledPath, new_stream,
                                 sample_brownian_path)
-
-
-def _flat_gbm(lam, step):
-    half = int(round(lam / step))
-    h = lam / half
-    times = -lam + h * np.arange(2 * half + 1)
-    return SampledPath(-lam, h, np.exp(-times / 2.0), PathKind.GBM)
 
 
 def _unit_gbm(span, step):
@@ -141,7 +135,7 @@ def test_phase_rejects_bad_energy():
 
 
 def test_count_states_phase_flat_path():
-    gbm = _flat_gbm(math.pi, 1e-3)
+    gbm = deterministic_flat_gbm(math.pi, 1e-3)
     # exact counting function of the drift-only operator at lam = pi
     for e_level, n_true in ((0.2, 0), (1.25, 3), (5.0, 5)):
         c = count_states_phase(e_level, gbm)
@@ -172,14 +166,14 @@ def test_matrix_count_budget_guard(monkeypatch):
 
 
 def test_fd_spectrum_flat_path_oracle():
-    gbm = _flat_gbm(math.pi, 1e-3)
+    gbm = deterministic_flat_gbm(math.pi, 1e-3)
     eig = fd_spectrum_twisted(gbm, k=7)
     exact = np.array([0.25, 1.25, 1.25, 4.25, 4.25, 9.25, 9.25])
     assert np.max(np.abs(eig - exact)) < 1e-3
 
 
 def test_fd_dirichlet_count_flat_path():
-    gbm = _flat_gbm(math.pi, 1e-3)
+    gbm = deterministic_flat_gbm(math.pi, 1e-3)
     # Dirichlet counts interlace the twisted ones within 1
     for e_level, n_true in ((1.25, 3), (5.0, 5)):
         c = count_states_fd_dirichlet(gbm, e_level)

@@ -11,7 +11,7 @@ from vrjplab.stochastic import (IGParams, PathKind, SampledPath,
                                 gamma_half_cdf, gbm_from_brownian, grid_cells,
                                 inverse_gamma_half_cdf, inverse_gaussian_cdf,
                                 new_stream, sample_brownian_path,
-                                sample_gamma_half, sample_inverse_gaussian)
+                                sample_inverse_gaussian)
 
 
 def test_stream_determinism():
@@ -56,7 +56,7 @@ def test_ig_large_shape_concentration():
 def test_ig_ks_against_closed_form_cdf():
     s = new_stream(9, 0)
     x = sample_inverse_gaussian(IGParams(1.0, 2.0), s, size=10_000)
-    rep = ks_one_sample(x, lambda v: inverse_gaussian_cdf(v, IGParams(1.0, 2.0)), 0.01)
+    rep = ks_one_sample(x, lambda v: inverse_gaussian_cdf(v, 1.0, 2.0), 0.01)
     assert rep.passed, rep
 
 
@@ -71,8 +71,7 @@ def test_ig_log_moment_asymptotics():
 
 
 def test_gamma_half():
-    s = new_stream(10, 0)
-    x = sample_gamma_half(s, size=100_000)
+    x = new_stream(10, 0).gen.standard_gamma(0.5, size=100_000)
     assert np.all(x > 0)
     m, h = moment_ci(x, 1, 0.01)
     assert abs(m - 0.5) < h

@@ -8,8 +8,8 @@ green_circle     operator assembly and the closed-form circle inverse
 matsumoto_yor    discrete hidden-Markov chains and the samplers of the Z diffusion
 continuum_kernel the circle and line kernels of one path, operator checks, ensembles
 spectrum         phase-counting, FD spectra, renewal and density of states
-stats            KS tests and moment confidence intervals
-experiments/cli  registered, seeded verification runs
+stats            the pass rule, quantiles, KS tests, the mean interval
+experiments/cli  registered, seeded verification runs; every statistic is formed here
 """
 
 __version__ = "0.1.0"

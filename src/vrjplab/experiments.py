@@ -5,6 +5,10 @@ rows plus pass/fail reports, so a run with identical config reproduces
 byte-identical numeric output.  The registry entries carry a one-line
 description and the mathematical identity they exercise; the CLI lists
 and runs them.
+
+The layers return samples; the registry judges.  Every statistic, target
+and critical value is formed here, from the samples a layer returns, and
+stats.TestReport derives pass/fail from the statistic and critical value.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from . import beta_field, continuum_kernel, green_circle, matsumoto_yor, spectrum
-from .stats import TestReport, ks_one_sample, ks_two_sample
+from .stats import TestReport, ks_one_sample, ks_two_sample, mean_ci, z_two_sided
 from .stochastic import (IGParams, PathKind, RngStream, SampledPath, grid_cells,
                          inverse_gamma_half_cdf, inverse_gaussian_cdf,
                          sample_inverse_gaussian, scaled_inverse_gamma_half_cdf)
@@ -154,12 +158,11 @@ def _exp_explicit_inverse(p: dict, s: RngStream) -> ExperimentResult:
         dev = float(np.max(np.abs(ge - gd) / np.abs(gd)))
         worst = max(worst, dev)
         rows.append({"dim": 2 * int(size) + 1, "max_rel_dev": dev})
-    rep = TestReport(worst, int(p["n_fields"]), 0.0, p["tol"], worst < p["tol"],
-                     "explicit-vs-dense inverse")
+    rep = TestReport(worst, int(p["n_fields"]), 0.0, p["tol"], "explicit-vs-dense inverse")
     # exact 3-vertex case u = 2
     inv = green_circle.invert_R_explicit(np.full(3, 2.0))
     exact_dev = max(abs(inv[0, 0] - 3.0 / 7.0), abs(inv[0, 1] - 2.0 / 7.0))
-    rep2 = TestReport(exact_dev, 3, 0.0, 1e-14, exact_dev < 1e-14, "3-vertex u=2 exact")
+    rep2 = TestReport(exact_dev, 3, 0.0, 1e-14, "3-vertex u=2 exact")
     rows.append({"dim": 3, "max_rel_dev": exact_dev})
     return ExperimentResult(rows, [rep, rep2])
 
@@ -210,11 +213,10 @@ def _exp_intertwining(p: dict, s: RngStream) -> ExperimentResult:
         rows.append({"bin": b, "z_median": z_med, "n_bin": int(sel.size),
                      "var_ratio": var_ratio, **rep.as_row()})
         reps.append(rep)
-    bin_rep = TestReport(10 - n_pass, n, p["alpha"], 10 - p["min_pass"] + 0.5,
-                         n_pass >= p["min_pass"], f"bins passed: {n_pass}/10")
+    bin_rep = TestReport(10 - n_pass, n, p["alpha"], 10 - math.ceil(p["min_pass"]) + 0.5,
+                         f"bins passed: {n_pass}/10")
     mean_ratio = float(np.mean(var_ratios))
     var_rep = TestReport(abs(mean_ratio - 1.0), n, 0.0, p["var_tol"],
-                         abs(mean_ratio - 1.0) < p["var_tol"],
                          f"conditional variance / z = {mean_ratio:.4f}")
     return ExperimentResult(rows, [bin_rep, var_rep])
 
@@ -236,15 +238,23 @@ def _exp_z_diffusion(p: dict, s: RngStream) -> ExperimentResult:
           "e^{-a_t+t/2} int_t^inf e^{2a-s} ds / int_0^inf e^{2a-s} ds is a GBM from 1",
           {"n": 10_000, "step": 1e-3, "tail": 40.0})
 def _exp_mbg(p: dict, s: RngStream) -> ExperimentResult:
-    rep = continuum_kernel.mbg_transform_check(s, (0.5, 1.0, 2.0), int(p["n"]),
-                                               p["step"], p["tail"])
-    rows = []
-    for i, t in enumerate(rep.t_grid):
-        mean_rep, var_rep = rep.reports[2 * i:2 * i + 2]
-        rows.append({"t": t, "mean_log": rep.mean_log[i], "se": rep.se_mean[i],
-                     "var_log": rep.var_log[i], "mean_ok": mean_rep.passed,
-                     "var_ok": var_rep.passed})
-    return ExperimentResult(rows, rep.reports)
+    t_grid, n = (0.5, 1.0, 2.0), int(p["n"])
+    log_v = continuum_kernel.mbg_transform_check(s, t_grid, n, p["step"], p["tail"])
+    mean_log = log_v.mean(axis=1)
+    se = log_v.std(axis=1, ddof=1) / math.sqrt(n)
+    var_log = log_v.var(axis=1, ddof=1)
+    corr = float(np.corrcoef(log_v[1] - log_v[0], log_v[2] - log_v[1])[0, 1])
+    rows, reps = [], []
+    for i, t in enumerate(t_grid):
+        mean_rep = TestReport(abs(mean_log[i] + t / 2.0), n, 0.0, 3.0 * se[i],
+                              f"ln V mean t={t}")
+        var_rep = TestReport(abs(var_log[i] - t), n, 0.0, 0.10 * t, f"ln V variance t={t}")
+        reps += [mean_rep, var_rep]
+        rows.append({"t": t, "mean_log": mean_log[i], "se": se[i], "var_log": var_log[i],
+                     "mean_ok": mean_rep.passed, "var_ok": var_rep.passed})
+    reps.append(TestReport(abs(corr), n, 0.0, z_two_sided(0.01) / math.sqrt(n),
+                           "increment decorrelation"))
+    return ExperimentResult(rows, reps)
 
 
 @register("mean_t1_quadrature",
@@ -258,8 +268,7 @@ def _exp_t1_quad(p: dict, s: RngStream) -> ExperimentResult:
         target = math.pi / math.sqrt(e)
         rel = abs(val - target) / target
         rows.append({"E": float(e), "value": val, "target": target, "rel_err": rel})
-        reps.append(TestReport(rel, 1, 0.0, p["tol"], rel < p["tol"],
-                               f"mean-T1 quadrature E={e}"))
+        reps.append(TestReport(rel, 1, 0.0, p["tol"], f"mean-T1 quadrature E={e}"))
     return ExperimentResult(rows, reps)
 
 
@@ -272,17 +281,20 @@ def _exp_renewal(p: dict, s: RngStream) -> ExperimentResult:
     rows, reps = [], []
     for i, e in enumerate(tuple(np.atleast_1d(p["e_list"]))):
         horizon = p["horizon_crossings"] * math.pi / math.sqrt(e)
-        r = spectrum.renewal_statistics(float(e), horizon, s.substream(i + 1),
-                                        p["step"], min_count=1000)
-        rel = abs(r.mean - r.target_mean) / r.target_mean
-        corr_ok = abs(r.lag1_corr) <= r.corr_half_width
-        rows.append({"E": float(e), "n": r.n_interarrivals, "mean": r.mean,
-                     "target": r.target_mean, "rel_err": rel,
-                     "lag1_corr": r.lag1_corr, "corr_ci": r.corr_half_width})
-        reps.append(TestReport(rel, r.n_interarrivals, 0.0, p["tol"],
-                               rel < p["tol"], f"renewal mean E={e}"))
-        reps.append(TestReport(abs(r.lag1_corr), r.n_interarrivals, 0.0,
-                               r.corr_half_width, corr_ok, f"lag-1 corr E={e}"))
+        gaps = spectrum.renewal_statistics(float(e), horizon, s.substream(i + 1),
+                                           p["step"], min_count=1000)
+        n = gaps.size
+        mean = float(np.mean(gaps))
+        target = math.pi / math.sqrt(e)
+        rel = abs(mean - target) / target
+        # lag-1 correlation, both sides centred on the overall mean
+        a, b = gaps[:-1] - mean, gaps[1:] - mean
+        lag1 = float(np.sum(a * b) / math.sqrt(np.sum(a * a) * np.sum(b * b)))
+        corr_ci = z_two_sided(0.01) / math.sqrt(n - 1)
+        rows.append({"E": float(e), "n": n, "mean": mean, "target": target,
+                     "rel_err": rel, "lag1_corr": lag1, "corr_ci": corr_ci})
+        reps.append(TestReport(rel, n, 0.0, p["tol"], f"renewal mean E={e}"))
+        reps.append(TestReport(abs(lag1), n, 0.0, corr_ci, f"lag-1 corr E={e}"))
     return ExperimentResult(rows, reps)
 
 
@@ -292,25 +304,24 @@ def _exp_renewal(p: dict, s: RngStream) -> ExperimentResult:
           {"e_list": (1.0, 4.0, 9.0), "lam": 200.0, "replicas": 50,
            "step": 1e-3, "tol": 0.05})
 def _exp_dos(p: dict, s: RngStream) -> ExperimentResult:
-    rows_out, reps = [], []
-    rows = spectrum.dos_sweep(tuple(np.atleast_1d(p["e_list"])), p["lam"],
-                              int(p["replicas"]), s, p["step"])
-    for r in rows:
-        rel = abs(r.mean_density - r.target) / r.target
-        rows_out.append({"E": r.e_level, "density": r.mean_density,
-                         "half_width": r.half_width, "target": r.target,
-                         "rel_err": rel})
-        reps.append(TestReport(rel, r.replicas, 0.0, p["tol"], rel < p["tol"],
-                               f"dos density E={r.e_level}"))
-    if len(rows) >= 2 and rows[0].e_level == 1.0 and rows[1].e_level == 4.0:
-        ratio = rows[1].mean_density / rows[0].mean_density
-        rel_hw = (rows[1].half_width / rows[1].mean_density
-                  + rows[0].half_width / rows[0].mean_density)
+    e_list, lam, replicas = tuple(np.atleast_1d(p["e_list"])), p["lam"], int(p["replicas"])
+    counts = spectrum.dos_sweep(e_list, lam, replicas, s, p["step"])
+    rows, reps = [], []
+    for e, c in zip(e_list, counts):
+        density, half_width = mean_ci(c / (2.0 * lam), 0.01)
+        target = math.sqrt(e) / math.pi
+        rel = abs(density - target) / target
+        rows.append({"E": e, "density": density, "half_width": half_width,
+                     "target": target, "rel_err": rel})
+        reps.append(TestReport(rel, replicas, 0.0, p["tol"], f"dos density E={e}"))
+    if len(rows) >= 2 and rows[0]["E"] == 1.0 and rows[1]["E"] == 4.0:
+        lo, hi = rows[0], rows[1]
+        ratio = hi["density"] / lo["density"]
+        rel_hw = hi["half_width"] / hi["density"] + lo["half_width"] / lo["density"]
         crit = max(2.0 * 2.0 * rel_hw, 0.1)
-        reps.append(TestReport(abs(ratio - 2.0), rows[0].replicas, 0.0, crit,
-                               abs(ratio - 2.0) < crit,
+        reps.append(TestReport(abs(ratio - 2.0), replicas, 0.0, crit,
                                f"E=4/E=1 density ratio = {ratio:.4f}"))
-    return ExperimentResult(rows_out, reps)
+    return ExperimentResult(rows, reps)
 
 
 @register("spectrum_oracle",
@@ -325,14 +336,12 @@ def _exp_spectrum_oracle(p: dict, s: RngStream) -> ExperimentResult:
     dev = float(np.max(np.abs(eig - exact)))
     rows = [{"k": i, "eig_fd": float(v), "eig_exact": float(e)}
             for i, (v, e) in enumerate(zip(eig, exact))]
-    reps = [TestReport(dev, 7, 0.0, p["eig_tol"], dev < p["eig_tol"],
-                       "fd eigenvalues vs closed form")]
+    reps = [TestReport(dev, 7, 0.0, p["eig_tol"], "fd eigenvalues vs closed form")]
     exact_counts = {0.2: 0, 1.25: 3, 5.0: 5}
     for e_level, n_true in exact_counts.items():
         c = spectrum.count_states_phase(e_level, gbm)
-        ok = abs(c - n_true) <= int(p["bracket"])
         rows.append({"k": -1, "eig_fd": float(c), "eig_exact": float(n_true)})
-        reps.append(TestReport(abs(c - n_true), 1, 0.0, p["bracket"] + 0.5, ok,
+        reps.append(TestReport(abs(c - n_true), 1, 0.0, int(p["bracket"]) + 0.5,
                                f"phase count bracket E={e_level}"))
     return ExperimentResult(rows, reps)
 
@@ -349,6 +358,6 @@ def _exp_null_calibration(p: dict, s: RngStream) -> ExperimentResult:
         rejects += not rep.passed
     rate = rejects / int(p["reps"])
     rep = TestReport(rate, int(p["reps"]), p["alpha"], p["max_rate"],
-                     rate <= p["max_rate"], f"null rejection rate {rate:.3f}")
+                     f"null rejection rate {rate:.3f}")
     return ExperimentResult([{"reps": int(p["reps"]), "rejections": rejects,
                               "rate": rate}], [rep])

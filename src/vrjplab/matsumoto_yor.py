@@ -7,12 +7,14 @@ A chain of weight m is driven by i.i.d. multipliers A_i ~ IG(1, m):
     z_n    = g11_n / psi_n,
 
 which are the half-line Green quantities written directly in the
-multipliers.  The hidden-Markov structure is exposed through two
-samplers: the one-step transition kernel of z and the conditional law
-of psi given z (an IG(1, 1/z) draw).  Rescaling step 1/m, the pair
-converges to the geometric Brownian motion e_t and Z_t = (int e^2) / e.
-Z_t has two ensemble samplers here: pathwise, from the exponential-
-functional walk, and the Euler-Maruyama scheme of its diffusion.
+multipliers.  The hidden-Markov structure is exposed through the
+one-step transition kernel of z; the conditional law of psi given z,
+IG(1, 1/z), is checked on the chains through its CDF (the intertwining
+experiment).  Rescaling step 1/m, the pair converges to the geometric
+Brownian motion e_t and Z_t = (int e^2) / e.  Z_t has two ensemble
+samplers here: pathwise, from the exponential-functional walk, and the
+Euler-Maruyama scheme of its diffusion.  Both take their per-step
+normals from stochastic.step_normals.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import math
 import numpy as np
 
 from .stochastic import (IGParams, RngStream, exp_functional_walk, ig_root_draws,
-                         sample_inverse_gaussian)
+                         sample_inverse_gaussian, step_normals)
 
 
 def chain_arrays_from_a(a: np.ndarray, m: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -43,33 +45,18 @@ def build_my_chains(m: int, length: int, n_rep: int, s: RngStream):
     return chain_arrays_from_a(a, float(m))
 
 
-def kernel_step(z, m: int, s: RngStream):
-    """One draw of z_{n+1} given z_n = z: (z/m) / IG(1/(m + 1/z), 1).
+def kernel_step(z: np.ndarray, m: int, s: RngStream) -> np.ndarray:
+    """One draw of z_{n+1} given z_n = z per element: (z/m) / IG(1/(m + 1/z), 1).
 
-    Accepts a scalar or an array of current states (one draw each).
     The IG(1/eta, 1) variate comes from the scale relation
     IG(mu, lam) = mu * IG(1, lam/mu), so a single mean-1 draw of shape
     eta = m + 1/z serves every element.
     """
-    zs = np.asarray(z, dtype=float)
-    if np.any(zs <= 0):
+    z = np.asarray(z, dtype=float)
+    if np.any(z <= 0):
         raise ValueError("z must be positive")
-    scalar = zs.ndim == 0
-    zs = np.atleast_1d(zs)
-    eta = m + 1.0 / zs
-    out = (zs / m) * eta / ig_root_draws(1.0, eta, s.gen, eta.size)
-    return float(out[0]) if scalar else out
-
-
-def conditional_psi_given_z(z, s: RngStream):
-    """Sample the conditional law of psi given z: IG(1, 1/z)."""
-    zs = np.asarray(z, dtype=float)
-    if np.any(zs <= 0):
-        raise ValueError("z must be positive")
-    scalar = zs.ndim == 0
-    zs = np.atleast_1d(zs)
-    out = ig_root_draws(1.0, 1.0 / zs, s.gen, zs.size)
-    return float(out[0]) if scalar else out
+    eta = m + 1.0 / z
+    return (z / m) * eta / ig_root_draws(1.0, eta, s.gen, eta.size)
 
 
 def sample_z_pathwise(tmax: float, step: float, n_rep: int, s: RngStream) -> np.ndarray:
@@ -84,7 +71,7 @@ def euler_maruyama_z(tmax: float, step: float, n_rep: int, s: RngStream) -> np.n
     nsteps = int(round(tmax / step))
     z = np.zeros(n_rep)
     sq = math.sqrt(step)
-    for _ in range(nsteps):
-        dw = sq * s.gen.standard_normal(n_rep)
+    for w in step_normals(s.gen, n_rep, nsteps):
+        dw = sq * w
         z = z + z * dw + (1.0 + z) * step
     return z

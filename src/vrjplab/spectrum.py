@@ -21,7 +21,7 @@ Gauge re-projection at each cell boundary goes through atan2, which
 saturates gracefully where tan(theta) overflows.
 
 The cell recurrence is sequential, so it runs by one of two routes,
-chosen by the caller's shape.  A single path (renewal statistics, single
+chosen by the caller's shape.  A single path (renewal gaps, single
 counts) goes through a scalar loop over fixed-size chunks of the path
 that records only the cells where a crossing happens.  A batch of equal
 paths (the density-of-states sweep) advances every (replica x E) lane at
@@ -298,27 +298,12 @@ def fd_spectrum_twisted(gbm: SampledPath, k: int = 8) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Renewal statistics and the density-of-states sweep
+# Renewal gaps and the density-of-states sweep
 # ---------------------------------------------------------------------------
 
-@dataclass
-class RenewalSummary:
-    e_level: float
-    n_interarrivals: int
-    mean: float
-    se_mean: float
-    variance: float
-    lag1_corr: float
-    corr_half_width: float
-
-    @property
-    def target_mean(self) -> float:
-        return _PI / math.sqrt(self.e_level)
-
-
 def renewal_statistics(e_level: float, horizon: float, s: RngStream,
-                       step: float = 1e-3, min_count: int = 100) -> RenewalSummary:
-    """Interarrival statistics of the pi-crossing times on [0, horizon]."""
+                       step: float = 1e-3, min_count: int = 100) -> np.ndarray:
+    """Interarrival gaps of the pi-crossing times on [0, horizon], from time 0."""
     if e_level <= 0:
         raise ValueError("E must be positive")
     b = sample_brownian_path(0.0, horizon, step, s)
@@ -327,47 +312,23 @@ def renewal_statistics(e_level: float, horizon: float, s: RngStream,
     gaps = np.diff(times)
     if gaps.size < min_count:
         raise RuntimeError(f"insufficient data: {gaps.size} interarrivals < {min_count}")
-    mean = float(np.mean(gaps))
-    var = float(np.var(gaps, ddof=1))
-    se = math.sqrt(var / gaps.size)
-    a, bb = gaps[:-1] - mean, gaps[1:] - mean
-    lag1 = float(np.sum(a * bb) / math.sqrt(np.sum(a * a) * np.sum(bb * bb)))
-    return RenewalSummary(e_level, gaps.size, mean, se, var, lag1,
-                          2.5758 / math.sqrt(gaps.size - 1))
-
-
-@dataclass
-class DosRow:
-    e_level: float
-    lam: float
-    replicas: int
-    mean_density: float
-    half_width: float
-    target: float
+    return gaps
 
 
 def dos_sweep(e_list, lam: float, replicas: int, s: RngStream,
-              step: float = 1e-3) -> list[DosRow]:
-    """Per-E mean and CI of N_lam(E)/(2 lam) from the phase route.
+              step: float = 1e-3) -> np.ndarray:
+    """Eigenvalue counts N_lam(E) by the phase route, shape (len(e_list), replicas).
 
     One path per replica, shared across the E values (the counts are
     then monotone-coupled, which tightens ratio comparisons).
     """
-    e_list = list(e_list)
     logm = None                  # (replicas x nodes), allocated once the grid is known
     for r, _, path_stream in stream_blocks(s, replicas, 1):
         path_logm = _log_m(sample_brownian_path(-lam, lam, step, path_stream))
         if logm is None:
             logm = np.empty((replicas, path_logm.size))
         logm[r] = path_logm
-    counts = _lane_counts(logm, step, e_list)
-    rows = []
-    for ei, e_level in enumerate(e_list):
-        dens = counts[ei] / (2.0 * lam)
-        mean = float(np.mean(dens))
-        hw = float(2.5758 * np.std(dens, ddof=1) / math.sqrt(replicas))
-        rows.append(DosRow(e_level, lam, replicas, mean, hw, math.sqrt(e_level) / _PI))
-    return rows
+    return _lane_counts(logm, step, list(e_list))
 
 
 # ---------------------------------------------------------------------------

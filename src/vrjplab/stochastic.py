@@ -1,8 +1,9 @@
 """Deterministic, seedable randomness and the elementary samplers.
 
 The samplers are the Inverse Gaussian draw, the two-sided Brownian path and
-its geometric map, and the exponential-functional walk that every stepwise
-ensemble runs.
+its geometric map, and the exponential-functional walk.  Every stepwise
+ensemble reads its per-step normals from one draw-ahead source,
+``step_normals``.
 
 Every stochastic routine in this package consumes an explicit
 :class:`RngStream`.  A stream is identified by a ``(seed, stream_id)``
@@ -18,7 +19,7 @@ as closed-form CDFs.
 
 The ensemble samplers use up to one thread per usable CPU, through one
 private pool (``_pool``).  A pool task either owns one stream block and
-its slice of the output, or draws the next chunk of a walk's normals, so
+its slice of the output, or draws the next chunk of ``step_normals``, so
 seeded output does not depend on the thread count.  Pool tasks call
 numpy and untraced helpers only, and never submit to the pool themselves.
 """
@@ -112,11 +113,9 @@ class SampledPath:
         return i
 
 
-def sample_inverse_gaussian(p: IGParams, s: RngStream, size: int | None = None):
-    """Draw from IG(mu, lam) via one Gamma(1/2,1) draw plus a uniform acceptance."""
-    n = 1 if size is None else size
-    out = ig_root_draws(p.mu, p.lam, s.gen, n)
-    return float(out[0]) if size is None else out
+def sample_inverse_gaussian(p: IGParams, s: RngStream, size: int) -> np.ndarray:
+    """``size`` draws from IG(mu, lam), each one Gamma(1/2,1) draw plus a uniform acceptance."""
+    return ig_root_draws(p.mu, p.lam, s.gen, size)
 
 
 def ig_root_draws(mu, lam, gen: np.random.Generator, n: int) -> np.ndarray:
@@ -209,24 +208,22 @@ def map_stream_blocks(fn, s: RngStream, n_rep: int, block: int) -> None:
         task.result()
 
 
-# A draw chunk of the walk holds about this many normals (1 MB); two are
-# alive at once.  Larger chunks cost resident memory, smaller ones more
-# hand-offs between the threads.
+# A draw chunk holds about this many normals (1 MB); two are alive at once.
+# Larger chunks cost resident memory, smaller ones more hand-offs between
+# the threads.
 _DRAW_CHUNK_ELEMS = 1 << 17
 
 
-def exp_functional_walk(gen: np.random.Generator, n: int, h: float, nsteps: int,
-                        snaps: tuple[int, ...] = ()):
-    """Walk a_k = a_{k-1} + sqrt(h) N(0, 1) from a_0 = 0 for n replicas, nsteps steps.
+def step_normals(gen: np.random.Generator, n: int, nsteps: int):
+    """Yield the nsteps (n,) blocks of standard normals of a stepwise loop, in order.
 
-    The step-k increments are the k-th (n,) block of normals from ``gen``.
-    They are drawn (steps x n) chunks at a time on the pool, one chunk ahead
-    of the steps; numpy fills a chunk in row order, so the draws are those
-    of one (n,) draw per step.  Returns a_nsteps, the trapezoid sum I of
-    e^{2 a_k - k h} over k = 0..nsteps, and a list of copies of (a_k, I_k)
-    for each step k in ``snaps`` (1 <= k <= nsteps).
+    The step-k block is the k-th (n,) block of normals from ``gen``.  They
+    are drawn (steps x n) chunks at a time on the pool, one chunk ahead of
+    the steps; numpy fills a chunk in row order, so the draws are those of
+    one (n,) draw per step.  A yielded block may be overwritten once the
+    next one is taken, so a loop uses each block before it takes the next.
+    Read the generator to its end: only then has the last chunk been drawn.
     """
-    sqrt_h = math.sqrt(h)
     rows = max(1, min(nsteps, _DRAW_CHUNK_ELEMS // max(n, 1)))
     bufs = (np.empty((rows, n)), np.empty((rows, n)))
 
@@ -235,24 +232,36 @@ def exp_functional_walk(gen: np.random.Generator, n: int, h: float, nsteps: int,
         gen.standard_normal(out=z)
         return z
 
-    alpha = np.zeros(n)
-    integ = np.zeros(n)
-    prev = np.ones(n)  # e^{2 a_0 - 0}
-    seen = {}
     chunks = -(-nsteps // rows)
     pending = _pool().submit(draw, 0)
     for j in range(chunks):
         normals = pending.result()
         if j + 1 < chunks:
             pending = _pool().submit(draw, j + 1)
-        for i, z in enumerate(normals):
-            k = j * rows + i + 1
-            alpha += z * sqrt_h
-            cur = np.exp(2.0 * alpha - k * h)
-            integ += 0.5 * h * (prev + cur)
-            prev = cur
-            if k in snaps:
-                seen[k] = (alpha.copy(), integ.copy())
+        yield from normals
+
+
+def exp_functional_walk(gen: np.random.Generator, n: int, h: float, nsteps: int,
+                        snaps: tuple[int, ...] = ()):
+    """Walk a_k = a_{k-1} + sqrt(h) N(0, 1) from a_0 = 0 for n replicas, nsteps steps.
+
+    The step-k increments are the k-th block of ``step_normals``.  Returns
+    a_nsteps, the trapezoid sum I of e^{2 a_k - k h} over k = 0..nsteps,
+    and a list of copies of (a_k, I_k) for each step k in ``snaps``
+    (1 <= k <= nsteps).
+    """
+    sqrt_h = math.sqrt(h)
+    alpha = np.zeros(n)
+    integ = np.zeros(n)
+    prev = np.ones(n)  # e^{2 a_0 - 0}
+    seen = {}
+    for k, z in enumerate(step_normals(gen, n, nsteps), 1):
+        alpha += z * sqrt_h
+        cur = np.exp(2.0 * alpha - k * h)
+        integ += 0.5 * h * (prev + cur)
+        prev = cur
+        if k in snaps:
+            seen[k] = (alpha.copy(), integ.copy())
     return alpha, integ, [seen[k] for k in snaps]
 
 

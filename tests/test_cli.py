@@ -105,10 +105,12 @@ def test_main_list_and_exit_codes(tmp_path, capsys):
 @pytest.mark.parametrize("name, param, message", [
     ("renewal_mean", "horizon_crossings=10", "insufficient data"),
     ("intertwining", "length=0", "length >= 1"),
+    ("dos_sweep", "lam=1.0 replicas=1", "at least 2 samples"),
 ])
 def test_main_params_too_small_exit_2(tmp_path, capsys, name, param, message):
     # parameters too small to form a statistic are a usage error, not a failed verdict
-    rc = main(["run", "--name", name, "--param", param, "--out", str(tmp_path)])
+    overrides = [arg for kv in param.split() for arg in ("--param", kv)]
+    rc = main(["run", "--name", name, *overrides, "--out", str(tmp_path)])
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err

@@ -180,10 +180,19 @@ def test_dufresne_ratio_small_lambda():
 
 
 def test_mbg_transform():
-    rep = mbg_transform_check(new_stream(17, 0), n_rep=4000, step=2e-3, tail=30.0)
-    assert rep.passed
-    assert abs(rep.mean_log[1] + 0.5) < 3 * rep.se_mean[1]
-    assert abs(rep.var_log[2] - 2.0) < 0.2
+    # ln V_t ~ N(-t/2, t) with independent increments
+    log_v = mbg_transform_check(new_stream(17, 0), n_rep=4000, step=2e-3, tail=30.0)
+    assert log_v.shape == (3, 4000)
+    mean_log = log_v.mean(axis=1)
+    se = log_v.std(axis=1, ddof=1) / math.sqrt(4000)
+    var_log = log_v.var(axis=1, ddof=1)
+    for i, t in enumerate((0.5, 1.0, 2.0)):
+        assert abs(mean_log[i] + t / 2.0) <= 3.0 * se[i]
+        assert abs(var_log[i] - t) <= 0.10 * t
+    corr = np.corrcoef(log_v[1] - log_v[0], log_v[2] - log_v[1])[0, 1]
+    assert abs(corr) <= 2.5758 / math.sqrt(4000)
+    assert abs(mean_log[1] + 0.5) < 3 * se[1]
+    assert abs(var_log[2] - 2.0) < 0.2
 
 
 def test_mbg_snapshots_must_fall_on_distinct_positive_steps():

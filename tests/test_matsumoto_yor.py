@@ -7,10 +7,9 @@ import pytest
 
 from vrjplab.beta_field import dense_h, GraphShape, WeightedGraph1D
 from vrjplab.matsumoto_yor import (build_my_chains, chain_arrays_from_a,
-                                   conditional_psi_given_z, euler_maruyama_z,
-                                   kernel_step, sample_z_pathwise)
-from vrjplab.stats import ks_two_sample, moment_ci
-from vrjplab.stochastic import (IGParams, exp_functional_walk, new_stream,
+                                   euler_maruyama_z, kernel_step, sample_z_pathwise)
+from vrjplab.stats import ks_two_sample, mean_ci
+from vrjplab.stochastic import (IGParams, exp_functional_walk, ig_root_draws, new_stream,
                                 sample_inverse_gaussian)
 
 
@@ -49,7 +48,7 @@ def test_chain_first_z_and_guards():
 def test_psi_is_mean_one_martingale():
     psi, _, _ = build_my_chains(5, 20, 10_000, new_stream(2, 0))
     for n in (1, 5, 20):
-        est, half = moment_ci(psi[:, n - 1], 1, 0.01)
+        est, half = mean_ci(psi[:, n - 1], 0.01)
         assert abs(est - 1.0) < half, n
 
 
@@ -60,7 +59,7 @@ def test_martingale_bracket_constant():
     psi, g11, _ = build_my_chains(32, 32, 200_000, new_stream(3, 1))
     for n in (4, 16, 32):
         d = psi[:, n - 1] ** 2 - g11[:, n - 1]
-        est, half = moment_ci(d, 1, 0.01)
+        est, half = mean_ci(d, 0.01)
         assert abs(est - 1.0) < max(half, 1e-3), n
 
 
@@ -69,7 +68,7 @@ def test_kernel_step_conditional_mean():
     m, z0 = 5, 2.0
     s = new_stream(4, 0)
     draws = kernel_step(np.full(200_000, z0), m, s)
-    est, half = moment_ci(draws, 1, 0.01)
+    est, half = mean_ci(draws, 0.01)
     assert abs(est - (z0 + (1 + z0) / m)) < half
 
 
@@ -81,11 +80,11 @@ def test_kernel_step_no_blowup_at_large_z():
     assert abs(draws.mean() - expect) / expect < 0.02
 
 
-def test_kernel_step_scalar_and_guards():
-    v = kernel_step(1.5, 4, new_stream(5, 0))
-    assert isinstance(v, float) and v > 0
+def test_kernel_step_one_element_and_guards():
+    v = kernel_step(np.array([1.5]), 4, new_stream(5, 0))
+    assert v.shape == (1,) and v[0] > 0
     with pytest.raises(ValueError):
-        kernel_step(-1.0, 4, new_stream(5, 1))
+        kernel_step(np.array([1.5, -1.0]), 4, new_stream(5, 1))
 
 
 def test_kernel_vs_construction_distribution():
@@ -102,11 +101,10 @@ def test_kernel_vs_construction_distribution():
 
 
 def test_conditional_psi_small_z_concentrates():
-    s = new_stream(8, 0)
-    x = conditional_psi_given_z(np.full(5000, 1e-6), s)
+    # psi | z ~ IG(1, 1/z): variance z, so tight around 1 for small z
+    z = np.full(5000, 1e-6)
+    x = ig_root_draws(1.0, 1.0 / z, new_stream(8, 0).gen, z.size)
     assert np.max(np.abs(x - 1.0)) < 0.02
-    with pytest.raises(ValueError):
-        conditional_psi_given_z(0.0, new_stream(8, 1))
 
 
 def test_conditional_variance_matches_z():
@@ -142,14 +140,14 @@ def test_continuum_walk_invariants():
     alpha, integ, at = exp_functional_walk(new_stream(13, 0).gen, 4000, 1e-2, 100,
                                            (50,))
     assert np.all(integ > at[0][1]) and np.all(at[0][1] > 0)
-    est, half = moment_ci(np.exp(alpha - 0.5), 1, 0.01)
+    est, half = mean_ci(np.exp(alpha - 0.5), 0.01)
     assert abs(est - 1.0) < half
 
 
 def test_continuum_mean_t_one():
     # E[T_1] = e - 1 by Fubini on the second moment of the geometric path
     _, t1, _ = exp_functional_walk(new_stream(14, 0).gen, 4000, 1e-2, 100)
-    est, half = moment_ci(t1, 1, 0.01)
+    est, half = mean_ci(t1, 0.01)
     assert abs(est - (math.e - 1.0)) < max(half, 5e-3)
 
 
@@ -158,7 +156,7 @@ def test_z_drift_only_ode():
     # E[Z_{k+1}] = (1 + h) E[Z_k] + h, so E[Z_n] = (1 + h)^n - 1
     h, n = 1e-3, 50_000
     z = euler_maruyama_z(1.0, h, n, new_stream(15, 0))
-    est, half = moment_ci(z, 1, 0.01)
+    est, half = mean_ci(z, 0.01)
     assert abs(est - ((1.0 + h) ** round(1.0 / h) - 1.0)) < half
 
 
@@ -166,7 +164,7 @@ def test_z_mean_slope_at_zero():
     # d/dt E[Z_t] = 1 + E[Z_t]; at t = 0.01 the mean is e^t - 1
     t = 0.01
     z = sample_z_pathwise(t, 1e-3, 50_000, new_stream(16, 0))
-    est, half = moment_ci(z, 1, 0.01)
+    est, half = mean_ci(z, 0.01)
     assert abs(est - (math.exp(t) - 1.0)) < max(half, 1e-5)
 
 

@@ -1,10 +1,11 @@
 """The worker pool: seeded output for any worker count, one span per traced call.
 
 The matrix samplers run their stream blocks on stochastic's private pool,
-and exp_functional_walk draws its normals on it one chunk ahead of the
-steps.  Swapping the pool for one of 1, 2 or 3 threads must not move a
-single bit.  Pool tasks call only untraced helpers, so a traced sampler
-records one span per call however many threads work for it.
+and step_normals (read by exp_functional_walk and euler_maruyama_z) draws
+its normals on it one chunk ahead of the steps.  Swapping the pool for one
+of 1, 2 or 3 threads must not move a single bit.  Pool tasks call only
+untraced helpers, so a traced sampler records one span per call however
+many threads work for it.
 """
 
 import contextlib
@@ -103,6 +104,28 @@ def test_walk_identical_for_any_worker_count(n, nsteps):
     _assert_all_equal(results)
 
 
+def _euler_serial(tmax, step, n_rep, s):
+    """euler_maruyama_z as it was: one (n_rep,) draw per step, no draw-ahead."""
+    nsteps = int(round(tmax / step))
+    z = np.zeros(n_rep)
+    sq = math.sqrt(step)
+    for _ in range(nsteps):
+        dw = sq * s.gen.standard_normal(n_rep)
+        z = z + z * dw + (1.0 + z) * step
+    return z
+
+
+# the same chunk shapes as the walk test: 600 steps of 1000 replicas, and
+# three one-step chunks of more replicas than a chunk holds
+@pytest.mark.parametrize("n, tmax", [(1000, 0.6), (st._DRAW_CHUNK_ELEMS + 7, 0.003)])
+def test_euler_maruyama_identical_for_any_worker_count(n, tmax):
+    step = 1e-3
+    results = _for_each_worker_count(
+        lambda: [my.euler_maruyama_z(tmax, step, n, new_stream(8, 4))])
+    results.append([_euler_serial(tmax, step, n, new_stream(8, 4))])
+    _assert_all_equal(results)
+
+
 def test_walk_leaves_the_generator_after_its_last_draw():
     gen, ref = new_stream(2, 0).gen, new_stream(2, 0).gen
     exp_functional_walk(gen, 1000, 1e-3, 600)
@@ -147,6 +170,7 @@ THREADED_SAMPLERS = [
     (ck, "mbg_transform_check",
      lambda f: f(new_stream(1, 0), (0.5, 1.0, 2.0), 1000, 1e-2, 1.0)),
     (my, "sample_z_pathwise", lambda f: f(1.0, 1e-3, 1000, new_stream(1, 0))),
+    (my, "euler_maruyama_z", lambda f: f(1.0, 1e-3, 1000, new_stream(1, 0))),
 ]
 
 

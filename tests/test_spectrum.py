@@ -8,6 +8,7 @@ import scipy.integrate
 
 from vrjplab.beta_field import construct_beta_circle
 from vrjplab.experiments import deterministic_flat_gbm
+from vrjplab.stats import mean_ci, z_two_sided
 from vrjplab.spectrum import (count_states_matrix, count_states_phase,
                               discrete_spectrum_matrix, dos_sweep,
                               fd_spectrum_twisted, mean_t1_quadrature,
@@ -206,22 +207,31 @@ def test_matrix_vs_phase_mean_counts():
     assert abs(mc.mean() - pc.mean()) <= 2.0 + 2 * ci
 
 
+def _mean_se(gaps):
+    return float(np.mean(gaps)), math.sqrt(float(np.var(gaps, ddof=1)) / gaps.size)
+
+
 def test_renewal_statistics():
-    r = renewal_statistics(4.0, 500.0, new_stream(11, 0), step=1e-3)
-    assert r.n_interarrivals >= 100
-    assert abs(r.mean - math.pi / 2.0) < 3 * r.se_mean + 0.02
-    assert abs(r.lag1_corr) < 2 * r.corr_half_width
+    gaps = renewal_statistics(4.0, 500.0, new_stream(11, 0), step=1e-3)
+    n = gaps.size
+    assert n >= 100 and np.all(gaps > 0)
+    mean, se = _mean_se(gaps)
+    assert abs(mean - math.pi / 2.0) < 3 * se + 0.02
+    a, b = gaps[:-1] - mean, gaps[1:] - mean
+    lag1 = float(np.sum(a * b) / math.sqrt(np.sum(a * a) * np.sum(b * b)))
+    assert abs(lag1) < 2 * z_two_sided(0.01) / math.sqrt(n - 1)
 
 
 def test_renewal_rate_matches_dos_density():
     # (mean interarrival)^-1 is the crossings-per-unit-length rate that the
     # density sweep estimates; the two must agree within joint CI
     e_level = 4.0
-    r = renewal_statistics(e_level, 1000.0, new_stream(30, 0), step=1e-3)
-    rate = 1.0 / r.mean
-    rate_hw = r.se_mean / r.mean ** 2 * 2.58
-    rows = dos_sweep([e_level], lam=50.0, replicas=16, s=new_stream(30, 1))
-    assert abs(rate - rows[0].mean_density) < 3 * (rate_hw + rows[0].half_width) + 2 / 100.0
+    mean, se = _mean_se(renewal_statistics(e_level, 1000.0, new_stream(30, 0), step=1e-3))
+    rate = 1.0 / mean
+    rate_hw = se / mean ** 2 * 2.58
+    counts = dos_sweep([e_level], lam=50.0, replicas=16, s=new_stream(30, 1))
+    density, half_width = mean_ci(counts[0] / 100.0, 0.01)
+    assert abs(rate - density) < 3 * (rate_hw + half_width) + 2 / 100.0
 
 
 def test_renewal_insufficient_data():
@@ -258,7 +268,10 @@ def test_f_star_negative_branch():
 
 
 def test_dos_sweep_small():
-    rows = dos_sweep([1.0, 4.0], lam=40.0, replicas=12, s=new_stream(12, 0))
-    for r in rows:
-        assert abs(r.mean_density - r.target) / r.target < 0.15
-    assert rows[1].mean_density / rows[0].mean_density == pytest.approx(2.0, abs=0.3)
+    counts = dos_sweep([1.0, 4.0], lam=40.0, replicas=12, s=new_stream(12, 0))
+    assert counts.shape == (2, 12)
+    density = np.mean(counts / 80.0, axis=1)
+    for d, e_level in zip(density, (1.0, 4.0)):
+        target = math.sqrt(e_level) / math.pi
+        assert abs(d - target) / target < 0.15
+    assert density[1] / density[0] == pytest.approx(2.0, abs=0.3)

@@ -1,9 +1,14 @@
-"""The KS layer and moment intervals."""
+"""The pass rule, the KS layer and the mean interval."""
+
+import ast
+import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from vrjplab.stats import ks_one_sample, ks_two_sample, moment_ci
+from vrjplab import stats
+from vrjplab.stats import ks_one_sample, ks_two_sample, mean_ci
 from vrjplab.stochastic import new_stream
 
 
@@ -58,16 +63,52 @@ def test_ks_two_sample_identical_sequences():
     assert rep.statistic == 0.0
 
 
-def test_moment_ci():
+def test_mean_ci():
     x = new_stream(5, 0).gen.normal(2.0, 1.0, size=50_000)
-    est, half = moment_ci(x, 1, 0.01)
+    est, half = mean_ci(x, 0.01)
     assert abs(est - 2.0) < half
-    est2, _ = moment_ci(np.full(100, 3.0), 1, 0.05)
-    assert est2 == 3.0
-    _, hw = moment_ci(np.full(100, 3.0), 1, 0.05)
-    assert hw == 0.0
+    assert half == 2.5758 * np.std(x, ddof=1) / np.sqrt(x.size)
+    est2, hw = mean_ci(np.full(100, 3.0), 0.05)
+    assert est2 == 3.0 and hw == 0.0
+    _, hw05 = mean_ci(x, 0.05)
+    assert hw05 / half == pytest.approx(1.959963984540054 / 2.5758, rel=1e-12)
     with pytest.raises(ValueError):
-        moment_ci(x, 3, 0.01)
+        mean_ci(x, 0.10)
+    with pytest.raises(ValueError):
+        mean_ci(x[:1], 0.01)
+
+
+def test_report_passes_at_equality():
+    assert stats.TestReport(0.04, 200, 0.01, 0.04).passed
+    assert stats.TestReport(0.5, 1, 0.0, 0.5).verdict == "pass"
+    assert not stats.TestReport(math.nextafter(0.5, 1.0), 1, 0.0, 0.5).passed
+
+
+def test_report_nan_statistic_fails():
+    rep = stats.TestReport(float("nan"), 10, 0.0, 1.0, "nan")
+    assert not rep.passed and rep.verdict == "fail"
+    assert not stats.TestReport(np.float64("nan"), 10, 0.0, np.inf).passed
+
+
+def test_report_takes_no_passed_argument():
+    with pytest.raises(TypeError):
+        stats.TestReport(0.0, 10, 0.01, 1.0, passed=True)
+    with pytest.raises(TypeError):
+        stats.TestReport(0.0, 10, 0.01, 1.0, True, "label")
+
+
+def test_only_stats_and_experiments_name_test_report():
+    # layers return samples; only the registry forms verdicts
+    src = Path(stats.__file__).parent
+    naming = set()
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if ((isinstance(node, ast.Name) and node.id == "TestReport")
+                    or (isinstance(node, ast.Attribute) and node.attr == "TestReport")
+                    or (isinstance(node, ast.alias) and node.name == "TestReport")):
+                naming.add(path.name)
+    assert naming == {"stats.py", "experiments.py"}
 
 
 def test_reports_deterministic():

@@ -3,7 +3,9 @@
 sample_dufresne_ratio, sample_line_diagonal, the mbg_transform_check loop
 and sample_z_pathwise below are the original implementations, kept
 verbatim as the oracle (the mbg oracle returns its four statistics rather
-than a report).  The library now runs all four on one walk,
+than a report; the library forms them in the mbg_corollary experiment,
+from the ln V samples of mbg_transform_check).  The library now runs all
+four on one walk,
 stochastic.exp_functional_walk, with replica streams from
 stochastic.stream_blocks.  The first three do the same steps in the same
 order, so they must match bit for bit.  The pathwise Z oracle carries e as
@@ -19,6 +21,7 @@ from hypothesis import strategies as st
 
 import vrjplab.continuum_kernel as ck
 import vrjplab.matsumoto_yor as my
+from vrjplab.experiments import _exp_mbg
 from vrjplab.stochastic import RngStream, grid_cells, new_stream, stream_blocks
 
 
@@ -162,15 +165,16 @@ def test_ratio_and_line_span_several_stream_blocks():
 @given(seed=seeds, step=st.floats(0.02, 0.2), tail=st.floats(0.5, 3.0),
        n_rep=st.integers(10, 3000))
 def test_mbg_statistics_bit_identical_to_oracle(seed, step, tail, n_rep):
-    rep = ck.mbg_transform_check(new_stream(seed, 7), (0.5, 1.0, 2.0), n_rep, step, tail)
+    res = _exp_mbg({"n": n_rep, "step": step, "tail": tail}, new_stream(seed, 7))
     mean_log, se, var_log, corr = mbg_statistics(new_stream(seed, 7), (0.5, 1.0, 2.0),
                                                  n_rep, step, tail)
-    assert np.array_equal(rep.mean_log, mean_log)
-    assert np.array_equal(rep.se_mean, se)
-    assert np.array_equal(rep.var_log, var_log)
-    assert rep.incr_corr == corr
-    assert rep.passed == all(r.passed for r in rep.reports)
-    assert len(rep.reports) == 7
+    assert np.array_equal([r["mean_log"] for r in res.rows], mean_log)
+    assert np.array_equal([r["se"] for r in res.rows], se)
+    assert np.array_equal([r["var_log"] for r in res.rows], var_log)
+    assert len(res.reports) == 7
+    decorrelation = res.reports[-1]
+    assert decorrelation.label == "increment decorrelation"
+    assert decorrelation.statistic == abs(corr)
 
 
 @given(seed=seeds, tmax=st.sampled_from([0.1, 0.5, 1.0, 3.0]), n_steps=st.integers(1, 60),

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.integrate as si
 
-from vrjplab.stats import ks_one_sample, moment_ci
+from vrjplab.stats import ks_one_sample, mean_ci
 from vrjplab.stochastic import (IGParams, PathKind, SampledPath,
                                 gamma_half_cdf, gbm_from_brownian, grid_cells,
                                 inverse_gamma_half_cdf, inverse_gaussian_cdf,
@@ -41,8 +41,8 @@ def test_ig_params_validation():
 def test_ig_moments():
     s = new_stream(7, 0)
     x = sample_inverse_gaussian(IGParams(1.0, 4.0), s, size=100_000)
-    m1, h1 = moment_ci(x, 1, 0.01)
-    m2, h2 = moment_ci(x, 2, 0.01)
+    m1, h1 = mean_ci(x, 0.01)
+    m2, h2 = mean_ci(x ** 2, 0.01)
     assert abs(m1 - 1.0) < h1
     assert abs(m2 - 1.25) < h2
 
@@ -73,7 +73,7 @@ def test_ig_log_moment_asymptotics():
 def test_gamma_half():
     x = new_stream(10, 0).gen.standard_gamma(0.5, size=100_000)
     assert np.all(x > 0)
-    m, h = moment_ci(x, 1, 0.01)
+    m, h = mean_ci(x, 0.01)
     assert abs(m - 0.5) < h
     rep = ks_one_sample(x[:10_000], gamma_half_cdf, 0.01)
     assert rep.passed and rep.statistic < 0.0163
@@ -135,9 +135,9 @@ def test_gbm_martingale_and_log_moment():
     s = new_stream(14, 0)
     ends = np.array([gbm_from_brownian(sample_brownian_path(0.0, 1.0, 0.01, s)).values[-1]
                      for _ in range(10_000)])
-    m, h = moment_ci(ends, 1, 0.01)
+    m, h = mean_ci(ends, 0.01)
     assert abs(m - 1.0) < h
-    lm, lh = moment_ci(np.log(ends), 1, 0.01)
+    lm, lh = mean_ci(np.log(ends), 0.01)
     assert abs(lm + 0.5) < lh
 
 

@@ -23,7 +23,7 @@ from enum import Enum
 
 import numpy as np
 
-from .stochastic import IGParams, RngStream, sample_inverse_gaussian
+from .stochastic import RngStream, sample_inverse_gaussian
 
 _DENSITY_MAX_VERTICES = 12
 _DEGENERATE_TOL = 1e-12
@@ -133,7 +133,7 @@ def circle_field_from_a(a: np.ndarray, weight: float) -> BetaField:
 
 def sample_circle_field(size: int, weight: float, s: RngStream) -> BetaField:
     """Circle field on 2*size+1 vertices with uniform conductance ``weight``."""
-    a = sample_inverse_gaussian(IGParams(1.0, weight), s, size=2 * size + 1)
+    a = sample_inverse_gaussian(weight, s, size=2 * size + 1)
     return circle_field_from_a(a, weight)
 
 
@@ -148,7 +148,7 @@ def construct_beta_halfline(m: float, count: int, s: RngStream) -> BetaField:
     """Half-line field on vertices 1..count with uniform conductance m."""
     if count < 1:
         raise ValueError("count must be >= 1")
-    a = sample_inverse_gaussian(IGParams(1.0, m), s, size=count)
+    a = sample_inverse_gaussian(m, s, size=count)
     graph = WeightedGraph1D(GraphShape.HALFLINE_SEGMENT, count, float(m))
     return BetaField(graph, halfline_betas_from_a(a, m), a)
 

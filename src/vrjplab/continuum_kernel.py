@@ -25,27 +25,18 @@ replicas and reuse the same trapezoid discretization.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .stochastic import (PathKind, RngStream, SampledPath, cumtrapz, exp_functional_walk,
-                         gbm_from_brownian, grid_cells, map_stream_blocks,
-                         sample_brownian_path, stream_blocks)
+                         grid_cells, log_gbm_rows, map_stream_blocks, stream_blocks)
 
 _DEGENERATE_REL_TOL = 1e-12
 
 
 class DegeneratePathError(ValueError):
     """Raised when M_lam = M_-lam (probability-zero event) makes the kernel singular."""
-
-
-def two_sided_gbm(lam: float, step: float, s: RngStream) -> SampledPath:
-    """GBM on [-lam, lam] anchored at M_0 = 1, grid chosen to hit 0 and +-lam."""
-    _, h = grid_cells(lam, step)
-    b = sample_brownian_path(-lam, lam, h, s)
-    return gbm_from_brownian(b)
 
 
 @dataclass
@@ -71,7 +62,10 @@ class KernelPath:
 
     @classmethod
     def sample(cls, lam: float, step: float, s: RngStream) -> "KernelPath":
-        return cls.from_path(two_sided_gbm(lam, step, s))
+        """One GBM path on [-lam, lam] from s, anchored M_0 = 1 on the grid_cells grid."""
+        _, h = grid_cells(lam, step)
+        _, m = next(log_gbm_rows(lam, step, 1, s))
+        return cls.from_path(SampledPath(-lam, h, np.exp(m[0]), PathKind.GBM))
 
     def _read(self, t: float) -> tuple[float, float]:
         """(M, I) at time t: M log-linear and I linear between grid nodes."""
@@ -218,64 +212,34 @@ def line_kernel_eval(k: KernelPath, t: float, t2: float) -> float:
 # The block sizes fix the seeded output, so they are constants, not memory
 # knobs.  The matrix samplers run their stream blocks on the worker pool
 # (stochastic.map_stream_blocks), each block writing its own slice of the
-# output, so the output does not depend on the worker count.  A block is
-# built one row block of about _ROW_BLOCK_ELEMS grid values (256 KB) at a
-# time, so the working set stays in cache and memory does not grow with
-# n_rep; numpy fills rows in order, so the draws do not depend on the row
-# block.  The stepwise samplers walk their blocks in turn: the walk itself
-# draws ahead on the pool, and a pool task never submits to the pool.
+# output, so the output does not depend on the worker count.  A block takes
+# its paths from stochastic.log_gbm_rows one row block at a time and
+# exponentiates each in place, so memory does not grow with n_rep.  The
+# stepwise samplers walk their blocks in turn: the walk itself draws ahead
+# on the pool, and a pool task never submits to the pool.
 _DIAGONAL_STREAM_BLOCK = 2000
 _QUADRATIC_STREAM_BLOCK = 1000
 _RATIO_STREAM_BLOCK = 4000
 _LINE_STREAM_BLOCK = 2000
-_ROW_BLOCK_ELEMS = 1 << 15
-
-
-def _gbm_rows(lam: float, half: int, h: float, first: int, count: int,
-              block_stream: RngStream):
-    """Yield (first replica, rows of two-sided GBM on [-lam, lam]) for one stream block.
-
-    The grid is -lam + h*k, k = 0..2*half, with M = 1 at k = half.  The
-    block's replicas first .. first + count - 1 come a row block at a time;
-    the yielded array is overwritten by the next row block.
-    """
-    n_cells = 2 * half
-    half_times = (-lam + h * np.arange(n_cells + 1)) / 2.0
-    rows = max(1, _ROW_BLOCK_ELEMS // (n_cells + 1))
-    incr_buf = np.empty((rows, n_cells))
-    m_buf = np.empty((rows, n_cells + 1))
-    sqrt_h = math.sqrt(h)
-    gen = block_stream.gen
-    stop = first + count
-    for lo in range(first, stop, rows):
-        r = min(rows, stop - lo)
-        incr, m = incr_buf[:r], m_buf[:r]
-        gen.standard_normal(out=incr)
-        incr *= sqrt_h
-        m[:, 0] = 0.0
-        np.cumsum(incr, axis=1, out=m[:, 1:])
-        m -= m[:, half, None].copy()
-        m -= half_times
-        np.exp(m, out=m)
-        yield lo, m
 
 
 def sample_kernel_diagonal(lam: float, t: float, step: float, n_rep: int,
                            s: RngStream) -> np.ndarray:
     """Replicated G(t, t) values; distributed as 1/(2*gamma) for every t."""
-    half, h = grid_cells(lam, step)
+    _, h = grid_cells(lam, step)
     j = int(round((t + lam) / h))
     out = np.empty(n_rep)
 
     def block(first: int, count: int, block_stream: RngStream) -> None:
-        for lo, m in _gbm_rows(lam, half, h, first, count, block_stream):
+        for lo, m in log_gbm_rows(lam, step, count, block_stream):
+            np.exp(m, out=m)
             ml, mr, mj = m[:, 0].copy(), m[:, -1].copy(), m[:, j].copy()
             np.square(m, out=m)
             np.divide(1.0, m, out=m)
             ic = cumtrapz(m, h)
             total, icj = ic[:, -1], ic[:, j]
             bracket = mr ** 2 * (total - icj) + ml ** 2 * icj
-            out[lo:lo + m.shape[0]] = mj ** 2 * bracket / (mr - ml) ** 2
+            out[first + lo:first + lo + len(m)] = mj ** 2 * bracket / (mr - ml) ** 2
 
     map_stream_blocks(block, s, n_rep, _DIAGONAL_STREAM_BLOCK)
     return out
@@ -289,7 +253,8 @@ def sample_quadratic_form(lam: float, f, step: float, n_rep: int,
     out = np.empty(n_rep)
 
     def block(first: int, count: int, block_stream: RngStream) -> None:
-        for lo, m in _gbm_rows(lam, half, h, first, count, block_stream):
+        for lo, m in log_gbm_rows(lam, step, count, block_stream):
+            np.exp(m, out=m)
             ml, mr = m[:, 0:1].copy(), m[:, -1:].copy()
             p = fv * m
             c = cumtrapz(p, h)
@@ -302,8 +267,8 @@ def sample_quadratic_form(lam: float, f, step: float, n_rep: int,
             np.square(p, out=p)
             np.square(m, out=m)
             p /= m
-            out[lo:lo + m.shape[0]] = (np.trapezoid(p, dx=h, axis=1)
-                                       / (mr[:, 0] - ml[:, 0]) ** 2)
+            out[first + lo:first + lo + len(m)] = (np.trapezoid(p, dx=h, axis=1)
+                                                   / (mr[:, 0] - ml[:, 0]) ** 2)
 
     map_stream_blocks(block, s, n_rep, _QUADRATIC_STREAM_BLOCK)
     return out

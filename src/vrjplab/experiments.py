@@ -21,7 +21,7 @@ import numpy as np
 
 from . import beta_field, continuum_kernel, green_circle, matsumoto_yor, spectrum
 from .stats import TestReport, ks_one_sample, ks_two_sample, mean_ci, z_two_sided
-from .stochastic import (IGParams, PathKind, RngStream, SampledPath, grid_cells,
+from .stochastic import (PathKind, RngStream, SampledPath, grid_cells,
                          inverse_gamma_half_cdf, inverse_gaussian_cdf,
                          sample_inverse_gaussian, scaled_inverse_gamma_half_cdf)
 
@@ -135,8 +135,7 @@ def _exp_discrete_green(p: dict, s: RngStream) -> ExperimentResult:
     size = int(math.ceil(p["lam"] * n_w))
     dim = 2 * size + 1
     # one row of multipliers per replica, diagonal entry via the O(dim) path
-    a = sample_inverse_gaussian(IGParams(1.0, float(n_w)), s,
-                                size=int(p["n"]) * dim).reshape(int(p["n"]), dim)
+    a = sample_inverse_gaussian(float(n_w), s, size=int(p["n"]) * dim).reshape(int(p["n"]), dim)
     g00 = green_circle.green_entries_from_a(a, float(n_w), size, size)
     rep = ks_one_sample(g00, inverse_gamma_half_cdf, p["alpha"],
                         label=f"discrete-green-diagonal n={n_w} lam={p['lam']}")

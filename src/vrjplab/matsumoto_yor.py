@@ -23,8 +23,8 @@ import math
 
 import numpy as np
 
-from .stochastic import (IGParams, RngStream, exp_functional_walk, ig_root_draws,
-                         sample_inverse_gaussian, step_normals)
+from .stochastic import (RngStream, exp_functional_walk, sample_inverse_gaussian,
+                         step_normals)
 
 
 def chain_arrays_from_a(a: np.ndarray, m: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -40,8 +40,7 @@ def build_my_chains(m: int, length: int, n_rep: int, s: RngStream):
     """(psi, g11, z) arrays of shape (n_rep, length), one chain per replica."""
     if m < 1 or length < 1:
         raise ValueError("need m >= 1 and length >= 1")
-    a = sample_inverse_gaussian(IGParams(1.0, float(m)), s,
-                                size=n_rep * length).reshape(n_rep, length)
+    a = sample_inverse_gaussian(float(m), s, size=n_rep * length).reshape(n_rep, length)
     return chain_arrays_from_a(a, float(m))
 
 
@@ -56,7 +55,7 @@ def kernel_step(z: np.ndarray, m: int, s: RngStream) -> np.ndarray:
     if np.any(z <= 0):
         raise ValueError("z must be positive")
     eta = m + 1.0 / z
-    return (z / m) * eta / ig_root_draws(1.0, eta, s.gen, eta.size)
+    return (z / m) * eta / sample_inverse_gaussian(eta, s, eta.size)
 
 
 def sample_z_pathwise(tmax: float, step: float, n_rep: int, s: RngStream) -> np.ndarray:

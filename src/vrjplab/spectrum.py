@@ -46,7 +46,8 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from .beta_field import BetaField, dense_h
-from .stochastic import PathKind, RngStream, SampledPath, sample_brownian_path, stream_blocks
+from .stochastic import (PathKind, RngStream, SampledPath, grid_cells, log_gbm_rows,
+                         map_stream_blocks, sample_brownian_path)
 
 _PI = math.pi
 
@@ -320,22 +321,28 @@ def dos_sweep(e_list, lam: float, replicas: int, s: RngStream,
     """Eigenvalue counts N_lam(E) by the phase route, shape (len(e_list), replicas).
 
     One path per replica, shared across the E values (the counts are
-    then monotone-coupled, which tightens ratio comparisons).
+    then monotone-coupled, which tightens ratio comparisons).  Replica r's
+    path, from s.substream(r + 1), is built on the worker pool.
     """
-    logm = None                  # (replicas x nodes), allocated once the grid is known
-    for r, _, path_stream in stream_blocks(s, replicas, 1):
-        path_logm = _log_m(sample_brownian_path(-lam, lam, step, path_stream))
-        if logm is None:
-            logm = np.empty((replicas, path_logm.size))
-        logm[r] = path_logm
-    return _lane_counts(logm, step, list(e_list))
+    half, h = grid_cells(lam, step)
+    logm = np.empty((replicas, 2 * half + 1))
+
+    def fill(r: int, _count: int, path_stream: RngStream) -> None:
+        _, row = next(log_gbm_rows(lam, step, 1, path_stream))
+        logm[r] = row[0]
+
+    map_stream_blocks(fill, s, replicas, 1)
+    return _lane_counts(logm, h, list(e_list))
 
 
 # ---------------------------------------------------------------------------
 # The interarrival mean by quadrature
 # ---------------------------------------------------------------------------
 
-def mean_t1_quadrature(e_level: float, epsrel: float = 1e-8) -> float:
+_QUAD_EPSREL = 1e-8   # relative tolerance of the adaptive quadrature
+
+
+def mean_t1_quadrature(e_level: float) -> float:
     """Mean first pi-crossing time by adaptive 2-D quadrature.
 
     Evaluates (1/2) iint exp(-t/(2u(t+u)) - E t/2) / (sqrt(u) sqrt(t+u))
@@ -359,7 +366,7 @@ def mean_t1_quadrature(e_level: float, epsrel: float = 1e-8) -> float:
         return 0.5 * core * jac
 
     val, err = scipy.integrate.dblquad(integrand, 0.0, 1.0, 0.0, 1.0,
-                                       epsabs=1e-12, epsrel=epsrel)
+                                       epsabs=1e-12, epsrel=_QUAD_EPSREL)
     rel = err / max(abs(val), 1e-300)
     if rel > 1e-4:
         raise RuntimeError(f"quadrature did not converge: rel err {rel:.2e}")

@@ -1,9 +1,9 @@
 """Deterministic, seedable randomness and the elementary samplers.
 
-The samplers are the Inverse Gaussian draw, the two-sided Brownian path and
-its geometric map, and the exponential-functional walk.  Every stepwise
-ensemble reads its per-step normals from one draw-ahead source,
-``step_normals``.
+Each draw primitive lives here once: the mean-1 Inverse Gaussian draw, the
+builder of two-sided log-geometric paths (``log_gbm_rows``), the one-sided
+Brownian path and the exponential-functional walk.  Every stepwise ensemble
+reads its per-step normals from one draw-ahead source, ``step_normals``.
 
 Every stochastic routine in this package consumes an explicit
 :class:`RngStream`.  A stream is identified by a ``(seed, stream_id)``
@@ -67,18 +67,6 @@ def new_stream(seed: int, stream_id: int = 0) -> RngStream:
     return RngStream(seed, stream_id)
 
 
-@dataclass(frozen=True)
-class IGParams:
-    """Parameters (mean mu, shape lam) of an Inverse Gaussian law."""
-
-    mu: float
-    lam: float
-
-    def __post_init__(self) -> None:
-        if not (self.mu > 0 and self.lam > 0):
-            raise ValueError(f"IGParams requires mu>0 and lam>0, got {self}")
-
-
 @dataclass
 class SampledPath:
     """A path on the regular grid t0 + k*step, k = 0..len(values)-1."""
@@ -113,27 +101,24 @@ class SampledPath:
         return i
 
 
-def sample_inverse_gaussian(p: IGParams, s: RngStream, size: int) -> np.ndarray:
-    """``size`` draws from IG(mu, lam), each one Gamma(1/2,1) draw plus a uniform acceptance."""
-    return ig_root_draws(p.mu, p.lam, s.gen, size)
+def sample_inverse_gaussian(lam, s: RngStream, size: int) -> np.ndarray:
+    """``size`` draws from IG(1, lam); ``lam`` > 0 is a scalar or an array of ``size`` shapes.
 
+    Every mean reduces to mean 1 by the scale relation
+    IG(mu, lam) = mu * IG(1, lam/mu).  The root construction: with
+    y = 2*gamma (gamma ~ Gamma(1/2,1)),
 
-def ig_root_draws(mu, lam, gen: np.random.Generator, n: int) -> np.ndarray:
-    """n draws from IG(mu, lam); ``lam`` may be an array of n shapes.
-
-    The root construction: with y = 2*gamma (gamma ~ Gamma(1/2,1)),
-
-        x = mu + mu^2 y/(2 lam) - (mu/(2 lam)) sqrt(4 mu lam y + mu^2 y^2)
+        x = 1 + y/(2 lam) - (1/(2 lam)) sqrt(4 lam y + y^2)
 
     is the smaller root of the IG quadratic; accept x with probability
-    mu/(mu + x), else return mu^2/x.  Exact, no rejection loop.
+    1/(1 + x), else return 1/x.  Exact, no rejection loop.
     """
-    g = gen.standard_gamma(0.5, size=n)
-    y = 2.0 * g
-    x = mu + mu * mu * y / (2.0 * lam) \
-        - (mu / (2.0 * lam)) * np.sqrt(4.0 * mu * lam * y + mu * mu * y * y)
-    u = gen.uniform(size=n)
-    return np.where(u <= mu / (mu + x), x, mu * mu / x)
+    if not np.all(np.asarray(lam) > 0):
+        raise ValueError("IG shape lam must be positive")
+    y = 2.0 * s.gen.standard_gamma(0.5, size=size)
+    x = 1.0 + y / (2.0 * lam) - (1.0 / (2.0 * lam)) * np.sqrt(4.0 * lam * y + y * y)
+    u = s.gen.uniform(size=size)
+    return np.where(u <= 1.0 / (1.0 + x), x, 1.0 / x)
 
 
 def grid_cells(span: float, step: float) -> tuple[int, float]:
@@ -266,7 +251,7 @@ def exp_functional_walk(gen: np.random.Generator, n: int, h: float, nsteps: int,
 
 
 def sample_brownian_path(t0: float, t1: float, step: float, s: RngStream) -> SampledPath:
-    """Two-sided Brownian path on the grid covering [t0, t1].
+    """Brownian path on the grid covering [t0, t1] (the renewal route's one-sided path).
 
     Increments over each grid cell are independent N(0, step).  When the
     span contains 0, the path is pinned to 0 at the grid point nearest 0,
@@ -289,12 +274,37 @@ def sample_brownian_path(t0: float, t1: float, step: float, s: RngStream) -> Sam
     return SampledPath(t0, step, vals, PathKind.BROWNIAN)
 
 
-def gbm_from_brownian(b: SampledPath) -> SampledPath:
-    """Map a Brownian path B to the geometric path exp(B_t - t/2)."""
-    if b.kind is not PathKind.BROWNIAN:
-        raise ValueError("gbm_from_brownian needs a brownian path")
-    vals = np.exp(b.values - b.times / 2.0)
-    return SampledPath(b.t0, b.step, vals, PathKind.GBM)
+# A row block holds about this many grid values (256 KB): a row-blocked
+# caller's working set stays in cache and does not grow with the path count.
+_ROW_BLOCK_ELEMS = 1 << 15
+
+
+def log_gbm_rows(lam: float, step: float, count: int, s: RngStream):
+    """Yield (first row, rows of log M_t = B_t - t/2 on [-lam, lam]) for count paths.
+
+    The one builder of two-sided paths.  grid_cells cuts each side, so the
+    grid -lam + h*k, k = 0..2*half, hits -lam, 0 and lam, with B = 0 at
+    k = half.  The paths come a row block at a time, drawn from ``s`` in
+    row order, so the draws do not depend on the row block; the yielded
+    array is overwritten by the next row block.
+    """
+    half, h = grid_cells(lam, step)
+    n_cells = 2 * half
+    half_times = (-lam + h * np.arange(n_cells + 1)) / 2.0
+    rows = max(1, min(count, _ROW_BLOCK_ELEMS // (n_cells + 1)))
+    incr_buf = np.empty((rows, n_cells))
+    m_buf = np.empty((rows, n_cells + 1))
+    sqrt_h = math.sqrt(h)
+    for lo in range(0, count, rows):
+        r = min(rows, count - lo)
+        incr, m = incr_buf[:r], m_buf[:r]
+        s.gen.standard_normal(out=incr)
+        incr *= sqrt_h
+        m[:, 0] = 0.0
+        np.cumsum(incr, axis=1, out=m[:, 1:])
+        m -= m[:, half, None].copy()
+        m -= half_times
+        yield lo, m
 
 
 # ---------------------------------------------------------------------------

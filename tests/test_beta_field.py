@@ -13,14 +13,12 @@ from vrjplab.beta_field import (BetaField, GraphShape, WeightedGraph1D,
                                 laplace_transform_closed_form, nu_density,
                                 sample_circle_field)
 from vrjplab.stats import ks_one_sample
-from vrjplab.stochastic import (IGParams, inverse_gaussian_cdf, new_stream,
-                                sample_inverse_gaussian)
+from vrjplab.stochastic import inverse_gaussian_cdf, new_stream, sample_inverse_gaussian
 
 
 def _circle_beta_matrix(size, weight, n_rep, stream):
     dim = 2 * size + 1
-    a = sample_inverse_gaussian(IGParams(1.0, weight), stream,
-                                size=n_rep * dim).reshape(n_rep, dim)
+    a = sample_inverse_gaussian(weight, stream, size=n_rep * dim).reshape(n_rep, dim)
     return circle_betas_from_a(a, weight)
 
 
@@ -86,7 +84,7 @@ def test_construct_halfline():
 def test_halfline_count_one_law():
     # 2 beta_1 / m = 1/A with A ~ IG(1, m)
     m = 4.0
-    a = sample_inverse_gaussian(IGParams(1.0, m), new_stream(6, 0), size=10_000)
+    a = sample_inverse_gaussian(m, new_stream(6, 0), size=10_000)
     x = 2.0 * halfline_betas_from_a(a.reshape(-1, 1), m)[:, 0] / m
     rep = ks_one_sample(1.0 / x, lambda v: inverse_gaussian_cdf(v, 1.0, m), 0.01)
     assert rep.passed
@@ -161,7 +159,7 @@ def test_laplace_battery():
             eta = np.zeros(count)
             eta[-1] = w            # boundary edge leaving the segment
             tv = new_stream(8, k).gen.uniform(0.0, 1.5, count)
-            a = sample_inverse_gaussian(IGParams(1.0, w), new_stream(9, k),
+            a = sample_inverse_gaussian(w, new_stream(9, k),
                                         size=100_000 * count).reshape(100_000, count)
             k += 1
             mc = np.exp(-(halfline_betas_from_a(a, w) @ tv))
@@ -173,7 +171,7 @@ def test_laplace_battery():
 def test_halfline_single_vertex_laplace_mc():
     # E[exp(-beta_1)] for m=2 against the closed form with boundary eta
     m = 2.0
-    a = sample_inverse_gaussian(IGParams(1.0, m), new_stream(10, 0), size=100_000)
+    a = sample_inverse_gaussian(m, new_stream(10, 0), size=100_000)
     b1 = 0.5 * m / a
     g = WeightedGraph1D(GraphShape.HALFLINE_SEGMENT, 1, m)
     cf = laplace_transform_closed_form([1.0], g, [m])

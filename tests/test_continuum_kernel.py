@@ -12,7 +12,7 @@ from vrjplab.continuum_kernel import (DegeneratePathError, KernelPath,
                                       quadratic_form, sample_dufresne_ratio,
                                       sample_kernel_diagonal,
                                       sample_line_diagonal,
-                                      sample_quadratic_form, two_sided_gbm,
+                                      sample_quadratic_form,
                                       twisted_neumann_mismatch)
 from vrjplab.experiments import deterministic_flat_gbm
 from vrjplab.stats import ks_one_sample, ks_two_sample
@@ -147,8 +147,7 @@ def test_line_kernel_diag_law():
 
 
 def test_line_kernel_truncation_bias_pathwise():
-    gbm = two_sided_gbm(40.0, 1e-3, new_stream(13, 0))
-    k = KernelPath.from_path(gbm)
+    k = KernelPath.sample(40.0, 1e-3, new_stream(13, 0))
     worst = 0.0
     for t in np.linspace(-2, 2, 7):
         for t2 in np.linspace(-2, 2, 7):
@@ -204,13 +203,12 @@ def test_mbg_snapshots_must_fall_on_distinct_positive_steps():
 def test_interpolated_discrete_matches_kernel_law():
     # interpolated discrete entries at (0.3, -0.4), n = 256, vs kernel samples
     from vrjplab.green_circle import green_entries_from_a
-    from vrjplab.stochastic import IGParams, sample_inverse_gaussian
+    from vrjplab.stochastic import sample_inverse_gaussian
 
     n, nrep = 256, 3000
     size = n
     dim = 2 * size + 1
-    a = sample_inverse_gaussian(IGParams(1.0, float(n)), new_stream(18, 0),
-                                size=nrep * dim).reshape(nrep, dim)
+    a = sample_inverse_gaussian(float(n), new_stream(18, 0), size=nrep * dim).reshape(nrep, dim)
     t, t2 = 0.3, -0.4
     x, y = t * n + size, t2 * n + size
     ix, iy = int(math.floor(x)), int(math.floor(y))

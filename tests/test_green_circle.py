@@ -15,7 +15,7 @@ from vrjplab.green_circle import (Provenance, green_entries_from_a,
                                   green_from_field, interpolate_green,
                                   invert_R_explicit, u_sequence, vrjp_rates)
 from vrjplab.stats import ks_two_sample
-from vrjplab.stochastic import IGParams, new_stream, sample_inverse_gaussian
+from vrjplab.stochastic import new_stream, sample_inverse_gaussian
 
 
 def _r_dense(u):
@@ -147,11 +147,9 @@ def test_green_single_entry_matches_full():
 def test_rotation_invariance_of_diagonal_law():
     w, size, n_rep = 6.0, 6, 4000
     dim = 2 * size + 1
-    a = sample_inverse_gaussian(IGParams(1.0, w), new_stream(5, 0),
-                                size=n_rep * dim).reshape(n_rep, dim)
+    a = sample_inverse_gaussian(w, new_stream(5, 0), size=n_rep * dim).reshape(n_rep, dim)
     d0 = green_entries_from_a(a, w, 0, 0)
-    a2 = sample_inverse_gaussian(IGParams(1.0, w), new_stream(5, 1),
-                                 size=n_rep * dim).reshape(n_rep, dim)
+    a2 = sample_inverse_gaussian(w, new_stream(5, 1), size=n_rep * dim).reshape(n_rep, dim)
     dk = green_entries_from_a(a2, w, 4, 4)
     rep = ks_two_sample(d0, dk, 0.01)
     assert rep.passed, rep
@@ -242,7 +240,7 @@ def test_interpolated_law_stabilizes_in_n():
     def samples(n, nrep, seed, t=0.3, t2=-0.4):
         size = n
         dim = 2 * size + 1
-        a = sample_inverse_gaussian(IGParams(1.0, float(n)), new_stream(seed, 0),
+        a = sample_inverse_gaussian(float(n), new_stream(seed, 0),
                                     size=nrep * dim).reshape(nrep, dim)
         x, y = t * n + size, t2 * n + size
         ix, iy = int(math.floor(x)), int(math.floor(y))

@@ -3,8 +3,9 @@
 _gbm_matrix, _cumtrapz, sample_kernel_diagonal and sample_quadratic_form
 below are the original implementations, kept verbatim as the oracle: they
 build each stream block as one (replicas x grid) matrix.  The samplers in
-continuum_kernel build the same blocks a few rows at a time with the same
-operations in the same order, so the outputs must be equal bit for bit.
+continuum_kernel take the same blocks a few rows at a time from
+stochastic.log_gbm_rows, with the same operations in the same order, so the
+outputs must be equal bit for bit.
 """
 
 import math
@@ -15,6 +16,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import vrjplab.continuum_kernel as ck
+import vrjplab.stochastic as stoch
 from vrjplab.stochastic import RngStream, new_stream
 
 
@@ -96,7 +98,7 @@ f_cases = st.sampled_from([_f_one, _f_cos])
 
 
 def _rows_per_block(half):
-    return max(1, ck._ROW_BLOCK_ELEMS // (2 * half + 1))
+    return max(1, stoch._ROW_BLOCK_ELEMS // (2 * half + 1))
 
 
 @given(seed=st.integers(0, 2 ** 32 - 1), lam=lams, half=cells_per_side, n_rep=n_reps,

@@ -9,8 +9,7 @@ from vrjplab.beta_field import dense_h, GraphShape, WeightedGraph1D
 from vrjplab.matsumoto_yor import (build_my_chains, chain_arrays_from_a,
                                    euler_maruyama_z, kernel_step, sample_z_pathwise)
 from vrjplab.stats import ks_two_sample, mean_ci
-from vrjplab.stochastic import (IGParams, exp_functional_walk, ig_root_draws, new_stream,
-                                sample_inverse_gaussian)
+from vrjplab.stochastic import exp_functional_walk, new_stream, sample_inverse_gaussian
 
 
 def test_chain_all_ones_degenerate():
@@ -23,7 +22,7 @@ def test_chain_all_ones_degenerate():
 def test_chain_matches_dense_inverse():
     # psi_n = m Ghat(1, n) and g11_n = Ghat(1, 1) for the half-line operator
     m, length = 3, 8
-    a = sample_inverse_gaussian(IGParams(1.0, float(m)), new_stream(1, 0), size=length)
+    a = sample_inverse_gaussian(float(m), new_stream(1, 0), size=length)
     psi, g11, z = chain_arrays_from_a(a, float(m))
     from vrjplab.beta_field import halfline_betas_from_a
     beta = halfline_betas_from_a(a, float(m))
@@ -103,7 +102,7 @@ def test_kernel_vs_construction_distribution():
 def test_conditional_psi_small_z_concentrates():
     # psi | z ~ IG(1, 1/z): variance z, so tight around 1 for small z
     z = np.full(5000, 1e-6)
-    x = ig_root_draws(1.0, 1.0 / z, new_stream(8, 0).gen, z.size)
+    x = sample_inverse_gaussian(1.0 / z, new_stream(8, 0), z.size)
     assert np.max(np.abs(x - 1.0)) < 0.02
 
 

@@ -1,11 +1,12 @@
 """The worker pool: seeded output for any worker count, one span per traced call.
 
-The matrix samplers run their stream blocks on stochastic's private pool,
-and step_normals (read by exp_functional_walk and euler_maruyama_z) draws
-its normals on it one chunk ahead of the steps.  Swapping the pool for one
-of 1, 2 or 3 threads must not move a single bit.  Pool tasks call only
-untraced helpers, so a traced sampler records one span per call however
-many threads work for it.
+The matrix samplers and dos_sweep run their stream blocks on stochastic's
+private pool, and step_normals (read by exp_functional_walk and
+euler_maruyama_z) draws its normals on it one chunk ahead of the steps.
+Swapping the pool for one of 1, 2 or 3 threads must not move a single bit.
+Pool tasks call only untraced helpers (the path builder log_gbm_rows, never
+the traced sample_brownian_path), so a traced sampler records one span per
+call however many threads work for it.
 """
 
 import contextlib
@@ -22,6 +23,7 @@ import pytest
 
 import vrjplab.continuum_kernel as ck
 import vrjplab.matsumoto_yor as my
+import vrjplab.spectrum as sp
 import vrjplab.stochastic as st
 from vrjplab.stochastic import exp_functional_walk, new_stream
 
@@ -67,6 +69,14 @@ def test_matrix_samplers_identical_for_any_worker_count():
     def run():
         return (ck.sample_kernel_diagonal(lam, 0.3, step, 4500, new_stream(5, 1)),
                 ck.sample_quadratic_form(lam, np.cos, step, 2500, new_stream(5, 2)))
+
+    _assert_all_equal(_for_each_worker_count(run))
+
+
+def test_dos_sweep_identical_for_any_worker_count():
+    # 7 replicas, one stream block each: more tasks than workers
+    def run():
+        return (sp.dos_sweep([1.0, 4.0, 9.0], 2.0, 7, new_stream(5, 3), 1e-2),)
 
     _assert_all_equal(_for_each_worker_count(run))
 
@@ -171,6 +181,7 @@ THREADED_SAMPLERS = [
      lambda f: f(new_stream(1, 0), (0.5, 1.0, 2.0), 1000, 1e-2, 1.0)),
     (my, "sample_z_pathwise", lambda f: f(1.0, 1e-3, 1000, new_stream(1, 0))),
     (my, "euler_maruyama_z", lambda f: f(1.0, 1e-3, 1000, new_stream(1, 0))),
+    (sp, "dos_sweep", lambda f: f([1.0, 4.0], 2.0, 7, new_stream(1, 0), 1e-2)),
 ]
 
 

@@ -183,9 +183,8 @@ def test_fd_dirichlet_count_flat_path():
 
 def test_phase_fd_bracket_on_shared_path():
     for seed in (0, 1):
-        gbm = sample_brownian_path(-10.0, 10.0, 1e-3, new_stream(8, seed))
-        from vrjplab.stochastic import gbm_from_brownian
-        geo = gbm_from_brownian(gbm)
+        b = sample_brownian_path(-10.0, 10.0, 1e-3, new_stream(8, seed))
+        geo = SampledPath(b.t0, b.step, np.exp(b.values - b.times / 2.0), PathKind.GBM)
         for e_level in (1.0, 4.0):
             cp = count_states_phase(e_level, geo)
             cf = count_states_fd_dirichlet(geo, e_level)

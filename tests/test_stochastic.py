@@ -1,16 +1,20 @@
 """Samplers and reference distributions."""
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.integrate as si
 
+import vrjplab
+import vrjplab.stochastic as st
+from vrjplab.continuum_kernel import KernelPath
 from vrjplab.stats import ks_one_sample, mean_ci
-from vrjplab.stochastic import (IGParams, PathKind, SampledPath,
-                                gamma_half_cdf, gbm_from_brownian, grid_cells,
+from vrjplab.stochastic import (PathKind, gamma_half_cdf, grid_cells,
                                 inverse_gamma_half_cdf, inverse_gaussian_cdf,
-                                new_stream, sample_brownian_path,
+                                log_gbm_rows, new_stream, sample_brownian_path,
                                 sample_inverse_gaussian)
 
 
@@ -33,14 +37,14 @@ def test_substreams_uncorrelated():
 
 def test_ig_params_validation():
     with pytest.raises(ValueError):
-        IGParams(-1.0, 2.0)
+        sample_inverse_gaussian(0.0, new_stream(1, 0), 3)
     with pytest.raises(ValueError):
-        IGParams(1.0, 0.0)
+        sample_inverse_gaussian(np.array([1.0, -2.0, 3.0]), new_stream(1, 0), 3)
 
 
 def test_ig_moments():
     s = new_stream(7, 0)
-    x = sample_inverse_gaussian(IGParams(1.0, 4.0), s, size=100_000)
+    x = sample_inverse_gaussian(4.0, s, size=100_000)
     m1, h1 = mean_ci(x, 0.01)
     m2, h2 = mean_ci(x ** 2, 0.01)
     assert abs(m1 - 1.0) < h1
@@ -49,13 +53,13 @@ def test_ig_moments():
 
 def test_ig_large_shape_concentration():
     s = new_stream(8, 0)
-    x = sample_inverse_gaussian(IGParams(1.0, 1e8), s, size=10_000)
+    x = sample_inverse_gaussian(1e8, s, size=10_000)
     assert np.all(np.abs(x - 1.0) < 1e-3)
 
 
 def test_ig_ks_against_closed_form_cdf():
     s = new_stream(9, 0)
-    x = sample_inverse_gaussian(IGParams(1.0, 2.0), s, size=10_000)
+    x = sample_inverse_gaussian(2.0, s, size=10_000)
     rep = ks_one_sample(x, lambda v: inverse_gaussian_cdf(v, 1.0, 2.0), 0.01)
     assert rep.passed, rep
 
@@ -64,7 +68,7 @@ def test_ig_log_moment_asymptotics():
     # mean of ln IG(1,n) ~ -1/(2n), variance ~ 1/n
     for n in (16, 64, 256):
         s = new_stream(100 + n, 0)
-        x = np.log(sample_inverse_gaussian(IGParams(1.0, float(n)), s, size=20_000))
+        x = np.log(sample_inverse_gaussian(float(n), s, size=20_000))
         se = x.std(ddof=1) / math.sqrt(x.size)
         assert abs(x.mean() + 1.0 / (2 * n)) < 3 * se, n
         assert abs(x.var(ddof=1) - 1.0 / n) < 0.10 / n, n
@@ -124,35 +128,61 @@ def test_grid_cells():
 
 
 def test_gbm_deterministic_transform():
-    n = 200
-    b = SampledPath(0.0, 0.01, np.zeros(n + 1), PathKind.BROWNIAN)
-    g = gbm_from_brownian(b)
-    assert g.kind is PathKind.GBM
-    assert abs(g.values[-1] - math.exp(-1.0)) < 1e-12
+    # KernelPath.sample is the geometric map exp(B_t - t/2) of the one
+    # builder row, equal to it applied to the two-sided Brownian path of
+    # the same stream, with M_0 = 1 exactly
+    for lam, step in ((1.0, 1e-3), (40.0, 1e-3), (0.37, 2e-3)):
+        half, h = grid_cells(lam, step)
+        b = sample_brownian_path(-lam, lam, h, new_stream(3, 1))
+        gbm = KernelPath.sample(lam, step, new_stream(3, 1)).gbm
+        assert gbm.kind is PathKind.GBM
+        assert (gbm.t0, gbm.step) == (-lam, h)
+        assert np.array_equal(gbm.values, np.exp(b.values - b.times / 2.0))
+        assert gbm.values[half] == 1.0
 
 
 def test_gbm_martingale_and_log_moment():
-    s = new_stream(14, 0)
-    ends = np.array([gbm_from_brownian(sample_brownian_path(0.0, 1.0, 0.01, s)).values[-1]
-                     for _ in range(10_000)])
+    lam, n = 1.0, 10_000
+    ends = np.empty(n)
+    for lo, rows in log_gbm_rows(lam, 0.01, n, new_stream(14, 0)):
+        ends[lo:lo + len(rows)] = np.exp(rows[:, -1])
     m, h = mean_ci(ends, 0.01)
     assert abs(m - 1.0) < h
     lm, lh = mean_ci(np.log(ends), 0.01)
-    assert abs(lm + 0.5) < lh
+    assert abs(lm + 0.5 * lam) < lh
 
 
 def test_gbm_grid_identity():
-    s = new_stream(15, 0)
-    b = sample_brownian_path(-2.0, 3.0, 0.05, s)
-    g = gbm_from_brownian(b)
-    rec = np.log(g.values) + g.times / 2.0
-    assert np.max(np.abs(rec - b.values)) < 1e-12
+    # every builder row is a two-sided Brownian path of the same stream
+    # read as log M = B_t - t/2: on a whole number of steps and not, and
+    # over more than one row block
+    for lam, step in ((1.0, 1e-2), (0.37, 2e-2)):
+        half, h = grid_cells(lam, step)
+        per_block = st._ROW_BLOCK_ELEMS // (2 * half + 1)
+        count = 2 * per_block + 5
+        ref = new_stream(15, 0)
+        seen = 0
+        for lo, rows in log_gbm_rows(lam, step, count, new_stream(15, 0)):
+            assert lo == seen and len(rows) <= per_block
+            for row in rows:
+                b = sample_brownian_path(-lam, lam, h, ref)
+                assert np.array_equal(row, b.values - b.times / 2.0)
+            seen += len(rows)
+        assert seen == count
 
 
-def test_gbm_requires_brownian():
-    g = SampledPath(0.0, 0.1, np.ones(5), PathKind.GBM)
-    with pytest.raises(ValueError):
-        gbm_from_brownian(g)
+def test_draws_live_only_in_stochastic():
+    # every normal and gamma variate in the package is drawn in stochastic.py
+    src = Path(vrjplab.__file__).parent
+    drawing = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "stochastic.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in ("standard_normal", "standard_gamma")):
+                drawing.append(f"{path.name}:{node.lineno}")
+    assert drawing == []
 
 
 def test_inverse_gamma_half_cdf_values():

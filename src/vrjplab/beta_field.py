@@ -115,10 +115,7 @@ def circle_betas_from_a(a: np.ndarray, weight: float) -> np.ndarray:
 def halfline_betas_from_a(a: np.ndarray, weight: float) -> np.ndarray:
     a = np.asarray(a, dtype=float)
     beta = 0.5 * weight / a
-    if a.ndim == 1:
-        beta[1:] += 0.5 * weight * a[:-1]
-    else:
-        beta[:, 1:] += 0.5 * weight * a[:, :-1]
+    beta[..., 1:] += 0.5 * weight * a[..., :-1]
     return beta
 
 
@@ -142,15 +139,6 @@ def construct_beta_circle(lam: float, n: int, s: RngStream) -> BetaField:
     if lam * n < 1:
         raise ValueError("need lam*n >= 1")
     return sample_circle_field(int(math.ceil(lam * n)), float(n), s)
-
-
-def construct_beta_halfline(m: float, count: int, s: RngStream) -> BetaField:
-    """Half-line field on vertices 1..count with uniform conductance m."""
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    a = sample_inverse_gaussian(m, s, size=count)
-    graph = WeightedGraph1D(GraphShape.HALFLINE_SEGMENT, count, float(m))
-    return BetaField(graph, halfline_betas_from_a(a, m), a)
 
 
 def _checked_eta(eta, n: int) -> np.ndarray:

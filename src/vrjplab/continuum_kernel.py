@@ -105,18 +105,6 @@ def _f_values(k: KernelPath, f) -> np.ndarray:
     return fv
 
 
-def quadratic_form(k: KernelPath, f) -> float:
-    """Energy <f, Gf> via the single-integral closed form."""
-    fv = _f_values(k, f)
-    m = k.gbm.values
-    h = k.gbm.step
-    ml, mr = k.m_left, k.m_right
-    c = cumtrapz(fv * m, h)
-    total = c[-1]
-    integrand = (ml * (total - c) + mr * c) ** 2 / m ** 2
-    return float(np.trapezoid(integrand, dx=h) / (mr - ml) ** 2)
-
-
 def apply_kernel(k: KernelPath, f) -> np.ndarray:
     """g = Gf on the path grid, O(grid) via cumulative trapezoid sums."""
     fv = _f_values(k, f)
@@ -225,8 +213,10 @@ _LINE_STREAM_BLOCK = 2000
 
 def sample_kernel_diagonal(lam: float, t: float, step: float, n_rep: int,
                            s: RngStream) -> np.ndarray:
-    """Replicated G(t, t) values; distributed as 1/(2*gamma) for every t."""
+    """Replicated G(t, t) values; distributed as 1/(2*gamma) for every t in [-lam, lam]."""
     _, h = grid_cells(lam, step)
+    if abs(t) > lam:
+        raise ValueError(f"t={t} outside [-{lam}, {lam}]")
     j = int(round((t + lam) / h))
     out = np.empty(n_rep)
 
@@ -289,8 +279,6 @@ def _walk_ends(span: float, step: float, n_rep: int, s: RngStream,
 
 def sample_dufresne_ratio(lam: float, step: float, n_rep: int, s: RngStream) -> np.ndarray:
     """int_0^lam e^{2a_s - s} ds / (e^{a_lam - lam/2} - 1)^2 per replica."""
-    if lam <= 0:
-        raise ValueError("lam must be positive")
     alpha, integ = _walk_ends(lam, step, n_rep, s, _RATIO_STREAM_BLOCK)
     return integ / (np.exp(alpha - 0.5 * lam) - 1.0) ** 2
 

@@ -23,7 +23,7 @@ from . import beta_field, continuum_kernel, green_circle, matsumoto_yor, spectru
 from .stats import TestReport, ks_one_sample, ks_two_sample, mean_ci, z_two_sided
 from .stochastic import (PathKind, RngStream, SampledPath, grid_cells,
                          inverse_gamma_half_cdf, inverse_gaussian_cdf,
-                         sample_inverse_gaussian, scaled_inverse_gamma_half_cdf)
+                         sample_inverse_gaussian)
 
 
 @dataclass
@@ -119,7 +119,7 @@ def _exp_functional_identity(p: dict, s: RngStream) -> ExperimentResult:
     for i, (label, (f, integral)) in enumerate(cases.items()):
         samples = continuum_kernel.sample_quadratic_form(lam, f, p["step"],
                                                          int(p["n"]), s.substream(i))
-        cdf = lambda x, c=integral ** 2: scaled_inverse_gamma_half_cdf(x, c)
+        cdf = lambda x, c=integral ** 2: inverse_gamma_half_cdf(x / c)
         rep = ks_one_sample(samples, cdf, p["alpha"], label=f"quadratic-form {label}")
         reps.append(rep)
         rows.append({"f": label, "integral": integral, **rep.as_row()})

@@ -137,39 +137,3 @@ def green_entries_from_a(a2d: np.ndarray, weight: float, i: int, j: int) -> np.n
         rinv = np.exp(lp1 - log_den) * s[:, l1, 0] + np.exp(lp2 - log_den) * s[:, l2, 1]
     return np.sqrt(a2d[:, i] * a2d[:, j]) * rinv / weight
 
-
-def interpolate_green(g: np.ndarray, n: int, t: float, t2: float) -> float:
-    """Rescaled bilinear interpolation of the Green matrix at (t, t2).
-
-    Grid nodes sit at vertex/n positions; exact at the nodes, cyclic
-    across the wrap cell.
-    """
-    dim = g.shape[0]
-    k = (dim - 1) // 2
-    lam_max = k / n
-    for arg in (t, t2):
-        if not -lam_max - 1e-12 <= arg <= lam_max + 1e-12:
-            raise ValueError(f"interpolation argument {arg} outside [-{lam_max}, {lam_max}]")
-    x = t * n + k
-    y = t2 * n + k
-    ix, iy = int(math.floor(x + 1e-12)), int(math.floor(y + 1e-12))
-    fx, fy = x - ix, y - iy
-    ix %= dim
-    iy %= dim
-    jx, jy = (ix + 1) % dim, (iy + 1) % dim
-    return float(g[ix, iy]
-                 + fx * (g[jx, iy] - g[ix, iy])
-                 + fy * (g[ix, jy] - g[ix, iy])
-                 + fx * fy * (g[ix, iy] + g[jx, jy] - g[ix, jy] - g[jx, iy]))
-
-
-def vrjp_rates(g: np.ndarray, field: BetaField, i0: int) -> dict[tuple[int, int], float]:
-    """Quenched jump rates i -> j = (W_ij / 2) G(i0, j) / G(i0, i)."""
-    n = field.graph.n_vertices
-    i0 %= n
-    w = field.weight
-    rates: dict[tuple[int, int], float] = {}
-    for a, b in field.graph.edges():
-        rates[(a, b)] = 0.5 * w * g[i0, b] / g[i0, a]
-        rates[(b, a)] = 0.5 * w * g[i0, a] / g[i0, b]
-    return rates

@@ -273,15 +273,18 @@ def fd_operator_twisted(gbm: SampledPath) -> scipy.sparse.csr_matrix:
     r = 0.5 * h * (1.0 / m[:-1] ** 2 + 1.0 / m[1:] ** 2)   # cell resistance: trapezoid of 1/M^2
     n = m.size - 1                       # distinct nodes on the circle
     alpha = 1.0 / m                      # 1/M at nodes 0..N (N = seam twin of 0)
-    rows, cols, vals = [], [], []
-    for c in range(n):
-        p, q = c, (c + 1) % n
-        ap = alpha[c]
-        aq = alpha[c + 1]                # at the seam this is 1/M_lam, not 1/M_-lam
-        w = 1.0 / r[c]
-        rows += [p, q, p, q]
-        cols += [p, q, q, p]
-        vals += [ap * ap * w, aq * aq * w, -ap * aq * w, -ap * aq * w]
+    # cell c joins p = c to q = c + 1 mod n.  Its four entries go in the order
+    # (p, p), (q, q), (p, q), (q, p): csr_matrix sums duplicates in that order,
+    # so it fixes the last bits of the matrix.
+    p = np.arange(n)
+    q = (p + 1) % n
+    ap = alpha[:-1]
+    aq = alpha[1:]                       # at the seam this is 1/M_lam, not 1/M_-lam
+    w = 1.0 / r
+    off = -ap * aq * w
+    rows = np.stack([p, q, p, q], axis=1).ravel()
+    cols = np.stack([p, q, q, p], axis=1).ravel()
+    vals = np.stack([ap * ap * w, aq * aq * w, off, off], axis=1).ravel()
     a = scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(n, n))
     return a / h
 

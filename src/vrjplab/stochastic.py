@@ -13,9 +13,9 @@ same pair reproduces the identical draw sequence bit for bit (per numpy
 release; Gaussian draws use numpy's ziggurat and are not guaranteed
 stable across numpy versions).
 
-Reference distributions used throughout the verification suites
-(Inverse Gaussian, Gamma(1/2, 1), and the law of 1/(2*gamma)) live here
-as closed-form CDFs.
+Reference distributions used throughout the verification suites (the
+Inverse Gaussian and the law of 1/(2*gamma)) live here as closed-form
+CDFs.
 
 The ensemble samplers use up to one thread per usable CPU, through one
 private pool (``_pool``).  A pool task either owns one stream block and
@@ -93,13 +93,6 @@ class SampledPath:
     def t_end(self) -> float:
         return self.t0 + self.step * (self.values.size - 1)
 
-    def index_of(self, t: float) -> int:
-        """Nearest grid index for time t; t must lie on the grid span."""
-        i = int(round((t - self.t0) / self.step))
-        if i < 0 or i >= self.values.size:
-            raise ValueError(f"time {t} outside the sampled span")
-        return i
-
 
 def sample_inverse_gaussian(lam, s: RngStream, size: int) -> np.ndarray:
     """``size`` draws from IG(1, lam); ``lam`` > 0 is a scalar or an array of ``size`` shapes.
@@ -128,7 +121,11 @@ def grid_cells(span: float, step: float) -> tuple[int, float]:
     (up to a 1e-9 tolerance, so a span that is a whole number of steps is
     not given an extra cell by roundoff).  Two-sided samplers on
     [-lam, lam] use it per side, so the grid hits -lam, 0 and lam.
+    Raises ValueError unless span and step are positive and finite.
     """
+    if not (0 < span < math.inf and 0 < step < math.inf):
+        raise ValueError(f"grid span and step must be positive and finite, "
+                         f"got span={span}, step={step}")
     n = max(1, int(math.ceil(span / step - 1e-9)))
     return n, span / n
 
@@ -258,10 +255,6 @@ def sample_brownian_path(t0: float, t1: float, step: float, s: RngStream) -> Sam
     which splits it into two independent one-sided paths glued there;
     otherwise it is pinned at the left end.
     """
-    if step <= 0:
-        raise ValueError("step must be positive")
-    if t0 >= t1:
-        raise ValueError("need t0 < t1")
     ncells, _ = grid_cells(t1 - t0, step)
     vals = np.empty(ncells + 1)
     vals[0] = 0.0
@@ -311,12 +304,6 @@ def log_gbm_rows(lam: float, step: float, count: int, s: RngStream):
 # Reference CDFs
 # ---------------------------------------------------------------------------
 
-def gamma_half_cdf(x):
-    """CDF of Gamma(1/2, 1): erf(sqrt(x))."""
-    x = np.asarray(x, dtype=float)
-    return np.where(x > 0, erf(np.sqrt(np.maximum(x, 0.0))), 0.0)
-
-
 def inverse_gamma_half_cdf(x):
     """CDF of 1/(2*gamma) with gamma ~ Gamma(1/2, 1).
 
@@ -328,11 +315,6 @@ def inverse_gamma_half_cdf(x):
         raise ValueError("inverse_gamma_half_cdf needs x > 0")
     out = np.where(x > 0, 1.0 - erf(1.0 / np.sqrt(2.0 * np.maximum(x, 1e-300))), 0.0)
     return float(out) if scalar else out
-
-
-def scaled_inverse_gamma_half_cdf(x, c: float):
-    """CDF of c/(2*gamma) for a positive constant c."""
-    return inverse_gamma_half_cdf(np.asarray(x, dtype=float) / c)
 
 
 def inverse_gaussian_cdf(x, mu, lam):

@@ -8,8 +8,7 @@ import scipy.integrate as si
 
 from vrjplab.beta_field import (BetaField, GraphShape, WeightedGraph1D,
                                 circle_betas_from_a, circle_field_from_a,
-                                construct_beta_circle, construct_beta_halfline,
-                                dense_h, halfline_betas_from_a,
+                                construct_beta_circle, dense_h, halfline_betas_from_a,
                                 laplace_transform_closed_form, nu_density,
                                 sample_circle_field)
 from vrjplab.stats import ks_one_sample
@@ -70,15 +69,6 @@ def test_positive_definite_check_always_passes():
     for i in range(30):
         f = sample_circle_field(6, 4.0, new_stream(4, i))
         np.linalg.cholesky(dense_h(f.graph, f.beta))
-
-
-def test_construct_halfline():
-    f = construct_beta_halfline(3, 6, new_stream(5, 0))
-    a = f.a_seq
-    assert f.beta[0] == pytest.approx(3.0 / (2 * a[0]))
-    assert f.beta[3] == pytest.approx(1.5 * a[2] + 1.5 / a[3])
-    with pytest.raises(ValueError):
-        construct_beta_halfline(3, 0, new_stream(5, 1))
 
 
 def test_halfline_count_one_law():

@@ -106,9 +106,15 @@ def test_main_list_and_exit_codes(tmp_path, capsys):
     ("renewal_mean", "horizon_crossings=10", "insufficient data"),
     ("intertwining", "length=0", "length >= 1"),
     ("dos_sweep", "lam=1.0 replicas=1", "at least 2 samples"),
+    ("dufresne_diagonal", "t=-1.5 n=500 step=0.01", "t=-1.5 outside"),
+    ("dufresne_diagonal", "t=2", "t=2 outside"),
+    ("dufresne_diagonal", "step=-0.01", "positive and finite"),
+    ("functional_identity", "lam=0", "positive and finite"),
+    ("dos_sweep", "lam=0", "positive and finite"),
 ])
 def test_main_params_too_small_exit_2(tmp_path, capsys, name, param, message):
-    # parameters too small to form a statistic are a usage error, not a failed verdict
+    # parameters too small to form a statistic, a grid that cannot be built
+    # and a node off the grid are usage errors, not verdicts
     overrides = [arg for kv in param.split() for arg in ("--param", kv)]
     rc = main(["run", "--name", name, *overrides, "--out", str(tmp_path)])
     assert rc == 2

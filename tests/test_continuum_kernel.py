@@ -9,7 +9,7 @@ from vrjplab.continuum_kernel import (DegeneratePathError, KernelPath,
                                       apply_kernel, flux_closed_form, flux_fd,
                                       kernel_eval, line_kernel_eval,
                                       mbg_transform_check, operator_residual,
-                                      quadratic_form, sample_dufresne_ratio,
+                                      sample_dufresne_ratio,
                                       sample_kernel_diagonal,
                                       sample_line_diagonal,
                                       sample_quadratic_form,
@@ -17,7 +17,7 @@ from vrjplab.continuum_kernel import (DegeneratePathError, KernelPath,
 from vrjplab.experiments import deterministic_flat_gbm
 from vrjplab.stats import ks_one_sample, ks_two_sample
 from vrjplab.stochastic import (PathKind, SampledPath, inverse_gamma_half_cdf,
-                                new_stream, scaled_inverse_gamma_half_cdf)
+                                new_stream)
 
 
 def kernel_matrix(k: KernelPath, stride: int = 1) -> np.ndarray:
@@ -74,18 +74,21 @@ def test_diagonal_law_and_t_invariance():
 
 
 def test_quadratic_form_zero_and_positive():
-    k = KernelPath.sample(1.0, 1e-3, new_stream(4, 0))
-    assert quadratic_form(k, np.zeros(k.gbm.values.size)) == 0.0
-    t = k.gbm.times
-    for f in (np.sin(np.pi * t), t ** 2, np.cos(3 * t) + 0.1):
-        assert quadratic_form(k, f) > 0
+    # replica 0 of the sampler reads the path KernelPath.sample draws from
+    # s.substream(1), the stream of its first block
+    s = new_stream(4, 0)
+    assert sample_quadratic_form(1.0, np.zeros_like, 1e-3, 1, s)[0] == 0.0
+    for f in (lambda t: np.sin(np.pi * t), lambda t: t ** 2,
+              lambda t: np.cos(3 * t) + 0.1):
+        assert sample_quadratic_form(1.0, f, 1e-3, 1, s)[0] > 0
 
 
 def test_quadratic_form_double_route_oracle():
-    k = KernelPath.sample(1.0, 1e-3, new_stream(5, 3))
-    f = np.cos(np.pi * k.gbm.times) + 2.0
-    q1 = quadratic_form(k, f)
-    q2 = quadratic_form_double_route(k, f)
+    s = new_stream(5, 3)
+    k = KernelPath.sample(1.0, 1e-3, s.substream(1))
+    f = lambda t: np.cos(np.pi * t) + 2.0
+    q1 = sample_quadratic_form(1.0, f, 1e-3, 1, s)[0]
+    q2 = quadratic_form_double_route(k, f(k.gbm.times))
     assert abs(q1 - q2) / abs(q2) < 1e-6
 
 
@@ -93,7 +96,7 @@ def test_quadratic_form_law_f_one():
     lam = 1.0
     qf = sample_quadratic_form(lam, lambda t: np.ones_like(t), 1e-3, 4000,
                                new_stream(6, 0))
-    cdf = lambda x: scaled_inverse_gamma_half_cdf(x, (2 * lam) ** 2)
+    cdf = lambda x: inverse_gamma_half_cdf(x / (2 * lam) ** 2)
     assert ks_one_sample(qf, cdf, 0.01).passed
 
 

@@ -1,4 +1,4 @@
-"""Explicit circle inverse against oracles, interpolation, path sums, rates.
+"""Explicit circle inverse against oracles, path sums, the interpolated law.
 
 The truncated path-sum expansion of G and the loop that built the arc
 table of the closed form are reference routes, kept here as oracles.
@@ -12,8 +12,7 @@ import pytest
 from vrjplab.beta_field import circle_field_from_a, dense_h, sample_circle_field
 import vrjplab.green_circle as gc
 from vrjplab.green_circle import (Provenance, green_entries_from_a,
-                                  green_from_field, interpolate_green,
-                                  invert_R_explicit, u_sequence, vrjp_rates)
+                                  green_from_field, invert_R_explicit, u_sequence)
 from vrjplab.stats import ks_two_sample
 from vrjplab.stochastic import new_stream, sample_inverse_gaussian
 
@@ -155,39 +154,6 @@ def test_rotation_invariance_of_diagonal_law():
     assert rep.passed, rep
 
 
-def test_interpolation_nodes_and_midpoint():
-    f = sample_circle_field(5, 4.0, new_stream(6, 0))
-    g = green_from_field(f)
-    n = 4  # weight used as the grid scale
-    size = 5
-    for (i, j) in ((0, 0), (2, -3), (-5, 5)):
-        exact = g[i + size, j + size]
-        assert interpolate_green(g, n, i / n, j / n) == pytest.approx(exact, rel=1e-14)
-    mid = interpolate_green(g, n, 0.5 / n, 0.5 / n)
-    corners = (g[size, size] + g[size + 1, size]
-               + g[size, size + 1] + g[size + 1, size + 1]) / 4.0
-    assert mid == pytest.approx(corners, rel=1e-14)
-
-
-def test_interpolation_continuity_across_edges():
-    f = sample_circle_field(5, 4.0, new_stream(7, 0))
-    g = green_from_field(f)
-    n = 4
-    eps = 1e-13
-    t_edge = 2.0 / n
-    for t2 in (0.3, -0.7):
-        lo = interpolate_green(g, n, t_edge - eps, t2)
-        hi = interpolate_green(g, n, t_edge + eps, t2)
-        assert abs(lo - hi) < 1e-10 * max(1.0, abs(hi))
-
-
-def test_interpolation_range_check():
-    f = sample_circle_field(4, 4.0, new_stream(8, 0))
-    g = green_from_field(f)
-    with pytest.raises(ValueError):
-        interpolate_green(g, 4, 1.5, 0.0)
-
-
 def test_path_sum_below_distance_is_zero():
     f = sample_circle_field(3, 1.0, new_stream(9, 0))
     assert path_sum_green(f, 0, 3, 2) == 0.0
@@ -217,22 +183,6 @@ def test_path_sum_guards():
     f3 = sample_circle_field(3, 1.0, new_stream(12, 1))
     with pytest.raises(ValueError):
         path_sum_green(f3, 0, 1, 31)
-
-
-def test_vrjp_rates():
-    f = sample_circle_field(3, 2.0, new_stream(13, 0))
-    g = green_from_field(f)
-    i0 = 2
-    rates = vrjp_rates(g, f, i0)
-    assert all(v > 0 for v in rates.values())
-    assert rates[(0, 1)] == pytest.approx(
-        0.5 * f.weight * g[i0, 1] / g[i0, 0], rel=1e-14)
-    # reversibility wrt pi_i = G(i0, i)^2
-    for (i, j), r in rates.items():
-        back = rates[(j, i)]
-        lhs = g[i0, i] ** 2 * r
-        rhs = g[i0, j] ** 2 * back
-        assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
 def test_interpolated_law_stabilizes_in_n():

@@ -1,17 +1,23 @@
-"""Phase propagation, matrix counting routes, renewal and quadrature."""
+"""Phase propagation, matrix counting routes, renewal and quadrature.
+
+The cell loop that assembled the twisted FD operator is kept here as the
+oracle of its array assembly.
+"""
 
 import math
 
 import numpy as np
 import pytest
 import scipy.integrate
+import scipy.sparse
 
 from vrjplab.beta_field import construct_beta_circle
+from vrjplab.continuum_kernel import KernelPath
 from vrjplab.experiments import deterministic_flat_gbm
 from vrjplab.stats import mean_ci, z_two_sided
 from vrjplab.spectrum import (count_states_matrix, count_states_phase,
                               discrete_spectrum_matrix, dos_sweep,
-                              fd_spectrum_twisted, mean_t1_quadrature,
+                              fd_operator_twisted, fd_spectrum_twisted, mean_t1_quadrature,
                               phase_propagate, renewal_statistics)
 from vrjplab.stochastic import (PathKind, SampledPath, new_stream,
                                 sample_brownian_path)
@@ -43,6 +49,26 @@ def count_states_fd_dirichlet(gbm: SampledPath, e_level: float) -> int:
         if d < 0:
             count += 1
     return count
+
+
+def fd_operator_twisted_loop(gbm: SampledPath) -> scipy.sparse.csr_matrix:
+    """Oracle: the twisted FD operator assembled one cell at a time."""
+    m = gbm.values
+    h = gbm.step
+    r = 0.5 * h * (1.0 / m[:-1] ** 2 + 1.0 / m[1:] ** 2)
+    n = m.size - 1
+    alpha = 1.0 / m
+    rows, cols, vals = [], [], []
+    for c in range(n):
+        p, q = c, (c + 1) % n
+        ap = alpha[c]
+        aq = alpha[c + 1]
+        w = 1.0 / r[c]
+        rows += [p, q, p, q]
+        cols += [p, q, q, p]
+        vals += [ap * ap * w, aq * aq * w, -ap * aq * w, -ap * aq * w]
+    a = scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(n, n))
+    return a / h
 
 
 def f_star_negative(z: float, e_level: float) -> float:
@@ -171,6 +197,19 @@ def test_fd_spectrum_flat_path_oracle():
     eig = fd_spectrum_twisted(gbm, k=7)
     exact = np.array([0.25, 1.25, 1.25, 4.25, 4.25, 9.25, 9.25])
     assert np.max(np.abs(eig - exact)) < 1e-3
+
+
+def test_fd_operator_matches_cell_loop():
+    # the array assembly gives the loop's CSR arrays to the last bit: on the
+    # flat path, on 20 sampled paths and on one long one
+    paths = [deterministic_flat_gbm(math.pi, 1e-3)]
+    paths += [KernelPath.sample(1.0, 2e-3, new_stream(20, i)).gbm for i in range(20)]
+    paths.append(KernelPath.sample(40.0, 2e-3, new_stream(21, 0)).gbm)
+    for gbm in paths:
+        got, want = fd_operator_twisted(gbm), fd_operator_twisted_loop(gbm)
+        for part in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(got, part), getattr(want, part)), part
+            assert getattr(got, part).dtype == getattr(want, part).dtype, part
 
 
 def test_fd_dirichlet_count_flat_path():

@@ -30,7 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .stochastic import (PathKind, RngStream, SampledPath, cumtrapz, exp_functional_walk,
-                         grid_cells, log_gbm_rows, map_stream_blocks, stream_blocks)
+                         grid_cells, log_gbm_rows, map_stream_blocks, stream_blocks,
+                         walk_steps)
 
 _DEGENERATE_REL_TOL = 1e-12
 
@@ -211,13 +212,23 @@ _RATIO_STREAM_BLOCK = 4000
 _LINE_STREAM_BLOCK = 2000
 
 
-def sample_kernel_diagonal(lam: float, t: float, step: float, n_rep: int,
-                           s: RngStream) -> np.ndarray:
-    """Replicated G(t, t) values; distributed as 1/(2*gamma) for every t in [-lam, lam]."""
+def kernel_diagonal_node(lam: float, t: float, step: float) -> tuple[int, float]:
+    """(j, -lam + j*h): the node of the grid on [-lam, lam] nearest t, and its time."""
     _, h = grid_cells(lam, step)
     if abs(t) > lam:
         raise ValueError(f"t={t} outside [-{lam}, {lam}]")
     j = int(round((t + lam) / h))
+    return j, -lam + h * j
+
+
+def sample_kernel_diagonal(lam: float, t: float, step: float, n_rep: int,
+                           s: RngStream) -> np.ndarray:
+    """Replicated G(t', t') values at the node t' nearest t (kernel_diagonal_node).
+
+    Distributed as 1/(2*gamma) for every t in [-lam, lam].
+    """
+    j, _ = kernel_diagonal_node(lam, t, step)
+    _, h = grid_cells(lam, step)
     out = np.empty(n_rep)
 
     def block(first: int, count: int, block_stream: RngStream) -> None:
@@ -301,11 +312,11 @@ def mbg_transform_check(s: RngStream, t_grid: tuple[float, ...] = (0.5, 1.0, 2.0
     motion from 1, so ln V_t ~ N(-t/2, t) with independent increments.
     """
     t_grid = tuple(sorted(t_grid))
+    nsteps = walk_steps(t_grid[-1] + tail, step)
     snaps = tuple(int(round(t / step)) for t in t_grid)
-    if len(t_grid) != 3 or not 0 < snaps[0] < snaps[1] < snaps[2]:
-        raise ValueError("mbg check needs three positive snapshot times on distinct steps")
-    horizon = t_grid[-1] + tail
-    nsteps = int(round(horizon / step))
+    if len(t_grid) != 3 or not 0 < snaps[0] < snaps[1] < snaps[2] <= nsteps:
+        raise ValueError("mbg check needs three positive snapshot times on distinct steps "
+                         "within the horizon")
     _, integ, at = exp_functional_walk(s.gen, n_rep, step, nsteps, snaps)
     log_v = np.empty((len(t_grid), n_rep))
     for ti, (t, (alpha_t, integ_t)) in enumerate(zip(t_grid, at)):

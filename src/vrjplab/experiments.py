@@ -83,8 +83,10 @@ def deterministic_flat_gbm(lam: float, step: float) -> SampledPath:
 def _exp_dufresne_diagonal(p: dict, s: RngStream) -> ExperimentResult:
     samples = continuum_kernel.sample_kernel_diagonal(p["lam"], p["t"], p["step"],
                                                       int(p["n"]), s)
+    # the verdict names the grid node the sampler read, not the requested t
+    _, t_node = continuum_kernel.kernel_diagonal_node(p["lam"], p["t"], p["step"])
     rep = ks_one_sample(samples, inverse_gamma_half_cdf, p["alpha"],
-                        label=f"kernel-diagonal lam={p['lam']} t={p['t']}")
+                        label=f"kernel-diagonal lam={p['lam']} t={t_node}")
     return ExperimentResult([rep.as_row()], [rep])
 
 

@@ -24,7 +24,7 @@ import math
 import numpy as np
 
 from .stochastic import (RngStream, exp_functional_walk, sample_inverse_gaussian,
-                         step_normals)
+                         step_normals, walk_steps)
 
 
 def chain_arrays_from_a(a: np.ndarray, m: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -60,14 +60,14 @@ def kernel_step(z: np.ndarray, m: int, s: RngStream) -> np.ndarray:
 
 def sample_z_pathwise(tmax: float, step: float, n_rep: int, s: RngStream) -> np.ndarray:
     """Ensemble of Z_tmax = int_0^tmax e^2 / e_tmax, e_t = e^{a_t - t/2} (O(n_rep) memory)."""
-    nsteps = int(round(tmax / step))
+    nsteps = walk_steps(tmax, step)
     alpha, integ, _ = exp_functional_walk(s.gen, n_rep, step, nsteps)
     return integ / np.exp(alpha - nsteps * step / 2)
 
 
 def euler_maruyama_z(tmax: float, step: float, n_rep: int, s: RngStream) -> np.ndarray:
     """Euler-Maruyama ensemble for dZ = Z dW + (1 + Z) dt from Z_0 = 0."""
-    nsteps = int(round(tmax / step))
+    nsteps = walk_steps(tmax, step)
     z = np.zeros(n_rep)
     sq = math.sqrt(step)
     for w in step_normals(s.gen, n_rep, nsteps):

@@ -22,10 +22,14 @@ saturates gracefully where tan(theta) overflows.
 
 The cell recurrence is sequential, so it runs by one of two routes,
 chosen by the caller's shape.  A single path (renewal gaps, single
-counts) goes through a scalar loop over fixed-size chunks of the path
-that records only the cells where a crossing happens.  A batch of equal
-paths (the density-of-states sweep) advances every (replica x E) lane at
-once, one numpy step per cell, over fixed-size blocks of cells.
+counts) goes through a scalar loop over fixed-size chunks of log M that
+records only the cells where a crossing happens; the chunks come from a
+SampledPath or, for the renewal gaps, straight from the streamed Brownian
+path (stochastic.brownian_blocks).  A batch of equal paths (the
+density-of-states sweep) advances every (replica x E) lane at once, one
+numpy step per cell, over fixed-size blocks of cells that stream from the
+replicas' paths.  Neither experiment holds a whole path, so memory does
+not grow with the horizon or with lam.
 
 Matrix routes.  The scaled discrete circle operator (weight n) has
 eigenvalues approximating the continuum ones, counted by a dense
@@ -46,8 +50,8 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from .beta_field import BetaField, dense_h
-from .stochastic import (PathKind, RngStream, SampledPath, grid_cells, log_gbm_rows,
-                         map_stream_blocks, sample_brownian_path)
+from .stochastic import (PathKind, RngStream, SampledPath, brownian_blocks, grid_cells,
+                         map_stream_blocks, stream_blocks)
 
 _PI = math.pi
 
@@ -77,21 +81,28 @@ def _first_crossing_angle() -> float:
 
 
 _CROSS_ANGLE = _first_crossing_angle()
-_SCAN_CHUNK = 1 << 15   # cells per chunk of the scalar route (one tolist() each)
-_LANE_BLOCK = 2048      # cells per block of the lane route
+# Cells per chunk of the scalar route (one tolist() each) and of the lane
+# route's anchor pre-pass; cells per block of the lane route.  Neither
+# changes a count.
+_SCAN_CHUNK = 1 << 15
+_LANE_BLOCK = 256
 
 
-def _log_m(path: SampledPath, lo: int = 0, hi: int | None = None) -> np.ndarray:
-    """log of the geometric path on nodes lo..hi-1; a brownian input B is read as e^{B - t/2}.
+def _brownian_log_m(b: np.ndarray, t0: float, step: float, lo: int) -> np.ndarray:
+    """log M = B_t - t/2, with B on nodes lo, lo+1, ... (last axis of b) of the grid t0 + k*step.
 
     Reading the log directly keeps long horizons representable where the
     geometric values themselves would over/underflow float64.
     """
+    return b - (t0 + step * np.arange(lo, lo + b.shape[-1])) / 2.0
+
+
+def _log_m(path: SampledPath, lo: int = 0, hi: int | None = None) -> np.ndarray:
+    """log of the geometric path on nodes lo..hi-1; a brownian input B is read as e^{B - t/2}."""
     vals = path.values[lo:hi]
     if path.kind is PathKind.GBM:
         return np.log(vals)
-    times = path.t0 + path.step * np.arange(lo, lo + vals.size)
-    return vals - times / 2.0
+    return _brownian_log_m(vals, path.t0, path.step, lo)
 
 
 def _scan_cells(ratios: list[float], psi: float, dpsi: float, first: int,
@@ -135,21 +146,27 @@ class _Scan:
         return int(self.ncross.sum())
 
 
-def _phase_scan(gbm: SampledPath, e_level: float) -> _Scan:
+def _path_chunks(gbm: SampledPath):
+    """Yield (lo, log M on nodes lo..hi) over the path, _SCAN_CHUNK cells at a time."""
+    n = gbm.values.size - 1
+    for lo in range(0, n, _SCAN_CHUNK):
+        yield lo, _log_m(gbm, lo, min(n, lo + _SCAN_CHUNK) + 1)
+
+
+def _phase_scan(chunks, step: float, e_level: float) -> _Scan:
     """Scalar route: propagate one path from theta = 0, chunk by chunk.
 
-    Records the crossing cells only, so memory beyond the path is one
-    chunk plus the records.
+    chunks yields (lo, log M on nodes lo..hi) for consecutive chunks of
+    cells of width step; consecutive chunks share a node.  Records the
+    crossing cells only, so memory is one chunk plus the records.
     """
-    n = gbm.values.size - 1
     c0 = 0.5 * math.log(e_level)
-    dpsi = math.sqrt(e_level) * gbm.step
+    dpsi = math.sqrt(e_level) * step
     records: list = []
     psi = 0.0
     prev = None
-    for lo in range(0, n, _SCAN_CHUNK):
+    for lo, logm in chunks:
         # logc on the chunk's cells: c0 + log of the frozen M^2 (c0 = log sqrt(E))
-        logm = _log_m(gbm, lo, min(n, lo + _SCAN_CHUNK) + 1)
         logc = c0 + logm[:-1] + logm[1:]
         ratios = np.empty(logc.size)
         # the first cell has no predecessor; psi = 0 is invariant under rescaling
@@ -180,7 +197,7 @@ def phase_propagate(e_level: float, gbm: SampledPath,
     """Propagate the phase over the whole path span from theta = 0."""
     if e_level <= 0:
         raise ValueError("E must be positive")
-    scan = _phase_scan(gbm, e_level)
+    scan = _phase_scan(_path_chunks(gbm), gbm.step, e_level)
     psi = scan.psi
     # unwind the final gauge angle to the raw phase fraction
     phi = math.atan2(math.sin(psi), math.exp(min(scan.logc_last, 700.0)) * math.cos(psi))
@@ -197,17 +214,17 @@ def count_states_phase(e_level: float, gbm: SampledPath) -> int:
     return phase_propagate(e_level, gbm, collect_crossings=False).count
 
 
-def _lane_counts(logm: np.ndarray, step: float, e_list) -> np.ndarray:
+def _lane_counts(logm_blocks, n_rep: int, step: float, e_list) -> np.ndarray:
     """Lane route: pi-crossing counts of every (E, replica) lane at once.
 
-    logm holds one log-M path per row, all on the same grid.  Each cell
+    logm_blocks yields log M of the n_rep paths, one row each, all on the
+    same grid, a block of consecutive cells at a time: a block holds the
+    nodes of its cells, so consecutive blocks share a node.  Each cell
     takes the scalar route's steps on all lanes together: rescale through
     arctan2, advance by sqrt(E)*h, then (only in cells where some lane
-    crosses) floor-divide by pi with the tolerance and clamp at 0.  Cells
-    go in blocks of _LANE_BLOCK, so memory beyond logm is O(lanes x block).
-    Returns counts of shape (len(e_list), replicas).
+    crosses) floor-divide by pi with the tolerance and clamp at 0.  Memory
+    is O(lanes x block).  Returns counts of shape (len(e_list), n_rep).
     """
-    n_rep, n = logm.shape[0], logm.shape[1] - 1
     c0 = np.array([0.5 * math.log(e) for e in e_list])[:, None, None]
     dpsi = np.repeat([math.sqrt(e) * step for e in e_list], n_rep)
     n_lanes = dpsi.size
@@ -215,14 +232,14 @@ def _lane_counts(logm: np.ndarray, step: float, e_list) -> np.ndarray:
     count = np.zeros(n_lanes)
     sn, cs, nc = np.empty(n_lanes), np.empty(n_lanes), np.empty(n_lanes)
     crossing = np.empty(n_lanes, dtype=bool)
-    for lo in range(0, n, _LANE_BLOCK):
-        hi = min(n, lo + _LANE_BLOCK)
-        first = max(lo - 1, 0)       # the cell before the block, for the first ratio
-        logc = c0 + logm[None, :, first:hi] + logm[None, :, first + 1:hi + 1]
-        if lo == 0:                  # the first cell has no predecessor: log ratio 0
-            logc = np.concatenate([logc[:, :, :1], logc], axis=2)
+    before = None                    # logc of the cell before the block, for its first ratio
+    for logm in logm_blocks:
+        logc = c0 + logm[None, :, :-1] + logm[None, :, 1:]
+        # the first cell has no predecessor: log ratio 0
+        logc = np.concatenate([logc[:, :, :1] if before is None else before, logc], axis=2)
+        before = logc[:, :, -1:]
         ratios = np.moveaxis(np.diff(logc, axis=2), 2, 0)
-        for r in np.exp(ratios).reshape(hi - lo, n_lanes):
+        for r in np.exp(ratios).reshape(-1, n_lanes):
             np.sin(psi, out=sn)
             np.cos(psi, out=cs)
             np.multiply(r, sn, out=sn)
@@ -307,13 +324,19 @@ def fd_spectrum_twisted(gbm: SampledPath, k: int = 8) -> np.ndarray:
 
 def renewal_statistics(e_level: float, horizon: float, s: RngStream,
                        step: float = 1e-3, min_count: int = 100) -> np.ndarray:
-    """Interarrival gaps of the pi-crossing times on [0, horizon], from time 0."""
+    """Interarrival gaps of the pi-crossing times on [0, horizon], from time 0.
+
+    The path B from B_0 = 0, on cells of width step, streams from s into
+    the scalar route a scan chunk at a time, so memory does not grow with
+    the horizon.
+    """
     if e_level <= 0:
         raise ValueError("E must be positive")
-    b = sample_brownian_path(0.0, horizon, step, s)
-    trace = phase_propagate(e_level, b, collect_crossings=True)
-    times = np.concatenate([[0.0], trace.crossings])
-    gaps = np.diff(times)
+    ncells, _ = grid_cells(horizon, step)
+    chunks = ((lo, _brownian_log_m(b[0], 0.0, step, lo))
+              for lo, b in brownian_blocks([s.gen], ncells, step, _SCAN_CHUNK))
+    crossings = _crossing_times(_phase_scan(chunks, step, e_level), step, e_level)
+    gaps = np.diff(np.concatenate([[0.0], crossings]))
     if gaps.size < min_count:
         raise RuntimeError(f"insufficient data: {gaps.size} interarrivals < {min_count}")
     return gaps
@@ -324,18 +347,35 @@ def dos_sweep(e_list, lam: float, replicas: int, s: RngStream,
     """Eigenvalue counts N_lam(E) by the phase route, shape (len(e_list), replicas).
 
     One path per replica, shared across the E values (the counts are
-    then monotone-coupled, which tightens ratio comparisons).  Replica r's
-    path, from s.substream(r + 1), is built on the worker pool.
+    then monotone-coupled, which tightens ratio comparisons).  The paths
+    stream into the lane route a lane block at a time (_log_m_blocks).
+    """
+    _, h = grid_cells(lam, step)
+    return _lane_counts(_log_m_blocks(lam, step, replicas, s), replicas, h, list(e_list))
+
+
+def _log_m_blocks(lam: float, step: float, replicas: int, s: RngStream):
+    """Yield the replicas' log M on [-lam, lam], one row each, a lane block of nodes at a time.
+
+    Row r is log_gbm_rows' path of s.substream(r + 1): B on the grid_cells
+    grid of each side, anchored to 0 at t = 0 (node half), read as
+    B_t - t/2.  A pre-pass on the worker pool finds each anchor B'_half
+    of the unanchored path by summing only the first half of the
+    replica's draws, from a fresh substream.  The blocks then stream on
+    this thread, each (B' - anchor) - t/2 with log_gbm_rows' operations,
+    so the rows equal its rows bit for bit.
     """
     half, h = grid_cells(lam, step)
-    logm = np.empty((replicas, 2 * half + 1))
+    anchor = np.empty(replicas)
 
-    def fill(r: int, _count: int, path_stream: RngStream) -> None:
-        _, row = next(log_gbm_rows(lam, step, 1, path_stream))
-        logm[r] = row[0]
+    def first_half(r: int, _count: int, path_stream: RngStream) -> None:
+        for _, b in brownian_blocks([path_stream.gen], half, h, _SCAN_CHUNK):
+            anchor[r] = b[0, -1]
 
-    map_stream_blocks(fill, s, replicas, 1)
-    return _lane_counts(logm, h, list(e_list))
+    map_stream_blocks(first_half, s, replicas, 1)
+    gens = [path_stream.gen for _, _, path_stream in stream_blocks(s, replicas, 1)]
+    for lo, b in brownian_blocks(gens, 2 * half, h, _LANE_BLOCK):
+        yield _brownian_log_m(b - anchor[:, None], -lam, h, lo)
 
 
 # ---------------------------------------------------------------------------

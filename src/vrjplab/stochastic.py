@@ -1,9 +1,15 @@
 """Deterministic, seedable randomness and the elementary samplers.
 
 Each draw primitive lives here once: the mean-1 Inverse Gaussian draw, the
-builder of two-sided log-geometric paths (``log_gbm_rows``), the one-sided
-Brownian path and the exponential-functional walk.  Every stepwise ensemble
-reads its per-step normals from one draw-ahead source, ``step_normals``.
+builder of two-sided log-geometric paths (``log_gbm_rows``), the streamed
+Brownian path (``brownian_blocks``) and the exponential-functional walk.
+Every stepwise ensemble reads its per-step normals from one draw-ahead
+source, ``step_normals``.  The phase-counting experiments read their paths
+from ``brownian_blocks`` a block of nodes at a time, so their memory does
+not grow with the path length.  ``log_gbm_rows`` keeps its own reused
+buffers and one draw per row block: its row blocks run on the worker
+threads, where a draw per row and a new buffer per block (as in
+``brownian_blocks``) made the matrix samplers measurably slower.
 
 Every stochastic routine in this package consumes an explicit
 :class:`RngStream`.  A stream is identified by a ``(seed, stream_id)``
@@ -86,10 +92,6 @@ class SampledPath:
             raise ValueError("gbm path must be strictly positive")
 
     @property
-    def times(self) -> np.ndarray:
-        return self.t0 + self.step * np.arange(self.values.size)
-
-    @property
     def t_end(self) -> float:
         return self.t0 + self.step * (self.values.size - 1)
 
@@ -128,6 +130,21 @@ def grid_cells(span: float, step: float) -> tuple[int, float]:
                          f"got span={span}, step={step}")
     n = max(1, int(math.ceil(span / step - 1e-9)))
     return n, span / n
+
+
+def walk_steps(span: float, step: float) -> int:
+    """Steps round(span/step) of a stepwise walk on [0, span].
+
+    Raises ValueError unless span and step are positive and finite and
+    give at least one step, so a walk never runs on an empty grid.
+    """
+    if not (0 < span < math.inf and 0 < step < math.inf):
+        raise ValueError(f"walk span and step must be positive and finite, "
+                         f"got span={span}, step={step}")
+    nsteps = int(round(span / step))
+    if nsteps < 1:
+        raise ValueError(f"walk needs at least one step, got span={span}, step={step}")
+    return nsteps
 
 
 def cumtrapz(y: np.ndarray, h: float) -> np.ndarray:
@@ -247,24 +264,30 @@ def exp_functional_walk(gen: np.random.Generator, n: int, h: float, nsteps: int,
     return alpha, integ, [seen[k] for k in snaps]
 
 
-def sample_brownian_path(t0: float, t1: float, step: float, s: RngStream) -> SampledPath:
-    """Brownian path on the grid covering [t0, t1] (the renewal route's one-sided path).
+def brownian_blocks(gens, n_cells: int, step: float, block: int):
+    """Yield (lo, nodes lo..hi of B) for one Brownian path per generator, block cells at a time.
 
-    Increments over each grid cell are independent N(0, step).  When the
-    span contains 0, the path is pinned to 0 at the grid point nearest 0,
-    which splits it into two independent one-sided paths glued there;
-    otherwise it is pinned at the left end.
+    Row r is the path B_0 = 0, B_k = B_{k-1} + sqrt(step) N_k of gens[r],
+    whose N_k are gens[r]'s standard normals in draw order, on nodes
+    0..n_cells.  A block holds nodes lo..hi with hi = min(lo + block,
+    n_cells), so consecutive blocks share a node.  The running sum carries
+    across blocks and adds the same terms in the same order as one cumsum
+    over the whole path, so the values do not depend on ``block``, and
+    memory is O(len(gens) x block).  The yielded array is overwritten by
+    the next block.
     """
-    ncells, _ = grid_cells(t1 - t0, step)
-    vals = np.empty(ncells + 1)
-    vals[0] = 0.0
-    incr = vals[1:]
-    s.gen.standard_normal(out=incr)
-    incr *= math.sqrt(step)
-    np.cumsum(incr, out=incr)
-    anchor = int(np.clip(round(-t0 / step), 0, ncells))
-    vals -= vals[anchor]
-    return SampledPath(t0, step, vals, PathKind.BROWNIAN)
+    sqrt_h = math.sqrt(step)
+    buf = np.empty((len(gens), min(block, n_cells) + 1))
+    carry = np.zeros(len(gens))
+    for lo in range(0, n_cells, block):
+        nodes = buf[:, :min(block, n_cells - lo) + 1]
+        nodes[:, 0] = carry
+        for gen, row in zip(gens, nodes):
+            gen.standard_normal(out=row[1:])
+        nodes[:, 1:] *= sqrt_h
+        np.cumsum(nodes, axis=1, out=nodes)
+        carry = nodes[:, -1].copy()
+        yield lo, nodes
 
 
 # A row block holds about this many grid values (256 KB): a row-blocked

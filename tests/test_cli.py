@@ -111,6 +111,10 @@ def test_main_list_and_exit_codes(tmp_path, capsys):
     ("dufresne_diagonal", "step=-0.01", "positive and finite"),
     ("functional_identity", "lam=0", "positive and finite"),
     ("dos_sweep", "lam=0", "positive and finite"),
+    ("z_diffusion", "tmax=-1 n=200", "positive and finite"),
+    ("z_diffusion", "step=0 n=200", "positive and finite"),
+    ("z_diffusion", "tmax=0.0004 n=200", "at least one step"),
+    ("mbg_corollary", "step=0 n=200", "positive and finite"),
 ])
 def test_main_params_too_small_exit_2(tmp_path, capsys, name, param, message):
     # parameters too small to form a statistic, a grid that cannot be built

@@ -7,17 +7,20 @@ import pytest
 
 from vrjplab.continuum_kernel import (DegeneratePathError, KernelPath,
                                       apply_kernel, flux_closed_form, flux_fd,
-                                      kernel_eval, line_kernel_eval,
+                                      kernel_diagonal_node, kernel_eval,
+                                      line_kernel_eval,
                                       mbg_transform_check, operator_residual,
                                       sample_dufresne_ratio,
                                       sample_kernel_diagonal,
                                       sample_line_diagonal,
                                       sample_quadratic_form,
                                       twisted_neumann_mismatch)
-from vrjplab.experiments import deterministic_flat_gbm
+from vrjplab.experiments import deterministic_flat_gbm, get_experiment
 from vrjplab.stats import ks_one_sample, ks_two_sample
 from vrjplab.stochastic import (PathKind, SampledPath, inverse_gamma_half_cdf,
                                 new_stream)
+
+from reference_paths import path_times
 
 
 def kernel_matrix(k: KernelPath, stride: int = 1) -> np.ndarray:
@@ -73,6 +76,15 @@ def test_diagonal_law_and_t_invariance():
     assert ks_two_sample(s0, s_half, 0.01).passed
 
 
+def test_dufresne_diagonal_names_the_node_it_read():
+    # t = 0.0004 on a grid of step 0.01 reads the node t = 0
+    assert kernel_diagonal_node(1.0, 0.0004, 0.01) == (100, 0.0)
+    assert kernel_diagonal_node(1.0, -0.63, 0.01)[0] == 37
+    spec = get_experiment("dufresne_diagonal")
+    result = spec.fn({**spec.defaults, "t": 0.0004, "step": 0.01, "n": 500}, new_stream(3, 0))
+    assert result.reports[0].label == "kernel-diagonal lam=1.0 t=0.0"
+
+
 def test_quadratic_form_zero_and_positive():
     # replica 0 of the sampler reads the path KernelPath.sample draws from
     # s.substream(1), the stream of its first block
@@ -88,7 +100,7 @@ def test_quadratic_form_double_route_oracle():
     k = KernelPath.sample(1.0, 1e-3, s.substream(1))
     f = lambda t: np.cos(np.pi * t) + 2.0
     q1 = sample_quadratic_form(1.0, f, 1e-3, 1, s)[0]
-    q2 = quadratic_form_double_route(k, f(k.gbm.times))
+    q2 = quadratic_form_double_route(k, f(path_times(k.gbm)))
     assert abs(q1 - q2) / abs(q2) < 1e-6
 
 
@@ -102,7 +114,7 @@ def test_quadratic_form_law_f_one():
 
 def test_apply_kernel_matches_matrix_route():
     k = KernelPath.sample(1.0, 1e-3, new_stream(7, 0))
-    f = np.cos(np.pi * k.gbm.times) + 2.0
+    f = np.cos(np.pi * path_times(k.gbm)) + 2.0
     g = apply_kernel(k, f)
     gm = kernel_matrix(k)
     w = np.full(f.size, k.gbm.step)
@@ -113,7 +125,7 @@ def test_apply_kernel_matches_matrix_route():
 
 def test_apply_kernel_boundary_and_neumann():
     k = KernelPath.sample(1.0, 1e-3, new_stream(8, 0))
-    f = np.sin(2 * np.pi * k.gbm.times) + 1.5
+    f = np.sin(2 * np.pi * path_times(k.gbm)) + 1.5
     g = apply_kernel(k, f)
     assert abs(g[0] - g[-1]) < 1e-8 * max(abs(g[0]), abs(g[-1]))
     assert twisted_neumann_mismatch(k, g) < 1e-3
@@ -121,7 +133,7 @@ def test_apply_kernel_boundary_and_neumann():
 
 def test_apply_kernel_linearity():
     k = KernelPath.sample(0.5, 1e-3, new_stream(9, 0))
-    t = k.gbm.times
+    t = path_times(k.gbm)
     f1, f2 = np.cos(t), np.exp(-t * t)
     lhs = apply_kernel(k, 2.0 * f1 + 3.0 * f2)
     rhs = 2.0 * apply_kernel(k, f1) + 3.0 * apply_kernel(k, f2)
@@ -130,14 +142,14 @@ def test_apply_kernel_linearity():
 
 def test_operator_residual_small():
     k = KernelPath.sample(1.0, 1e-3, new_stream(10, 0))
-    f = np.cos(np.pi * k.gbm.times) + 2.0
+    f = np.cos(np.pi * path_times(k.gbm)) + 2.0
     assert operator_residual(k, f) < 1e-2
     assert operator_residual(k, np.zeros_like(f) + 1e-300) == pytest.approx(0.0, abs=1e-6)
 
 
 def test_flux_fd_matches_closed_form():
     k = KernelPath.sample(1.0, 1e-3, new_stream(11, 0))
-    f = np.cos(np.pi * k.gbm.times) + 2.0
+    f = np.cos(np.pi * path_times(k.gbm)) + 2.0
     g = apply_kernel(k, f)
     a = flux_fd(k, g)
     b = flux_closed_form(k, f)
@@ -201,6 +213,8 @@ def test_mbg_snapshots_must_fall_on_distinct_positive_steps():
     for t_grid in ((0.0004, 1.0, 2.0), (0.5, 0.5004, 2.0), (0.0, 1.0, 2.0), (1.0, 2.0)):
         with pytest.raises(ValueError):
             mbg_transform_check(new_stream(21, 0), t_grid, n_rep=10, step=1e-3, tail=1.0)
+    with pytest.raises(ValueError):     # the last snapshot lies past the horizon 2 - 1
+        mbg_transform_check(new_stream(21, 0), (0.5, 1.0, 2.0), n_rep=10, step=1e-3, tail=-1.0)
 
 
 def test_interpolated_discrete_matches_kernel_law():

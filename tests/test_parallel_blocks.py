@@ -1,12 +1,12 @@
 """The worker pool: seeded output for any worker count, one span per traced call.
 
-The matrix samplers and dos_sweep run their stream blocks on stochastic's
-private pool, and step_normals (read by exp_functional_walk and
-euler_maruyama_z) draws its normals on it one chunk ahead of the steps.
-Swapping the pool for one of 1, 2 or 3 threads must not move a single bit.
-Pool tasks call only untraced helpers (the path builder log_gbm_rows, never
-the traced sample_brownian_path), so a traced sampler records one span per
-call however many threads work for it.
+The matrix samplers run their stream blocks on stochastic's private pool,
+dos_sweep runs its anchor pre-pass there, and step_normals (read by
+exp_functional_walk and euler_maruyama_z) draws its normals on it one chunk
+ahead of the steps.  Swapping the pool for one of 1, 2 or 3 threads must
+not move a single bit.  Pool tasks call only untraced helpers (the path
+builders log_gbm_rows and brownian_blocks), so a traced sampler records one
+span per call however many threads work for it.
 """
 
 import contextlib
@@ -74,11 +74,21 @@ def test_matrix_samplers_identical_for_any_worker_count():
 
 
 def test_dos_sweep_identical_for_any_worker_count():
-    # 7 replicas, one stream block each: more tasks than workers
-    def run():
-        return (sp.dos_sweep([1.0, 4.0, 9.0], 2.0, 7, new_stream(5, 3), 1e-2),)
+    # 7 replicas, one anchor task each: more tasks than workers; 402 cells
+    # of width 2.005/201, two lane blocks; and the lane counts of the
+    # log_gbm_rows rows held whole
+    e_list, lam, replicas, step, s = [1.0, 4.0, 9.0], 2.005, 7, 1e-2, new_stream(5, 3)
 
-    _assert_all_equal(_for_each_worker_count(run))
+    def run():
+        return (sp.dos_sweep(e_list, lam, replicas, s, step),)
+
+    results = _for_each_worker_count(run)
+    rows = np.concatenate([next(st.log_gbm_rows(lam, step, 1, s.substream(r + 1)))[1]
+                           for r in range(replicas)])
+    assert rows.shape[1] - 1 > sp._LANE_BLOCK
+    _, h = st.grid_cells(lam, step)
+    results.append((sp._lane_counts([rows], replicas, h, e_list),))
+    _assert_all_equal(results)
 
 
 def _walk_serial(gen, n, h, nsteps, snaps):

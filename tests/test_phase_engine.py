@@ -6,17 +6,25 @@ route (numpy transcendentals, which may differ from math.* by an ulp)
 must reproduce every count.  Two more reference routes check the closed
 form itself: a generic RK4 integration of the phase ODE, and the
 per-cell Riccati identity at the oracle's entry angles.
+
+renewal_statistics and dos_sweep stream their paths; they must give what
+the whole-path routes they replaced give, bit for bit: the renewal gaps
+of sample_brownian_path + phase_propagate, and the lane counts of the
+log_gbm_rows rows held whole.
 """
 
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import vrjplab.spectrum as sp
-from vrjplab.spectrum import _CROSS_TOL, _PI, dos_sweep, phase_propagate
-from vrjplab.stochastic import PathKind, SampledPath, new_stream, sample_brownian_path
+from vrjplab.spectrum import _CROSS_TOL, _PI, dos_sweep, phase_propagate, renewal_statistics
+from vrjplab.stochastic import PathKind, SampledPath, grid_cells, log_gbm_rows, new_stream
+
+from reference_paths import path_times, renewal_gaps_whole_path, sample_brownian_path
 
 
 def _phase_core(logc, dpsi):
@@ -53,7 +61,9 @@ def _phase_core(logc, dpsi):
 
 def _oracle_logm(path):
     """log M on the path nodes; a brownian input B is read as e^{B - t/2}."""
-    return np.log(path.values) if path.kind is PathKind.GBM else path.values - path.times / 2.0
+    if path.kind is PathKind.GBM:
+        return np.log(path.values)
+    return path.values - path_times(path) / 2.0
 
 
 def _oracle_logc(path, e_level):
@@ -88,7 +98,7 @@ steps = st.sampled_from([1e-3, 4e-3, 1e-2])
 def test_scalar_route_bit_identical_to_oracle(seed, e_level, lam, step):
     path = _path(seed, lam, step)
     count, psi, cells, psi_in, theta, times = _oracle(path, e_level)
-    scan = sp._phase_scan(path, e_level)
+    scan = sp._phase_scan(sp._path_chunks(path), path.step, e_level)
     assert scan.count == count
     assert scan.psi == psi
     assert np.array_equal(scan.cells, cells)
@@ -110,24 +120,33 @@ def test_scalar_route_across_chunk_seams():
 
 def test_gbm_path_bit_identical_to_oracle():
     b = _path(8, 3.0, 1e-3)
-    geo = SampledPath(b.t0, b.step, np.exp(b.values - b.times / 2.0), PathKind.GBM)
+    geo = SampledPath(b.t0, b.step, np.exp(b.values - path_times(b) / 2.0), PathKind.GBM)
     for e_level in (1.0, 4.0):
-        assert sp._phase_scan(geo, e_level).count == _oracle(geo, e_level)[0]
+        scan = sp._phase_scan(sp._path_chunks(geo), geo.step, e_level)
+        assert scan.count == _oracle(geo, e_level)[0]
 
 
-def _lane_case(seed, lam, step, replicas, e_list):
+def _lane_blocks(logm, block):
+    """The rows of logm a block of cells at a time; consecutive blocks share a node."""
+    n = logm.shape[1] - 1
+    return (logm[:, lo:min(n, lo + block) + 1] for lo in range(0, n, block))
+
+
+def _lane_case(seed, lam, step, replicas, e_list, block):
     paths = [_path(seed + r, lam, step) for r in range(replicas)]
     logm = np.stack([sp._log_m(p) for p in paths])
-    lanes = sp._lane_counts(logm, step, e_list)
+    lanes = sp._lane_counts(_lane_blocks(logm, block), replicas, step, e_list)
     oracle = np.array([[_oracle(p, e)[0] for p in paths] for e in e_list])
     return lanes, oracle
 
 
 @given(seed=st.integers(0, 2 ** 32 - 8), lam=st.floats(0.05, 3.0), step=steps,
        replicas=st.integers(1, 4),
-       e_list=st.lists(energies, min_size=1, max_size=4, unique=True).map(sorted))
-def test_lane_counts_equal_oracle_and_nondecreasing_in_e(seed, lam, step, replicas, e_list):
-    lanes, oracle = _lane_case(seed, lam, step, replicas, e_list)
+       e_list=st.lists(energies, min_size=1, max_size=4, unique=True).map(sorted),
+       block=st.integers(1, 5000))
+def test_lane_counts_equal_oracle_and_nondecreasing_in_e(seed, lam, step, replicas, e_list,
+                                                         block):
+    lanes, oracle = _lane_case(seed, lam, step, replicas, e_list, block)
     assert np.array_equal(lanes, oracle)
     assert np.all(np.diff(lanes, axis=0) >= 0)
 
@@ -141,6 +160,41 @@ def test_dos_sweep_spans_several_lane_blocks():
     oracle = np.array([[_oracle(p, e_level)[0] for p in paths] for e_level in e_list])
     assert counts.shape == (len(e_list), replicas)
     assert np.array_equal(counts, oracle)
+
+
+# 0.3337 is not a whole number of steps: 334 cells a side of width 0.3337/334
+@pytest.mark.parametrize("lam", [1.0, 0.3337])
+def test_dos_sweep_streams_the_log_gbm_rows(lam):
+    # each streamed block is its slice of the log_gbm_rows rows, and the
+    # counts are the lane counts of those rows held whole
+    step, replicas, e_list, s = 1e-3, 3, [1.0, 4.0, 9.0], new_stream(22, 0)
+    half, h = grid_cells(lam, step)
+    assert 2 * half > 2 * sp._LANE_BLOCK
+    rows = np.concatenate([next(log_gbm_rows(lam, step, 1, s.substream(r + 1)))[1]
+                           for r in range(replicas)])
+    seen = 0
+    for block in sp._log_m_blocks(lam, step, replicas, s):
+        assert np.array_equal(block, rows[:, seen:seen + block.shape[1]])
+        seen += block.shape[1] - 1
+    assert seen == 2 * half
+    want = sp._lane_counts([rows], replicas, h, e_list)
+    assert np.array_equal(dos_sweep(e_list, lam, replicas, s, step), want)
+
+
+# horizons of 10038 cells (inside one scan chunk) and of 70006 cells (two
+# chunks and part of a third), neither a whole number of steps; then the
+# same with chunks of 1000 cells
+@pytest.mark.parametrize("e_level", [1.0, 4.0, 9.0])
+def test_renewal_gaps_bit_identical_to_whole_path(e_level, monkeypatch):
+    step = 1e-2
+    for horizon in (100.3705, 700.0537):
+        want = renewal_gaps_whole_path(e_level, horizon, new_stream(40, 1), step)
+        got = renewal_statistics(e_level, horizon, new_stream(40, 1), step, min_count=1)
+        assert np.array_equal(got, want)
+        with monkeypatch.context() as m:
+            m.setattr(sp, "_SCAN_CHUNK", 1000)
+            got = renewal_statistics(e_level, horizon, new_stream(40, 1), step, min_count=1)
+        assert np.array_equal(got, want)
 
 
 def phase_propagate_rk4(e_level: float, gbm: SampledPath,

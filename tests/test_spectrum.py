@@ -5,6 +5,7 @@ oracle of its array assembly.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,8 +20,9 @@ from vrjplab.spectrum import (count_states_matrix, count_states_phase,
                               discrete_spectrum_matrix, dos_sweep,
                               fd_operator_twisted, fd_spectrum_twisted, mean_t1_quadrature,
                               phase_propagate, renewal_statistics)
-from vrjplab.stochastic import (PathKind, SampledPath, new_stream,
-                                sample_brownian_path)
+from vrjplab.stochastic import PathKind, SampledPath, new_stream
+
+from reference_paths import path_times, sample_brownian_path
 
 
 def _unit_gbm(span, step):
@@ -223,7 +225,7 @@ def test_fd_dirichlet_count_flat_path():
 def test_phase_fd_bracket_on_shared_path():
     for seed in (0, 1):
         b = sample_brownian_path(-10.0, 10.0, 1e-3, new_stream(8, seed))
-        geo = SampledPath(b.t0, b.step, np.exp(b.values - b.times / 2.0), PathKind.GBM)
+        geo = SampledPath(b.t0, b.step, np.exp(b.values - path_times(b) / 2.0), PathKind.GBM)
         for e_level in (1.0, 4.0):
             cp = count_states_phase(e_level, geo)
             cf = count_states_fd_dirichlet(geo, e_level)
@@ -270,6 +272,28 @@ def test_renewal_rate_matches_dos_density():
     counts = dos_sweep([e_level], lam=50.0, replicas=16, s=new_stream(30, 1))
     density, half_width = mean_ci(counts[0] / 100.0, 0.01)
     assert abs(rate - density) < 3 * (rate_hw + half_width) + 2 / 100.0
+
+
+def _peak_bytes(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_phase_counting_memory_does_not_grow_with_path_length():
+    # the paths stream through: quadrupling the renewal horizon (250k ->
+    # 1M cells) or lam (20k -> 80k cells for each of 8 replicas) adds no
+    # path memory; a whole path would add at least 6 MB and 3.8 MB.  The
+    # slack covers the crossing records.
+    renewal = [_peak_bytes(lambda: renewal_statistics(4.0, horizon, new_stream(31, 0)))
+               for horizon in (250.0, 1000.0)]
+    dos = [_peak_bytes(lambda: dos_sweep([1.0, 4.0], lam, 8, new_stream(31, 1)))
+           for lam in (10.0, 40.0)]
+    assert renewal[1] - renewal[0] < 1e6
+    assert dos[1] - dos[0] < 1e6
 
 
 def test_renewal_insufficient_data():

@@ -16,8 +16,9 @@ from vrjplab.experiments import list_experiments
 from vrjplab.stats import ks_one_sample, mean_ci
 from vrjplab.stochastic import (PathKind, grid_cells,
                                 inverse_gamma_half_cdf, inverse_gaussian_cdf,
-                                log_gbm_rows, new_stream, sample_brownian_path,
-                                sample_inverse_gaussian)
+                                log_gbm_rows, new_stream, sample_inverse_gaussian)
+
+from reference_paths import path_times, sample_brownian_path
 
 
 def test_stream_determinism():
@@ -122,6 +123,31 @@ def test_brownian_path_is_cumsum_of_scaled_draws():
     assert np.array_equal(path.values, want - want[100])
 
 
+@pytest.mark.parametrize("block", [1, 7, 300, 1000])
+def test_brownian_blocks_equal_the_whole_path(block):
+    # row r is the whole-path cumsum of its own generator's draws, bit for
+    # bit, whatever the block; consecutive blocks share a node
+    n_cells, step = 300, 1e-2
+    want = [sample_brownian_path(0.0, 3.0, step, new_stream(9, r)).values for r in range(3)]
+    gens = [new_stream(9, r).gen for r in range(3)]
+    seen = 0
+    for lo, nodes in st.brownian_blocks(gens, n_cells, step, block):
+        assert lo == seen and nodes.shape == (3, min(block, n_cells - lo) + 1)
+        for row, path in zip(nodes, want):
+            assert np.array_equal(row, path[lo:lo + nodes.shape[1]])
+        seen += nodes.shape[1] - 1
+    assert seen == n_cells
+
+
+def test_walk_steps():
+    assert st.walk_steps(1.0, 1e-3) == 1000
+    assert st.walk_steps(2.5, 1.0) == 2                  # round half to even
+    for span, step in ((-1.0, 1e-3), (1.0, 0.0), (0.0, 1e-3), (math.inf, 1.0),
+                       (math.nan, 1.0), (1e-4, 1e-3)):
+        with pytest.raises(ValueError):
+            st.walk_steps(span, step)
+
+
 def test_grid_cells():
     assert grid_cells(1.0, 1e-3) == (1000, 1.0 / 1000)
     assert grid_cells(4.9, 0.7) == (7, 4.9 / 7)      # 4.9/0.7 rounds above 7
@@ -139,7 +165,7 @@ def test_gbm_deterministic_transform():
         gbm = KernelPath.sample(lam, step, new_stream(3, 1)).gbm
         assert gbm.kind is PathKind.GBM
         assert (gbm.t0, gbm.step) == (-lam, h)
-        assert np.array_equal(gbm.values, np.exp(b.values - b.times / 2.0))
+        assert np.array_equal(gbm.values, np.exp(b.values - path_times(b) / 2.0))
         assert gbm.values[half] == 1.0
 
 
@@ -168,7 +194,7 @@ def test_gbm_grid_identity():
             assert lo == seen and len(rows) <= per_block
             for row in rows:
                 b = sample_brownian_path(-lam, lam, h, ref)
-                assert np.array_equal(row, b.values - b.times / 2.0)
+                assert np.array_equal(row, b.values - path_times(b) / 2.0)
             seen += len(rows)
         assert seen == count
 

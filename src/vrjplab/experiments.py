@@ -280,10 +280,12 @@ def _exp_t1_quad(p: dict, s: RngStream) -> ExperimentResult:
            "tol": 0.02})
 def _exp_renewal(p: dict, s: RngStream) -> ExperimentResult:
     rows, reps = [], []
-    for i, e in enumerate(tuple(np.atleast_1d(p["e_list"]))):
-        horizon = p["horizon_crossings"] * math.pi / math.sqrt(e)
-        gaps = spectrum.renewal_statistics(float(e), horizon, s.substream(i + 1),
-                                           p["step"], min_count=1000)
+    e_list = [float(e) for e in np.atleast_1d(p["e_list"])]
+    horizons = [p["horizon_crossings"] * math.pi / math.sqrt(e) for e in e_list]
+    all_gaps = spectrum.renewal_statistics(
+        e_list, horizons, [s.substream(i + 1) for i in range(len(e_list))],
+        p["step"], min_count=1000)
+    for e, gaps in zip(e_list, all_gaps):
         n = gaps.size
         mean = float(np.mean(gaps))
         target = math.pi / math.sqrt(e)

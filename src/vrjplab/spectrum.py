@@ -31,6 +31,16 @@ numpy step per cell, over fixed-size blocks of cells that stream from the
 replicas' paths.  Neither experiment holds a whole path, so memory does
 not grow with the horizon or with lam.
 
+The scalar loop holds the interpreter lock, so threads cannot overlap the
+renewal scans of different energies.  renewal_statistics runs the first
+energy's scan in this process and each other one in a forked child
+(stochastic.map_forked), which builds its own path from its own stream
+and sends back only the gaps.  Fork, not spawn: a spawned child would
+import numpy and scipy afresh, about 0.75 s, against a scan of about a
+second.  The pool threads are idle during the scans, which is what makes
+the fork safe; Python 3.12+ still warns (DeprecationWarning) on forking a
+process that has threads.
+
 Matrix routes.  The scaled discrete circle operator (weight n) has
 eigenvalues approximating the continuum ones, counted by a dense
 eigensolve.  A conservative finite-difference operator built from a
@@ -51,7 +61,7 @@ import scipy.sparse.linalg
 
 from .beta_field import BetaField, dense_h
 from .stochastic import (PathKind, RngStream, SampledPath, brownian_blocks, grid_cells,
-                         map_stream_blocks, stream_blocks)
+                         map_forked, map_stream_blocks, stream_blocks)
 
 _PI = math.pi
 
@@ -197,6 +207,8 @@ def phase_propagate(e_level: float, gbm: SampledPath,
     """Propagate the phase over the whole path span from theta = 0."""
     if e_level <= 0:
         raise ValueError("E must be positive")
+    if gbm.values.size < 2:
+        raise ValueError("path has no cell: phase propagation needs at least two nodes")
     scan = _phase_scan(_path_chunks(gbm), gbm.step, e_level)
     psi = scan.psi
     # unwind the final gauge angle to the raw phase fraction
@@ -322,13 +334,26 @@ def fd_spectrum_twisted(gbm: SampledPath, k: int = 8) -> np.ndarray:
 # Renewal gaps and the density-of-states sweep
 # ---------------------------------------------------------------------------
 
-def renewal_statistics(e_level: float, horizon: float, s: RngStream,
-                       step: float = 1e-3, min_count: int = 100) -> np.ndarray:
-    """Interarrival gaps of the pi-crossing times on [0, horizon], from time 0.
+def renewal_statistics(e_levels, horizons, streams, step: float = 1e-3,
+                       min_count: int = 100) -> list[np.ndarray]:
+    """Interarrival gaps of the pi-crossing times on [0, horizons[k]], one array per energy.
 
-    The path B from B_0 = 0, on cells of width step, streams from s into
-    the scalar route a scan chunk at a time, so memory does not grow with
-    the horizon.
+    Job k scans the path of streams[k] at energy e_levels[k]
+    (_renewal_gaps).  The first job runs in this process, the others in
+    forked children (stochastic.map_forked), so the gaps do not depend on
+    how many processes ran them.
+    """
+    jobs = [(e, h, s, step, min_count)
+            for e, h, s in zip(e_levels, horizons, streams, strict=True)]
+    return map_forked(_renewal_gaps, jobs)
+
+
+def _renewal_gaps(e_level: float, horizon: float, s: RngStream, step: float,
+                  min_count: int) -> np.ndarray:
+    """One energy's gaps, from time 0; the path B from B_0 = 0, on cells of width step.
+
+    The path streams from s into the scalar route a scan chunk at a time,
+    so memory does not grow with the horizon.
     """
     if e_level <= 0:
         raise ValueError("E must be positive")

@@ -28,11 +28,27 @@ private pool (``_pool``).  A pool task either owns one stream block and
 its slice of the output, or draws the next chunk of ``step_normals``, so
 seeded output does not depend on the thread count.  Pool tasks call
 numpy and untraced helpers only, and never submit to the pool themselves.
+
+Pure-Python work holds the interpreter lock, so the pool cannot overlap
+it; ``map_forked`` runs such jobs in forked child processes instead, at
+most one fewer than the pool's workers at once, so the worker count has
+the one source, the usable CPUs.  Fork, not spawn or forkserver: a new
+interpreter imports numpy and scipy afresh, about 0.75 s per child on a
+2-vCPU VM, which is more than the overlap saves on the phase scans it
+serves.  Forking a process with threads is safe only while those threads
+hold no lock the child needs; the pool's threads are idle while
+``map_forked`` runs, the child builds a pool of its own if it needs one
+(``os.register_at_fork`` below), and the job touches only its own
+arguments.  Python 3.12+ warns (DeprecationWarning) on every fork of a
+process that has threads; the idle pool threads are what it sees.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import multiprocessing
+import multiprocessing.connection
 import os
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
@@ -205,6 +221,75 @@ def map_stream_blocks(fn, s: RngStream, n_rep: int, block: int) -> None:
     wait(tasks)
     for task in tasks:
         task.result()
+
+
+def _forked_call(conn, fn, job) -> None:
+    # runs in the child: reply (True, result) or (False, the exception)
+    try:
+        reply = (True, fn(*job))
+    except Exception as exc:
+        reply = (False, exc)
+    conn.send(reply)
+    conn.close()
+
+
+def map_forked(fn, jobs) -> list:
+    """[fn(*job) for job in jobs]: jobs[0] in this process, the others in forked children.
+
+    For pure-Python work, which holds the interpreter lock, so threads
+    cannot overlap it.  At most pool_workers() - 1 children are alive at
+    once; with one worker every job runs here and nothing is forked.  A
+    child pickles back only fn's result.  Results come in job order.  A
+    child's exception is raised again here with its own type and message;
+    a child that exits without a reply raises RuntimeError.  Every child
+    is reaped before this returns, and on an error the ones still running
+    are terminated first.  Callers must not run it while pool tasks are
+    in flight (see the module docstring on fork).
+    """
+    jobs = list(jobs)
+    slots = pool_workers() - 1
+    if slots < 1 or len(jobs) < 2:
+        return [fn(*job) for job in jobs]
+    ctx = multiprocessing.get_context("fork")
+    results = [None] * len(jobs)
+    running = {}                        # reply connection -> (job index, child)
+    queued = iter(range(1, len(jobs)))
+
+    def start(i: int) -> None:
+        recv, send = ctx.Pipe(duplex=False)
+        child = ctx.Process(target=_forked_call, args=(send, fn, jobs[i]), daemon=True)
+        child.start()
+        send.close()
+        running[recv] = (i, child)
+
+    try:
+        for i in itertools.islice(queued, slots):
+            start(i)
+        results[0] = fn(*jobs[0])
+        while running:
+            for conn in multiprocessing.connection.wait(list(running)):
+                i, child = running.pop(conn)
+                try:
+                    ok, value = conn.recv()
+                except EOFError:
+                    child.join()
+                    raise RuntimeError(f"forked job {i} exited with code {child.exitcode} "
+                                       f"without a result") from None
+                finally:
+                    conn.close()
+                child.join()
+                if not ok:
+                    raise value
+                results[i] = value
+                following = next(queued, None)
+                if following is not None:
+                    start(following)
+    finally:
+        for conn, (_, child) in running.items():
+            child.terminate()
+            child.join()
+            conn.close()
+    return results
 
 
 # A draw chunk holds about this many normals (1 MB); two are alive at once.

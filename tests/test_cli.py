@@ -104,6 +104,7 @@ def test_main_list_and_exit_codes(tmp_path, capsys):
 
 @pytest.mark.parametrize("name, param, message", [
     ("renewal_mean", "horizon_crossings=10", "insufficient data"),
+    ("renewal_mean", "horizon_crossings=500", "insufficient data"),
     ("intertwining", "length=0", "length >= 1"),
     ("dos_sweep", "lam=1.0 replicas=1", "at least 2 samples"),
     ("dufresne_diagonal", "t=-1.5 n=500 step=0.01", "t=-1.5 outside"),

@@ -3,14 +3,19 @@
 The matrix samplers run their stream blocks on stochastic's private pool,
 dos_sweep runs its anchor pre-pass there, and step_normals (read by
 exp_functional_walk and euler_maruyama_z) draws its normals on it one chunk
-ahead of the steps.  Swapping the pool for one of 1, 2 or 3 threads must
-not move a single bit.  Pool tasks call only untraced helpers (the path
-builders log_gbm_rows and brownian_blocks), so a traced sampler records one
-span per call however many threads work for it.
+ahead of the steps.  renewal_statistics runs every energy after the first
+in a forked child, at most one fewer at once than the pool's workers.
+Swapping the pool for one of 1, 2 or 3 threads must not move a single bit.
+Pool tasks and forked children call only untraced helpers (the path
+builders log_gbm_rows and brownian_blocks, the renewal scan
+_renewal_gaps), so a traced sampler records one span per call however many
+threads or processes work for it.  A child's error, a child that dies and
+an error in this process each end the call with every child reaped.
 """
 
 import contextlib
 import math
+import multiprocessing
 import os
 import select
 import signal
@@ -180,6 +185,95 @@ def test_forked_child_builds_its_own_pool():
     assert answer == b"1"
 
 
+# three energies: more jobs than workers for 1 and 2 workers, so a job
+# waits for a child's slot; 5000 cells of width 1e-2 each
+RENEWAL_JOBS = ([1.0, 4.0, 9.0], [50.0, 50.0, 50.0], 1e-2)
+
+
+def _renewal(e_levels, horizons, step, min_count=1):
+    streams = [new_stream(7, k + 1) for k in range(len(e_levels))]
+    return sp.renewal_statistics(e_levels, horizons, streams, step, min_count)
+
+
+def _assert_no_child_left():
+    assert multiprocessing.active_children() == []
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@contextlib.contextmanager
+def _deadline(seconds):
+    # a wait that never ends fails the test instead of hanging it
+    def expire(signum, frame):
+        raise TimeoutError(f"no result within {seconds} s")
+
+    saved = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, saved)
+
+
+def test_renewal_gaps_identical_for_any_worker_count():
+    e_levels, horizons, step = RENEWAL_JOBS
+
+    def run():
+        with _deadline(60):
+            gaps = _renewal(e_levels, horizons, step)
+        _assert_no_child_left()
+        return gaps
+
+    results = _for_each_worker_count(run)
+    alone = [sp.renewal_statistics([e], [h], [new_stream(7, k + 1)], step, 1)[0]
+             for k, (e, h) in enumerate(zip(e_levels, horizons))]
+    results.append(alone)
+    assert all(g.size > 10 for g in alone)
+    _assert_all_equal(results)
+
+
+def test_child_error_reaches_the_parent():
+    # the first job, in this process, has data enough; the second, in a
+    # child, has not, and its error arrives as it would have been raised here
+    e_levels, horizons, step = [1.0, 1.0], [500.0, 5.0], 1e-2
+    assert _renewal(e_levels[:1], horizons[:1], step, min_count=100)[0].size >= 100
+    with pytest.raises(RuntimeError, match="insufficient data") as here:
+        sp._renewal_gaps(e_levels[1], horizons[1], new_stream(7, 2), step, 100)
+    with _pool_of(2), _deadline(60):
+        with pytest.raises(RuntimeError) as err:
+            _renewal(e_levels, horizons, step, min_count=100)
+    assert type(err.value) is RuntimeError and str(err.value) == str(here.value)
+    _assert_no_child_left()
+
+
+def test_child_that_dies_without_reply_raises(monkeypatch):
+    gaps = sp._renewal_gaps
+
+    def dies_at_four(e_level, *rest):
+        if e_level == 4.0:
+            os._exit(1)
+        return gaps(e_level, *rest)
+
+    monkeypatch.setattr(sp, "_renewal_gaps", dies_at_four)
+    e_levels, horizons, step = RENEWAL_JOBS
+    with _pool_of(2), _deadline(60):
+        with pytest.raises(RuntimeError, match="exited with code 1 without a result"):
+            _renewal(e_levels, horizons, step)
+    _assert_no_child_left()
+
+
+def test_parent_error_terminates_running_children():
+    # the job in this process fails at once while the child's scan of
+    # 1e8 cells (tens of seconds) runs: the child is terminated and
+    # reaped, not waited for
+    e_levels, horizons, step = [-1.0, 1.0], [50.0, 1e6], 1e-2
+    with _pool_of(2), _deadline(10):
+        with pytest.raises(ValueError, match="E must be positive"):
+            _renewal(e_levels, horizons, step)
+    _assert_no_child_left()
+
+
 THREADED_SAMPLERS = [
     (ck, "sample_kernel_diagonal",
      lambda f: f(1.0, 0.0, 1e-2, 4500, new_stream(1, 0))),
@@ -192,6 +286,8 @@ THREADED_SAMPLERS = [
     (my, "sample_z_pathwise", lambda f: f(1.0, 1e-3, 1000, new_stream(1, 0))),
     (my, "euler_maruyama_z", lambda f: f(1.0, 1e-3, 1000, new_stream(1, 0))),
     (sp, "dos_sweep", lambda f: f([1.0, 4.0], 2.0, 7, new_stream(1, 0), 1e-2)),
+    (sp, "renewal_statistics",
+     lambda f: f([1.0, 4.0, 9.0], [50.0] * 3, [new_stream(1, k) for k in range(3)], 1e-2, 1)),
 ]
 
 

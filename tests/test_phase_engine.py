@@ -189,11 +189,12 @@ def test_renewal_gaps_bit_identical_to_whole_path(e_level, monkeypatch):
     step = 1e-2
     for horizon in (100.3705, 700.0537):
         want = renewal_gaps_whole_path(e_level, horizon, new_stream(40, 1), step)
-        got = renewal_statistics(e_level, horizon, new_stream(40, 1), step, min_count=1)
+        [got] = renewal_statistics([e_level], [horizon], [new_stream(40, 1)], step, min_count=1)
         assert np.array_equal(got, want)
         with monkeypatch.context() as m:
             m.setattr(sp, "_SCAN_CHUNK", 1000)
-            got = renewal_statistics(e_level, horizon, new_stream(40, 1), step, min_count=1)
+            [got] = renewal_statistics([e_level], [horizon], [new_stream(40, 1)], step,
+                                       min_count=1)
         assert np.array_equal(got, want)
 
 

@@ -163,6 +163,14 @@ def test_phase_rejects_bad_energy():
         phase_propagate(0.0, _unit_gbm(1.0, 1e-2))
 
 
+def test_phase_rejects_path_without_cell():
+    one_node = SampledPath(0.0, 1e-3, np.ones(1), PathKind.GBM)
+    with pytest.raises(ValueError, match="no cell"):
+        phase_propagate(1.0, one_node)
+    with pytest.raises(ValueError, match="no cell"):
+        count_states_phase(1.0, one_node)
+
+
 def test_count_states_phase_flat_path():
     gbm = deterministic_flat_gbm(math.pi, 1e-3)
     # exact counting function of the drift-only operator at lam = pi
@@ -252,7 +260,7 @@ def _mean_se(gaps):
 
 
 def test_renewal_statistics():
-    gaps = renewal_statistics(4.0, 500.0, new_stream(11, 0), step=1e-3)
+    [gaps] = renewal_statistics([4.0], [500.0], [new_stream(11, 0)], step=1e-3)
     n = gaps.size
     assert n >= 100 and np.all(gaps > 0)
     mean, se = _mean_se(gaps)
@@ -266,7 +274,8 @@ def test_renewal_rate_matches_dos_density():
     # (mean interarrival)^-1 is the crossings-per-unit-length rate that the
     # density sweep estimates; the two must agree within joint CI
     e_level = 4.0
-    mean, se = _mean_se(renewal_statistics(e_level, 1000.0, new_stream(30, 0), step=1e-3))
+    [gaps] = renewal_statistics([e_level], [1000.0], [new_stream(30, 0)], step=1e-3)
+    mean, se = _mean_se(gaps)
     rate = 1.0 / mean
     rate_hw = se / mean ** 2 * 2.58
     counts = dos_sweep([e_level], lam=50.0, replicas=16, s=new_stream(30, 1))
@@ -288,7 +297,7 @@ def test_phase_counting_memory_does_not_grow_with_path_length():
     # 1M cells) or lam (20k -> 80k cells for each of 8 replicas) adds no
     # path memory; a whole path would add at least 6 MB and 3.8 MB.  The
     # slack covers the crossing records.
-    renewal = [_peak_bytes(lambda: renewal_statistics(4.0, horizon, new_stream(31, 0)))
+    renewal = [_peak_bytes(lambda: renewal_statistics([4.0], [horizon], [new_stream(31, 0)]))
                for horizon in (250.0, 1000.0)]
     dos = [_peak_bytes(lambda: dos_sweep([1.0, 4.0], lam, 8, new_stream(31, 1)))
            for lam in (10.0, 40.0)]
@@ -298,7 +307,7 @@ def test_phase_counting_memory_does_not_grow_with_path_length():
 
 def test_renewal_insufficient_data():
     with pytest.raises(RuntimeError, match="insufficient"):
-        renewal_statistics(1.0, 20.0, new_stream(11, 1), step=1e-3)
+        renewal_statistics([1.0], [20.0], [new_stream(11, 1)], step=1e-3)
 
 
 def test_mean_t1_quadrature_values():

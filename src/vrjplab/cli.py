@@ -6,8 +6,8 @@
 Each run writes <out>/<name>/results.csv (numeric table, shortest
 round-trip decimals, byte-identical across reruns of the same config)
 and manifest.json (the effective parameters, package and library
-versions, the worker-pool size and BLAS thread settings, timestamps,
-verdicts).
+versions, the platform, the worker-pool size and BLAS thread settings,
+timestamps, verdicts).
 Exit code 0 when every verdict passes, 1 otherwise, 2 on usage errors,
 including parameters too small to form a statistic.
 """
@@ -67,6 +67,7 @@ class RunManifest:
             # bit streams are pinned per numpy release
             "versions": {"numpy": np.__version__, "scipy": scipy.__version__,
                          "python": platform.python_version()},
+            "platform": platform.platform(),
             # seeded draws do not depend on the worker count; the dense
             # inverse of explicit_inverse depends on the BLAS thread count
             "workers": pool_workers(),

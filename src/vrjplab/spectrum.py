@@ -32,14 +32,25 @@ replicas' paths.  Neither experiment holds a whole path, so memory does
 not grow with the horizon or with lam.
 
 The scalar loop holds the interpreter lock, so threads cannot overlap the
-renewal scans of different energies.  renewal_statistics runs the first
-energy's scan in this process and each other one in a forked child
-(stochastic.map_forked), which builds its own path from its own stream
-and sends back only the gaps.  Fork, not spawn: a spawned child would
-import numpy and scipy afresh, about 0.75 s, against a scan of about a
-second.  The pool threads are idle during the scans, which is what makes
-the fork safe; Python 3.12+ still warns (DeprecationWarning) on forking a
-process that has threads.
+renewal scans.  renewal_statistics fills one bin of about equal work per
+pool worker and runs the first bin in this process and each other one in
+a forked child (stochastic.map_forked).  A long path may be cut at a
+multiple of the scan chunk.  A piece that starts at cell lo > 0 draws its
+path from node 0 and scans a warm-up of _WARM_CELLS cells before lo from
+psi = 0.  The recurrence contracts on the projective line (the products of
+the cell maps have a positive Lyapunov exponent), so two float64 scans of
+one path from different angles become bitwise equal after some tens of
+thousands of cells at step 1e-3, and stay equal.  The parent stitches each
+path's pieces in order and keeps a piece only if its psi at lo equals the
+previous piece's final psi bit for bit; otherwise it rescans from the true
+state until the two agree at a chunk end.  So the gaps are those of one
+scan of the whole path, bit for bit, whatever the cuts and the worker
+count.  A child sends back only its pieces' crossing records and end
+angles.  Fork, not spawn: a spawned child would import numpy and scipy
+afresh, about 0.75 s, against a scan of about a second.  The pool threads
+are idle during the scans, which is what makes the fork safe; Python
+3.12+ still warns (DeprecationWarning) on forking a process that has
+threads.
 
 Matrix routes.  The scaled discrete circle operator (weight n) has
 eigenvalues approximating the continuum ones, counted by a dense
@@ -51,6 +62,7 @@ the deterministic spectral oracle.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 
@@ -61,7 +73,7 @@ import scipy.sparse.linalg
 
 from .beta_field import BetaField, dense_h
 from .stochastic import (PathKind, RngStream, SampledPath, brownian_blocks, grid_cells,
-                         map_forked, map_stream_blocks, stream_blocks)
+                         map_forked, map_stream_blocks, pool_workers, stream_blocks)
 
 _PI = math.pi
 
@@ -156,6 +168,12 @@ class _Scan:
         return int(self.ncross.sum())
 
 
+def _record_arrays(records: list):
+    """(cells, entry angles, crossings) of _scan_cells' records, as arrays."""
+    rec = np.array(records, dtype=float).reshape(-1, 3)
+    return rec[:, 0].astype(np.int64), rec[:, 1], rec[:, 2].astype(np.int64)
+
+
 def _path_chunks(gbm: SampledPath):
     """Yield (lo, log M on nodes lo..hi) over the path, _SCAN_CHUNK cells at a time."""
     n = gbm.values.size - 1
@@ -163,17 +181,20 @@ def _path_chunks(gbm: SampledPath):
         yield lo, _log_m(gbm, lo, min(n, lo + _SCAN_CHUNK) + 1)
 
 
-def _phase_scan(chunks, step: float, e_level: float) -> _Scan:
-    """Scalar route: propagate one path from theta = 0, chunk by chunk.
+def _scan_chunks(chunks, step: float, e_level: float, records: list, start: int = 0,
+                 psi: float = 0.0):
+    """Scalar route: advance psi, given on entering cell start, chunk by chunk.
 
     chunks yields (lo, log M on nodes lo..hi) for consecutive chunks of
-    cells of width step; consecutive chunks share a node.  Records the
-    crossing cells only, so memory is one chunk plus the records.
+    cells of width step; consecutive chunks share a node.  Scans the cells
+    from start on, appends their crossing records to records and yields
+    (hi, psi after cell hi - 1, logc of cell hi - 1) after each chunk.
+    Every cell but cell 0 takes its ratio from the logc of the cell before
+    it, so a scan that starts at start > 0 needs the chunk holding cell
+    start - 1.  Memory is one chunk plus the records.
     """
     c0 = 0.5 * math.log(e_level)
     dpsi = math.sqrt(e_level) * step
-    records: list = []
-    psi = 0.0
     prev = None
     for lo, logm in chunks:
         # logc on the chunk's cells: c0 + log of the frozen M^2 (c0 = log sqrt(E))
@@ -183,21 +204,28 @@ def _phase_scan(chunks, step: float, e_level: float) -> _Scan:
         ratios[0] = 0.0 if prev is None else logc[0] - prev
         np.subtract(logc[1:], logc[:-1], out=ratios[1:])
         prev = logc[-1]
-        psi = _scan_cells(ratios.tolist(), psi, dpsi, lo, records)
-    rec = np.array(records, dtype=float).reshape(-1, 3)
-    return _Scan(rec[:, 0].astype(np.int64), rec[:, 1], rec[:, 2].astype(np.int64),
-                 psi, float(prev))
+        first = max(start, lo)
+        psi = _scan_cells(ratios[first - lo:].tolist(), psi, dpsi, first, records)
+        yield lo + logc.size, psi, float(prev)
 
 
-def _crossing_times(scan: _Scan, step: float, e_level: float) -> np.ndarray:
+def _phase_scan(chunks, step: float, e_level: float) -> _Scan:
+    """Propagate one path from theta = 0 over all of its chunks (_scan_chunks)."""
+    records: list = []
+    for _, psi, logc_last in _scan_chunks(chunks, step, e_level, records):
+        pass
+    return _Scan(*_record_arrays(records), psi, logc_last)
+
+
+def _crossing_times(cells: np.ndarray, psi_in: np.ndarray, nc: np.ndarray, step: float,
+                    e_level: float) -> np.ndarray:
     """Times of the pi-crossings, offsets from the path start.
 
     Within cell i the gauge angle moves at rate sqrt(E) from its entry
     angle, so its j-th crossing is at i*h + (j*pi - psi_in)/sqrt(E).
     """
-    nc = scan.ncross
-    cells = np.repeat(scan.cells, nc)
-    psi_in = np.repeat(scan.psi_in, nc)
+    cells = np.repeat(cells, nc)
+    psi_in = np.repeat(psi_in, nc)
     j = np.arange(1, cells.size + 1) - np.repeat(np.cumsum(nc) - nc, nc)
     return cells * step + (j * _PI - psi_in) / math.sqrt(e_level)
 
@@ -217,7 +245,8 @@ def phase_propagate(e_level: float, gbm: SampledPath,
         phi = 0.0
     count = scan.count
     theta_final = float(count) * _PI + phi
-    crossings = _crossing_times(scan, gbm.step, e_level) if collect_crossings else np.empty(0)
+    crossings = (_crossing_times(scan.cells, scan.psi_in, scan.ncross, gbm.step, e_level)
+                 if collect_crossings else np.empty(0))
     return PhaseTrace(theta_final, crossings, count)
 
 
@@ -334,37 +363,181 @@ def fd_spectrum_twisted(gbm: SampledPath, k: int = 8) -> np.ndarray:
 # Renewal gaps and the density-of-states sweep
 # ---------------------------------------------------------------------------
 
+# A piece of a renewal path that starts at cell lo > 0 scans from cell
+# lo - _WARM_CELLS with psi = 0 and is kept if its psi on entering cell lo
+# equals the true one bit for bit.  Two scans of one path from different
+# angles become equal after a while (the recurrence contracts on the
+# projective line; Furstenberg) and stay equal, the recurrence being
+# deterministic.  Measured at step 1e-3, E in {0.25, 1, 4, 16}, 36 cuts per
+# energy: the first bitwise-equal cell came after a median of 32-35k cells,
+# at most 69.4k.  The contraction acts per unit of time, so a finer step
+# should need proportionally more cells; a piece that has not merged falls
+# back to an exact rescan (_resume_scan).
+_WARM_CELLS = 1 << 17
+# Per-cell cost of drawing a path's nodes without scanning them, relative to
+# scanning a cell (which draws it too): 26.3-26.9 ns against 370-376 ns on a
+# 2-vCPU VM (standard_normal, the scale and the running sum over 32768-cell
+# chunks, against the whole scan).
+_DRAW_COST = 0.07
+
+
 def renewal_statistics(e_levels, horizons, streams, step: float = 1e-3,
                        min_count: int = 100) -> list[np.ndarray]:
     """Interarrival gaps of the pi-crossing times on [0, horizons[k]], one array per energy.
 
-    Job k scans the path of streams[k] at energy e_levels[k]
-    (_renewal_gaps).  The first job runs in this process, the others in
-    forked children (stochastic.map_forked), so the gaps do not depend on
-    how many processes ran them.
+    Path k is B from B_0 = 0, drawn from streams[k] on cells of width step,
+    scanned at energy e_levels[k] from theta = 0.  The scans fill
+    pool_workers() bins of about equal cost (_renewal_bins); the first bin
+    runs in this process, the others in forked children
+    (stochastic.map_forked).  A long path may be cut into pieces at
+    multiples of _SCAN_CHUNK.  A piece that starts at cell lo > 0 draws
+    its path from node 0 on a copy of the stream, scans a warm-up of
+    _WARM_CELLS cells before lo from psi = 0, and records psi on entering
+    lo and its crossings from lo on (_renewal_piece).  Here the pieces of
+    each path are stitched in order: a piece is kept only if its psi at lo
+    equals the previous piece's final psi bit for bit; otherwise the scan
+    resumes from the previous piece's true state (_resume_scan).  So the
+    gaps are those of one scan of the whole path, bit for bit, whatever the
+    cuts and the worker count.  With one usable CPU nothing is cut or
+    forked.  Every energy and horizon is checked before any child starts.
+    The streams are not advanced.
     """
-    jobs = [(e, h, s, step, min_count)
-            for e, h, s in zip(e_levels, horizons, streams, strict=True)]
-    return map_forked(_renewal_gaps, jobs)
+    streams = list(streams)
+    sizes = []
+    for e_level, horizon, _ in zip(e_levels, horizons, streams, strict=True):
+        if e_level <= 0:
+            raise ValueError("E must be positive")
+        sizes.append(grid_cells(horizon, step)[0])
+    bins = _renewal_bins(sizes, pool_workers())
+    jobs = [([(e_levels[k], streams[k], step, lo, hi) for k, lo, hi in b],) for b in bins]
+    done = [piece for pieces in map_forked(_scan_bin, jobs) for piece in pieces]
+    paths = [k for b in bins for k, _, _ in b]
+    out = []
+    for k, e_level in enumerate(e_levels):
+        records: list = []
+        psi = 0.0                    # the true psi on entering the next piece
+        for piece in (piece for j, piece in zip(paths, done) if j == k):
+            if piece.entry.hex() != psi.hex():
+                piece = _resume_scan(e_level, streams[k], step, psi, piece)
+            records += piece.records
+            psi = piece.ends[piece.hi]
+        crossings = _crossing_times(*_record_arrays(records), step, e_level)
+        gaps = np.diff(np.concatenate([[0.0], crossings]))
+        if gaps.size < min_count:
+            raise RuntimeError(f"insufficient data: {gaps.size} interarrivals < {min_count}")
+        out.append(gaps)
+    return out
 
 
-def _renewal_gaps(e_level: float, horizon: float, s: RngStream, step: float,
-                  min_count: int) -> np.ndarray:
-    """One energy's gaps, from time 0; the path B from B_0 = 0, on cells of width step.
+def _piece_cost(lo: int, hi: int) -> float:
+    """Cost of _renewal_piece on cells lo..hi-1, in scanned cells.
 
-    The path streams from s into the scalar route a scan chunk at a time,
-    so memory does not grow with the horizon.
+    The cells, the warm-up and the draw-only prefix before the warm-up.
     """
-    if e_level <= 0:
-        raise ValueError("E must be positive")
-    ncells, _ = grid_cells(horizon, step)
-    chunks = ((lo, _brownian_log_m(b[0], 0.0, step, lo))
-              for lo, b in brownian_blocks([s.gen], ncells, step, _SCAN_CHUNK))
-    crossings = _crossing_times(_phase_scan(chunks, step, e_level), step, e_level)
-    gaps = np.diff(np.concatenate([[0.0], crossings]))
-    if gaps.size < min_count:
-        raise RuntimeError(f"insufficient data: {gaps.size} interarrivals < {min_count}")
-    return gaps
+    warm = min(lo, _WARM_CELLS)
+    return hi - lo + warm + _DRAW_COST * (lo - warm)
+
+
+def _renewal_bins(sizes: list[int], workers: int) -> list[list]:
+    """Cut paths of sizes[k] cells into at most workers bins of about equal _piece_cost.
+
+    A bin is a list of pieces (k, lo, hi): cells lo..hi-1 of path k, with
+    lo and hi multiples of _SCAN_CHUNK unless they are a path's ends.  The
+    bins are the greedy fill, in path order, of the smallest bin cost
+    (found by bisection) that needs at most workers bins, so the bins in
+    order hold every path's cells in order.  One worker gets one bin of
+    whole paths.
+    """
+    def fill(cap: float):
+        bins, cur, room = [], [], cap
+        for k, n in enumerate(sizes):
+            lo = 0
+            while lo < n:
+                if _piece_cost(lo, n) <= room:
+                    hi = n
+                else:                # the longest piece from lo that fits
+                    hi = lo + int((room - _piece_cost(lo, lo)) // _SCAN_CHUNK) * _SCAN_CHUNK
+                if hi > lo:
+                    cur.append((k, lo, hi))
+                    room -= _piece_cost(lo, hi)
+                    lo = hi
+                if lo < n:           # the bin is full
+                    if not cur:
+                        return None
+                    bins.append(cur)
+                    cur, room = [], cap
+        return bins + [cur]
+
+    low, high = 0.0, float(sum(sizes))
+    for _ in range(50):
+        mid = (low + high) / 2
+        bins = fill(mid)
+        if bins is not None and len(bins) <= workers:
+            high = mid
+        else:
+            low = mid
+    return fill(high)
+
+
+@dataclass
+class _Piece:
+    """The scan of cells lo..hi-1 of one renewal path (_renewal_piece)."""
+    lo: int
+    hi: int
+    entry: float      # psi on entering cell lo: exact at lo = 0, after the warm-up otherwise
+    records: list     # _scan_cells' records of cells lo..hi-1
+    ends: dict        # chunk end e in (lo, hi] -> psi after cell e - 1
+
+
+def _renewal_chunks(s: RngStream, hi: int, step: float, start: int):
+    """Yield _scan_chunks' chunks of the path B of a copy of s, up to node hi.
+
+    The path is drawn from node 0 (stochastic.brownian_blocks), so its
+    nodes are those of the whole path bit for bit; the chunks that end
+    before cell start are drawn only.
+    """
+    for lo, b in brownian_blocks([copy.deepcopy(s.gen)], hi, step, _SCAN_CHUNK):
+        if lo + b.shape[1] - 1 >= start:
+            yield lo, _brownian_log_m(b[0], 0.0, step, lo)
+
+
+def _scan_bin(pieces) -> list[_Piece]:
+    """A bin's job: _renewal_piece(e_level, s, step, lo, hi) for each of its pieces, in order."""
+    return [_renewal_piece(*piece) for piece in pieces]
+
+
+def _renewal_piece(e_level: float, s: RngStream, step: float, lo: int, hi: int) -> _Piece:
+    """Scan cells lo..hi-1 of the path of s, after a warm-up of _WARM_CELLS cells from psi = 0."""
+    start = max(0, lo - _WARM_CELLS)
+    records: list = []
+    entry, ends = 0.0, {}
+    for end, psi, _ in _scan_chunks(_renewal_chunks(s, hi, step, start), step, e_level,
+                                    records, start):
+        if end <= lo:
+            entry = psi
+        else:
+            ends[end] = psi
+    return _Piece(lo, hi, entry, [r for r in records if r[0] >= lo], ends)
+
+
+def _resume_scan(e_level: float, s: RngStream, step: float, psi: float,
+                 piece: _Piece) -> _Piece:
+    """piece, scanned again from the true psi on entering its cell lo.
+
+    The scan stops at the first chunk end where its psi equals the piece's
+    bit for bit; from there on the piece's records are the true ones.
+    """
+    records: list = []
+    ends = {}
+    for end, state, _ in _scan_chunks(_renewal_chunks(s, piece.hi, step, piece.lo), step,
+                                      e_level, records, piece.lo, psi):
+        if end <= piece.lo:
+            continue
+        ends[end] = state
+        if state.hex() == piece.ends[end].hex():
+            records += [r for r in piece.records if r[0] >= end]
+            break
+    return _Piece(piece.lo, piece.hi, psi, records, {**piece.ends, **ends})
 
 
 def dos_sweep(e_list, lam: float, replicas: int, s: RngStream,

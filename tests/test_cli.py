@@ -48,6 +48,7 @@ def test_run_writes_results_and_manifest(tmp_path):
                                  for k, v in defaults.items()}, "e_list": [1.0, 4.0]}
     assert data["versions"] == {"numpy": np.__version__, "scipy": scipy.__version__,
                                 "python": platform.python_version()}
+    assert data["platform"] == platform.platform()
     # the worker-pool size (one thread per usable CPU) and the BLAS thread settings
     assert data["workers"] == len(os.sched_getaffinity(0))
     assert data["thread_env"] == {v: os.environ.get(v)

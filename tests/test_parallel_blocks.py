@@ -3,14 +3,16 @@
 The matrix samplers run their stream blocks on stochastic's private pool,
 dos_sweep runs its anchor pre-pass there, and step_normals (read by
 exp_functional_walk and euler_maruyama_z) draws its normals on it one chunk
-ahead of the steps.  renewal_statistics runs every energy after the first
-in a forked child, at most one fewer at once than the pool's workers.
-Swapping the pool for one of 1, 2 or 3 threads must not move a single bit.
-Pool tasks and forked children call only untraced helpers (the path
-builders log_gbm_rows and brownian_blocks, the renewal scan
-_renewal_gaps), so a traced sampler records one span per call however many
-threads or processes work for it.  A child's error, a child that dies and
-an error in this process each end the call with every child reaped.
+ahead of the steps.  renewal_statistics spreads its scans over one bin per
+pool worker, cutting long paths into pieces, and runs every bin after the
+first in a forked child.  Swapping the pool for one of 1, 2 or 3 threads
+must not move a single bit, and neither may the cuts, a warm-up too short
+to merge, or a fallback rescan.  Pool tasks and forked children call only
+untraced helpers (the path builders log_gbm_rows and brownian_blocks, the
+renewal bin job _scan_bin), so a traced sampler records one span per call
+however many threads or processes work for it.  A child's error, a child
+that dies and an error in this process each end the call with every child
+reaped.
 """
 
 import contextlib
@@ -30,7 +32,9 @@ import vrjplab.continuum_kernel as ck
 import vrjplab.matsumoto_yor as my
 import vrjplab.spectrum as sp
 import vrjplab.stochastic as st
-from vrjplab.stochastic import exp_functional_walk, new_stream
+from vrjplab.stochastic import exp_functional_walk, grid_cells, new_stream
+
+from reference_paths import renewal_gaps_whole_path
 
 WORKER_COUNTS = (1, 2, 3)
 
@@ -233,29 +237,39 @@ def test_renewal_gaps_identical_for_any_worker_count():
     _assert_all_equal(results)
 
 
-def test_child_error_reaches_the_parent():
-    # the first job, in this process, has data enough; the second, in a
-    # child, has not, and its error arrives as it would have been raised here
-    e_levels, horizons, step = [1.0, 1.0], [500.0, 5.0], 1e-2
-    assert _renewal(e_levels[:1], horizons[:1], step, min_count=100)[0].size >= 100
-    with pytest.raises(RuntimeError, match="insufficient data") as here:
-        sp._renewal_gaps(e_levels[1], horizons[1], new_stream(7, 2), step, 100)
+def test_child_error_reaches_the_parent(monkeypatch):
+    # with two workers the bin of E = 9 runs in a child; it fails there, and
+    # its error arrives as it would have been raised here
+    e_levels, horizons, step = RENEWAL_JOBS
+    sizes = [grid_cells(h, step)[0] for h in horizons]
+    assert [[k for k, _, _ in b] for b in sp._renewal_bins(sizes, 2)] == [[0, 1], [2]]
+    scan_bin = sp._scan_bin
+
+    def fails_at_nine(pieces):
+        if any(e_level == 9.0 for e_level, *_ in pieces):
+            raise RuntimeError(f"no scan at E=9 in a bin of {len(pieces)} pieces")
+        return scan_bin(pieces)
+
+    with pytest.raises(RuntimeError, match="no scan at E=9") as here:
+        fails_at_nine([(9.0, new_stream(7, 3), step, 0, sizes[2])])
+    monkeypatch.setattr(sp, "_scan_bin", fails_at_nine)
     with _pool_of(2), _deadline(60):
         with pytest.raises(RuntimeError) as err:
-            _renewal(e_levels, horizons, step, min_count=100)
+            _renewal(e_levels, horizons, step)
     assert type(err.value) is RuntimeError and str(err.value) == str(here.value)
     _assert_no_child_left()
 
 
 def test_child_that_dies_without_reply_raises(monkeypatch):
-    gaps = sp._renewal_gaps
+    parent = os.getpid()
+    scan_bin = sp._scan_bin
 
-    def dies_at_four(e_level, *rest):
-        if e_level == 4.0:
+    def dies_in_a_child(pieces):
+        if os.getpid() != parent:
             os._exit(1)
-        return gaps(e_level, *rest)
+        return scan_bin(pieces)
 
-    monkeypatch.setattr(sp, "_renewal_gaps", dies_at_four)
+    monkeypatch.setattr(sp, "_scan_bin", dies_in_a_child)
     e_levels, horizons, step = RENEWAL_JOBS
     with _pool_of(2), _deadline(60):
         with pytest.raises(RuntimeError, match="exited with code 1 without a result"):
@@ -263,15 +277,109 @@ def test_child_that_dies_without_reply_raises(monkeypatch):
     _assert_no_child_left()
 
 
-def test_parent_error_terminates_running_children():
-    # the job in this process fails at once while the child's scan of
-    # 1e8 cells (tens of seconds) runs: the child is terminated and
+def test_parent_error_terminates_running_children(monkeypatch):
+    # the bin in this process fails at once while the child scans its half
+    # of a path of 1e8 cells (tens of seconds): the child is terminated and
     # reaped, not waited for
-    e_levels, horizons, step = [-1.0, 1.0], [50.0, 1e6], 1e-2
+    parent = os.getpid()
+    scan_bin = sp._scan_bin
+
+    def fails_here(pieces):
+        if os.getpid() == parent:
+            raise ValueError("the bin of this process failed")
+        return scan_bin(pieces)
+
+    monkeypatch.setattr(sp, "_scan_bin", fails_here)
+    e_levels, horizons, step = [1.0], [1e6], 1e-2
     with _pool_of(2), _deadline(10):
-        with pytest.raises(ValueError, match="E must be positive"):
+        with pytest.raises(ValueError, match="the bin of this process failed"):
             _renewal(e_levels, horizons, step)
     _assert_no_child_left()
+
+
+@pytest.mark.parametrize("e_level, horizon", [(-1.0, 50.0), (0.0, 50.0), (1.0, 0.0),
+                                              (1.0, math.inf), (1.0, math.nan)])
+def test_bad_renewal_argument_raises_before_any_fork(monkeypatch, e_level, horizon):
+    def no_fork(fn, jobs):
+        raise AssertionError("forked before the arguments were checked")
+
+    monkeypatch.setattr(sp, "map_forked", no_fork)
+    with pytest.raises(ValueError):
+        _renewal([1.0, e_level], [50.0, horizon], 1e-2)
+
+
+# paths of 400k and 100k cells: two and three workers cut the first one
+# past its warm-up
+CUT_JOBS = ([1.0, 4.0], [4000.0, 1000.0], 1e-2)
+
+
+def _cuts(e_levels, horizons, step, workers):
+    """The cut pieces (lo > 0) of renewal_statistics' bins for this many workers."""
+    sizes = [grid_cells(h, step)[0] for h in horizons]
+    return [(k, lo) for b in sp._renewal_bins(sizes, workers) for k, lo, _ in b if lo > 0]
+
+
+def _whole_path_gaps(e_levels, horizons, step):
+    return [renewal_gaps_whole_path(e, h, new_stream(7, k + 1), step)
+            for k, (e, h) in enumerate(zip(e_levels, horizons))]
+
+
+def _count_fallbacks(monkeypatch):
+    calls = []
+    resume = sp._resume_scan
+
+    def counted(*args):
+        calls.append(args)
+        return resume(*args)
+
+    monkeypatch.setattr(sp, "_resume_scan", counted)
+    return calls
+
+
+def test_renewal_gaps_identical_across_cuts():
+    e_levels, horizons, step = CUT_JOBS
+    assert _cuts(e_levels, horizons, step, 1) == []
+    for workers in (2, 3):
+        assert any(lo > sp._WARM_CELLS for _, lo in _cuts(e_levels, horizons, step, workers))
+
+    def run():
+        with _deadline(60):
+            gaps = _renewal(e_levels, horizons, step)
+        _assert_no_child_left()
+        return gaps
+
+    results = _for_each_worker_count(run)
+    results.append(_whole_path_gaps(e_levels, horizons, step))
+    _assert_all_equal(results)
+
+
+def test_every_cut_falls_back_without_warm_up(monkeypatch):
+    # a warm-up of 3 cells from psi = 0 never lands on the true angle, so
+    # every cut is rescanned from the true state, and the gaps do not move
+    monkeypatch.setattr(sp, "_WARM_CELLS", 3)
+    fallbacks = _count_fallbacks(monkeypatch)
+    e_levels, horizons, step = CUT_JOBS
+    cuts = _cuts(e_levels, horizons, step, 3)
+    assert len(cuts) >= 2
+    with _pool_of(3), _deadline(60):
+        gaps = _renewal(e_levels, horizons, step)
+    assert len(fallbacks) == len(cuts)
+    _assert_all_equal([gaps, _whole_path_gaps(e_levels, horizons, step)])
+
+
+def test_warm_up_merges_at_every_cut(monkeypatch):
+    # 22 bins over two 600k-cell paths at step 1e-3 cut each path ten times,
+    # every cut past its warm-up: each warm-up must reach the true angle
+    # bit for bit, with no fallback rescan
+    monkeypatch.setattr(sp, "pool_workers", lambda: 22)
+    fallbacks = _count_fallbacks(monkeypatch)
+    e_levels, horizons, step = [1.0, 4.0], [600.0, 600.0], 1e-3
+    cuts = _cuts(e_levels, horizons, step, 22)
+    assert len(cuts) >= 20 and all(lo > sp._WARM_CELLS for _, lo in cuts)
+    with _pool_of(2), _deadline(120):
+        gaps = _renewal(e_levels, horizons, step)
+    assert fallbacks == []
+    _assert_all_equal([gaps, _whole_path_gaps(e_levels, horizons, step)])
 
 
 THREADED_SAMPLERS = [

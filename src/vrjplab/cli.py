@@ -67,7 +67,10 @@ class RunManifest:
             # bit streams are pinned per numpy release
             "versions": {"numpy": np.__version__, "scipy": scipy.__version__,
                          "python": platform.python_version()},
-            "platform": platform.platform(),
+            # not platform.platform(), which forks `uname -p`, and the fork's
+            # copy of this process would count in RUSAGE_CHILDREN
+            "platform": {"system": platform.system(), "release": platform.release(),
+                         "machine": platform.machine()},
             # seeded draws do not depend on the worker count; the dense
             # inverse of explicit_inverse depends on the BLAS thread count
             "workers": pool_workers(),

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .stochastic import (PathKind, RngStream, SampledPath, cumtrapz, exp_functional_walk,
+from .stochastic import (RngStream, SampledPath, cumtrapz, exp_functional_walk,
                          grid_cells, log_gbm_rows, map_stream_blocks, stream_blocks,
                          walk_steps)
 
@@ -53,8 +53,6 @@ class KernelPath:
 
     @classmethod
     def from_path(cls, gbm: SampledPath) -> "KernelPath":
-        if gbm.kind is not PathKind.GBM:
-            raise ValueError("KernelPath needs a gbm path")
         lam = gbm.t_end
         if abs(gbm.t0 + lam) > 1e-9 * max(1.0, lam):
             raise ValueError("path must cover [-lam, lam]")
@@ -66,7 +64,7 @@ class KernelPath:
         """One GBM path on [-lam, lam] from s, anchored M_0 = 1 on the grid_cells grid."""
         _, h = grid_cells(lam, step)
         _, m = next(log_gbm_rows(lam, step, 1, s))
-        return cls.from_path(SampledPath(-lam, h, np.exp(m[0]), PathKind.GBM))
+        return cls.from_path(SampledPath(-lam, h, np.exp(m[0])))
 
     def _read(self, t: float) -> tuple[float, float]:
         """(M, I) at time t: M log-linear and I linear between grid nodes."""

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import beta_field, continuum_kernel, green_circle, matsumoto_yor, spectrum
 from .stats import TestReport, ks_one_sample, ks_two_sample, mean_ci, z_two_sided
-from .stochastic import (PathKind, RngStream, SampledPath, grid_cells,
+from .stochastic import (RngStream, SampledPath, grid_cells,
                          inverse_gamma_half_cdf, inverse_gaussian_cdf,
                          sample_inverse_gaussian)
 
@@ -69,7 +69,7 @@ def deterministic_flat_gbm(lam: float, step: float) -> SampledPath:
     """The drift-only geometric path e^{-t/2} on [-lam, lam] (flat noise)."""
     half, h = grid_cells(lam, step)
     times = -lam + h * np.arange(2 * half + 1)
-    return SampledPath(-lam, h, np.exp(-times / 2.0), PathKind.GBM)
+    return SampledPath(-lam, h, np.exp(-times / 2.0))
 
 
 # ---------------------------------------------------------------------------

@@ -20,23 +20,32 @@ stable; the only approximation is the piecewise-constant coefficient.
 Gauge re-projection at each cell boundary goes through atan2, which
 saturates gracefully where tan(theta) overflows.
 
+The recurrence sees the path only through each cell's log coefficient
+ratio logc_i - logc_{i-1} = log M_{i+1} - log M_{i-1}.  For a geometric
+path given by its values (a SampledPath) the ratios are differences of
+the cells' logc.  For log M = B_t - t/2 they are x_{i-1} + x_i - h, with x
+the Brownian increments and h the cell width: the anchor of B, the grid's
+origin and log sqrt(E) cancel, so the phase-counting experiments never
+build B and read the increments as they are drawn
+(stochastic.brownian_increments).  That form is also the more accurate
+one: it adds two O(sqrt(h)) numbers, where a difference of two logc
+values loses the digits of their magnitude, which grows along a path.
+
 The cell recurrence is sequential, so it runs by one of two routes,
 chosen by the caller's shape.  A single path (renewal gaps, single
-counts) goes through a scalar loop over fixed-size chunks of log M that
-records only the cells where a crossing happens; the chunks come from a
-SampledPath or, for the renewal gaps, straight from the streamed Brownian
-path (stochastic.brownian_blocks).  A batch of equal paths (the
-density-of-states sweep) advances every (replica x E) lane at once, one
-numpy step per cell, over fixed-size blocks of cells that stream from the
-replicas' paths.  Neither experiment holds a whole path, so memory does
-not grow with the horizon or with lam.
+counts) goes through a scalar loop over fixed-size chunks of ratios that
+records only the cells where a crossing happens.  A batch of equal paths
+(the density-of-states sweep) advances every (replica x E) lane at once,
+one numpy step per cell, over fixed-size blocks of cells.  Neither
+experiment holds a whole path, so memory does not grow with the horizon
+or with lam.
 
 The scalar loop holds the interpreter lock, so threads cannot overlap the
 renewal scans.  renewal_statistics fills one bin of about equal work per
 pool worker and runs the first bin in this process and each other one in
 a forked child (stochastic.map_forked).  A long path may be cut at a
 multiple of the scan chunk.  A piece that starts at cell lo > 0 draws its
-path from node 0 and scans a warm-up of _WARM_CELLS cells before lo from
+increments from cell 0 and scans a warm-up of _WARM_TIME before lo from
 psi = 0.  The recurrence contracts on the projective line (the products of
 the cell maps have a positive Lyapunov exponent), so two float64 scans of
 one path from different angles become bitwise equal after some tens of
@@ -72,8 +81,8 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from .beta_field import BetaField, dense_h
-from .stochastic import (PathKind, RngStream, SampledPath, brownian_blocks, grid_cells,
-                         map_forked, map_stream_blocks, pool_workers, stream_blocks)
+from .stochastic import (RngStream, SampledPath, brownian_increments, grid_cells, map_forked,
+                         pool_workers, stream_blocks)
 
 _PI = math.pi
 
@@ -103,28 +112,10 @@ def _first_crossing_angle() -> float:
 
 
 _CROSS_ANGLE = _first_crossing_angle()
-# Cells per chunk of the scalar route (one tolist() each) and of the lane
-# route's anchor pre-pass; cells per block of the lane route.  Neither
-# changes a count.
+# Cells per chunk of the scalar route (one tolist() each) and per block of
+# the lane route.  Neither changes a count.
 _SCAN_CHUNK = 1 << 15
 _LANE_BLOCK = 256
-
-
-def _brownian_log_m(b: np.ndarray, t0: float, step: float, lo: int) -> np.ndarray:
-    """log M = B_t - t/2, with B on nodes lo, lo+1, ... (last axis of b) of the grid t0 + k*step.
-
-    Reading the log directly keeps long horizons representable where the
-    geometric values themselves would over/underflow float64.
-    """
-    return b - (t0 + step * np.arange(lo, lo + b.shape[-1])) / 2.0
-
-
-def _log_m(path: SampledPath, lo: int = 0, hi: int | None = None) -> np.ndarray:
-    """log of the geometric path on nodes lo..hi-1; a brownian input B is read as e^{B - t/2}."""
-    vals = path.values[lo:hi]
-    if path.kind is PathKind.GBM:
-        return np.log(vals)
-    return _brownian_log_m(vals, path.t0, path.step, lo)
 
 
 def _scan_cells(ratios: list[float], psi: float, dpsi: float, first: int,
@@ -161,7 +152,6 @@ class _Scan:
     psi_in: np.ndarray     # gauge angle on entering each recorded cell
     ncross: np.ndarray     # pi-crossings within each recorded cell
     psi: float             # final gauge angle
-    logc_last: float       # logc of the last cell
 
     @property
     def count(self) -> int:
@@ -174,47 +164,70 @@ def _record_arrays(records: list):
     return rec[:, 0].astype(np.int64), rec[:, 1], rec[:, 2].astype(np.int64)
 
 
-def _path_chunks(gbm: SampledPath):
-    """Yield (lo, log M on nodes lo..hi) over the path, _SCAN_CHUNK cells at a time."""
+def _path_chunks(gbm: SampledPath, e_level: float):
+    """Yield (lo, log ratios of cells lo..hi-1) of a geometric path, _SCAN_CHUNK cells at a time.
+
+    Cell i's log coefficient is logc_i = log sqrt(E) + log M_i + log
+    M_{i+1} (the frozen M^2), and its ratio is logc_i - logc_{i-1}; the
+    first cell has no predecessor and takes ratio 0.
+    """
+    c0 = 0.5 * math.log(e_level)
     n = gbm.values.size - 1
+    prev = None                  # logc of the cell before the chunk
     for lo in range(0, n, _SCAN_CHUNK):
-        yield lo, _log_m(gbm, lo, min(n, lo + _SCAN_CHUNK) + 1)
+        logm = np.log(gbm.values[lo:min(n, lo + _SCAN_CHUNK) + 1])
+        logc = c0 + logm[:-1] + logm[1:]
+        ratios = np.empty(logc.size)
+        ratios[0] = 0.0 if prev is None else logc[0] - prev
+        np.subtract(logc[1:], logc[:-1], out=ratios[1:])
+        prev = logc[-1]
+        yield lo, ratios
+
+
+def _cell_ratios(blocks, h: float):
+    """Yield (lo, log ratios of cells lo..hi-1) of Brownian paths, from their increments.
+
+    blocks yields (lo, x), x[r, j] the increment over cell lo + j of path
+    r (stochastic.brownian_increments), on cells of width h.  With log M =
+    B_t - t/2, the ratio between the frozen coefficients of cell i and
+    cell i - 1 is log M_{i+1} - log M_{i-1} = (x_{i-1} + x_i) - h: the
+    anchor of B, the grid's origin and log sqrt(E) cancel.  The first
+    block's first cell has no predecessor here and takes ratio 0; one
+    increment carries across blocks.
+    """
+    before = None
+    for lo, x in blocks:
+        d = np.empty(x.shape)
+        d[:, 0] = 0.0 if before is None else before + x[:, 0] - h
+        np.add(x[:, :-1], x[:, 1:], out=d[:, 1:])
+        d[:, 1:] -= h
+        before = x[:, -1].copy()
+        yield lo, d
 
 
 def _scan_chunks(chunks, step: float, e_level: float, records: list, start: int = 0,
                  psi: float = 0.0):
     """Scalar route: advance psi, given on entering cell start, chunk by chunk.
 
-    chunks yields (lo, log M on nodes lo..hi) for consecutive chunks of
-    cells of width step; consecutive chunks share a node.  Scans the cells
-    from start on, appends their crossing records to records and yields
-    (hi, psi after cell hi - 1, logc of cell hi - 1) after each chunk.
-    Every cell but cell 0 takes its ratio from the logc of the cell before
-    it, so a scan that starts at start > 0 needs the chunk holding cell
-    start - 1.  Memory is one chunk plus the records.
+    chunks yields (lo, log ratios of cells lo..hi-1) for consecutive
+    chunks of cells of width step (_path_chunks, _cell_ratios).  Scans the
+    cells from start on, appends their crossing records to records and
+    yields (hi, psi after cell hi - 1) after each chunk.  Memory is one
+    chunk plus the records.
     """
-    c0 = 0.5 * math.log(e_level)
     dpsi = math.sqrt(e_level) * step
-    prev = None
-    for lo, logm in chunks:
-        # logc on the chunk's cells: c0 + log of the frozen M^2 (c0 = log sqrt(E))
-        logc = c0 + logm[:-1] + logm[1:]
-        ratios = np.empty(logc.size)
-        # the first cell has no predecessor; psi = 0 is invariant under rescaling
-        ratios[0] = 0.0 if prev is None else logc[0] - prev
-        np.subtract(logc[1:], logc[:-1], out=ratios[1:])
-        prev = logc[-1]
+    for lo, ratios in chunks:
         first = max(start, lo)
         psi = _scan_cells(ratios[first - lo:].tolist(), psi, dpsi, first, records)
-        yield lo + logc.size, psi, float(prev)
+        yield lo + ratios.size, psi
 
 
 def _phase_scan(chunks, step: float, e_level: float) -> _Scan:
     """Propagate one path from theta = 0 over all of its chunks (_scan_chunks)."""
     records: list = []
-    for _, psi, logc_last in _scan_chunks(chunks, step, e_level, records):
+    for _, psi in _scan_chunks(chunks, step, e_level, records):
         pass
-    return _Scan(*_record_arrays(records), psi, logc_last)
+    return _Scan(*_record_arrays(records), psi)
 
 
 def _crossing_times(cells: np.ndarray, psi_in: np.ndarray, nc: np.ndarray, step: float,
@@ -230,57 +243,52 @@ def _crossing_times(cells: np.ndarray, psi_in: np.ndarray, nc: np.ndarray, step:
     return cells * step + (j * _PI - psi_in) / math.sqrt(e_level)
 
 
-def phase_propagate(e_level: float, gbm: SampledPath,
-                    collect_crossings: bool = True) -> PhaseTrace:
-    """Propagate the phase over the whole path span from theta = 0."""
+def phase_propagate(e_level: float, gbm: SampledPath) -> PhaseTrace:
+    """Propagate the phase over the whole span of the geometric path gbm from theta = 0."""
     if e_level <= 0:
         raise ValueError("E must be positive")
     if gbm.values.size < 2:
         raise ValueError("path has no cell: phase propagation needs at least two nodes")
-    scan = _phase_scan(_path_chunks(gbm), gbm.step, e_level)
+    scan = _phase_scan(_path_chunks(gbm, e_level), gbm.step, e_level)
     psi = scan.psi
-    # unwind the final gauge angle to the raw phase fraction
-    phi = math.atan2(math.sin(psi), math.exp(min(scan.logc_last, 700.0)) * math.cos(psi))
+    # unwind the final gauge angle to the raw phase fraction by the last cell's logc
+    logm = np.log(gbm.values[-2:])
+    logc_last = 0.5 * math.log(e_level) + logm[0] + logm[1]
+    phi = math.atan2(math.sin(psi), math.exp(min(logc_last, 700.0)) * math.cos(psi))
     if phi < 0.0:
         phi = 0.0
     count = scan.count
     theta_final = float(count) * _PI + phi
-    crossings = (_crossing_times(scan.cells, scan.psi_in, scan.ncross, gbm.step, e_level)
-                 if collect_crossings else np.empty(0))
+    crossings = _crossing_times(scan.cells, scan.psi_in, scan.ncross, gbm.step, e_level)
     return PhaseTrace(theta_final, crossings, count)
 
 
 def count_states_phase(e_level: float, gbm: SampledPath) -> int:
     """floor(theta(lam)/pi); brackets the true count within -1/+2."""
-    return phase_propagate(e_level, gbm, collect_crossings=False).count
+    return phase_propagate(e_level, gbm).count
 
 
-def _lane_counts(logm_blocks, n_rep: int, step: float, e_list) -> np.ndarray:
+def _lane_counts(ratio_blocks, n_rep: int, step: float, e_list) -> np.ndarray:
     """Lane route: pi-crossing counts of every (E, replica) lane at once.
 
-    logm_blocks yields log M of the n_rep paths, one row each, all on the
-    same grid, a block of consecutive cells at a time: a block holds the
-    nodes of its cells, so consecutive blocks share a node.  Each cell
-    takes the scalar route's steps on all lanes together: rescale through
-    arctan2, advance by sqrt(E)*h, then (only in cells where some lane
-    crosses) floor-divide by pi with the tolerance and clamp at 0.  Memory
-    is O(lanes x block).  Returns counts of shape (len(e_list), n_rep).
+    ratio_blocks yields (lo, log ratios of cells lo..hi-1) of the n_rep
+    paths, one row each, all on the same grid, for consecutive blocks of
+    cells (_cell_ratios).  The ratios do not depend on E, so each is
+    exponentiated once for all of a replica's lanes.  Each cell takes the
+    scalar route's steps on all lanes together: rescale through arctan2,
+    advance by sqrt(E)*h, then (only in cells where some lane crosses)
+    floor-divide by pi with the tolerance and clamp at 0.  Memory is
+    O(lanes x block).  Returns counts of shape (len(e_list), n_rep).
     """
-    c0 = np.array([0.5 * math.log(e) for e in e_list])[:, None, None]
     dpsi = np.repeat([math.sqrt(e) * step for e in e_list], n_rep)
     n_lanes = dpsi.size
     psi = np.zeros(n_lanes)
     count = np.zeros(n_lanes)
     sn, cs, nc = np.empty(n_lanes), np.empty(n_lanes), np.empty(n_lanes)
     crossing = np.empty(n_lanes, dtype=bool)
-    before = None                    # logc of the cell before the block, for its first ratio
-    for logm in logm_blocks:
-        logc = c0 + logm[None, :, :-1] + logm[None, :, 1:]
-        # the first cell has no predecessor: log ratio 0
-        logc = np.concatenate([logc[:, :, :1] if before is None else before, logc], axis=2)
-        before = logc[:, :, -1:]
-        ratios = np.moveaxis(np.diff(logc, axis=2), 2, 0)
-        for r in np.exp(ratios).reshape(-1, n_lanes):
+    for _, d in ratio_blocks:
+        # one row per cell; lane e * n_rep + r takes replica r's ratio
+        for r in np.tile(np.exp(d).T, len(e_list)):
             np.sin(psi, out=sn)
             np.cos(psi, out=cs)
             np.multiply(r, sn, out=sn)
@@ -363,22 +371,27 @@ def fd_spectrum_twisted(gbm: SampledPath, k: int = 8) -> np.ndarray:
 # Renewal gaps and the density-of-states sweep
 # ---------------------------------------------------------------------------
 
-# A piece of a renewal path that starts at cell lo > 0 scans from cell
-# lo - _WARM_CELLS with psi = 0 and is kept if its psi on entering cell lo
-# equals the true one bit for bit.  Two scans of one path from different
-# angles become equal after a while (the recurrence contracts on the
-# projective line; Furstenberg) and stay equal, the recurrence being
+# A piece of a renewal path that starts at cell lo > 0 scans a warm-up of
+# _WARM_TIME before cell lo from psi = 0 and is kept if its psi on entering
+# cell lo equals the true one bit for bit.  Two scans of one path from
+# different angles become equal after a while (the recurrence contracts on
+# the projective line; Furstenberg) and stay equal, the recurrence being
 # deterministic.  Measured at step 1e-3, E in {0.25, 1, 4, 16}, 36 cuts per
 # energy: the first bitwise-equal cell came after a median of 32-35k cells,
-# at most 69.4k.  The contraction acts per unit of time, so a finer step
-# should need proportionally more cells; a piece that has not merged falls
-# back to an exact rescan (_resume_scan).
-_WARM_CELLS = 1 << 17
-# Per-cell cost of drawing a path's nodes without scanning them, relative to
-# scanning a cell (which draws it too): 26.3-26.9 ns against 370-376 ns on a
-# 2-vCPU VM (standard_normal, the scale and the running sum over 32768-cell
-# chunks, against the whole scan).
-_DRAW_COST = 0.07
+# at most 69.4k.  The contraction acts per unit of time, so the warm-up is
+# a time, 2^17 cells at step 1e-3; a piece that has not merged falls back
+# to an exact rescan (_resume_scan).
+_WARM_TIME = 131.072
+# Per-cell cost of drawing a path's increments without scanning them,
+# relative to scanning a cell (which draws it too): 19.7-22.3 ns against
+# 348-392 ns, ratios 0.052-0.064, on a 2-vCPU Xeon VM (standard_normal and
+# its scale over 32768-cell chunks, against the whole scan at E = 1 and 4).
+_DRAW_COST = 0.055
+
+
+def _warm_cells(step: float) -> int:
+    """Cells of the warm-up before a cut: _WARM_TIME on cells of width step."""
+    return math.ceil(_WARM_TIME / step)
 
 
 def renewal_statistics(e_levels, horizons, streams, step: float = 1e-3,
@@ -386,21 +399,23 @@ def renewal_statistics(e_levels, horizons, streams, step: float = 1e-3,
     """Interarrival gaps of the pi-crossing times on [0, horizons[k]], one array per energy.
 
     Path k is B from B_0 = 0, drawn from streams[k] on cells of width step,
-    scanned at energy e_levels[k] from theta = 0.  The scans fill
-    pool_workers() bins of about equal cost (_renewal_bins); the first bin
-    runs in this process, the others in forked children
-    (stochastic.map_forked).  A long path may be cut into pieces at
-    multiples of _SCAN_CHUNK.  A piece that starts at cell lo > 0 draws
-    its path from node 0 on a copy of the stream, scans a warm-up of
-    _WARM_CELLS cells before lo from psi = 0, and records psi on entering
-    lo and its crossings from lo on (_renewal_piece).  Here the pieces of
-    each path are stitched in order: a piece is kept only if its psi at lo
-    equals the previous piece's final psi bit for bit; otherwise the scan
-    resumes from the previous piece's true state (_resume_scan).  So the
-    gaps are those of one scan of the whole path, bit for bit, whatever the
-    cuts and the worker count.  With one usable CPU nothing is cut or
-    forked.  Every energy and horizon is checked before any child starts.
-    The streams are not advanced.
+    read as log M = B_t - t/2 and scanned at energy e_levels[k] from
+    theta = 0.  The scans read only the cells' log ratios, formed from the
+    increments of B (_cell_ratios).  The scans fill pool_workers() bins of
+    about equal cost (_renewal_bins); the first bin runs in this process,
+    the others in forked children (stochastic.map_forked).  A long path
+    may be cut into pieces at multiples of _SCAN_CHUNK.  A piece that
+    starts at cell lo > 0 draws its increments from cell 0 on a copy of the
+    stream, scans a warm-up of _warm_cells(step) cells before lo from
+    psi = 0, and records psi on entering lo and its crossings from lo on
+    (_renewal_piece).  Here the pieces of each path are stitched in order:
+    a piece is kept only if its psi at lo equals the previous piece's
+    final psi bit for bit; otherwise the scan resumes from the previous
+    piece's true state (_resume_scan).  So the gaps are those of one scan
+    of the whole path, bit for bit, whatever the cuts and the worker
+    count.  With one usable CPU nothing is cut or forked.  Every energy
+    and horizon is checked before any child starts.  The streams are not
+    advanced.
     """
     streams = list(streams)
     sizes = []
@@ -408,7 +423,7 @@ def renewal_statistics(e_levels, horizons, streams, step: float = 1e-3,
         if e_level <= 0:
             raise ValueError("E must be positive")
         sizes.append(grid_cells(horizon, step)[0])
-    bins = _renewal_bins(sizes, pool_workers())
+    bins = _renewal_bins(sizes, pool_workers(), _warm_cells(step))
     jobs = [([(e_levels[k], streams[k], step, lo, hi) for k, lo, hi in b],) for b in bins]
     done = [piece for pieces in map_forked(_scan_bin, jobs) for piece in pieces]
     paths = [k for b in bins for k, _, _ in b]
@@ -429,37 +444,38 @@ def renewal_statistics(e_levels, horizons, streams, step: float = 1e-3,
     return out
 
 
-def _piece_cost(lo: int, hi: int) -> float:
+def _piece_cost(lo: int, hi: int, warm: int) -> float:
     """Cost of _renewal_piece on cells lo..hi-1, in scanned cells.
 
-    The cells, the warm-up and the draw-only prefix before the warm-up.
+    The cells, the warm-up of up to warm cells and the draw-only prefix
+    before the warm-up.
     """
-    warm = min(lo, _WARM_CELLS)
+    warm = min(lo, warm)
     return hi - lo + warm + _DRAW_COST * (lo - warm)
 
 
-def _renewal_bins(sizes: list[int], workers: int) -> list[list]:
+def _renewal_bins(sizes: list[int], workers: int, warm: int) -> list[list]:
     """Cut paths of sizes[k] cells into at most workers bins of about equal _piece_cost.
 
     A bin is a list of pieces (k, lo, hi): cells lo..hi-1 of path k, with
-    lo and hi multiples of _SCAN_CHUNK unless they are a path's ends.  The
-    bins are the greedy fill, in path order, of the smallest bin cost
-    (found by bisection) that needs at most workers bins, so the bins in
-    order hold every path's cells in order.  One worker gets one bin of
-    whole paths.
+    lo and hi multiples of _SCAN_CHUNK unless they are a path's ends.  A
+    cut piece costs a warm-up of warm cells.  The bins are the greedy
+    fill, in path order, of the smallest bin cost (found by bisection)
+    that needs at most workers bins, so the bins in order hold every
+    path's cells in order.  One worker gets one bin of whole paths.
     """
     def fill(cap: float):
         bins, cur, room = [], [], cap
         for k, n in enumerate(sizes):
             lo = 0
             while lo < n:
-                if _piece_cost(lo, n) <= room:
+                if _piece_cost(lo, n, warm) <= room:
                     hi = n
                 else:                # the longest piece from lo that fits
-                    hi = lo + int((room - _piece_cost(lo, lo)) // _SCAN_CHUNK) * _SCAN_CHUNK
+                    hi = lo + int((room - _piece_cost(lo, lo, warm)) // _SCAN_CHUNK) * _SCAN_CHUNK
                 if hi > lo:
                     cur.append((k, lo, hi))
-                    room -= _piece_cost(lo, hi)
+                    room -= _piece_cost(lo, hi, warm)
                     lo = hi
                 if lo < n:           # the bin is full
                     if not cur:
@@ -490,15 +506,16 @@ class _Piece:
 
 
 def _renewal_chunks(s: RngStream, hi: int, step: float, start: int):
-    """Yield _scan_chunks' chunks of the path B of a copy of s, up to node hi.
+    """Yield _scan_chunks' chunks of the path of a copy of s, cells 0..hi-1.
 
-    The path is drawn from node 0 (stochastic.brownian_blocks), so its
-    nodes are those of the whole path bit for bit; the chunks that end
-    before cell start are drawn only.
+    The increments are drawn from cell 0 (stochastic.brownian_increments),
+    so the ratios are those of the whole path bit for bit.  The chunks
+    that end before cell start - 1 are drawn only; the first one kept
+    holds cell start - 1, so every cell from start on has its true ratio.
     """
-    for lo, b in brownian_blocks([copy.deepcopy(s.gen)], hi, step, _SCAN_CHUNK):
-        if lo + b.shape[1] - 1 >= start:
-            yield lo, _brownian_log_m(b[0], 0.0, step, lo)
+    incr = brownian_increments([copy.deepcopy(s.gen)], hi, step, _SCAN_CHUNK)
+    for lo, d in _cell_ratios(((lo, x) for lo, x in incr if lo + x.shape[1] >= start), step):
+        yield lo, d[0]
 
 
 def _scan_bin(pieces) -> list[_Piece]:
@@ -507,12 +524,16 @@ def _scan_bin(pieces) -> list[_Piece]:
 
 
 def _renewal_piece(e_level: float, s: RngStream, step: float, lo: int, hi: int) -> _Piece:
-    """Scan cells lo..hi-1 of the path of s, after a warm-up of _WARM_CELLS cells from psi = 0."""
-    start = max(0, lo - _WARM_CELLS)
+    """Scan cells lo..hi-1 of the path of s, after a warm-up of _warm_cells(step) from psi = 0.
+
+    psi = 0 is invariant under rescaling, so the warm-up's first ratio
+    does not matter.
+    """
+    start = max(0, lo - _warm_cells(step))
     records: list = []
     entry, ends = 0.0, {}
-    for end, psi, _ in _scan_chunks(_renewal_chunks(s, hi, step, start), step, e_level,
-                                    records, start):
+    for end, psi in _scan_chunks(_renewal_chunks(s, hi, step, start), step, e_level,
+                                 records, start):
         if end <= lo:
             entry = psi
         else:
@@ -529,8 +550,8 @@ def _resume_scan(e_level: float, s: RngStream, step: float, psi: float,
     """
     records: list = []
     ends = {}
-    for end, state, _ in _scan_chunks(_renewal_chunks(s, piece.hi, step, piece.lo), step,
-                                      e_level, records, piece.lo, psi):
+    for end, state in _scan_chunks(_renewal_chunks(s, piece.hi, step, piece.lo), step,
+                                   e_level, records, piece.lo, psi):
         if end <= piece.lo:
             continue
         ends[end] = state
@@ -545,35 +566,16 @@ def dos_sweep(e_list, lam: float, replicas: int, s: RngStream,
     """Eigenvalue counts N_lam(E) by the phase route, shape (len(e_list), replicas).
 
     One path per replica, shared across the E values (the counts are
-    then monotone-coupled, which tightens ratio comparisons).  The paths
-    stream into the lane route a lane block at a time (_log_m_blocks).
-    """
-    _, h = grid_cells(lam, step)
-    return _lane_counts(_log_m_blocks(lam, step, replicas, s), replicas, h, list(e_list))
-
-
-def _log_m_blocks(lam: float, step: float, replicas: int, s: RngStream):
-    """Yield the replicas' log M on [-lam, lam], one row each, a lane block of nodes at a time.
-
-    Row r is log_gbm_rows' path of s.substream(r + 1): B on the grid_cells
-    grid of each side, anchored to 0 at t = 0 (node half), read as
-    B_t - t/2.  A pre-pass on the worker pool finds each anchor B'_half
-    of the unanchored path by summing only the first half of the
-    replica's draws, from a fresh substream.  The blocks then stream on
-    this thread, each (B' - anchor) - t/2 with log_gbm_rows' operations,
-    so the rows equal its rows bit for bit.
+    then monotone-coupled, which tightens ratio comparisons).  Replica r's
+    path is log_gbm_rows' path of s.substream(r + 1) on the grid_cells
+    grid of [-lam, lam]; the lane route reads only its cells' log ratios,
+    in which its anchor B_0 = 0 cancels, so its increments stream in a
+    lane block at a time (stochastic.brownian_increments, _cell_ratios).
     """
     half, h = grid_cells(lam, step)
-    anchor = np.empty(replicas)
-
-    def first_half(r: int, _count: int, path_stream: RngStream) -> None:
-        for _, b in brownian_blocks([path_stream.gen], half, h, _SCAN_CHUNK):
-            anchor[r] = b[0, -1]
-
-    map_stream_blocks(first_half, s, replicas, 1)
     gens = [path_stream.gen for _, _, path_stream in stream_blocks(s, replicas, 1)]
-    for lo, b in brownian_blocks(gens, 2 * half, h, _LANE_BLOCK):
-        yield _brownian_log_m(b - anchor[:, None], -lam, h, lo)
+    blocks = brownian_increments(gens, 2 * half, h, _LANE_BLOCK)
+    return _lane_counts(_cell_ratios(blocks, h), replicas, h, list(e_list))
 
 
 # ---------------------------------------------------------------------------

@@ -2,14 +2,15 @@
 
 Each draw primitive lives here once: the mean-1 Inverse Gaussian draw, the
 builder of two-sided log-geometric paths (``log_gbm_rows``), the streamed
-Brownian path (``brownian_blocks``) and the exponential-functional walk.
-Every stepwise ensemble reads its per-step normals from one draw-ahead
-source, ``step_normals``.  The phase-counting experiments read their paths
-from ``brownian_blocks`` a block of nodes at a time, so their memory does
-not grow with the path length.  ``log_gbm_rows`` keeps its own reused
-buffers and one draw per row block: its row blocks run on the worker
-threads, where a draw per row and a new buffer per block (as in
-``brownian_blocks``) made the matrix samplers measurably slower.
+Brownian increments (``brownian_increments``) and the
+exponential-functional walk.  Every stepwise ensemble reads its per-step
+normals from one draw-ahead source, ``step_normals``.  The phase-counting
+experiments read only the increments of their paths, a block of cells at a
+time, so their memory does not grow with the path length.
+``log_gbm_rows`` keeps its own reused buffers and one draw per row block:
+its row blocks run on the worker threads, where a draw per row and a new
+buffer per block (as in ``brownian_increments``) made the matrix samplers
+measurably slower.
 
 Every stochastic routine in this package consumes an explicit
 :class:`RngStream`.  A stream is identified by a ``(seed, stream_id)``
@@ -52,15 +53,9 @@ import multiprocessing.connection
 import os
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
-from enum import Enum
 
 import numpy as np
 from scipy.special import erf, log_ndtr, ndtr
-
-
-class PathKind(Enum):
-    BROWNIAN = "brownian"
-    GBM = "gbm"
 
 
 @dataclass
@@ -91,12 +86,11 @@ def new_stream(seed: int, stream_id: int = 0) -> RngStream:
 
 @dataclass
 class SampledPath:
-    """A path on the regular grid t0 + k*step, k = 0..len(values)-1."""
+    """A geometric path M on the regular grid t0 + k*step, k = 0..len(values)-1."""
 
     t0: float
     step: float
     values: np.ndarray
-    kind: PathKind
 
     def __post_init__(self) -> None:
         self.values = np.asarray(self.values, dtype=float)
@@ -104,7 +98,7 @@ class SampledPath:
             raise ValueError("empty path")
         if self.step <= 0:
             raise ValueError("step must be positive")
-        if self.kind is PathKind.GBM and not np.all(self.values > 0):
+        if not np.all(self.values > 0):
             raise ValueError("gbm path must be strictly positive")
 
     @property
@@ -349,30 +343,24 @@ def exp_functional_walk(gen: np.random.Generator, n: int, h: float, nsteps: int,
     return alpha, integ, [seen[k] for k in snaps]
 
 
-def brownian_blocks(gens, n_cells: int, step: float, block: int):
-    """Yield (lo, nodes lo..hi of B) for one Brownian path per generator, block cells at a time.
+def brownian_increments(gens, n_cells: int, step: float, block: int):
+    """Yield (lo, increments over cells lo..hi-1) of one Brownian path per generator.
 
-    Row r is the path B_0 = 0, B_k = B_{k-1} + sqrt(step) N_k of gens[r],
-    whose N_k are gens[r]'s standard normals in draw order, on nodes
-    0..n_cells.  A block holds nodes lo..hi with hi = min(lo + block,
-    n_cells), so consecutive blocks share a node.  The running sum carries
-    across blocks and adds the same terms in the same order as one cumsum
-    over the whole path, so the values do not depend on ``block``, and
-    memory is O(len(gens) x block).  The yielded array is overwritten by
-    the next block.
+    A block of ``block`` cells at a time: row r holds sqrt(step) N_k for
+    k = lo..hi-1, hi = min(lo + block, n_cells), where N_k is gens[r]'s
+    k-th standard normal in draw order, the increment over cell k of the
+    path B_0 = 0, B_{k+1} = B_k + sqrt(step) N_k.  The values do not
+    depend on ``block``, and memory is O(len(gens) x block).  The yielded
+    array is overwritten by the next block.
     """
     sqrt_h = math.sqrt(step)
-    buf = np.empty((len(gens), min(block, n_cells) + 1))
-    carry = np.zeros(len(gens))
+    buf = np.empty((len(gens), min(block, n_cells)))
     for lo in range(0, n_cells, block):
-        nodes = buf[:, :min(block, n_cells - lo) + 1]
-        nodes[:, 0] = carry
-        for gen, row in zip(gens, nodes):
-            gen.standard_normal(out=row[1:])
-        nodes[:, 1:] *= sqrt_h
-        np.cumsum(nodes, axis=1, out=nodes)
-        carry = nodes[:, -1].copy()
-        yield lo, nodes
+        incr = buf[:, :min(block, n_cells - lo)]
+        for gen, row in zip(gens, incr):
+            gen.standard_normal(out=row)
+        incr *= sqrt_h
+        yield lo, incr
 
 
 # A row block holds about this many grid values (256 KB): a row-blocked

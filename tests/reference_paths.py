@@ -1,25 +1,35 @@
 """Whole-path builders kept beside the tests as references.
 
-No experiment holds a whole Brownian path any more: the phase-counting
-experiments stream theirs from stochastic.brownian_blocks.  The tests
-still build whole paths, to feed phase_propagate and the oracles, and to
-check the streamed routes against the whole-path ones bit for bit.
+No experiment holds a whole Brownian path: the phase-counting experiments
+read only the increments of theirs, streamed from
+stochastic.brownian_increments.  The tests still build whole paths, to feed
+phase_propagate and the oracles, and to check the streamed routes against
+whole-path ones bit for bit.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from vrjplab.spectrum import phase_propagate
-from vrjplab.stochastic import PathKind, RngStream, SampledPath, grid_cells
+import vrjplab.spectrum as sp
+from vrjplab.stochastic import RngStream, SampledPath, grid_cells
 
 
-def path_times(path: SampledPath) -> np.ndarray:
+@dataclass
+class BrownianPath:
+    """A Brownian path B on the grid t0 + k*step, k = 0..len(values)-1."""
+    t0: float
+    step: float
+    values: np.ndarray
+
+
+def path_times(path) -> np.ndarray:
     """Times t0 + k*step of the path's nodes."""
     return path.t0 + path.step * np.arange(path.values.size)
 
 
-def sample_brownian_path(t0: float, t1: float, step: float, s: RngStream) -> SampledPath:
+def sample_brownian_path(t0: float, t1: float, step: float, s: RngStream) -> BrownianPath:
     """Brownian path on the grid covering [t0, t1], cells of width step.
 
     Increments over each grid cell are independent N(0, step).  When the
@@ -36,12 +46,29 @@ def sample_brownian_path(t0: float, t1: float, step: float, s: RngStream) -> Sam
     np.cumsum(incr, out=incr)
     anchor = int(np.clip(round(-t0 / step), 0, ncells))
     vals -= vals[anchor]
-    return SampledPath(t0, step, vals, PathKind.BROWNIAN)
+    return BrownianPath(t0, step, vals)
+
+
+def geometric(b: BrownianPath) -> SampledPath:
+    """The geometric path M = e^{B_t - t/2} of b, on b's grid."""
+    return SampledPath(b.t0, b.step, np.exp(b.values - path_times(b) / 2.0))
+
+
+def sample_gbm_path(t0: float, t1: float, step: float, s: RngStream) -> SampledPath:
+    """geometric(sample_brownian_path(t0, t1, step, s))."""
+    return geometric(sample_brownian_path(t0, t1, step, s))
 
 
 def renewal_gaps_whole_path(e_level: float, horizon: float, s: RngStream,
                             step: float) -> np.ndarray:
-    """renewal_statistics' gaps from one whole path: the route before streaming."""
-    b = sample_brownian_path(0.0, horizon, step, s)
-    times = np.concatenate([[0.0], phase_propagate(e_level, b).crossings])
-    return np.diff(times)
+    """renewal_statistics' gaps from one whole draw: no streaming and no cut.
+
+    The increments of all cells come from one draw, their log ratios from
+    one array operation, and one scalar scan reads them all.
+    """
+    n, _ = grid_cells(horizon, step)
+    x = s.gen.standard_normal(n) * math.sqrt(step)
+    ratios = np.concatenate([[0.0], x[:-1] + x[1:] - step])
+    scan = sp._phase_scan([(0, ratios)], step, e_level)
+    times = sp._crossing_times(scan.cells, scan.psi_in, scan.ncross, step, e_level)
+    return np.diff(np.concatenate([[0.0], times]))

@@ -48,13 +48,28 @@ def test_run_writes_results_and_manifest(tmp_path):
                                  for k, v in defaults.items()}, "e_list": [1.0, 4.0]}
     assert data["versions"] == {"numpy": np.__version__, "scipy": scipy.__version__,
                                 "python": platform.python_version()}
-    assert data["platform"] == platform.platform()
+    assert data["platform"] == {"system": platform.system(), "release": platform.release(),
+                                "machine": platform.machine()}
     # the worker-pool size (one thread per usable CPU) and the BLAS thread settings
     assert data["workers"] == len(os.sched_getaffinity(0))
     assert data["thread_env"] == {v: os.environ.get(v)
                                   for v in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS")}
     header = (out / "results.csv").read_text().splitlines()[0]
     assert header.startswith("E,")
+
+
+def test_manifest_starts_no_subprocess(tmp_path, monkeypatch):
+    # platform.platform() runs `uname -p` in a forked subprocess, whose copy
+    # of this process would be read as a child's peak in RUSAGE_CHILDREN
+    def no_subprocess(*args, **kwargs):
+        raise AssertionError("the manifest started a subprocess")
+
+    monkeypatch.setattr(platform, "platform", no_subprocess)
+    monkeypatch.setattr(subprocess, "Popen", no_subprocess)
+    monkeypatch.setattr(os, "fork", no_subprocess)
+    cfg = ExperimentConfig("mean_t1_quadrature", seed=5,
+                           params={"e_list": [1.0]}, output_dir=tmp_path)
+    assert run(cfg).passed
 
 
 def test_run_reproducibility_byte_identical(tmp_path):

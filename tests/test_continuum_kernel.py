@@ -17,7 +17,7 @@ from vrjplab.continuum_kernel import (DegeneratePathError, KernelPath,
                                       twisted_neumann_mismatch)
 from vrjplab.experiments import deterministic_flat_gbm, get_experiment
 from vrjplab.stats import ks_one_sample, ks_two_sample
-from vrjplab.stochastic import (PathKind, SampledPath, inverse_gamma_half_cdf,
+from vrjplab.stochastic import (SampledPath, inverse_gamma_half_cdf,
                                 new_stream)
 
 from reference_paths import path_times
@@ -64,7 +64,7 @@ def test_kernel_range_and_degenerate_errors():
     k = KernelPath.sample(1.0, 1e-3, new_stream(2, 0))
     with pytest.raises(ValueError):
         kernel_eval(k, 1.5, 0.0)
-    flat = SampledPath(-1.0, 1e-2, np.ones(201), PathKind.GBM)
+    flat = SampledPath(-1.0, 1e-2, np.ones(201))
     with pytest.raises(DegeneratePathError):
         KernelPath.from_path(flat)
 

@@ -1,14 +1,14 @@
 """The worker pool: seeded output for any worker count, one span per traced call.
 
 The matrix samplers run their stream blocks on stochastic's private pool,
-dos_sweep runs its anchor pre-pass there, and step_normals (read by
-exp_functional_walk and euler_maruyama_z) draws its normals on it one chunk
-ahead of the steps.  renewal_statistics spreads its scans over one bin per
-pool worker, cutting long paths into pieces, and runs every bin after the
-first in a forked child.  Swapping the pool for one of 1, 2 or 3 threads
-must not move a single bit, and neither may the cuts, a warm-up too short
-to merge, or a fallback rescan.  Pool tasks and forked children call only
-untraced helpers (the path builders log_gbm_rows and brownian_blocks, the
+and step_normals (read by exp_functional_walk and euler_maruyama_z) draws
+its normals on it one chunk ahead of the steps.  renewal_statistics
+spreads its scans over one bin per pool worker, cutting long paths into
+pieces, and runs every bin after the first in a forked child.  Swapping
+the pool for one of 1, 2 or 3 threads must not move a single bit, and
+neither may the cuts, a warm-up too short to merge, or a fallback rescan.
+Pool tasks and forked children call only untraced helpers (the path
+builder log_gbm_rows, the increment streamer brownian_increments, the
 renewal bin job _scan_bin), so a traced sampler records one span per call
 however many threads or processes work for it.  A child's error, a child
 that dies and an error in this process each end the call with every child
@@ -83,20 +83,20 @@ def test_matrix_samplers_identical_for_any_worker_count():
 
 
 def test_dos_sweep_identical_for_any_worker_count():
-    # 7 replicas, one anchor task each: more tasks than workers; 402 cells
-    # of width 2.005/201, two lane blocks; and the lane counts of the
-    # log_gbm_rows rows held whole
+    # 7 replicas; 402 cells of width 2.005/201, two lane blocks; and the
+    # lane counts of the ratios of one whole draw per replica
     e_list, lam, replicas, step, s = [1.0, 4.0, 9.0], 2.005, 7, 1e-2, new_stream(5, 3)
 
     def run():
         return (sp.dos_sweep(e_list, lam, replicas, s, step),)
 
     results = _for_each_worker_count(run)
-    rows = np.concatenate([next(st.log_gbm_rows(lam, step, 1, s.substream(r + 1)))[1]
-                           for r in range(replicas)])
-    assert rows.shape[1] - 1 > sp._LANE_BLOCK
-    _, h = st.grid_cells(lam, step)
-    results.append((sp._lane_counts([rows], replicas, h, e_list),))
+    half, h = st.grid_cells(lam, step)
+    assert 2 * half > sp._LANE_BLOCK
+    x = np.array([s.substream(r + 1).gen.standard_normal(2 * half) * math.sqrt(h)
+                  for r in range(replicas)])
+    ratios = np.concatenate([np.zeros((replicas, 1)), x[:, :-1] + x[:, 1:] - h], axis=1)
+    results.append((sp._lane_counts([(0, ratios)], replicas, h, e_list),))
     _assert_all_equal(results)
 
 
@@ -242,7 +242,8 @@ def test_child_error_reaches_the_parent(monkeypatch):
     # its error arrives as it would have been raised here
     e_levels, horizons, step = RENEWAL_JOBS
     sizes = [grid_cells(h, step)[0] for h in horizons]
-    assert [[k for k, _, _ in b] for b in sp._renewal_bins(sizes, 2)] == [[0, 1], [2]]
+    bins = sp._renewal_bins(sizes, 2, sp._warm_cells(step))
+    assert [[k for k, _, _ in b] for b in bins] == [[0, 1], [2]]
     scan_bin = sp._scan_bin
 
     def fails_at_nine(pieces):
@@ -316,7 +317,8 @@ CUT_JOBS = ([1.0, 4.0], [4000.0, 1000.0], 1e-2)
 def _cuts(e_levels, horizons, step, workers):
     """The cut pieces (lo > 0) of renewal_statistics' bins for this many workers."""
     sizes = [grid_cells(h, step)[0] for h in horizons]
-    return [(k, lo) for b in sp._renewal_bins(sizes, workers) for k, lo, _ in b if lo > 0]
+    bins = sp._renewal_bins(sizes, workers, sp._warm_cells(step))
+    return [(k, lo) for b in bins for k, lo, _ in b if lo > 0]
 
 
 def _whole_path_gaps(e_levels, horizons, step):
@@ -340,7 +342,7 @@ def test_renewal_gaps_identical_across_cuts():
     e_levels, horizons, step = CUT_JOBS
     assert _cuts(e_levels, horizons, step, 1) == []
     for workers in (2, 3):
-        assert any(lo > sp._WARM_CELLS for _, lo in _cuts(e_levels, horizons, step, workers))
+        assert any(lo > sp._warm_cells(step) for _, lo in _cuts(e_levels, horizons, step, workers))
 
     def run():
         with _deadline(60):
@@ -356,9 +358,10 @@ def test_renewal_gaps_identical_across_cuts():
 def test_every_cut_falls_back_without_warm_up(monkeypatch):
     # a warm-up of 3 cells from psi = 0 never lands on the true angle, so
     # every cut is rescanned from the true state, and the gaps do not move
-    monkeypatch.setattr(sp, "_WARM_CELLS", 3)
-    fallbacks = _count_fallbacks(monkeypatch)
     e_levels, horizons, step = CUT_JOBS
+    monkeypatch.setattr(sp, "_WARM_TIME", 3 * step)
+    assert sp._warm_cells(step) == 3
+    fallbacks = _count_fallbacks(monkeypatch)
     cuts = _cuts(e_levels, horizons, step, 3)
     assert len(cuts) >= 2
     with _pool_of(3), _deadline(60):
@@ -367,19 +370,28 @@ def test_every_cut_falls_back_without_warm_up(monkeypatch):
     _assert_all_equal([gaps, _whole_path_gaps(e_levels, horizons, step)])
 
 
-def test_warm_up_merges_at_every_cut(monkeypatch):
-    # 22 bins over two 600k-cell paths at step 1e-3 cut each path ten times,
-    # every cut past its warm-up: each warm-up must reach the true angle
-    # bit for bit, with no fallback rescan
-    monkeypatch.setattr(sp, "pool_workers", lambda: 22)
+def _assert_merges_at_every_cut(monkeypatch, workers, e_levels, horizons, step, min_cuts):
+    # every cut past its warm-up, each warm-up reaching the true angle bit
+    # for bit, with no fallback rescan
+    monkeypatch.setattr(sp, "pool_workers", lambda: workers)
     fallbacks = _count_fallbacks(monkeypatch)
-    e_levels, horizons, step = [1.0, 4.0], [600.0, 600.0], 1e-3
-    cuts = _cuts(e_levels, horizons, step, 22)
-    assert len(cuts) >= 20 and all(lo > sp._WARM_CELLS for _, lo in cuts)
+    cuts = _cuts(e_levels, horizons, step, workers)
+    assert len(cuts) >= min_cuts and all(lo > sp._warm_cells(step) for _, lo in cuts)
     with _pool_of(2), _deadline(120):
         gaps = _renewal(e_levels, horizons, step)
     assert fallbacks == []
     _assert_all_equal([gaps, _whole_path_gaps(e_levels, horizons, step)])
+
+
+def test_warm_up_merges_at_every_cut(monkeypatch):
+    # 22 bins over two 600k-cell paths at step 1e-3 cut each path ten times
+    _assert_merges_at_every_cut(monkeypatch, 22, [1.0, 4.0], [600.0, 600.0], 1e-3, 20)
+
+
+def test_warm_up_merges_at_a_finer_step(monkeypatch):
+    # the warm-up is a time: at step 1e-4 it is 1310720 cells, and two bins
+    # cut a 1.5M-cell path past it
+    _assert_merges_at_every_cut(monkeypatch, 2, [1.0], [150.0], 1e-4, 1)
 
 
 THREADED_SAMPLERS = [

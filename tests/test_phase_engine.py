@@ -1,16 +1,19 @@
 """The phase-counting engine against a reference per-cell loop.
 
 _phase_core below is the original scalar propagation, kept verbatim as
-the oracle.  The scalar route must reproduce it bit for bit; the lane
-route (numpy transcendentals, which may differ from math.* by an ulp)
-must reproduce every count.  Two more reference routes check the closed
-form itself: a generic RK4 integration of the phase ODE, and the
+the oracle; it reads a geometric path's values.  The scalar route on the
+same values must reproduce it bit for bit.  The experiments read the cell
+log ratios of a path from its Brownian increments instead, which round
+differently: on the same draws they must give every count of the oracle
+and its crossing times within a bound derived from the two ratio arrays.
+The lane route (numpy transcendentals, which may differ from math.* by an
+ulp) must reproduce every count.  Two more reference routes check the
+closed form itself: a generic RK4 integration of the phase ODE, and the
 per-cell Riccati identity at the oracle's entry angles.
 
-renewal_statistics and dos_sweep stream their paths; they must give what
-the whole-path routes they replaced give, bit for bit: the renewal gaps
-of sample_brownian_path + phase_propagate, and the lane counts of the
-log_gbm_rows rows held whole.
+renewal_statistics and dos_sweep stream their increments; they must give
+what one whole draw gives, bit for bit: the renewal gaps of one scan of
+all the ratios, and the lane counts of all the ratios held whole.
 """
 
 import math
@@ -22,9 +25,11 @@ from hypothesis import strategies as st
 
 import vrjplab.spectrum as sp
 from vrjplab.spectrum import _CROSS_TOL, _PI, dos_sweep, phase_propagate, renewal_statistics
-from vrjplab.stochastic import PathKind, SampledPath, grid_cells, log_gbm_rows, new_stream
+from vrjplab.stochastic import (SampledPath, brownian_increments, grid_cells, log_gbm_rows,
+                                new_stream)
 
-from reference_paths import path_times, renewal_gaps_whole_path, sample_brownian_path
+from reference_paths import (geometric, renewal_gaps_whole_path, sample_brownian_path,
+                             sample_gbm_path)
 
 
 def _phase_core(logc, dpsi):
@@ -59,15 +64,8 @@ def _phase_core(logc, dpsi):
     return kcum, psi_in, psi
 
 
-def _oracle_logm(path):
-    """log M on the path nodes; a brownian input B is read as e^{B - t/2}."""
-    if path.kind is PathKind.GBM:
-        return np.log(path.values)
-    return path.values - path_times(path) / 2.0
-
-
 def _oracle_logc(path, e_level):
-    logm = _oracle_logm(path)
+    logm = np.log(path.values)
     return 0.5 * math.log(e_level) + logm[:-1] + logm[1:]
 
 
@@ -86,7 +84,13 @@ def _oracle(path, e_level):
 
 
 def _path(seed, lam, step):
-    return sample_brownian_path(-lam, lam, step, new_stream(seed, 3))
+    return sample_gbm_path(-lam, lam, step, new_stream(seed, 3))
+
+
+def _increment_ratios(seed, n_cells, step, block):
+    """_cell_ratios of the increments _path(seed, ...) draws, block cells at a time."""
+    incr = brownian_increments([new_stream(seed, 3).gen], n_cells, step, block)
+    return ((lo, d[0]) for lo, d in sp._cell_ratios(incr, step))
 
 
 energies = st.sampled_from([0.25, 0.5, 1.0, 2.0, 4.0, 9.0, 16.0, 30.0])
@@ -98,7 +102,7 @@ steps = st.sampled_from([1e-3, 4e-3, 1e-2])
 def test_scalar_route_bit_identical_to_oracle(seed, e_level, lam, step):
     path = _path(seed, lam, step)
     count, psi, cells, psi_in, theta, times = _oracle(path, e_level)
-    scan = sp._phase_scan(sp._path_chunks(path), path.step, e_level)
+    scan = sp._phase_scan(sp._path_chunks(path, e_level), path.step, e_level)
     assert scan.count == count
     assert scan.psi == psi
     assert np.array_equal(scan.cells, cells)
@@ -119,23 +123,74 @@ def test_scalar_route_across_chunk_seams():
 
 
 def test_gbm_path_bit_identical_to_oracle():
-    b = _path(8, 3.0, 1e-3)
-    geo = SampledPath(b.t0, b.step, np.exp(b.values - path_times(b) / 2.0), PathKind.GBM)
+    geo = geometric(sample_brownian_path(-3.0, 3.0, 1e-3, new_stream(8, 3)))
     for e_level in (1.0, 4.0):
-        scan = sp._phase_scan(sp._path_chunks(geo), geo.step, e_level)
+        scan = sp._phase_scan(sp._path_chunks(geo, e_level), geo.step, e_level)
         assert scan.count == _oracle(geo, e_level)[0]
 
 
-def _lane_blocks(logm, block):
-    """The rows of logm a block of cells at a time; consecutive blocks share a node."""
-    n = logm.shape[1] - 1
-    return (logm[:, lo:min(n, lo + block) + 1] for lo in range(0, n, block))
+# A bound on how far apart the angles of two scans of the same cells can
+# be, each rounded in float64: every cell takes at most eight roundings
+# (exp, sin, their product, cos, atan2, the advance, the wrap's product and
+# difference).  A relative error of at most 2^-52 in an atan2 argument moves
+# the angle by at most 2^-53, and each of the others by at most one ulp of a
+# number below 2*pi, so each moves the angle by at most ulp(2*pi).
+_CELL_ROUNDING = 8 * np.spacing(2 * math.pi)
+
+
+def _entry_angle_bounds(path, e_level, d_other):
+    """Per cell, a bound on how far a scan of the ratios d_other enters from the oracle.
+
+    To first order in the differences, the rescale psi -> atan2(e^d sin psi,
+    cos psi) passes an angle error on with factor e^d / (cos^2 + e^2d sin^2)
+    and a ratio error with factor e^d |sin cos| / (cos^2 + e^2d sin^2), both
+    at the oracle's angle; each scan adds _CELL_ROUNDING per cell.
+    """
+    logc = _oracle_logc(path, e_level)
+    d = np.concatenate([[0.0], np.diff(logc)])
+    dd = np.abs(d - d_other)
+    _, psi_in, _ = _phase_core(logc, math.sqrt(e_level) * path.step)
+    # psi on leaving each cell: advanced, wrapped and clamped as the oracle does
+    x = psi_in + math.sqrt(e_level) * path.step
+    out = np.maximum(x - ((x + _CROSS_TOL) // _PI) * _PI, 0.0)
+    c2, s2 = np.cos(out[:-1]) ** 2, np.sin(out[:-1]) ** 2
+    r = np.exp(d[1:])
+    den = c2 + r * r * s2
+    gain = r / den
+    from_ratio = r * np.sqrt(c2 * s2) / den * dd[1:]
+    bound = np.zeros(psi_in.size)
+    for i in range(1, psi_in.size):
+        bound[i] = (gain[i - 1] * (bound[i - 1] + 2 * _CELL_ROUNDING) + from_ratio[i - 1]
+                    + 2 * _CELL_ROUNDING)
+    return bound
+
+
+@pytest.mark.parametrize("seed", [5, 6])
+def test_increment_ratios_track_the_path_ratios(seed):
+    # the experiments' ratios x_{i-1} + x_i - h of a path's increments and the
+    # oracle's logc differences of its geometric values, on the same draws:
+    # every count equal, and every crossing time within the bound that the two
+    # ratio arrays give (plus eight ulps of the time, the two routes' rounding
+    # of i*h + (j*pi - psi)/sqrt(E))
+    path = _path(seed, 50.0, 1e-3)
+    n = path.values.size - 1
+    [(_, d_inc)] = list(_increment_ratios(seed, n, path.step, n))
+    for e_level in (0.25, 1.0, 4.0, 16.0):
+        count, _, cells, _, _, times = _oracle(path, e_level)
+        scan = sp._phase_scan(_increment_ratios(seed, n, path.step, sp._SCAN_CHUNK),
+                              path.step, e_level)
+        assert scan.count == count and np.array_equal(scan.cells, cells)
+        got = sp._crossing_times(scan.cells, scan.psi_in, scan.ncross, path.step, e_level)
+        angle = _entry_angle_bounds(path, e_level, d_inc)[np.repeat(scan.cells, scan.ncross)]
+        assert np.all(np.abs(got - times) <= angle / math.sqrt(e_level) + 8 * np.spacing(times))
 
 
 def _lane_case(seed, lam, step, replicas, e_list, block):
+    # the lanes read the increments of the oracle's paths, block cells at a time
     paths = [_path(seed + r, lam, step) for r in range(replicas)]
-    logm = np.stack([sp._log_m(p) for p in paths])
-    lanes = sp._lane_counts(_lane_blocks(logm, block), replicas, step, e_list)
+    gens = [new_stream(seed + r, 3).gen for r in range(replicas)]
+    incr = brownian_increments(gens, paths[0].values.size - 1, step, block)
+    lanes = sp._lane_counts(sp._cell_ratios(incr, step), replicas, step, e_list)
     oracle = np.array([[_oracle(p, e)[0] for p in paths] for e in e_list])
     return lanes, oracle
 
@@ -156,7 +211,7 @@ def test_dos_sweep_spans_several_lane_blocks():
     assert 2 * lam / step > 2 * sp._LANE_BLOCK
     s = new_stream(21, 0)
     counts = dos_sweep(e_list, lam, replicas, s, step)
-    paths = [sample_brownian_path(-lam, lam, step, s.substream(r + 1)) for r in range(replicas)]
+    paths = [sample_gbm_path(-lam, lam, step, s.substream(r + 1)) for r in range(replicas)]
     oracle = np.array([[_oracle(p, e_level)[0] for p in paths] for e_level in e_list])
     assert counts.shape == (len(e_list), replicas)
     assert np.array_equal(counts, oracle)
@@ -165,20 +220,30 @@ def test_dos_sweep_spans_several_lane_blocks():
 # 0.3337 is not a whole number of steps: 334 cells a side of width 0.3337/334
 @pytest.mark.parametrize("lam", [1.0, 0.3337])
 def test_dos_sweep_streams_the_log_gbm_rows(lam):
-    # each streamed block is its slice of the log_gbm_rows rows, and the
-    # counts are the lane counts of those rows held whole
+    # each streamed block of ratios is its slice of the ratios of one whole
+    # draw per replica, the draws of its log_gbm_rows row; the counts are
+    # the lane counts of those ratios held whole, and the oracle's counts
+    # on the log_gbm_rows rows themselves
     step, replicas, e_list, s = 1e-3, 3, [1.0, 4.0, 9.0], new_stream(22, 0)
     half, h = grid_cells(lam, step)
     assert 2 * half > 2 * sp._LANE_BLOCK
-    rows = np.concatenate([next(log_gbm_rows(lam, step, 1, s.substream(r + 1)))[1]
-                           for r in range(replicas)])
+    whole = []
+    for r in range(replicas):
+        x = s.substream(r + 1).gen.standard_normal(2 * half) * math.sqrt(h)
+        whole.append(np.concatenate([[0.0], x[:-1] + x[1:] - h]))
+    whole = np.array(whole)
+    gens = [s.substream(r + 1).gen for r in range(replicas)]
     seen = 0
-    for block in sp._log_m_blocks(lam, step, replicas, s):
-        assert np.array_equal(block, rows[:, seen:seen + block.shape[1]])
-        seen += block.shape[1] - 1
+    for lo, d in sp._cell_ratios(brownian_increments(gens, 2 * half, h, sp._LANE_BLOCK), h):
+        assert lo == seen and np.array_equal(d, whole[:, lo:lo + d.shape[1]])
+        seen += d.shape[1]
     assert seen == 2 * half
-    want = sp._lane_counts([rows], replicas, h, e_list)
-    assert np.array_equal(dos_sweep(e_list, lam, replicas, s, step), want)
+    counts = dos_sweep(e_list, lam, replicas, s, step)
+    assert np.array_equal(counts, sp._lane_counts([(0, whole)], replicas, h, e_list))
+    rows = [SampledPath(-lam, h, np.exp(m[0]))
+            for _, m in (next(log_gbm_rows(lam, step, 1, s.substream(r + 1)))
+                         for r in range(replicas))]
+    assert np.array_equal(counts, [[_oracle(p, e)[0] for p in rows] for e in e_list])
 
 
 # horizons of 10038 cells (inside one scan chunk) and of 70006 cells (two
@@ -205,7 +270,7 @@ def phase_propagate_rk4(e_level: float, gbm: SampledPath,
     Small-scale oracle for the closed-form propagation; substeps per
     cell are chosen so the angle advance stays below max_step_angle.
     """
-    logm = _oracle_logm(gbm)
+    logm = np.log(gbm.values)
     h = gbm.step
     theta = 0.0
     for i in range(logm.size - 1):
@@ -273,12 +338,12 @@ def riccati_cell_check(e_level: float, gbm: SampledPath, n_cells: int = 200,
 
 
 def test_phase_rk4_oracle():
-    gbm = sample_brownian_path(-5.0, 5.0, 1e-3, new_stream(4, 0))
-    exact = phase_propagate(1.0, gbm, collect_crossings=False).theta_final
+    gbm = sample_gbm_path(-5.0, 5.0, 1e-3, new_stream(4, 0))
+    exact = phase_propagate(1.0, gbm).theta_final
     rk4 = phase_propagate_rk4(1.0, gbm)
     assert abs(exact - rk4) < 1e-3
 
 
 def test_riccati_cell_identity():
-    gbm = sample_brownian_path(-5.0, 5.0, 1e-3, new_stream(5, 0))
+    gbm = sample_gbm_path(-5.0, 5.0, 1e-3, new_stream(5, 0))
     assert riccati_cell_check(1.0, gbm) < 0.01

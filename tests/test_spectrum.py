@@ -20,13 +20,13 @@ from vrjplab.spectrum import (count_states_matrix, count_states_phase,
                               discrete_spectrum_matrix, dos_sweep,
                               fd_operator_twisted, fd_spectrum_twisted, mean_t1_quadrature,
                               phase_propagate, renewal_statistics)
-from vrjplab.stochastic import PathKind, SampledPath, new_stream
+from vrjplab.stochastic import SampledPath, new_stream
 
-from reference_paths import path_times, sample_brownian_path
+from reference_paths import sample_gbm_path
 
 
 def _unit_gbm(span, step):
-    return SampledPath(0.0, step, np.ones(int(round(span / step)) + 1), PathKind.GBM)
+    return SampledPath(0.0, step, np.ones(int(round(span / step)) + 1))
 
 
 def count_states_fd_dirichlet(gbm: SampledPath, e_level: float) -> int:
@@ -135,7 +135,7 @@ def test_phase_constant_coefficient_crossings():
 
 
 def test_phase_trace_invariants():
-    gbm = sample_brownian_path(-3.0, 3.0, 1e-3, new_stream(1, 0))
+    gbm = sample_gbm_path(-3.0, 3.0, 1e-3, new_stream(1, 0))
     tr = phase_propagate(2.0, gbm)
     assert tr.theta_final >= 0
     assert tr.count == int(tr.theta_final / math.pi)
@@ -143,18 +143,18 @@ def test_phase_trace_invariants():
 
 
 def test_phase_monotone_in_energy():
-    gbm = sample_brownian_path(-3.0, 3.0, 1e-3, new_stream(2, 0))
-    t1 = phase_propagate(1.0, gbm, collect_crossings=False).theta_final
-    t4 = phase_propagate(4.0, gbm, collect_crossings=False).theta_final
+    gbm = sample_gbm_path(-3.0, 3.0, 1e-3, new_stream(2, 0))
+    t1 = phase_propagate(1.0, gbm).theta_final
+    t4 = phase_propagate(4.0, gbm).theta_final
     assert t4 > t1
 
 
 def test_phase_monotone_in_span():
     # theta(lam) grows with lam on a nested path
-    gbm = sample_brownian_path(-4.0, 4.0, 1e-3, new_stream(3, 0))
-    sub = SampledPath(gbm.t0, gbm.step, gbm.values[:4001], gbm.kind)
-    t_short = phase_propagate(1.0, sub, collect_crossings=False).theta_final
-    t_long = phase_propagate(1.0, gbm, collect_crossings=False).theta_final
+    gbm = sample_gbm_path(-4.0, 4.0, 1e-3, new_stream(3, 0))
+    sub = SampledPath(gbm.t0, gbm.step, gbm.values[:4001])
+    t_short = phase_propagate(1.0, sub).theta_final
+    t_long = phase_propagate(1.0, gbm).theta_final
     assert t_long > t_short
 
 
@@ -164,7 +164,7 @@ def test_phase_rejects_bad_energy():
 
 
 def test_phase_rejects_path_without_cell():
-    one_node = SampledPath(0.0, 1e-3, np.ones(1), PathKind.GBM)
+    one_node = SampledPath(0.0, 1e-3, np.ones(1))
     with pytest.raises(ValueError, match="no cell"):
         phase_propagate(1.0, one_node)
     with pytest.raises(ValueError, match="no cell"):
@@ -181,7 +181,7 @@ def test_count_states_phase_flat_path():
 
 
 def test_count_nondecreasing_in_energy():
-    gbm = sample_brownian_path(-5.0, 5.0, 1e-3, new_stream(6, 0))
+    gbm = sample_gbm_path(-5.0, 5.0, 1e-3, new_stream(6, 0))
     counts = [count_states_phase(e, gbm) for e in (0.5, 1.0, 2.0, 4.0, 8.0)]
     assert all(b >= a for a, b in zip(counts, counts[1:]))
 
@@ -232,8 +232,7 @@ def test_fd_dirichlet_count_flat_path():
 
 def test_phase_fd_bracket_on_shared_path():
     for seed in (0, 1):
-        b = sample_brownian_path(-10.0, 10.0, 1e-3, new_stream(8, seed))
-        geo = SampledPath(b.t0, b.step, np.exp(b.values - path_times(b) / 2.0), PathKind.GBM)
+        geo = sample_gbm_path(-10.0, 10.0, 1e-3, new_stream(8, seed))
         for e_level in (1.0, 4.0):
             cp = count_states_phase(e_level, geo)
             cf = count_states_fd_dirichlet(geo, e_level)
@@ -249,7 +248,7 @@ def test_matrix_vs_phase_mean_counts():
         e_level, construct_beta_circle(lam, 32, new_stream(9, r)), 32)
         for r in range(reps)])
     pc = np.array([count_states_phase(
-        e_level, sample_brownian_path(-lam, lam, 1e-3, new_stream(10, r)))
+        e_level, sample_gbm_path(-lam, lam, 1e-3, new_stream(10, r)))
         for r in range(reps)])
     ci = 2.58 * (mc.std(ddof=1) + pc.std(ddof=1)) / math.sqrt(reps)
     assert abs(mc.mean() - pc.mean()) <= 2.0 + 2 * ci

@@ -14,7 +14,7 @@ import vrjplab.stochastic as st
 from vrjplab.continuum_kernel import KernelPath
 from vrjplab.experiments import list_experiments
 from vrjplab.stats import ks_one_sample, mean_ci
-from vrjplab.stochastic import (PathKind, grid_cells,
+from vrjplab.stochastic import (SampledPath, grid_cells,
                                 inverse_gamma_half_cdf, inverse_gaussian_cdf,
                                 log_gbm_rows, new_stream, sample_inverse_gaussian)
 
@@ -125,17 +125,17 @@ def test_brownian_path_is_cumsum_of_scaled_draws():
 
 @pytest.mark.parametrize("block", [1, 7, 300, 1000])
 def test_brownian_blocks_equal_the_whole_path(block):
-    # row r is the whole-path cumsum of its own generator's draws, bit for
-    # bit, whatever the block; consecutive blocks share a node
+    # row r is one whole scaled draw of its own generator, bit for bit,
+    # whatever the block; the blocks cover the cells in order
     n_cells, step = 300, 1e-2
-    want = [sample_brownian_path(0.0, 3.0, step, new_stream(9, r)).values for r in range(3)]
+    want = [new_stream(9, r).gen.standard_normal(n_cells) * math.sqrt(step) for r in range(3)]
     gens = [new_stream(9, r).gen for r in range(3)]
     seen = 0
-    for lo, nodes in st.brownian_blocks(gens, n_cells, step, block):
-        assert lo == seen and nodes.shape == (3, min(block, n_cells - lo) + 1)
-        for row, path in zip(nodes, want):
-            assert np.array_equal(row, path[lo:lo + nodes.shape[1]])
-        seen += nodes.shape[1] - 1
+    for lo, incr in st.brownian_increments(gens, n_cells, step, block):
+        assert lo == seen and incr.shape == (3, min(block, n_cells - lo))
+        for row, whole in zip(incr, want):
+            assert np.array_equal(row, whole[lo:lo + incr.shape[1]])
+        seen += incr.shape[1]
     assert seen == n_cells
 
 
@@ -146,6 +146,13 @@ def test_walk_steps():
                        (math.nan, 1.0), (1e-4, 1e-3)):
         with pytest.raises(ValueError):
             st.walk_steps(span, step)
+
+
+def test_sampled_path_is_geometric():
+    # a SampledPath is M itself, so a value that is not positive is refused
+    for values in ([1.0, 0.0], [1.0, -0.5], [1.0, np.nan]):
+        with pytest.raises(ValueError, match="strictly positive"):
+            SampledPath(0.0, 1e-3, np.array(values))
 
 
 def test_grid_cells():
@@ -163,7 +170,6 @@ def test_gbm_deterministic_transform():
         half, h = grid_cells(lam, step)
         b = sample_brownian_path(-lam, lam, h, new_stream(3, 1))
         gbm = KernelPath.sample(lam, step, new_stream(3, 1)).gbm
-        assert gbm.kind is PathKind.GBM
         assert (gbm.t0, gbm.step) == (-lam, h)
         assert np.array_equal(gbm.values, np.exp(b.values - path_times(b) / 2.0))
         assert gbm.values[half] == 1.0

@@ -175,6 +175,11 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "run":
         out = args.out or os.environ.get(OUTPUT_ENV_VAR, "vrjplab_out")
         try:
+            get_experiment(args.name)
+        except KeyError as exc:
+            print(f"error: {exc.args[0]}", file=sys.stderr)
+            return 2
+        try:
             params = dict(_parse_param(p) for p in args.param)
             config = ExperimentConfig(args.name, args.seed, params, Path(out))
         except ValueError as exc:
@@ -182,9 +187,6 @@ def main(argv: list[str] | None = None) -> int:
             return 2
         try:
             manifest = run(config)
-        except KeyError as exc:
-            print(f"error: {exc.args[0]}", file=sys.stderr)
-            return 2
         except (ValueError, RuntimeError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2

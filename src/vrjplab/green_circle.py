@@ -21,7 +21,6 @@ import math
 from enum import Enum
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .beta_field import BetaField, dense_h
 
@@ -105,6 +104,8 @@ def green_from_field(field: BetaField, method: Provenance = Provenance.EXPLICIT_
         d = np.sqrt(field.a_seq)
         return (np.outer(d, d) * rinv) / field.weight
     if method is Provenance.DENSE_SOLVE:
+        from scipy.linalg import solve_triangular
+
         h = dense_h(field.graph, field.beta)
         # H = L L^T, so H^-1 = L^-T L^-1
         chol_inv = solve_triangular(np.linalg.cholesky(h), np.eye(h.shape[0]), lower=True)

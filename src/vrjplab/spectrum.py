@@ -55,18 +55,20 @@ previous piece's final psi bit for bit; otherwise it rescans from the true
 state until the two agree at a chunk end.  So the gaps are those of one
 scan of the whole path, bit for bit, whatever the cuts and the worker
 count.  A child sends back only its pieces' crossing records and end
-angles.  Fork, not spawn: a spawned child would import numpy and scipy
-afresh, about 0.75 s, against a scan of about a second.  The pool threads
-are idle during the scans, which is what makes the fork safe; Python
-3.12+ still warns (DeprecationWarning) on forking a process that has
-threads.
+angles.  Fork, not spawn: a spawned child would import numpy and this
+module afresh, about 0.17 s, against a scan of about a second.  The pool
+threads are idle during the scans and the scans import nothing, which is
+what makes the fork safe; Python 3.12+ still warns (DeprecationWarning)
+on forking a process that has threads.
 
 Matrix routes.  The scaled discrete circle operator (weight n) has
 eigenvalues approximating the continuum ones, counted by a dense
 eigensolve.  A conservative finite-difference operator built from a
 sampled path (fluxes from the trapezoid resistances, boundary seam
 implementing g(-lam) = g(lam) and the twisted flux matching) provides
-the deterministic spectral oracle.
+the deterministic spectral oracle.  It and the quadrature of the renewal
+mean import scipy.sparse and scipy.integrate when called, so the
+phase-counting runs, which call neither, do not pay those imports.
 """
 
 from __future__ import annotations
@@ -74,11 +76,12 @@ from __future__ import annotations
 import copy
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.integrate
-import scipy.sparse
-import scipy.sparse.linalg
+
+if TYPE_CHECKING:
+    import scipy.sparse
 
 from .beta_field import BetaField, dense_h
 from .stochastic import (RngStream, SampledPath, brownian_increments, grid_cells, map_forked,
@@ -334,6 +337,8 @@ def fd_operator_twisted(gbm: SampledPath) -> scipy.sparse.csr_matrix:
     endpoint unknown.  Energy form: sum over cells of
     (g_q/M_q - g_p/M_p)^2 / r_cell, mass h per node.
     """
+    import scipy.sparse
+
     m = gbm.values
     h = gbm.step
     r = 0.5 * h * (1.0 / m[:-1] ** 2 + 1.0 / m[1:] ** 2)   # cell resistance: trapezoid of 1/M^2
@@ -361,6 +366,8 @@ def fd_spectrum_twisted(gbm: SampledPath, k: int = 8) -> np.ndarray:
     ARPACK starts from the fixed vector of ones, not a random one, so the
     eigenvalues repeat to the last digit on every run.
     """
+    import scipy.sparse.linalg
+
     a = fd_operator_twisted(gbm).tocsc()
     vals = scipy.sparse.linalg.eigsh(a, k=k, sigma=0.0, which="LM",
                                      v0=np.ones(a.shape[0]), return_eigenvectors=False)
@@ -592,6 +599,8 @@ def mean_t1_quadrature(e_level: float) -> float:
     * (2u+t)/(u(t+u)) du dt over the positive quadrant, mapped to the
     unit square by u = x/(1-x), t = y/(1-y); equals pi/sqrt(E).
     """
+    import scipy.integrate
+
     if e_level <= 0:
         raise ValueError("E must be positive")
 

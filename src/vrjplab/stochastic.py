@@ -22,7 +22,8 @@ stable across numpy versions).
 
 Reference distributions used throughout the verification suites (the
 Inverse Gaussian and the law of 1/(2*gamma)) live here as closed-form
-CDFs.
+CDFs; they import scipy.special when called, so that runs which never
+call them do not pay its import.
 
 The ensemble samplers use up to one thread per usable CPU, through one
 private pool (``_pool``).  A pool task either owns one stream block and
@@ -34,13 +35,16 @@ Pure-Python work holds the interpreter lock, so the pool cannot overlap
 it; ``map_forked`` runs such jobs in forked child processes instead, at
 most one fewer than the pool's workers at once, so the worker count has
 the one source, the usable CPUs.  Fork, not spawn or forkserver: a new
-interpreter imports numpy and scipy afresh, about 0.75 s per child on a
-2-vCPU VM, which is more than the overlap saves on the phase scans it
-serves.  Forking a process with threads is safe only while those threads
-hold no lock the child needs; the pool's threads are idle while
-``map_forked`` runs, the child builds a pool of its own if it needs one
-(``os.register_at_fork`` below), and the job touches only its own
-arguments.  Python 3.12+ warns (DeprecationWarning) on every fork of a
+interpreter imports numpy and vrjplab afresh, about 0.17 s per child on a
+2-vCPU VM against about 3 ms for a fork, about as much as the overlap
+saves on the phase scans it serves.  Forking a process with threads is
+safe only while those threads hold no lock the child needs; the pool's
+threads are idle while ``map_forked`` runs, the child builds a pool of
+its own if it needs one (``os.register_at_fork`` below), and the job
+touches only its own arguments.  The package imports scipy's
+subpackages inside the functions that call them, and none of those runs
+in a pool task or a forked job, so no thread holds the import lock at a
+fork.  Python 3.12+ warns (DeprecationWarning) on every fork of a
 process that has threads; the idle pool threads are what it sees.
 """
 
@@ -55,7 +59,6 @@ from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import erf, log_ndtr, ndtr
 
 
 @dataclass
@@ -405,6 +408,8 @@ def inverse_gamma_half_cdf(x):
 
     P(1/(2 gamma) <= x) = P(gamma >= 1/(2x)) = 1 - erf(1/sqrt(2x)).
     """
+    from scipy.special import erf
+
     scalar = np.isscalar(x)
     x = np.asarray(x, dtype=float)
     if np.any(x <= 0) and scalar:
@@ -418,6 +423,8 @@ def inverse_gaussian_cdf(x, mu, lam):
 
     Stable for large shape: the second term is taken through log_ndtr.
     """
+    from scipy.special import log_ndtr, ndtr
+
     x = np.asarray(x, dtype=float)
     mu = np.asarray(mu, dtype=float)
     lam = np.asarray(lam, dtype=float)

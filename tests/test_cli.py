@@ -1,15 +1,19 @@
-"""CLI registry, persistence, reproducibility, exit codes."""
+"""CLI registry, persistence, reproducibility, exit codes, import cost."""
 
+import dataclasses
 import json
 import os
 import platform
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy
 
+import vrjplab
+from vrjplab import experiments
 from vrjplab.cli import ExperimentConfig, main, run
 from vrjplab.experiments import get_experiment, list_experiments
 
@@ -117,6 +121,16 @@ def test_main_list_and_exit_codes(tmp_path, capsys):
     assert rc == 2
 
 
+def test_main_key_error_inside_an_experiment_is_not_a_usage_error(tmp_path, monkeypatch):
+    # only the registry lookup's KeyError means an unknown experiment name
+    def broken(params, stream):
+        raise KeyError("raised inside the experiment")
+
+    spec = get_experiment("mean_t1_quadrature")
+    monkeypatch.setitem(experiments._REGISTRY, spec.name, dataclasses.replace(spec, fn=broken))
+    with pytest.raises(KeyError, match="raised inside the experiment"):
+        main(["run", "--name", spec.name, "--out", str(tmp_path)])
+
 
 @pytest.mark.parametrize("name, param, message", [
     ("renewal_mean", "horizon_crossings=10", "insufficient data"),
@@ -167,3 +181,85 @@ def test_numpy_scalars_written_as_plain_decimals(tmp_path):
     text = (tmp_path / "dos_sweep/results.csv").read_text()
     assert "np." not in text
     assert text.splitlines()[1].startswith("1.0,")
+
+
+# scipy subpackages that importing vrjplab must not load: the package imports
+# the ones it uses inside the functions that call them, so a run that never
+# calls those (the phase-counting ones) does not pay their import time and
+# memory.  Every test module imports scipy, so only a fresh interpreter can
+# show what vrjplab loads.
+HEAVY_SCIPY = ("scipy.special", "scipy.integrate", "scipy.sparse", "scipy.linalg",
+               "scipy.optimize", "scipy.stats")
+
+_HEAVY_LOADED = f"""
+import sys
+def heavy_loaded():
+    return sorted(m for m in sys.modules if ".".join(m.split(".")[:2]) in {HEAVY_SCIPY!r})
+"""
+
+
+def _fresh_python(code: str, *args: str) -> dict:
+    """Run code in a new interpreter that imports this vrjplab; its last line, as JSON."""
+    paths = [str(Path(vrjplab.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+    proc = subprocess.run([sys.executable, "-c", _HEAVY_LOADED + code, *args],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+@pytest.mark.parametrize("argvs", [
+    [["list"]],
+    [["run", "--name", "renewal_mean", "--seed", "11",
+      "--param", "e_list=[16.0]", "--param", "horizon_crossings=1100"],
+     ["run", "--name", "dos_sweep", "--seed", "11",
+      "--param", "lam=2.0", "--param", "replicas=3"]],
+], ids=["list", "phase_runs"])
+def test_cli_loads_no_heavy_scipy(tmp_path, argvs):
+    argvs = [argv + ["--out", str(tmp_path)] if argv[0] == "run" else argv for argv in argvs]
+    got = _fresh_python("""
+import json
+from vrjplab.cli import main
+codes = [main(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps({"codes": codes, "loaded": heavy_loaded()}))
+""", json.dumps(argvs))
+    assert all(code in (0, 1) for code in got["codes"])
+    assert got["loaded"] == []
+
+
+# the first call of each route whose scipy import is made inside the call; one
+# source text, run in a fresh interpreter and in this one, so the calls are the same
+_DEFERRED_CALLS = """
+import math
+import numpy as np
+from vrjplab import green_circle, spectrum, stochastic
+from vrjplab.beta_field import sample_circle_field
+from vrjplab.experiments import deterministic_flat_gbm
+x = np.linspace(0.05, 20.0, 101)
+field = sample_circle_field(9, 3.0, stochastic.new_stream(3, 1))
+out = {
+    "gamma_half": stochastic.inverse_gamma_half_cdf(x),
+    "gaussian": stochastic.inverse_gaussian_cdf(x, 1.0, np.linspace(0.5, 40.0, 101)),
+    "dense": green_circle.green_from_field(field, green_circle.Provenance.DENSE_SOLVE),
+    "fd": spectrum.fd_spectrum_twisted(deterministic_flat_gbm(math.pi, 1e-2)),
+    "quadrature": spectrum.mean_t1_quadrature(4.0),
+}
+"""
+
+
+def test_deferred_scipy_routes_give_the_same_bits_on_first_use(tmp_path):
+    got = _fresh_python("""
+import json
+import vrjplab.cli
+before = heavy_loaded()
+""" + _DEFERRED_CALLS + """
+np.savez(sys.argv[1], **out)
+print(json.dumps({"before": before}))
+""", str(tmp_path / "first.npz"))
+    assert got["before"] == []
+    first = np.load(tmp_path / "first.npz")
+    here = {}
+    exec(_DEFERRED_CALLS, here)
+    assert sorted(first.files) == sorted(here["out"])
+    for name, value in here["out"].items():
+        assert np.array_equal(first[name], value), name

@@ -7,7 +7,8 @@ Each run writes <out>/<name>/results.csv (numeric table, shortest
 round-trip decimals, byte-identical across reruns of the same config)
 and manifest.json (the effective parameters, package and library
 versions, the platform, the worker-pool size and BLAS thread settings,
-timestamps, verdicts).
+timestamps, the experiment's wall and CPU seconds, the process's peak
+resident set, verdicts).
 Exit code 0 when every verdict passes, 1 otherwise, 2 on usage errors,
 including parameters too small to form a statistic.
 """
@@ -19,7 +20,9 @@ import csv
 import json
 import os
 import platform
+import resource
 import sys
+import time
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -52,6 +55,9 @@ class RunManifest:
     finished: str
     result_files: list[str]
     verdicts: list[dict]
+    elapsed_s: float          # wall seconds of the experiment itself
+    cpu_s: float              # its CPU seconds, the pool threads' included
+    peak_rss_mb: float        # the process's resident high-water mark at the end
 
     @property
     def passed(self) -> bool:
@@ -77,6 +83,9 @@ class RunManifest:
             "thread_env": {v: os.environ.get(v) for v in BLAS_THREAD_VARS},
             "started": self.started,
             "finished": self.finished,
+            "elapsed_s": self.elapsed_s,
+            "cpu_s": self.cpu_s,
+            "peak_rss_mb": self.peak_rss_mb,
             "result_files": self.result_files,
             "verdicts": self.verdicts,
             "passed": self.passed,
@@ -121,7 +130,9 @@ def run(config: ExperimentConfig) -> RunManifest:
                              f"(accepts: {sorted(params)})")
         params[k] = v
     started = datetime.now(timezone.utc).isoformat()
+    wall0, cpu0 = time.perf_counter(), time.process_time()
     result: ExperimentResult = spec.fn(params, new_stream(config.seed, 0))
+    elapsed_s, cpu_s = time.perf_counter() - wall0, time.process_time() - cpu0
     finished = datetime.now(timezone.utc).isoformat()
 
     out_dir = Path(config.output_dir) / config.name
@@ -129,8 +140,10 @@ def run(config: ExperimentConfig) -> RunManifest:
     csv_path = out_dir / "results.csv"
     _write_csv(csv_path, result.rows)
     verdicts = [r.as_row() for r in result.reports]
+    # ru_maxrss is in kilobytes on Linux
+    peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     manifest = RunManifest(config, params, __version__, started, finished,
-                           [csv_path.name], verdicts)
+                           [csv_path.name], verdicts, elapsed_s, cpu_s, peak_rss_mb)
     (out_dir / "manifest.json").write_text(json.dumps(manifest.to_json(), indent=2))
     return manifest
 

@@ -174,8 +174,7 @@ def _exp_explicit_inverse(p: dict, s: RngStream) -> ExperimentResult:
           {"m": 5, "length": 20, "n": 10_000, "alpha": 0.01})
 def _exp_my_kernel(p: dict, s: RngStream) -> ExperimentResult:
     m, length, n = int(p["m"]), int(p["length"]), int(p["n"])
-    _, _, z = matsumoto_yor.build_my_chains(m, length, n, s)
-    z_con = z[:, -1]
+    _, z_con = matsumoto_yor.build_my_chains(m, length, n, s)
     z_ker = np.full(n, 1.0 / m)          # z_1 = 1/m identically
     ker_stream = s.substream(1)
     for _ in range(length - 1):
@@ -192,8 +191,7 @@ def _exp_my_kernel(p: dict, s: RngStream) -> ExperimentResult:
            "min_pass": 9, "var_tol": 0.15})
 def _exp_intertwining(p: dict, s: RngStream) -> ExperimentResult:
     m, length, n = int(p["m"]), int(p["length"]), int(p["n"])
-    psi, _, z = matsumoto_yor.build_my_chains(m, length, n, s)
-    psi_n, z_n = psi[:, -1], z[:, -1]
+    psi_n, z_n = matsumoto_yor.build_my_chains(m, length, n, s)
     edges = np.quantile(z_n, np.linspace(0, 1, 11))
     rows, reps = [], []
     n_pass = 0

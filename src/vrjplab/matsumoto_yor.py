@@ -7,10 +7,13 @@ A chain of weight m is driven by i.i.d. multipliers A_i ~ IG(1, m):
     z_n    = g11_n / psi_n,
 
 which are the half-line Green quantities written directly in the
-multipliers.  The hidden-Markov structure is exposed through the
-one-step transition kernel of z; the conditional law of psi given z,
-IG(1, 1/z), is checked on the chains through its CDF (the intertwining
-experiment).  Rescaling step 1/m, the pair converges to the geometric
+multipliers.  The ensembles stream to the chain ends: ``build_my_chains``
+runs the chains a block of replicas at a time and returns psi_L and z_L
+only, what the kernel and intertwining experiments read; whole chains come
+from ``chain_arrays_from_a``.  The hidden-Markov structure is exposed
+through the one-step transition kernel of z; the conditional law of psi
+given z, IG(1, 1/z), is checked on the chains through its CDF (the
+intertwining experiment).  Rescaling step 1/m, the pair converges to the geometric
 Brownian motion e_t and Z_t = (int e^2) / e.  Z_t has two ensemble
 samplers here: pathwise, from the exponential-functional walk, and the
 Euler-Maruyama scheme of its diffusion.  Both take their per-step
@@ -23,8 +26,8 @@ import math
 
 import numpy as np
 
-from .stochastic import (RngStream, exp_functional_walk, sample_inverse_gaussian,
-                         step_normals, walk_steps)
+from .stochastic import (_ROW_BLOCK_ELEMS, RngStream, exp_functional_walk,
+                         sample_inverse_gaussian, step_normals, walk_steps)
 
 
 def chain_arrays_from_a(a: np.ndarray, m: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -37,11 +40,23 @@ def chain_arrays_from_a(a: np.ndarray, m: float) -> tuple[np.ndarray, np.ndarray
 
 
 def build_my_chains(m: int, length: int, n_rep: int, s: RngStream):
-    """(psi, g11, z) arrays of shape (n_rep, length), one chain per replica."""
+    """(psi_L, z_L), L = ``length``: the ends of n_rep chains, one per replica.
+
+    Every multiplier is drawn in one call, so the draws do not depend on
+    the block; chain_arrays_from_a then runs a block of rows at a time and
+    only the last column is kept, so the memory beyond the multipliers
+    themselves does not grow with n_rep.
+    """
     if m < 1 or length < 1:
         raise ValueError("need m >= 1 and length >= 1")
     a = sample_inverse_gaussian(float(m), s, size=n_rep * length).reshape(n_rep, length)
-    return chain_arrays_from_a(a, float(m))
+    psi_end, z_end = np.empty(n_rep), np.empty(n_rep)
+    rows = max(1, _ROW_BLOCK_ELEMS // length)
+    for lo in range(0, n_rep, rows):
+        psi, _, z = chain_arrays_from_a(a[lo:lo + rows], float(m))
+        psi_end[lo:lo + rows] = psi[:, -1]
+        z_end[lo:lo + rows] = z[:, -1]
+    return psi_end, z_end
 
 
 def kernel_step(z: np.ndarray, m: int, s: RngStream) -> np.ndarray:

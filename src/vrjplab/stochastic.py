@@ -3,10 +3,12 @@
 Each draw primitive lives here once: the mean-1 Inverse Gaussian draw, the
 builder of two-sided log-geometric paths (``log_gbm_rows``), the streamed
 Brownian increments (``brownian_increments``) and the
-exponential-functional walk.  Every stepwise ensemble reads its per-step
-normals from one draw-ahead source, ``step_normals``.  The phase-counting
-experiments read only the increments of their paths, a block of cells at a
-time, so their memory does not grow with the path length.
+exponential-functional walk.  The IG draw finishes its output in place, a
+cache-sized block at a time, so it needs no whole-size temporaries.  Every
+stepwise ensemble reads its per-step normals from one draw-ahead source,
+``step_normals``.  The phase-counting experiments read only the increments
+of their paths, a block of cells at a time, so their memory does not grow
+with the path length.
 ``log_gbm_rows`` keeps its own reused buffers and one draw per row block:
 its row blocks run on the worker threads, where a draw per row and a new
 buffer per block (as in ``brownian_increments``) made the matrix samplers
@@ -109,6 +111,11 @@ class SampledPath:
         return self.t0 + self.step * (self.values.size - 1)
 
 
+# A block holds about this many values (256 KB): a row-blocked caller's
+# working set stays in cache and does not grow with the path or replica count.
+_ROW_BLOCK_ELEMS = 1 << 15
+
+
 def sample_inverse_gaussian(lam, s: RngStream, size: int) -> np.ndarray:
     """``size`` draws from IG(1, lam); ``lam`` > 0 is a scalar or an array of ``size`` shapes.
 
@@ -120,13 +127,45 @@ def sample_inverse_gaussian(lam, s: RngStream, size: int) -> np.ndarray:
 
     is the smaller root of the IG quadratic; accept x with probability
     1/(1 + x), else return 1/x.  Exact, no rejection loop.
+
+    Every gamma is drawn first, straight into the output; then each block
+    of ``_ROW_BLOCK_ELEMS`` draws its uniforms and is finished in place.
+    numpy fills element by element and each element meets the same float
+    operations as in a whole-array pass, so the draws do not depend on the
+    block, and the scratch memory does not grow with ``size``.  A size-1
+    ``lam`` counts as a scalar; any other length than ``size`` is a
+    ValueError.
     """
-    if not np.all(np.asarray(lam) > 0):
+    lam = np.asarray(lam, dtype=float)
+    if not np.all(lam > 0):
         raise ValueError("IG shape lam must be positive")
-    y = 2.0 * s.gen.standard_gamma(0.5, size=size)
-    x = 1.0 + y / (2.0 * lam) - (1.0 / (2.0 * lam)) * np.sqrt(4.0 * lam * y + y * y)
-    u = s.gen.uniform(size=size)
-    return np.where(u <= 1.0 / (1.0 + x), x, 1.0 / x)
+    if lam.size == 1:
+        lam = lam.reshape(())
+    elif lam.shape != (size,):
+        raise ValueError(f"IG shape lam must be a scalar or of length {size}, "
+                         f"got shape {lam.shape}")
+    y = s.gen.standard_gamma(0.5, size=size)
+    block = max(1, min(size, _ROW_BLOCK_ELEMS))
+    root, u, reject = np.empty(block), np.empty(block), np.empty(block, dtype=bool)
+    for lo in range(0, size, block):
+        n = min(block, size - lo)
+        x, r, ub, rej = y[lo:lo + n], root[:n], u[:n], reject[:n]
+        lb = lam if lam.ndim == 0 else lam[lo:lo + n]
+        x *= 2.0                          # y
+        np.multiply(4.0 * lb, x, out=r)
+        np.multiply(x, x, out=ub)
+        r += ub
+        np.sqrt(r, out=r)
+        r *= 1.0 / (2.0 * lb)
+        x /= 2.0 * lb
+        x += 1.0
+        x -= r                            # the smaller root
+        s.gen.random(out=ub)              # the bits of uniform(size=n)
+        np.add(x, 1.0, out=r)
+        np.divide(1.0, r, out=r)
+        np.greater(ub, r, out=rej)        # not u <= 1/(1 + x)
+        np.divide(1.0, x, out=x, where=rej)
+    return y
 
 
 def grid_cells(span: float, step: float) -> tuple[int, float]:
@@ -364,11 +403,6 @@ def brownian_increments(gens, n_cells: int, step: float, block: int):
             gen.standard_normal(out=row)
         incr *= sqrt_h
         yield lo, incr
-
-
-# A row block holds about this many grid values (256 KB): a row-blocked
-# caller's working set stays in cache and does not grow with the path count.
-_ROW_BLOCK_ELEMS = 1 << 15
 
 
 def log_gbm_rows(lam: float, step: float, count: int, s: RngStream):

@@ -4,8 +4,10 @@ import dataclasses
 import json
 import os
 import platform
+import resource
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +39,7 @@ def test_unknown_experiment():
 def test_run_writes_results_and_manifest(tmp_path):
     cfg = ExperimentConfig("mean_t1_quadrature", seed=5,
                            params={"e_list": [1.0, 4.0]}, output_dir=tmp_path)
+    t0, c0 = time.perf_counter(), time.process_time()
     manifest = run(cfg)
     assert manifest.passed
     out = tmp_path / "mean_t1_quadrature"
@@ -58,6 +61,11 @@ def test_run_writes_results_and_manifest(tmp_path):
     assert data["workers"] == len(os.sched_getaffinity(0))
     assert data["thread_env"] == {v: os.environ.get(v)
                                   for v in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS")}
+    # the experiment's own wall and CPU time, and the process's peak resident set
+    assert 0 < data["elapsed_s"] < time.perf_counter() - t0
+    assert 0 < data["cpu_s"] <= time.process_time() - c0
+    rss_now = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    assert 0 < data["peak_rss_mb"] <= rss_now
     header = (out / "results.csv").read_text().splitlines()[0]
     assert header.startswith("E,")
 

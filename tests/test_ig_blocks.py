@@ -1,0 +1,118 @@
+"""The blocked IG sampler and the streamed chain ends against the originals.
+
+sample_inverse_gaussian and build_my_chains below are the original
+implementations, kept verbatim as the oracle: the sampler finishes the
+whole output in several full-size temporaries, and the chain builder
+returns whole (n_rep x length) arrays.  The library draws the same gammas
+and uniforms in the same order and gives each element the same float
+operations, a block at a time, and keeps only the chain ends, so its
+outputs must equal the oracle's (last columns) bit for bit.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+import vrjplab.matsumoto_yor as my
+import vrjplab.stochastic as stoch
+from vrjplab.matsumoto_yor import chain_arrays_from_a
+from vrjplab.stochastic import RngStream, new_stream
+
+
+def sample_inverse_gaussian(lam, s: RngStream, size: int) -> np.ndarray:
+    """``size`` draws from IG(1, lam); ``lam`` > 0 is a scalar or an array of ``size`` shapes.
+
+    Every mean reduces to mean 1 by the scale relation
+    IG(mu, lam) = mu * IG(1, lam/mu).  The root construction: with
+    y = 2*gamma (gamma ~ Gamma(1/2,1)),
+
+        x = 1 + y/(2 lam) - (1/(2 lam)) sqrt(4 lam y + y^2)
+
+    is the smaller root of the IG quadratic; accept x with probability
+    1/(1 + x), else return 1/x.  Exact, no rejection loop.
+    """
+    if not np.all(np.asarray(lam) > 0):
+        raise ValueError("IG shape lam must be positive")
+    y = 2.0 * s.gen.standard_gamma(0.5, size=size)
+    x = 1.0 + y / (2.0 * lam) - (1.0 / (2.0 * lam)) * np.sqrt(4.0 * lam * y + y * y)
+    u = s.gen.uniform(size=size)
+    return np.where(u <= 1.0 / (1.0 + x), x, 1.0 / x)
+
+
+def build_my_chains(m: int, length: int, n_rep: int, s: RngStream):
+    """(psi, g11, z) arrays of shape (n_rep, length), one chain per replica."""
+    if m < 1 or length < 1:
+        raise ValueError("need m >= 1 and length >= 1")
+    a = sample_inverse_gaussian(float(m), s, size=n_rep * length).reshape(n_rep, length)
+    return chain_arrays_from_a(a, float(m))
+
+
+BLOCK = stoch._ROW_BLOCK_ELEMS
+
+# sizes under one block, at the first boundary and across the second
+sizes = st.one_of(st.integers(0, 300), st.integers(BLOCK - 3, BLOCK + 3),
+                  st.integers(2 * BLOCK - 300, 2 * BLOCK + 300))
+lam_kinds = st.sampled_from(["scalar", "size-1", "per-draw"])
+
+
+def _lam(kind, value, size, seed):
+    if kind == "scalar":
+        return value
+    if kind == "size-1":
+        return np.array([value])
+    # per-element shapes, as kernel_step passes them
+    return value * (0.25 + np.random.default_rng(seed).random(size))
+
+
+def _assert_chain_ends_match(m, length, n_rep, seed):
+    psi, z = my.build_my_chains(m, length, n_rep, new_stream(seed, 2))
+    psi_o, _, z_o = build_my_chains(m, length, n_rep, new_stream(seed, 2))
+    assert np.array_equal(psi, psi_o[:, -1])
+    assert np.array_equal(z, z_o[:, -1])
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), size=sizes, kind=lam_kinds,
+       value=st.floats(1e-3, 1e3))
+def test_ig_bit_identical_to_oracle(seed, size, kind, value):
+    lam = _lam(kind, value, size, seed)
+    got = stoch.sample_inverse_gaussian(lam, new_stream(seed, 1), size)
+    assert np.array_equal(got, sample_inverse_gaussian(lam, new_stream(seed, 1), size))
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), m=st.integers(1, 300), length=st.integers(1, 40),
+       blocks=st.integers(0, 2), extra=st.integers(1, 300))
+def test_chain_ends_bit_identical_to_oracle(seed, m, length, blocks, extra):
+    # n_rep under one row block, or one or two row blocks and a part
+    rows = BLOCK // length
+    _assert_chain_ends_match(m, length, blocks * rows + extra, seed)
+
+
+@pytest.mark.parametrize("block", [1, 7, 1 << 30])
+def test_block_constant_does_not_change_the_draws(monkeypatch, block):
+    for mod in (stoch, my):
+        monkeypatch.setattr(mod, "_ROW_BLOCK_ELEMS", block)
+    for lam in (3.0, _lam("per-draw", 3.0, 1000, 4)):
+        got = stoch.sample_inverse_gaussian(lam, new_stream(4, 0), 1000)
+        assert np.array_equal(got, sample_inverse_gaussian(lam, new_stream(4, 0), 1000))
+    _assert_chain_ends_match(5, 20, 333, 4)
+    _assert_chain_ends_match(3, 9, 50, 5)
+
+
+def _peak_mb(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
+
+
+def test_ig_and_chain_memory_is_the_draws_plus_blocks():
+    # 2e6 draws take 15.3 MB (of 2^20 bytes); the whole-array routes
+    # peaked at 78.2 MB, the blocked ones at 15.8 and 18.5 MB
+    s = new_stream(3, 0)
+    assert _peak_mb(lambda: stoch.sample_inverse_gaussian(5.0, s, 2_000_000)) < 24
+    assert _peak_mb(lambda: my.build_my_chains(5, 20, 100_000, s)) < 24

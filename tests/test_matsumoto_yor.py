@@ -35,9 +35,16 @@ def test_chain_matches_dense_inverse():
         assert z[n - 1] == pytest.approx(ghat[0, 0] / (m * ghat[0, n - 1]), rel=1e-10)
 
 
+def _full_chains(m, length, n_rep, s):
+    # whole (n_rep, length) chains from the draws build_my_chains makes;
+    # build_my_chains keeps only their last columns
+    a = sample_inverse_gaussian(float(m), s, size=n_rep * length).reshape(n_rep, length)
+    return chain_arrays_from_a(a, float(m))
+
+
 def test_chain_first_z_and_guards():
     # z_1 = g11_1 / psi_1 = A_1 / (m A_1) = 1/m on every replica
-    _, _, z = build_my_chains(16, 4, 100, new_stream(10, 0))
+    _, _, z = _full_chains(16, 4, 100, new_stream(10, 0))
     assert np.allclose(z[:, 0] * 16, 1.0, rtol=1e-12, atol=0.0)
     for m, length in ((0, 4), (16, 0)):
         with pytest.raises(ValueError):
@@ -45,7 +52,7 @@ def test_chain_first_z_and_guards():
 
 
 def test_psi_is_mean_one_martingale():
-    psi, _, _ = build_my_chains(5, 20, 10_000, new_stream(2, 0))
+    psi, _, _ = _full_chains(5, 20, 10_000, new_stream(2, 0))
     for n in (1, 5, 20):
         est, half = mean_ci(psi[:, n - 1], 0.01)
         assert abs(est - 1.0) < half, n
@@ -55,7 +62,7 @@ def test_martingale_bracket_constant():
     # E[psi_n^2 - g11_n] = 1 for every n.  The summand's fourth moment
     # grows geometrically in n, so the normal CI is only trusted where
     # n/m stays moderate; m = 32 keeps it sound out to n = 32.
-    psi, g11, _ = build_my_chains(32, 32, 200_000, new_stream(3, 1))
+    psi, g11, _ = _full_chains(32, 32, 200_000, new_stream(3, 1))
     for n in (4, 16, 32):
         d = psi[:, n - 1] ** 2 - g11[:, n - 1]
         est, half = mean_ci(d, 0.01)
@@ -90,12 +97,12 @@ def test_kernel_vs_construction_distribution():
     # the construction chain and the kernel-iterated chain agree in law
     m, n_rep = 5, 10_000
     for length in (5, 10, 20):
-        _, _, z = build_my_chains(m, length, n_rep, new_stream(6, length))
+        _, z = build_my_chains(m, length, n_rep, new_stream(6, length))
         z_ker = np.full(n_rep, 1.0 / m)
         ks = new_stream(7, length)
         for _ in range(length - 1):
             z_ker = kernel_step(z_ker, m, ks)
-        rep = ks_two_sample(z[:, -1], z_ker, 0.01)
+        rep = ks_two_sample(z, z_ker, 0.01)
         assert rep.passed, (length, rep)
 
 
@@ -108,8 +115,7 @@ def test_conditional_psi_small_z_concentrates():
 
 def test_conditional_variance_matches_z():
     # Var(psi | z) = z, checked in a thin z-window of chain samples
-    psi, _, z = build_my_chains(5, 12, 200_000, new_stream(9, 0))
-    pn, zn = psi[:, -1], z[:, -1]
+    pn, zn = build_my_chains(5, 12, 200_000, new_stream(9, 0))
     lo, hi = np.quantile(zn, [0.45, 0.55])
     sel = pn[(zn >= lo) & (zn < hi)]
     z_mid = float(np.median(zn[(zn >= lo) & (zn < hi)]))
@@ -119,18 +125,18 @@ def test_conditional_variance_matches_z():
 
 def test_scaled_chain_marginal_matches_gbm():
     m, n_rep = 64, 10_000
-    psi, _, _ = build_my_chains(m, m, n_rep, new_stream(11, 0))
+    psi, _ = build_my_chains(m, m, n_rep, new_stream(11, 0))
     direct = np.exp(new_stream(11, 1).gen.standard_normal(n_rep) - 0.5)
-    rep = ks_two_sample(psi[:, -1], direct, 0.01)
+    rep = ks_two_sample(psi, direct, 0.01)
     assert rep.passed, rep
 
 
 def test_scaling_stability_m64_vs_m256():
     n_rep = 8_000
-    psi64, _, z64 = build_my_chains(64, 64, n_rep, new_stream(12, 0))
-    psi256, _, z256 = build_my_chains(256, 256, n_rep, new_stream(12, 1))
-    assert ks_two_sample(psi64[:, -1], psi256[:, -1], 0.01).passed
-    assert ks_two_sample(z64[:, -1], z256[:, -1], 0.01).passed
+    psi64, z64 = build_my_chains(64, 64, n_rep, new_stream(12, 0))
+    psi256, z256 = build_my_chains(256, 256, n_rep, new_stream(12, 1))
+    assert ks_two_sample(psi64, psi256, 0.01).passed
+    assert ks_two_sample(z64, z256, 0.01).passed
 
 
 def test_continuum_walk_invariants():

@@ -45,6 +45,16 @@ def test_ig_params_validation():
         sample_inverse_gaussian(np.array([1.0, -2.0, 3.0]), new_stream(1, 0), 3)
 
 
+def test_ig_lam_is_one_shape_or_one_per_draw():
+    # a size-1 lam is a scalar; any other length than size is refused
+    # before a draw, with both lengths in the message
+    one = sample_inverse_gaussian(np.array([2.5]), new_stream(1, 1), 5)
+    assert np.array_equal(one, sample_inverse_gaussian(2.5, new_stream(1, 1), 5))
+    for lam in (np.ones(4), np.ones(6), np.ones((5, 1)), np.ones((1, 5))):
+        with pytest.raises(ValueError, match=rf"length 5, got shape \({lam.shape[0]},"):
+            sample_inverse_gaussian(lam, new_stream(1, 1), 5)
+
+
 def test_ig_moments():
     s = new_stream(7, 0)
     x = sample_inverse_gaussian(4.0, s, size=100_000)

@@ -33,12 +33,12 @@ values loses the digits of their magnitude, which grows along a path.
 
 The cell recurrence is sequential, so it runs by one of two routes,
 chosen by the caller's shape.  A single path (renewal gaps, single
-counts) goes through a scalar loop over fixed-size chunks of ratios that
-records only the cells where a crossing happens.  A batch of equal paths
-(the density-of-states sweep) advances every (replica x E) lane at once,
-one numpy step per cell, over fixed-size blocks of cells.  Neither
-experiment holds a whole path, so memory does not grow with the horizon
-or with lam.
+counts) goes through one scalar driver, _scan, over fixed-size chunks of
+ratios that records only the cells where a crossing happens.  A batch of
+equal paths (the density-of-states sweep) advances every (replica x E)
+lane at once, one numpy step per cell, over fixed-size blocks of cells.
+Neither experiment holds a whole path, so memory does not grow with the
+horizon or with lam.
 
 The scalar loop holds the interpreter lock, so threads cannot overlap the
 renewal scans.  renewal_statistics fills one bin of about equal work per
@@ -46,20 +46,21 @@ pool worker and runs the first bin in this process and each other one in
 a forked child (stochastic.map_forked).  A long path may be cut at a
 multiple of the scan chunk.  A piece that starts at cell lo > 0 draws its
 increments from cell 0 and scans a warm-up of _WARM_TIME before lo from
-psi = 0.  The recurrence contracts on the projective line (the products of
-the cell maps have a positive Lyapunov exponent), so two float64 scans of
-one path from different angles become bitwise equal after some tens of
-thousands of cells at step 1e-3, and stay equal.  The parent stitches each
-path's pieces in order and keeps a piece only if its psi at lo equals the
-previous piece's final psi bit for bit; otherwise it rescans from the true
-state until the two agree at a chunk end.  So the gaps are those of one
-scan of the whole path, bit for bit, whatever the cuts and the worker
-count.  A child sends back only its pieces' crossing records and end
-angles.  Fork, not spawn: a spawned child would import numpy and this
-module afresh, about 0.17 s, against a scan of about a second.  The pool
-threads are idle during the scans and the scans import nothing, which is
-what makes the fork safe; Python 3.12+ still warns (DeprecationWarning)
-on forking a process that has threads.
+psi = 0 (_scan_bin).  The recurrence contracts on the projective line (the
+products of the cell maps have a positive Lyapunov exponent), so two
+float64 scans of one path from different angles become bitwise equal
+after some tens of thousands of cells at step 1e-3, and stay equal, the
+recurrence being deterministic.  The parent stitches each path's pieces
+in order and keeps a piece only if its psi at lo equals the previous
+piece's final psi bit for bit; otherwise it rescans the piece from the
+true state until the two agree at a chunk end (_scan with merge).  So the
+gaps are those of one scan of the whole path, bit for bit, whatever the
+cuts and the worker count.  A child sends back only its pieces' crossing
+records and end angles.  Fork, not spawn: a spawned child would import
+numpy and this module afresh, about 0.17 s, against a scan of about a
+second.  The pool threads are idle during the scans and the scans import
+nothing, which is what makes the fork safe; Python 3.12+ still warns
+(DeprecationWarning) on forking a process that has threads.
 
 Matrix routes.  The scaled discrete circle operator (weight n) has
 eigenvalues approximating the continuum ones, counted by a dense
@@ -148,25 +149,6 @@ def _scan_cells(ratios: list[float], psi: float, dpsi: float, first: int,
     return psi
 
 
-@dataclass
-class _Scan:
-    """One path's propagation: crossing records and the final gauge state."""
-    cells: np.ndarray      # recorded cells, increasing
-    psi_in: np.ndarray     # gauge angle on entering each recorded cell
-    ncross: np.ndarray     # pi-crossings within each recorded cell
-    psi: float             # final gauge angle
-
-    @property
-    def count(self) -> int:
-        return int(self.ncross.sum())
-
-
-def _record_arrays(records: list):
-    """(cells, entry angles, crossings) of _scan_cells' records, as arrays."""
-    rec = np.array(records, dtype=float).reshape(-1, 3)
-    return rec[:, 0].astype(np.int64), rec[:, 1], rec[:, 2].astype(np.int64)
-
-
 def _path_chunks(gbm: SampledPath, e_level: float):
     """Yield (lo, log ratios of cells lo..hi-1) of a geometric path, _SCAN_CHUNK cells at a time.
 
@@ -208,40 +190,56 @@ def _cell_ratios(blocks, h: float):
         yield lo, d
 
 
-def _scan_chunks(chunks, step: float, e_level: float, records: list, start: int = 0,
-                 psi: float = 0.0):
-    """Scalar route: advance psi, given on entering cell start, chunk by chunk.
+@dataclass
+class _Piece:
+    """The scan of cells lo..hi-1 of one path (_scan)."""
+    lo: int
+    hi: int
+    entry: float      # psi on entering cell lo
+    records: list     # _scan_cells' records of cells lo..hi-1
+    ends: dict        # chunk end e in (lo, hi] -> psi after cell e - 1
 
-    chunks yields (lo, log ratios of cells lo..hi-1) for consecutive
-    chunks of cells of width step (_path_chunks, _cell_ratios).  Scans the
-    cells from start on, appends their crossing records to records and
-    yields (hi, psi after cell hi - 1) after each chunk.  Memory is one
-    chunk plus the records.
+
+def _scan(chunks, step: float, e_level: float, lo: int, hi: int, start: int = 0,
+          psi: float = 0.0, merge: _Piece | None = None) -> _Piece:
+    """Scalar route: scan cells start..hi-1 from psi, given on entering cell start.
+
+    chunks yields (c, log ratios of cells c..c'-1) for consecutive chunks
+    of cells of width step, up to cell hi - 1, the first one holding cell
+    start (_path_chunks, _renewal_chunks).  Returns the crossing records of
+    cells lo..hi-1, psi on entering lo and psi at each chunk end past lo.
+    Given merge, an earlier scan of the same cells, the scan stops at the
+    first chunk end where psi equals merge's bit for bit; merge's records
+    and ends stand from there on.  Memory is one chunk plus the records.
     """
     dpsi = math.sqrt(e_level) * step
-    for lo, ratios in chunks:
-        first = max(start, lo)
-        psi = _scan_cells(ratios[first - lo:].tolist(), psi, dpsi, first, records)
-        yield lo + ratios.size, psi
-
-
-def _phase_scan(chunks, step: float, e_level: float) -> _Scan:
-    """Propagate one path from theta = 0 over all of its chunks (_scan_chunks)."""
     records: list = []
-    for _, psi in _scan_chunks(chunks, step, e_level, records):
-        pass
-    return _Scan(*_record_arrays(records), psi)
+    entry, ends = psi, {}
+    for c, ratios in chunks:
+        first = max(start, c)
+        psi = _scan_cells(ratios[first - c:].tolist(), psi, dpsi, first, records)
+        end = c + ratios.size
+        if end <= lo:
+            entry = psi
+            continue
+        ends[end] = psi
+        if merge is not None and psi.hex() == merge.ends[end].hex():
+            records += [r for r in merge.records if r[0] >= end]
+            ends = {**merge.ends, **ends}
+            break
+    return _Piece(lo, hi, entry, [r for r in records if r[0] >= lo], ends)
 
 
-def _crossing_times(cells: np.ndarray, psi_in: np.ndarray, nc: np.ndarray, step: float,
-                    e_level: float) -> np.ndarray:
-    """Times of the pi-crossings, offsets from the path start.
+def _crossing_times(records: list, step: float, e_level: float) -> np.ndarray:
+    """Times of the pi-crossings of _scan_cells' records, offsets from the path start.
 
     Within cell i the gauge angle moves at rate sqrt(E) from its entry
     angle, so its j-th crossing is at i*h + (j*pi - psi_in)/sqrt(E).
     """
-    cells = np.repeat(cells, nc)
-    psi_in = np.repeat(psi_in, nc)
+    rec = np.array(records, dtype=float).reshape(-1, 3)
+    nc = rec[:, 2].astype(np.int64)
+    cells = np.repeat(rec[:, 0].astype(np.int64), nc)
+    psi_in = np.repeat(rec[:, 1], nc)
     j = np.arange(1, cells.size + 1) - np.repeat(np.cumsum(nc) - nc, nc)
     return cells * step + (j * _PI - psi_in) / math.sqrt(e_level)
 
@@ -250,20 +248,19 @@ def phase_propagate(e_level: float, gbm: SampledPath) -> PhaseTrace:
     """Propagate the phase over the whole span of the geometric path gbm from theta = 0."""
     if e_level <= 0:
         raise ValueError("E must be positive")
-    if gbm.values.size < 2:
+    n = gbm.values.size - 1
+    if n < 1:
         raise ValueError("path has no cell: phase propagation needs at least two nodes")
-    scan = _phase_scan(_path_chunks(gbm, e_level), gbm.step, e_level)
-    psi = scan.psi
+    scan = _scan(_path_chunks(gbm, e_level), gbm.step, e_level, 0, n)
+    psi = scan.ends[n]
     # unwind the final gauge angle to the raw phase fraction by the last cell's logc
     logm = np.log(gbm.values[-2:])
     logc_last = 0.5 * math.log(e_level) + logm[0] + logm[1]
     phi = math.atan2(math.sin(psi), math.exp(min(logc_last, 700.0)) * math.cos(psi))
     if phi < 0.0:
         phi = 0.0
-    count = scan.count
-    theta_final = float(count) * _PI + phi
-    crossings = _crossing_times(scan.cells, scan.psi_in, scan.ncross, gbm.step, e_level)
-    return PhaseTrace(theta_final, crossings, count)
+    crossings = _crossing_times(scan.records, gbm.step, e_level)
+    return PhaseTrace(crossings.size * _PI + phi, crossings, crossings.size)
 
 
 def count_states_phase(e_level: float, gbm: SampledPath) -> int:
@@ -378,16 +375,11 @@ def fd_spectrum_twisted(gbm: SampledPath, k: int = 8) -> np.ndarray:
 # Renewal gaps and the density-of-states sweep
 # ---------------------------------------------------------------------------
 
-# A piece of a renewal path that starts at cell lo > 0 scans a warm-up of
-# _WARM_TIME before cell lo from psi = 0 and is kept if its psi on entering
-# cell lo equals the true one bit for bit.  Two scans of one path from
-# different angles become equal after a while (the recurrence contracts on
-# the projective line; Furstenberg) and stay equal, the recurrence being
-# deterministic.  Measured at step 1e-3, E in {0.25, 1, 4, 16}, 36 cuts per
-# energy: the first bitwise-equal cell came after a median of 32-35k cells,
-# at most 69.4k.  The contraction acts per unit of time, so the warm-up is
-# a time, 2^17 cells at step 1e-3; a piece that has not merged falls back
-# to an exact rescan (_resume_scan).
+# The warm-up before a cut, as a time: the contraction that lets a warm-up
+# land on the true angle bit for bit acts per unit of time, not per cell.
+# Measured at step 1e-3, E in {0.25, 1, 4, 16}, 36 cuts per energy: the
+# first bitwise-equal cell came after a median of 32-35k cells, at most
+# 69.4k; this is 2^17 cells at step 1e-3.
 _WARM_TIME = 131.072
 # Per-cell cost of drawing a path's increments without scanning them,
 # relative to scanning a cell (which draws it too): 19.7-22.3 ns against
@@ -407,20 +399,10 @@ def renewal_statistics(e_levels, horizons, streams, step: float = 1e-3,
 
     Path k is B from B_0 = 0, drawn from streams[k] on cells of width step,
     read as log M = B_t - t/2 and scanned at energy e_levels[k] from
-    theta = 0.  The scans read only the cells' log ratios, formed from the
-    increments of B (_cell_ratios).  The scans fill pool_workers() bins of
-    about equal cost (_renewal_bins); the first bin runs in this process,
-    the others in forked children (stochastic.map_forked).  A long path
-    may be cut into pieces at multiples of _SCAN_CHUNK.  A piece that
-    starts at cell lo > 0 draws its increments from cell 0 on a copy of the
-    stream, scans a warm-up of _warm_cells(step) cells before lo from
-    psi = 0, and records psi on entering lo and its crossings from lo on
-    (_renewal_piece).  Here the pieces of each path are stitched in order:
-    a piece is kept only if its psi at lo equals the previous piece's
-    final psi bit for bit; otherwise the scan resumes from the previous
-    piece's true state (_resume_scan).  So the gaps are those of one scan
-    of the whole path, bit for bit, whatever the cuts and the worker
-    count.  With one usable CPU nothing is cut or forked.  Every energy
+    theta = 0.  The gaps are those of one scan of the whole path, bit for
+    bit, whatever the pool_workers() count: the first bin of work runs in
+    this process and the others in forked children (see the module
+    docstring); with one usable CPU nothing is cut or forked.  Every energy
     and horizon is checked before any child starts.  The streams are not
     advanced.
     """
@@ -440,10 +422,11 @@ def renewal_statistics(e_levels, horizons, streams, step: float = 1e-3,
         psi = 0.0                    # the true psi on entering the next piece
         for piece in (piece for j, piece in zip(paths, done) if j == k):
             if piece.entry.hex() != psi.hex():
-                piece = _resume_scan(e_level, streams[k], step, psi, piece)
+                chunks = _renewal_chunks(streams[k], piece.hi, step, piece.lo)
+                piece = _scan(chunks, step, e_level, piece.lo, piece.hi, piece.lo, psi, piece)
             records += piece.records
             psi = piece.ends[piece.hi]
-        crossings = _crossing_times(*_record_arrays(records), step, e_level)
+        crossings = _crossing_times(records, step, e_level)
         gaps = np.diff(np.concatenate([[0.0], crossings]))
         if gaps.size < min_count:
             raise RuntimeError(f"insufficient data: {gaps.size} interarrivals < {min_count}")
@@ -452,7 +435,7 @@ def renewal_statistics(e_levels, horizons, streams, step: float = 1e-3,
 
 
 def _piece_cost(lo: int, hi: int, warm: int) -> float:
-    """Cost of _renewal_piece on cells lo..hi-1, in scanned cells.
+    """Cost of _scan_bin's scan of cells lo..hi-1, in scanned cells.
 
     The cells, the warm-up of up to warm cells and the draw-only prefix
     before the warm-up.
@@ -502,18 +485,8 @@ def _renewal_bins(sizes: list[int], workers: int, warm: int) -> list[list]:
     return fill(high)
 
 
-@dataclass
-class _Piece:
-    """The scan of cells lo..hi-1 of one renewal path (_renewal_piece)."""
-    lo: int
-    hi: int
-    entry: float      # psi on entering cell lo: exact at lo = 0, after the warm-up otherwise
-    records: list     # _scan_cells' records of cells lo..hi-1
-    ends: dict        # chunk end e in (lo, hi] -> psi after cell e - 1
-
-
 def _renewal_chunks(s: RngStream, hi: int, step: float, start: int):
-    """Yield _scan_chunks' chunks of the path of a copy of s, cells 0..hi-1.
+    """Yield _scan's chunks of the path of a copy of s, cells 0..hi-1.
 
     The increments are drawn from cell 0 (stochastic.brownian_increments),
     so the ratios are those of the whole path bit for bit.  The chunks
@@ -526,46 +499,17 @@ def _renewal_chunks(s: RngStream, hi: int, step: float, start: int):
 
 
 def _scan_bin(pieces) -> list[_Piece]:
-    """A bin's job: _renewal_piece(e_level, s, step, lo, hi) for each of its pieces, in order."""
-    return [_renewal_piece(*piece) for piece in pieces]
+    """A bin's job: _scan of each piece (e_level, s, step, lo, hi), in order.
 
-
-def _renewal_piece(e_level: float, s: RngStream, step: float, lo: int, hi: int) -> _Piece:
-    """Scan cells lo..hi-1 of the path of s, after a warm-up of _warm_cells(step) from psi = 0.
-
-    psi = 0 is invariant under rescaling, so the warm-up's first ratio
-    does not matter.
+    A piece that starts at lo > 0 scans a warm-up of _warm_cells(step)
+    cells before lo from psi = 0, which is invariant under rescaling, so
+    the warm-up's first ratio does not matter.
     """
-    start = max(0, lo - _warm_cells(step))
-    records: list = []
-    entry, ends = 0.0, {}
-    for end, psi in _scan_chunks(_renewal_chunks(s, hi, step, start), step, e_level,
-                                 records, start):
-        if end <= lo:
-            entry = psi
-        else:
-            ends[end] = psi
-    return _Piece(lo, hi, entry, [r for r in records if r[0] >= lo], ends)
-
-
-def _resume_scan(e_level: float, s: RngStream, step: float, psi: float,
-                 piece: _Piece) -> _Piece:
-    """piece, scanned again from the true psi on entering its cell lo.
-
-    The scan stops at the first chunk end where its psi equals the piece's
-    bit for bit; from there on the piece's records are the true ones.
-    """
-    records: list = []
-    ends = {}
-    for end, state in _scan_chunks(_renewal_chunks(s, piece.hi, step, piece.lo), step,
-                                   e_level, records, piece.lo, psi):
-        if end <= piece.lo:
-            continue
-        ends[end] = state
-        if state.hex() == piece.ends[end].hex():
-            records += [r for r in piece.records if r[0] >= end]
-            break
-    return _Piece(piece.lo, piece.hi, psi, records, {**piece.ends, **ends})
+    out = []
+    for e_level, s, step, lo, hi in pieces:
+        start = max(0, lo - _warm_cells(step))
+        out.append(_scan(_renewal_chunks(s, hi, step, start), step, e_level, lo, hi, start))
+    return out
 
 
 def dos_sweep(e_list, lam: float, replicas: int, s: RngStream,
@@ -579,10 +523,13 @@ def dos_sweep(e_list, lam: float, replicas: int, s: RngStream,
     in which its anchor B_0 = 0 cancels, so its increments stream in a
     lane block at a time (stochastic.brownian_increments, _cell_ratios).
     """
+    e_list = list(e_list)
+    if any(e <= 0 for e in e_list):
+        raise ValueError("E must be positive")
     half, h = grid_cells(lam, step)
     gens = [path_stream.gen for _, _, path_stream in stream_blocks(s, replicas, 1)]
     blocks = brownian_increments(gens, 2 * half, h, _LANE_BLOCK)
-    return _lane_counts(_cell_ratios(blocks, h), replicas, h, list(e_list))
+    return _lane_counts(_cell_ratios(blocks, h), replicas, h, e_list)
 
 
 # ---------------------------------------------------------------------------

@@ -69,6 +69,6 @@ def renewal_gaps_whole_path(e_level: float, horizon: float, s: RngStream,
     n, _ = grid_cells(horizon, step)
     x = s.gen.standard_normal(n) * math.sqrt(step)
     ratios = np.concatenate([[0.0], x[:-1] + x[1:] - step])
-    scan = sp._phase_scan([(0, ratios)], step, e_level)
-    times = sp._crossing_times(scan.cells, scan.psi_in, scan.ncross, step, e_level)
+    times = sp._crossing_times(sp._scan([(0, ratios)], step, e_level, 0, n).records, step,
+                               e_level)
     return np.diff(np.concatenate([[0.0], times]))

@@ -150,14 +150,17 @@ def test_main_key_error_inside_an_experiment_is_not_a_usage_error(tmp_path, monk
     ("dufresne_diagonal", "step=-0.01", "positive and finite"),
     ("functional_identity", "lam=0", "positive and finite"),
     ("dos_sweep", "lam=0", "positive and finite"),
+    ("dos_sweep", "e_list=[0.0]", "E must be positive"),
+    ("dos_sweep", "e_list=[-1.0,4.0]", "E must be positive"),
+    ("renewal_mean", "e_list=[1.0,0.0]", "E must be positive"),
     ("z_diffusion", "tmax=-1 n=200", "positive and finite"),
     ("z_diffusion", "step=0 n=200", "positive and finite"),
     ("z_diffusion", "tmax=0.0004 n=200", "at least one step"),
     ("mbg_corollary", "step=0 n=200", "positive and finite"),
 ])
 def test_main_params_too_small_exit_2(tmp_path, capsys, name, param, message):
-    # parameters too small to form a statistic, a grid that cannot be built
-    # and a node off the grid are usage errors, not verdicts
+    # parameters too small to form a statistic, a grid that cannot be built,
+    # a node off the grid and an energy E <= 0 are usage errors, not verdicts
     overrides = [arg for kv in param.split() for arg in ("--param", kv)]
     rc = main(["run", "--name", name, *overrides, "--out", str(tmp_path)])
     assert rc == 2

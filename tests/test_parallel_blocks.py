@@ -16,6 +16,7 @@ reaped.
 """
 
 import contextlib
+import inspect
 import math
 import multiprocessing
 import os
@@ -189,8 +190,9 @@ def test_forked_child_builds_its_own_pool():
     assert answer == b"1"
 
 
-# three energies: more jobs than workers for 1 and 2 workers, so a job
-# waits for a child's slot; 5000 cells of width 1e-2 each
+# three energies, 5000 cells of width 1e-2 each: too short to cut, so the
+# bins hold whole paths, [[0, 1], [2]] at two workers and one path each at
+# three
 RENEWAL_JOBS = ([1.0, 4.0, 9.0], [50.0, 50.0, 50.0], 1e-2)
 
 
@@ -327,14 +329,17 @@ def _whole_path_gaps(e_levels, horizons, step):
 
 
 def _count_fallbacks(monkeypatch):
+    # the fallback rescans are the _scan calls given a piece to merge with
     calls = []
-    resume = sp._resume_scan
+    scan = sp._scan
 
-    def counted(*args):
-        calls.append(args)
-        return resume(*args)
+    def counted(*args, **kwargs):
+        call = inspect.signature(scan).bind(*args, **kwargs).arguments
+        if call.get("merge") is not None:
+            calls.append(call)
+        return scan(*args, **kwargs)
 
-    monkeypatch.setattr(sp, "_resume_scan", counted)
+    monkeypatch.setattr(sp, "_scan", counted)
     return calls
 
 
@@ -368,6 +373,26 @@ def test_every_cut_falls_back_without_warm_up(monkeypatch):
         gaps = _renewal(e_levels, horizons, step)
     assert len(fallbacks) == len(cuts)
     _assert_all_equal([gaps, _whole_path_gaps(e_levels, horizons, step)])
+
+
+def test_fallback_that_never_merges_rescans_to_the_end():
+    # an earlier scan one ulp off at every chunk end never merges: the
+    # fallback rescans every cell up to hi, and its records and end angles
+    # are those of a plain scan from the true angle
+    e_level, step, lo, hi = 1.0, CUT_JOBS[2], 5 * sp._SCAN_CHUNK, 10 * sp._SCAN_CHUNK
+    s = new_stream(7, 1)
+
+    def scan_from_lo(psi, merge=None):
+        return sp._scan(sp._renewal_chunks(s, hi, step, lo), step, e_level, lo, hi, lo, psi,
+                        merge)
+
+    entry = sp._scan(sp._renewal_chunks(s, hi, step, 0), step, e_level, lo, hi).entry
+    plain = scan_from_lo(entry)
+    off = sp._Piece(lo, hi, entry, [],
+                    {end: math.nextafter(psi, math.inf) for end, psi in plain.ends.items()})
+    got = scan_from_lo(entry, off)
+    assert len(plain.ends) == 5 and plain.records
+    assert got.records == plain.records and got.ends == plain.ends
 
 
 def _assert_merges_at_every_cut(monkeypatch, workers, e_levels, horizons, step, min_cuts):

@@ -93,6 +93,13 @@ def _increment_ratios(seed, n_cells, step, block):
     return ((lo, d[0]) for lo, d in sp._cell_ratios(incr, step))
 
 
+def _whole_scan(chunks, n_cells, step, e_level):
+    """_scan of cells 0..n_cells-1, and its crossing cells, entry angles and crossings."""
+    scan = sp._scan(chunks, step, e_level, 0, n_cells)
+    rec = np.array(scan.records, dtype=float).reshape(-1, 3)
+    return scan, rec[:, 0].astype(np.int64), rec[:, 1], rec[:, 2].astype(np.int64)
+
+
 energies = st.sampled_from([0.25, 0.5, 1.0, 2.0, 4.0, 9.0, 16.0, 30.0])
 steps = st.sampled_from([1e-3, 4e-3, 1e-2])
 
@@ -102,11 +109,13 @@ steps = st.sampled_from([1e-3, 4e-3, 1e-2])
 def test_scalar_route_bit_identical_to_oracle(seed, e_level, lam, step):
     path = _path(seed, lam, step)
     count, psi, cells, psi_in, theta, times = _oracle(path, e_level)
-    scan = sp._phase_scan(sp._path_chunks(path, e_level), path.step, e_level)
-    assert scan.count == count
-    assert scan.psi == psi
-    assert np.array_equal(scan.cells, cells)
-    assert np.array_equal(scan.psi_in, psi_in)
+    n = path.values.size - 1
+    scan, got_cells, got_psi_in, nc = _whole_scan(sp._path_chunks(path, e_level), n, path.step,
+                                                  e_level)
+    assert nc.sum() == count
+    assert scan.ends[n] == psi
+    assert np.array_equal(got_cells, cells)
+    assert np.array_equal(got_psi_in, psi_in)
     tr = phase_propagate(e_level, path)
     assert tr.count == count and tr.theta_final == theta
     assert np.array_equal(tr.crossings, times)
@@ -125,8 +134,9 @@ def test_scalar_route_across_chunk_seams():
 def test_gbm_path_bit_identical_to_oracle():
     geo = geometric(sample_brownian_path(-3.0, 3.0, 1e-3, new_stream(8, 3)))
     for e_level in (1.0, 4.0):
-        scan = sp._phase_scan(sp._path_chunks(geo, e_level), geo.step, e_level)
-        assert scan.count == _oracle(geo, e_level)[0]
+        _, _, _, nc = _whole_scan(sp._path_chunks(geo, e_level), geo.values.size - 1, geo.step,
+                                  e_level)
+        assert nc.sum() == _oracle(geo, e_level)[0]
 
 
 # A bound on how far apart the angles of two scans of the same cells can
@@ -177,11 +187,11 @@ def test_increment_ratios_track_the_path_ratios(seed):
     [(_, d_inc)] = list(_increment_ratios(seed, n, path.step, n))
     for e_level in (0.25, 1.0, 4.0, 16.0):
         count, _, cells, _, _, times = _oracle(path, e_level)
-        scan = sp._phase_scan(_increment_ratios(seed, n, path.step, sp._SCAN_CHUNK),
-                              path.step, e_level)
-        assert scan.count == count and np.array_equal(scan.cells, cells)
-        got = sp._crossing_times(scan.cells, scan.psi_in, scan.ncross, path.step, e_level)
-        angle = _entry_angle_bounds(path, e_level, d_inc)[np.repeat(scan.cells, scan.ncross)]
+        scan, got_cells, _, nc = _whole_scan(
+            _increment_ratios(seed, n, path.step, sp._SCAN_CHUNK), n, path.step, e_level)
+        assert nc.sum() == count and np.array_equal(got_cells, cells)
+        got = sp._crossing_times(scan.records, path.step, e_level)
+        angle = _entry_angle_bounds(path, e_level, d_inc)[np.repeat(got_cells, nc)]
         assert np.all(np.abs(got - times) <= angle / math.sqrt(e_level) + 8 * np.spacing(times))
 
 

@@ -30,8 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .stochastic import (RngStream, SampledPath, cumtrapz, exp_functional_walk,
-                         grid_cells, log_gbm_rows, map_stream_blocks, stream_blocks,
-                         walk_steps)
+                         grid_cells, log_gbm_rows, map_stream_blocks, stream_blocks)
 
 _DEGENERATE_REL_TOL = 1e-12
 
@@ -310,12 +309,12 @@ def mbg_transform_check(s: RngStream, t_grid: tuple[float, ...] = (0.5, 1.0, 2.0
     motion from 1, so ln V_t ~ N(-t/2, t) with independent increments.
     """
     t_grid = tuple(sorted(t_grid))
-    nsteps = walk_steps(t_grid[-1] + tail, step)
-    snaps = tuple(int(round(t / step)) for t in t_grid)
+    nsteps, h = grid_cells(t_grid[-1] + tail, step)
+    snaps = tuple(int(round(t / h)) for t in t_grid)
     if len(t_grid) != 3 or not 0 < snaps[0] < snaps[1] < snaps[2] <= nsteps:
         raise ValueError("mbg check needs three positive snapshot times on distinct steps "
                          "within the horizon")
-    _, integ, at = exp_functional_walk(s.gen, n_rep, step, nsteps, snaps)
+    _, integ, at = exp_functional_walk(s.gen, n_rep, h, nsteps, snaps)
     log_v = np.empty((len(t_grid), n_rep))
     for ti, (t, (alpha_t, integ_t)) in enumerate(zip(t_grid, at)):
         log_v[ti] = -alpha_t + t / 2.0 + np.log(integ - integ_t) - np.log(integ)

@@ -279,7 +279,7 @@ def _exp_t1_quad(p: dict, s: RngStream) -> ExperimentResult:
 def _exp_renewal(p: dict, s: RngStream) -> ExperimentResult:
     rows, reps = [], []
     e_list = [float(e) for e in np.atleast_1d(p["e_list"])]
-    if any(e <= 0 for e in e_list):
+    if any(not e > 0 for e in e_list):
         raise ValueError("E must be positive")    # before the horizons divide by sqrt(E)
     horizons = [p["horizon_crossings"] * math.pi / math.sqrt(e) for e in e_list]
     all_gaps = spectrum.renewal_statistics(

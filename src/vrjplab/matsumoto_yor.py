@@ -7,17 +7,17 @@ A chain of weight m is driven by i.i.d. multipliers A_i ~ IG(1, m):
     z_n    = g11_n / psi_n,
 
 which are the half-line Green quantities written directly in the
-multipliers.  The ensembles stream to the chain ends: ``build_my_chains``
-runs the chains a block of replicas at a time and returns psi_L and z_L
-only, what the kernel and intertwining experiments read; whole chains come
-from ``chain_arrays_from_a``.  The hidden-Markov structure is exposed
-through the one-step transition kernel of z; the conditional law of psi
-given z, IG(1, 1/z), is checked on the chains through its CDF (the
-intertwining experiment).  Rescaling step 1/m, the pair converges to the geometric
-Brownian motion e_t and Z_t = (int e^2) / e.  Z_t has two ensemble
-samplers here: pathwise, from the exponential-functional walk, and the
-Euler-Maruyama scheme of its diffusion.  Both take their per-step
-normals from stochastic.step_normals.
+multipliers.  ``build_my_chains`` runs every chain at once, one
+multiplier column at a time, and returns the chain ends psi_L and z_L
+only, what the kernel and intertwining experiments read.  The
+hidden-Markov structure is exposed through the one-step transition
+kernel of z; the conditional law of psi given z, IG(1, 1/z), is checked
+on the chains through its CDF (the intertwining experiment).  Rescaling
+step 1/m, the pair converges to the geometric Brownian motion e_t and
+Z_t = (int e^2) / e.  Z_t has two ensemble samplers here: pathwise, from
+the exponential-functional walk, and the Euler-Maruyama scheme of its
+diffusion.  Both walk the grid_cells grid of [0, tmax] and take their
+per-step normals from stochastic.step_normals.
 """
 
 from __future__ import annotations
@@ -26,37 +26,26 @@ import math
 
 import numpy as np
 
-from .stochastic import (_ROW_BLOCK_ELEMS, RngStream, exp_functional_walk,
-                         sample_inverse_gaussian, step_normals, walk_steps)
-
-
-def chain_arrays_from_a(a: np.ndarray, m: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(psi, g11, z) along the chain; vectorized over leading replica axis."""
-    a = np.asarray(a, dtype=float)
-    psi = np.cumprod(a, axis=-1)
-    psi_prev = np.concatenate([np.ones_like(a[..., :1]), psi[..., :-1]], axis=-1)
-    g11 = np.cumsum(psi_prev ** 2 * a, axis=-1) / m
-    return psi, g11, g11 / psi
+from .stochastic import (RngStream, exp_functional_walk, grid_cells, sample_inverse_gaussian,
+                         step_normals)
 
 
 def build_my_chains(m: int, length: int, n_rep: int, s: RngStream):
     """(psi_L, z_L), L = ``length``: the ends of n_rep chains, one per replica.
 
-    Every multiplier is drawn in one call, so the draws do not depend on
-    the block; chain_arrays_from_a then runs a block of rows at a time and
-    only the last column is kept, so the memory beyond the multipliers
-    themselves does not grow with n_rep.
+    The multipliers are drawn in one call, row r for replica r.  The chains
+    then run one multiplier column at a time: the float operations of a
+    cumulative product and sum, in the same order, in O(n_rep) beside them.
     """
     if m < 1 or length < 1:
         raise ValueError("need m >= 1 and length >= 1")
     a = sample_inverse_gaussian(float(m), s, size=n_rep * length).reshape(n_rep, length)
-    psi_end, z_end = np.empty(n_rep), np.empty(n_rep)
-    rows = max(1, _ROW_BLOCK_ELEMS // length)
-    for lo in range(0, n_rep, rows):
-        psi, _, z = chain_arrays_from_a(a[lo:lo + rows], float(m))
-        psi_end[lo:lo + rows] = psi[:, -1]
-        z_end[lo:lo + rows] = z[:, -1]
-    return psi_end, z_end
+    psi, g11 = np.ones(n_rep), np.zeros(n_rep)
+    for col in a.T:
+        g11 += psi ** 2 * col
+        psi *= col
+    g11 /= m
+    return psi, g11 / psi
 
 
 def kernel_step(z: np.ndarray, m: int, s: RngStream) -> np.ndarray:
@@ -75,17 +64,17 @@ def kernel_step(z: np.ndarray, m: int, s: RngStream) -> np.ndarray:
 
 def sample_z_pathwise(tmax: float, step: float, n_rep: int, s: RngStream) -> np.ndarray:
     """Ensemble of Z_tmax = int_0^tmax e^2 / e_tmax, e_t = e^{a_t - t/2} (O(n_rep) memory)."""
-    nsteps = walk_steps(tmax, step)
-    alpha, integ, _ = exp_functional_walk(s.gen, n_rep, step, nsteps)
-    return integ / np.exp(alpha - nsteps * step / 2)
+    nsteps, h = grid_cells(tmax, step)
+    alpha, integ, _ = exp_functional_walk(s.gen, n_rep, h, nsteps)
+    return integ / np.exp(alpha - nsteps * h / 2)
 
 
 def euler_maruyama_z(tmax: float, step: float, n_rep: int, s: RngStream) -> np.ndarray:
     """Euler-Maruyama ensemble for dZ = Z dW + (1 + Z) dt from Z_0 = 0."""
-    nsteps = walk_steps(tmax, step)
+    nsteps, h = grid_cells(tmax, step)
     z = np.zeros(n_rep)
-    sq = math.sqrt(step)
+    sq = math.sqrt(h)
     for w in step_normals(s.gen, n_rep, nsteps):
         dw = sq * w
-        z = z + z * dw + (1.0 + z) * step
+        z = z + z * dw + (1.0 + z) * h
     return z

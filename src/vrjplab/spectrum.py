@@ -246,7 +246,7 @@ def _crossing_times(records: list, step: float, e_level: float) -> np.ndarray:
 
 def phase_propagate(e_level: float, gbm: SampledPath) -> PhaseTrace:
     """Propagate the phase over the whole span of the geometric path gbm from theta = 0."""
-    if e_level <= 0:
+    if not e_level > 0:
         raise ValueError("E must be positive")
     n = gbm.values.size - 1
     if n < 1:
@@ -409,7 +409,7 @@ def renewal_statistics(e_levels, horizons, streams, step: float = 1e-3,
     streams = list(streams)
     sizes = []
     for e_level, horizon, _ in zip(e_levels, horizons, streams, strict=True):
-        if e_level <= 0:
+        if not e_level > 0:
             raise ValueError("E must be positive")
         sizes.append(grid_cells(horizon, step)[0])
     bins = _renewal_bins(sizes, pool_workers(), _warm_cells(step))
@@ -524,7 +524,7 @@ def dos_sweep(e_list, lam: float, replicas: int, s: RngStream,
     lane block at a time (stochastic.brownian_increments, _cell_ratios).
     """
     e_list = list(e_list)
-    if any(e <= 0 for e in e_list):
+    if any(not e > 0 for e in e_list):
         raise ValueError("E must be positive")
     half, h = grid_cells(lam, step)
     gens = [path_stream.gen for _, _, path_stream in stream_blocks(s, replicas, 1)]
@@ -548,7 +548,7 @@ def mean_t1_quadrature(e_level: float) -> float:
     """
     import scipy.integrate
 
-    if e_level <= 0:
+    if not e_level > 0:
         raise ValueError("E must be positive")
 
     def integrand(x: float, y: float) -> float:

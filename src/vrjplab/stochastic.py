@@ -9,10 +9,10 @@ stepwise ensemble reads its per-step normals from one draw-ahead source,
 ``step_normals``.  The phase-counting experiments read only the increments
 of their paths, a block of cells at a time, so their memory does not grow
 with the path length.
-``log_gbm_rows`` keeps its own reused buffers and one draw per row block:
-its row blocks run on the worker threads, where a draw per row and a new
-buffer per block (as in ``brownian_increments``) made the matrix samplers
-measurably slower.
+``log_gbm_rows`` draws each row block in one call: its row blocks run on
+the worker threads, where a draw per row (as in ``brownian_increments``)
+and a new buffer per block made the matrix samplers measurably slower.
+Both keep one buffer for the whole call.
 
 Every stochastic routine in this package consumes an explicit
 :class:`RngStream`.  A stream is identified by a ``(seed, stream_id)``
@@ -173,8 +173,9 @@ def grid_cells(span: float, step: float) -> tuple[int, float]:
 
     n = max(1, ceil(span/step)) is the fewest cells no wider than ``step``
     (up to a 1e-9 tolerance, so a span that is a whole number of steps is
-    not given an extra cell by roundoff).  Two-sided samplers on
-    [-lam, lam] use it per side, so the grid hits -lam, 0 and lam.
+    not given an extra cell by roundoff).  The stepwise walks on
+    [0, span] take these cells, so they end at span; two-sided samplers
+    on [-lam, lam] use it per side, so the grid hits -lam, 0 and lam.
     Raises ValueError unless span and step are positive and finite.
     """
     if not (0 < span < math.inf and 0 < step < math.inf):
@@ -182,21 +183,6 @@ def grid_cells(span: float, step: float) -> tuple[int, float]:
                          f"got span={span}, step={step}")
     n = max(1, int(math.ceil(span / step - 1e-9)))
     return n, span / n
-
-
-def walk_steps(span: float, step: float) -> int:
-    """Steps round(span/step) of a stepwise walk on [0, span].
-
-    Raises ValueError unless span and step are positive and finite and
-    give at least one step, so a walk never runs on an empty grid.
-    """
-    if not (0 < span < math.inf and 0 < step < math.inf):
-        raise ValueError(f"walk span and step must be positive and finite, "
-                         f"got span={span}, step={step}")
-    nsteps = int(round(span / step))
-    if nsteps < 1:
-        raise ValueError(f"walk needs at least one step, got span={span}, step={step}")
-    return nsteps
 
 
 def cumtrapz(y: np.ndarray, h: float) -> np.ndarray:

@@ -1,10 +1,11 @@
-"""Whole-path builders kept beside the tests as references.
+"""Whole-path and whole-chain builders kept beside the tests as references.
 
 No experiment holds a whole Brownian path: the phase-counting experiments
 read only the increments of theirs, streamed from
 stochastic.brownian_increments.  The tests still build whole paths, to feed
 phase_propagate and the oracles, and to check the streamed routes against
-whole-path ones bit for bit.
+whole-path ones bit for bit.  Likewise matsumoto_yor.build_my_chains keeps
+only the chain ends; chain_arrays_from_a gives the whole chains.
 """
 
 import math
@@ -72,3 +73,12 @@ def renewal_gaps_whole_path(e_level: float, horizon: float, s: RngStream,
     times = sp._crossing_times(sp._scan([(0, ratios)], step, e_level, 0, n).records, step,
                                e_level)
     return np.diff(np.concatenate([[0.0], times]))
+
+
+def chain_arrays_from_a(a: np.ndarray, m: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(psi, g11, z) along the chain; vectorized over leading replica axis."""
+    a = np.asarray(a, dtype=float)
+    psi = np.cumprod(a, axis=-1)
+    psi_prev = np.concatenate([np.ones_like(a[..., :1]), psi[..., :-1]], axis=-1)
+    g11 = np.cumsum(psi_prev ** 2 * a, axis=-1) / m
+    return psi, g11, g11 / psi

@@ -153,14 +153,16 @@ def test_main_key_error_inside_an_experiment_is_not_a_usage_error(tmp_path, monk
     ("dos_sweep", "e_list=[0.0]", "E must be positive"),
     ("dos_sweep", "e_list=[-1.0,4.0]", "E must be positive"),
     ("renewal_mean", "e_list=[1.0,0.0]", "E must be positive"),
+    ("dos_sweep", "e_list=[NaN,4.0] lam=1 replicas=3", "E must be positive"),
+    ("renewal_mean", "e_list=[NaN]", "E must be positive"),
     ("z_diffusion", "tmax=-1 n=200", "positive and finite"),
     ("z_diffusion", "step=0 n=200", "positive and finite"),
-    ("z_diffusion", "tmax=0.0004 n=200", "at least one step"),
+    ("z_diffusion", "tmax=NaN n=200", "positive and finite"),
     ("mbg_corollary", "step=0 n=200", "positive and finite"),
 ])
 def test_main_params_too_small_exit_2(tmp_path, capsys, name, param, message):
     # parameters too small to form a statistic, a grid that cannot be built,
-    # a node off the grid and an energy E <= 0 are usage errors, not verdicts
+    # a node off the grid and an energy E that is not > 0 are usage errors, not verdicts
     overrides = [arg for kv in param.split() for arg in ("--param", kv)]
     rc = main(["run", "--name", name, *overrides, "--out", str(tmp_path)])
     assert rc == 2
@@ -177,9 +179,18 @@ def test_output_env_var(tmp_path, monkeypatch, capsys):
     assert (tmp_path / "envout/mean_t1_quadrature/results.csv").exists()
 
 
+def _child_env() -> dict:
+    """This environment with the vrjplab under test first on a child's PYTHONPATH.
+
+    pytest's own ``pythonpath`` setting reaches only its own process.
+    """
+    paths = [str(Path(vrjplab.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+
+
 def test_console_entry_point(tmp_path):
     proc = subprocess.run([sys.executable, "-m", "vrjplab.cli", "list"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=_child_env())
     assert proc.returncode == 0
     assert "renewal_mean" in proc.stdout
 
@@ -211,10 +222,8 @@ def heavy_loaded():
 
 def _fresh_python(code: str, *args: str) -> dict:
     """Run code in a new interpreter that imports this vrjplab; its last line, as JSON."""
-    paths = [str(Path(vrjplab.__file__).parents[1]), os.environ.get("PYTHONPATH")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
     proc = subprocess.run([sys.executable, "-c", _HEAVY_LOADED + code, *args],
-                          capture_output=True, text=True, env=env, timeout=300)
+                          capture_output=True, text=True, env=_child_env(), timeout=300)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
 

@@ -1,12 +1,13 @@
-"""The blocked IG sampler and the streamed chain ends against the originals.
+"""The blocked IG sampler and the chain ends against the originals.
 
 sample_inverse_gaussian and build_my_chains below are the original
 implementations, kept verbatim as the oracle: the sampler finishes the
 whole output in several full-size temporaries, and the chain builder
 returns whole (n_rep x length) arrays.  The library draws the same gammas
 and uniforms in the same order and gives each element the same float
-operations, a block at a time, and keeps only the chain ends, so its
-outputs must equal the oracle's (last columns) bit for bit.
+operations, the IG draws a block at a time and the chains one multiplier
+column at a time, keeping only the chain ends, so its outputs must equal
+the oracle's (last columns) bit for bit.
 """
 
 import tracemalloc
@@ -18,8 +19,9 @@ from hypothesis import strategies as st
 
 import vrjplab.matsumoto_yor as my
 import vrjplab.stochastic as stoch
-from vrjplab.matsumoto_yor import chain_arrays_from_a
 from vrjplab.stochastic import RngStream, new_stream
+
+from reference_paths import chain_arrays_from_a
 
 
 def sample_inverse_gaussian(lam, s: RngStream, size: int) -> np.ndarray:
@@ -85,15 +87,14 @@ def test_ig_bit_identical_to_oracle(seed, size, kind, value):
 @given(seed=st.integers(0, 2 ** 32 - 1), m=st.integers(1, 300), length=st.integers(1, 40),
        blocks=st.integers(0, 2), extra=st.integers(1, 300))
 def test_chain_ends_bit_identical_to_oracle(seed, m, length, blocks, extra):
-    # n_rep under one row block, or one or two row blocks and a part
+    # n_rep * length draws under one IG block, or across one or two block ends
     rows = BLOCK // length
     _assert_chain_ends_match(m, length, blocks * rows + extra, seed)
 
 
 @pytest.mark.parametrize("block", [1, 7, 1 << 30])
 def test_block_constant_does_not_change_the_draws(monkeypatch, block):
-    for mod in (stoch, my):
-        monkeypatch.setattr(mod, "_ROW_BLOCK_ELEMS", block)
+    monkeypatch.setattr(stoch, "_ROW_BLOCK_ELEMS", block)
     for lam in (3.0, _lam("per-draw", 3.0, 1000, 4)):
         got = stoch.sample_inverse_gaussian(lam, new_stream(4, 0), 1000)
         assert np.array_equal(got, sample_inverse_gaussian(lam, new_stream(4, 0), 1000))
@@ -112,7 +113,8 @@ def _peak_mb(fn):
 
 def test_ig_and_chain_memory_is_the_draws_plus_blocks():
     # 2e6 draws take 15.3 MB (of 2^20 bytes); the whole-array routes
-    # peaked at 78.2 MB, the blocked ones at 15.8 and 18.5 MB
+    # peaked at 78.2 MB, the blocked sampler at 15.8 MB and the chain
+    # recursion at 17.6 MB
     s = new_stream(3, 0)
     assert _peak_mb(lambda: stoch.sample_inverse_gaussian(5.0, s, 2_000_000)) < 24
     assert _peak_mb(lambda: my.build_my_chains(5, 20, 100_000, s)) < 24

@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 from vrjplab.beta_field import dense_h, GraphShape, WeightedGraph1D
-from vrjplab.matsumoto_yor import (build_my_chains, chain_arrays_from_a,
-                                   euler_maruyama_z, kernel_step, sample_z_pathwise)
+from vrjplab.matsumoto_yor import (build_my_chains, euler_maruyama_z, kernel_step,
+                                   sample_z_pathwise)
 from vrjplab.stats import ks_two_sample, mean_ci
 from vrjplab.stochastic import exp_functional_walk, new_stream, sample_inverse_gaussian
+
+from reference_paths import chain_arrays_from_a
 
 
 def test_chain_all_ones_degenerate():

@@ -4,7 +4,8 @@ sample_dufresne_ratio, sample_line_diagonal, the mbg_transform_check loop
 and sample_z_pathwise below are the original implementations, kept
 verbatim as the oracle (the mbg oracle returns its four statistics rather
 than a report; the library forms them in the mbg_corollary experiment,
-from the ln V samples of mbg_transform_check).  The library now runs all
+from the ln V samples of mbg_transform_check; it takes its grid from
+grid_cells, as every sampler does).  The library now runs all
 four on one walk,
 stochastic.exp_functional_walk, with replica streams from
 stochastic.stream_blocks.  The first three do the same steps in the same
@@ -22,7 +23,8 @@ from hypothesis import strategies as st
 import vrjplab.continuum_kernel as ck
 import vrjplab.matsumoto_yor as my
 from vrjplab.experiments import _exp_mbg
-from vrjplab.stochastic import RngStream, grid_cells, new_stream, stream_blocks
+from vrjplab.stochastic import (RngStream, exp_functional_walk, grid_cells, new_stream,
+                                stream_blocks)
 
 
 def sample_dufresne_ratio(lam: float, step: float, n_rep: int, s: RngStream,
@@ -79,7 +81,7 @@ def mbg_statistics(s: RngStream, t_grid: tuple[float, ...] = (0.5, 1.0, 2.0),
     if len(t_grid) != 3 or t_grid[0] <= 0:
         raise ValueError("mbg check needs three positive snapshot times")
     horizon = t_grid[-1] + tail
-    nsteps = int(round(horizon / step))
+    nsteps, step = grid_cells(horizon, step)
     snap_idx = {int(round(t / step)): ti for ti, t in enumerate(t_grid)}
     gen = s.gen
     alpha = np.zeros(n_rep)
@@ -185,6 +187,25 @@ def test_z_pathwise_matches_oracle_to_roundoff(seed, tmax, n_steps, n_rep):
     want = sample_z_pathwise(tmax, step, n_rep, new_stream(seed, 8))
     assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
     assert np.array_equal(np.argsort(got), np.argsort(want))
+
+
+# 2.5 is not a whole number of steps of 1.0: both Z samplers take the three
+# cells of width 2.5/3 that end at t = 2.5
+def test_euler_maruyama_z_ends_at_an_off_grid_span():
+    n, h = 500, 2.5 / 3
+    gen = new_stream(3, 4).gen
+    z = np.zeros(n)
+    for _ in range(3):
+        dw = math.sqrt(h) * gen.standard_normal(n)
+        z = z + z * dw + (1.0 + z) * h
+    assert np.array_equal(my.euler_maruyama_z(2.5, 1.0, n, new_stream(3, 4)), z)
+
+
+def test_z_pathwise_ends_at_an_off_grid_span():
+    n, h = 500, 2.5 / 3
+    alpha, integ, _ = exp_functional_walk(new_stream(3, 5).gen, n, h, 3)
+    want = integ / np.exp(alpha - 3 * h / 2)
+    assert np.array_equal(my.sample_z_pathwise(2.5, 1.0, n, new_stream(3, 5)), want)
 
 
 @given(n_rep=st.integers(0, 10_000), block=st.integers(1, 5000))

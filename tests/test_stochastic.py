@@ -149,15 +149,6 @@ def test_brownian_blocks_equal_the_whole_path(block):
     assert seen == n_cells
 
 
-def test_walk_steps():
-    assert st.walk_steps(1.0, 1e-3) == 1000
-    assert st.walk_steps(2.5, 1.0) == 2                  # round half to even
-    for span, step in ((-1.0, 1e-3), (1.0, 0.0), (0.0, 1e-3), (math.inf, 1.0),
-                       (math.nan, 1.0), (1e-4, 1e-3)):
-        with pytest.raises(ValueError):
-            st.walk_steps(span, step)
-
-
 def test_sampled_path_is_geometric():
     # a SampledPath is M itself, so a value that is not positive is refused
     for values in ([1.0, 0.0], [1.0, -0.5], [1.0, np.nan]):
@@ -169,7 +160,12 @@ def test_grid_cells():
     assert grid_cells(1.0, 1e-3) == (1000, 1.0 / 1000)
     assert grid_cells(4.9, 0.7) == (7, 4.9 / 7)      # 4.9/0.7 rounds above 7
     assert grid_cells(0.3, 0.07) == (5, 0.3 / 5)
-    assert grid_cells(0.01, 1.0) == (1, 0.01)
+    assert grid_cells(0.01, 1.0) == (1, 0.01)          # a span under one step is one cell
+    assert grid_cells(2.5, 1.0) == (3, 2.5 / 3)          # the last cell ends at the span
+    for span, step in ((-1.0, 1e-3), (1.0, 0.0), (0.0, 1e-3), (math.inf, 1.0),
+                       (1.0, math.inf), (math.nan, 1.0), (1.0, math.nan)):
+        with pytest.raises(ValueError, match="positive and finite"):
+            grid_cells(span, step)
 
 
 def test_gbm_deterministic_transform():

@@ -149,6 +149,25 @@ def test_brownian_blocks_equal_the_whole_path(block):
     assert seen == n_cells
 
 
+def test_walk_steps():
+    # the stepwise walks on [0, tmax] take the grid_cells steps, one (n,)
+    # draw of normals per step, and refuse a bad (span, step) before any draw
+    from vrjplab.matsumoto_yor import euler_maruyama_z, sample_z_pathwise
+    n = 3
+    for walk in (euler_maruyama_z, sample_z_pathwise):
+        for span, step, nsteps in ((1.0, 1e-3, 1000), (2.5, 1.0, 3), (1e-4, 1e-3, 1)):
+            s, ref = new_stream(5, 2), new_stream(5, 2).gen
+            walk(span, step, n, s)
+            ref.standard_normal(n * nsteps)
+            assert s.gen.uniform() == ref.uniform()
+        for span, step in ((-1.0, 1e-3), (1.0, 0.0), (0.0, 1e-3), (math.inf, 1.0),
+                           (math.nan, 1.0)):
+            s = new_stream(5, 2)
+            with pytest.raises(ValueError, match="positive and finite"):
+                walk(span, step, n, s)
+            assert s.gen.uniform() == new_stream(5, 2).gen.uniform()
+
+
 def test_sampled_path_is_geometric():
     # a SampledPath is M itself, so a value that is not positive is refused
     for values in ([1.0, 0.0], [1.0, -0.5], [1.0, np.nan]):

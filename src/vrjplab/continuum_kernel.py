@@ -273,22 +273,32 @@ def sample_quadratic_form(lam: float, f, step: float, n_rep: int,
 
 
 def _walk_ends(span: float, step: float, n_rep: int, s: RngStream,
-               block: int) -> tuple[np.ndarray, np.ndarray]:
-    """(a_span, int_0^span e^{2a_s - s} ds) per replica, on the grid_cells grid."""
+               block: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(a_span, I, J) per replica on the grid_cells grid of [0, span].
+
+    I is the trapezoid of int_0^span e^{2a_s - s} ds at the grid's step h
+    and J the trapezoid of the same path on every second node (step 2h),
+    as exp_functional_walk returns them.
+    """
     nsteps, h = grid_cells(span, step)
-    alpha = np.empty(n_rep)
-    integ = np.empty(n_rep)
+    ends = np.empty((3, n_rep))
     for first, count, block_stream in stream_blocks(s, n_rep, block):
-        stop = first + count
-        alpha[first:stop], integ[first:stop], _ = exp_functional_walk(
-            block_stream.gen, count, h, nsteps)
-    return alpha, integ
+        ends[:, first:first + count] = exp_functional_walk(block_stream.gen, count,
+                                                           h, nsteps)[:3]
+    return ends[0], ends[1], ends[2]
 
 
-def sample_dufresne_ratio(lam: float, step: float, n_rep: int, s: RngStream) -> np.ndarray:
-    """int_0^lam e^{2a_s - s} ds / (e^{a_lam - lam/2} - 1)^2 per replica."""
-    alpha, integ = _walk_ends(lam, step, n_rep, s, _RATIO_STREAM_BLOCK)
-    return integ / (np.exp(alpha - 0.5 * lam) - 1.0) ** 2
+def sample_dufresne_ratio(lam: float, step: float, n_rep: int,
+                          s: RngStream) -> tuple[np.ndarray, np.ndarray]:
+    """int_0^lam e^{2a_s - s} ds / (e^{a_lam - lam/2} - 1)^2 per replica.
+
+    Returns the ratio with the integral at the grid's step h and with the
+    integral on every second node of the same paths (step 2h); their gap
+    estimates the step's bias (exp_functional_walk).
+    """
+    alpha, integ, coarse = _walk_ends(lam, step, n_rep, s, _RATIO_STREAM_BLOCK)
+    denom = (np.exp(alpha - 0.5 * lam) - 1.0) ** 2
+    return integ / denom, coarse / denom
 
 
 def sample_line_diagonal(horizon: float, step: float, n_rep: int, s: RngStream) -> np.ndarray:
@@ -301,21 +311,34 @@ def sample_line_diagonal(horizon: float, step: float, n_rep: int, s: RngStream) 
 
 def mbg_transform_check(s: RngStream, t_grid: tuple[float, ...] = (0.5, 1.0, 2.0),
                         n_rep: int = 10_000, step: float = 1e-3,
-                        tail: float = 40.0) -> np.ndarray:
-    """ln V_t per snapshot time (rows, t_grid sorted) and replica (columns).
+                        tail: float = 40.0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(tau, ln V, ln V on every second node): ln V per snapshot and replica.
 
-    V_t = e^{-a_t + t/2} int_t^inf e^{2a-s} ds / int_0^inf e^{2a-s} ds,
-    integrals truncated at horizon max(t)+tail.  V is a geometric Brownian
-    motion from 1, so ln V_t ~ N(-t/2, t) with independent increments.
+    The walk runs on the grid_cells grid of [0, max(t_grid) + tail] and
+    reads each snapshot at the node k = round(t/h) nearest t (t_grid
+    sorted), at the node time tau = k*h, which equals t only when t is a
+    whole number of cells.  Row i of ln V holds
+
+        V_tau = e^{-a_tau + tau/2} int_tau^inf e^{2a-s} ds / int_0^inf e^{2a-s} ds
+
+    at tau[i] per replica (columns), the integrals truncated at the
+    horizon.  V is a geometric Brownian motion from 1, so
+    ln V_tau ~ N(-tau/2, tau) with independent increments.  The third
+    array is ln V with the integrals on every second node of the same
+    paths (step 2h); its gap to ln V estimates the step's bias
+    (exp_functional_walk).
     """
     t_grid = tuple(sorted(t_grid))
     nsteps, h = grid_cells(t_grid[-1] + tail, step)
-    snaps = tuple(int(round(t / h)) for t in t_grid)
-    if len(t_grid) != 3 or not 0 < snaps[0] < snaps[1] < snaps[2] <= nsteps:
+    nodes = tuple(int(round(t / h)) for t in t_grid)
+    if len(t_grid) != 3 or not 0 < nodes[0] < nodes[1] < nodes[2] <= nsteps:
         raise ValueError("mbg check needs three positive snapshot times on distinct steps "
                          "within the horizon")
-    _, integ, at = exp_functional_walk(s.gen, n_rep, h, nsteps, snaps)
-    log_v = np.empty((len(t_grid), n_rep))
-    for ti, (t, (alpha_t, integ_t)) in enumerate(zip(t_grid, at)):
-        log_v[ti] = -alpha_t + t / 2.0 + np.log(integ - integ_t) - np.log(integ)
-    return log_v
+    _, integ, coarse, at = exp_functional_walk(s.gen, n_rep, h, nsteps, nodes)
+    tau = np.array(nodes) * h
+    log_v = np.empty((2, len(nodes), n_rep))
+    for ti, (alpha_t, integ_t, coarse_t) in enumerate(at):
+        drift = -alpha_t + tau[ti] / 2.0
+        log_v[0, ti] = drift + np.log(integ - integ_t) - np.log(integ)
+        log_v[1, ti] = drift + np.log(coarse - coarse_t) - np.log(coarse)
+    return tau, log_v[0], log_v[1]

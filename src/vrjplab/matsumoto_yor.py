@@ -65,7 +65,7 @@ def kernel_step(z: np.ndarray, m: int, s: RngStream) -> np.ndarray:
 def sample_z_pathwise(tmax: float, step: float, n_rep: int, s: RngStream) -> np.ndarray:
     """Ensemble of Z_tmax = int_0^tmax e^2 / e_tmax, e_t = e^{a_t - t/2} (O(n_rep) memory)."""
     nsteps, h = grid_cells(tmax, step)
-    alpha, integ, _ = exp_functional_walk(s.gen, n_rep, h, nsteps)
+    alpha, integ, _, _ = exp_functional_walk(s.gen, n_rep, h, nsteps)
     return integ / np.exp(alpha - nsteps * h / 2)
 
 

@@ -144,7 +144,7 @@ def test_scaling_stability_m64_vs_m256():
 def test_continuum_walk_invariants():
     # T_t = int_0^t e^2 is the walk's trapezoid sum I; e_1 = e^{a_1 - 1/2}
     # is a mean-1 martingale
-    alpha, integ, at = exp_functional_walk(new_stream(13, 0).gen, 4000, 1e-2, 100,
+    alpha, integ, _, at = exp_functional_walk(new_stream(13, 0).gen, 4000, 1e-2, 100,
                                            (50,))
     assert np.all(integ > at[0][1]) and np.all(at[0][1] > 0)
     est, half = mean_ci(np.exp(alpha - 0.5), 0.01)
@@ -153,7 +153,7 @@ def test_continuum_walk_invariants():
 
 def test_continuum_mean_t_one():
     # E[T_1] = e - 1 by Fubini on the second moment of the geometric path
-    _, t1, _ = exp_functional_walk(new_stream(14, 0).gen, 4000, 1e-2, 100)
+    _, t1, _, _ = exp_functional_walk(new_stream(14, 0).gen, 4000, 1e-2, 100)
     est, half = mean_ci(t1, 0.01)
     assert abs(est - (math.e - 1.0)) < max(half, 5e-3)
 

@@ -125,8 +125,8 @@ def test_walk_identical_for_any_worker_count(n, nsteps):
     h = 1e-3
 
     def run():
-        alpha, integ, at = exp_functional_walk(new_stream(8, 3).gen, n, h, nsteps, snaps)
-        return [alpha, integ] + [x for pair in at for x in pair]
+        alpha, integ, _, at = exp_functional_walk(new_stream(8, 3).gen, n, h, nsteps, snaps)
+        return [alpha, integ] + [x for snap in at for x in snap[:2]]
 
     results = _for_each_worker_count(run)
     alpha, integ, at = _walk_serial(new_stream(8, 3).gen, n, h, nsteps, snaps)

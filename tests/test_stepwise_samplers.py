@@ -5,7 +5,8 @@ and sample_z_pathwise below are the original implementations, kept
 verbatim as the oracle (the mbg oracle returns its four statistics rather
 than a report; the library forms them in the mbg_corollary experiment,
 from the ln V samples of mbg_transform_check; it takes its grid from
-grid_cells, as every sampler does).  The library now runs all
+grid_cells, as every sampler does, and forms ln V at the node time k*h it
+read, not at the requested t).  The library now runs all
 four on one walk,
 stochastic.exp_functional_walk, with replica streams from
 stochastic.stream_blocks.  The first three do the same steps in the same
@@ -17,14 +18,15 @@ differ in the last digits but must sort the same.
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import vrjplab.continuum_kernel as ck
 import vrjplab.matsumoto_yor as my
-from vrjplab.experiments import _exp_mbg
+from vrjplab.experiments import _exp_mbg, get_experiment
 from vrjplab.stochastic import (RngStream, exp_functional_walk, grid_cells, new_stream,
-                                stream_blocks)
+                                step_normals, stream_blocks)
 
 
 def sample_dufresne_ratio(lam: float, step: float, n_rep: int, s: RngStream,
@@ -100,8 +102,9 @@ def mbg_statistics(s: RngStream, t_grid: tuple[float, ...] = (0.5, 1.0, 2.0),
             alpha_at[ti] = alpha
             integ_at[ti] = integ
     log_v = np.empty((len(t_grid), n_rep))
-    for ti, t in enumerate(t_grid):
-        log_v[ti] = (-alpha_at[ti] + t / 2.0
+    for ti, k in enumerate(snap_idx):
+        tau = k * step                  # the node time the walk read
+        log_v[ti] = (-alpha_at[ti] + tau / 2.0
                      + np.log(integ - integ_at[ti]) - np.log(integ))
     mean_log = log_v.mean(axis=1)
     se = log_v.std(axis=1, ddof=1) / math.sqrt(n_rep)
@@ -138,7 +141,7 @@ stretch = st.floats(0.0, 1.0)
        n_rep=st.one_of(st.integers(1, 300), st.integers(3990, 4300)))
 def test_dufresne_ratio_bit_identical_to_oracle(seed, lam, n_cells, u, n_rep):
     step = lam / n_cells * (1.0 + 0.3 * u)
-    got = ck.sample_dufresne_ratio(lam, step, n_rep, new_stream(seed, 5))
+    got, _ = ck.sample_dufresne_ratio(lam, step, n_rep, new_stream(seed, 5))
     want = sample_dufresne_ratio(lam, step, n_rep, new_stream(seed, 5))
     assert np.array_equal(got, want)
 
@@ -155,7 +158,7 @@ def test_line_diagonal_bit_identical_to_oracle(seed, horizon, n_cells, u, n_rep)
 def test_ratio_and_line_span_several_stream_blocks():
     # 9000 replicas: three ratio blocks and five line blocks, the last partial.
     for lam, step in ((2.0, 0.2), (0.37, 0.1)):
-        got = ck.sample_dufresne_ratio(lam, step, 9000, new_stream(11, 1))
+        got, _ = ck.sample_dufresne_ratio(lam, step, 9000, new_stream(11, 1))
         assert np.array_equal(got, sample_dufresne_ratio(lam, step, 9000,
                                                          new_stream(11, 1)))
         got = ck.sample_line_diagonal(lam, step, 9000, new_stream(11, 2))
@@ -173,9 +176,9 @@ def test_mbg_statistics_bit_identical_to_oracle(seed, step, tail, n_rep):
     assert np.array_equal([r["mean_log"] for r in res.rows], mean_log)
     assert np.array_equal([r["se"] for r in res.rows], se)
     assert np.array_equal([r["var_log"] for r in res.rows], var_log)
-    assert len(res.reports) == 7
-    decorrelation = res.reports[-1]
-    assert decorrelation.label == "increment decorrelation"
+    _, h = grid_cells(2.0 + tail, step)
+    assert [r["t"] for r in res.rows] == [round(t / h) * h for t in (0.5, 1.0, 2.0)]
+    (decorrelation,) = [r for r in res.reports if r.label == "increment decorrelation"]
     assert decorrelation.statistic == abs(corr)
 
 
@@ -203,7 +206,7 @@ def test_euler_maruyama_z_ends_at_an_off_grid_span():
 
 def test_z_pathwise_ends_at_an_off_grid_span():
     n, h = 500, 2.5 / 3
-    alpha, integ, _ = exp_functional_walk(new_stream(3, 5).gen, n, h, 3)
+    alpha, integ, _, _ = exp_functional_walk(new_stream(3, 5).gen, n, h, 3)
     want = integ / np.exp(alpha - 3 * h / 2)
     assert np.array_equal(my.sample_z_pathwise(2.5, 1.0, n, new_stream(3, 5)), want)
 
@@ -217,3 +220,86 @@ def test_stream_blocks_cover_each_replica_once(n_rep, block):
         assert (stream.seed, stream.stream_id) == (3, 10 + first + 1)
         covered.extend(range(first, first + count))
     assert covered == list(range(n_rep))
+
+
+class _ZeroNormals:
+    """A generator stub whose normals are all 0, so the walk's path is a_k = 0."""
+
+    def standard_normal(self, out):
+        out.fill(0.0)
+        return out
+
+
+@pytest.mark.parametrize("nsteps", [20, 40, 80])
+def test_richardson_estimate_is_exact_to_h4(nsteps):
+    # On a = 0 the walk sums f = e^{-s} over [0, T].  By Euler-Maclaurin the
+    # trapezoid's error is c h^2/12 - c h^4/720 + O(h^6), c = f'(T) - f'(0)
+    # = 1 - e^{-T}, so (J - I)/3 = c h^2/12 - c h^4/144 + O(h^6) misses the
+    # error by -c h^4/180.
+    T = 2.0
+    h, c = T / nsteps, 1.0 - math.exp(-T)
+    _, integ, coarse, _ = exp_functional_walk(_ZeroNormals(), 3, h, nsteps)
+    err = integ - c
+    estimate = (coarse - integ) / 3.0
+    assert np.allclose(err, c * h ** 2 / 12, rtol=h ** 2)
+    assert np.allclose(estimate - err, -c * h ** 4 / 180, rtol=h ** 2)
+
+
+@pytest.mark.parametrize("nsteps, snaps", [(7, (1, 2, 5, 7)), (8, (3, 4, 8)), (9, (4,))])
+def test_coarse_sum_on_every_second_node(nsteps, snaps):
+    # J is the trapezoid of width 2h on the nodes counted from 0 and afresh
+    # from each snapshot, a stretch of an odd number of cells ending with
+    # one fine cell: on a path recorded from the same draws
+    n, h = 50, 0.3
+    alpha, integ, coarse, at = exp_functional_walk(new_stream(4, 1).gen, n, h, nsteps, snaps)
+    z = np.array([b.copy() for b in step_normals(new_stream(4, 1).gen, n, nsteps)])
+    a = np.vstack([np.zeros(n), np.cumsum(z * math.sqrt(h), axis=0)])
+    f = np.exp(2.0 * a - h * np.arange(nsteps + 1)[:, None])
+
+    def stretch(lo, hi):
+        nodes = f[lo:hi + 1:2]
+        out = h * (nodes[1:] + nodes[:-1]).sum(axis=0)
+        return out + 0.5 * h * (f[hi - 1] + f[hi]) if (hi - lo) % 2 else out
+
+    bounds = sorted({0, *snaps, nsteps})
+    coarse_at = dict(zip(bounds[1:], np.cumsum([stretch(lo, hi) for lo, hi
+                                                in zip(bounds, bounds[1:])], axis=0)))
+    assert np.allclose(alpha, a[-1], rtol=1e-13)
+    assert np.allclose(coarse, coarse_at[nsteps], rtol=1e-12)
+    for k, (a_k, i_k, j_k) in zip(snaps, at):
+        assert np.allclose(a_k, a[k], rtol=1e-13)
+        assert np.allclose(i_k, 0.5 * h * (f[1:k + 1] + f[:k]).sum(axis=0), rtol=1e-12)
+        assert np.allclose(j_k, coarse_at[k], rtol=1e-12)
+
+
+def _left_riemann_walk(gen, n, h, nsteps, snaps=()):
+    """The walk with a left Riemann sum in place of both trapezoids (even nsteps)."""
+    alpha, integ, coarse, prev = np.zeros(n), np.zeros(n), np.zeros(n), np.ones(n)
+    for k, z in enumerate(step_normals(gen, n, nsteps), 1):
+        alpha += z * math.sqrt(h)
+        integ += h * prev
+        if k % 2:
+            coarse += 2.0 * h * prev
+        prev = np.exp(2.0 * alpha - k * h)
+    return alpha, integ, coarse, []
+
+
+def _bias_verdict(seed, step):
+    spec = get_experiment("dufresne_ratio")
+    params = {**spec.defaults, "lams": (5.0,), "n": 10_000, "step": step}
+    (bias,) = [r for r in spec.fn(params, new_stream(seed, 0)).reports
+               if r.label == "step bias h vs 2h"]
+    return bias
+
+
+# At the registered step 1e-2 the left Riemann sum's own bias in mean u at
+# lam = 5 is 7.7e-4 to 8.1e-4, no more than the budget of 8.1e-4 at n = 1e4,
+# so the verdict passes it there; at step 0.05 its bias is five times that,
+# and the verdict must reject it.
+def test_bias_verdict_rejects_a_left_riemann_walk(monkeypatch):
+    for seed in range(5):
+        assert _bias_verdict(seed, 0.05).passed
+        assert _bias_verdict(seed, get_experiment("dufresne_ratio").defaults["step"]).passed
+    monkeypatch.setattr(ck, "exp_functional_walk", _left_riemann_walk)
+    for seed in range(5):
+        assert not _bias_verdict(seed, 0.05).passed

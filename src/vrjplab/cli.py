@@ -73,8 +73,8 @@ class RunManifest:
             # bit streams are pinned per numpy release
             "versions": {"numpy": np.__version__, "scipy": scipy.__version__,
                          "python": platform.python_version()},
-            # not platform.platform(), which forks `uname -p`, and the fork's
-            # copy of this process would count in RUSAGE_CHILDREN
+            # not platform.platform(), whose `uname -p` child process, a copy
+            # of this one, would count in RUSAGE_CHILDREN
             "platform": {"system": platform.system(), "release": platform.release(),
                          "machine": platform.machine()},
             # seeded draws do not depend on the worker count; the dense

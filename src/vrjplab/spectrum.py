@@ -31,36 +31,27 @@ build B and read the increments as they are drawn
 one: it adds two O(sqrt(h)) numbers, where a difference of two logc
 values loses the digits of their magnitude, which grows along a path.
 
-The cell recurrence is sequential, so it runs by one of two routes,
-chosen by the caller's shape.  A single path (renewal gaps, single
-counts) goes through one scalar driver, _scan, over fixed-size chunks of
-ratios that records only the cells where a crossing happens.  A batch of
-equal paths (the density-of-states sweep) advances every (replica x E)
-lane at once, one numpy step per cell, over fixed-size blocks of cells.
-Neither experiment holds a whole path, so memory does not grow with the
-horizon or with lam.
+The cell recurrence is sequential along a path, so the batching runs
+across paths: the lane route (_lane_step) advances every lane, one path
+read at one energy, by one numpy step per cell over blocks of _LANE_BLOCK
+cells.  It is the one counting engine of the experiments: dos_sweep runs
+a lane per (replica, E) over the circle and keeps the counts, and
+renewal_statistics runs independent lanes.  A single given path
+(phase_propagate) goes through the scalar loop _scan.  Neither experiment
+holds a whole path, so memory does not grow with the horizon or with lam.
 
-The scalar loop holds the interpreter lock, so threads cannot overlap the
-renewal scans.  renewal_statistics fills one bin of about equal work per
-pool worker and runs the first bin in this process and each other one in
-a forked child (stochastic.map_forked).  A long path may be cut at a
-multiple of the scan chunk.  A piece that starts at cell lo > 0 draws its
-increments from cell 0 and scans a warm-up of _WARM_TIME before lo from
-psi = 0 (_scan_bin).  The recurrence contracts on the projective line (the
-products of the cell maps have a positive Lyapunov exponent), so two
-float64 scans of one path from different angles become bitwise equal
-after some tens of thousands of cells at step 1e-3, and stay equal, the
-recurrence being deterministic.  The parent stitches each path's pieces
-in order and keeps a piece only if its psi at lo equals the previous
-piece's final psi bit for bit; otherwise it rescans the piece from the
-true state until the two agree at a chunk end (_scan with merge).  So the
-gaps are those of one scan of the whole path, bit for bit, whatever the
-cuts and the worker count.  A child sends back only its pieces' crossing
-records and end angles.  Fork, not spawn: a spawned child would import
-numpy and this module afresh, about 0.17 s, against a scan of about a
-second.  The pool threads are idle during the scans and the scans import
-nothing, which is what makes the fork safe; Python 3.12+ still warns
-(DeprecationWarning) on forking a process that has threads.
+Renewal gaps from lanes.  At a pi-crossing psi is 0 whatever M is, and
+from there it reads only future log ratios, which are Brownian
+increments; so a lane from theta = 0 on its own path has gaps of the same
+law as one long path.  (One increment carries across a crossing, an O(h)
+coupling that the lag-1 check sees within a lane.)  A lane keeps the gaps
+that start before a cut time T_c, so it runs to its first crossing at or
+after T_c.  Whether its k-th gap is kept depends only on the gaps before
+it, so by Wald's identity (Wald 1944) the kept gaps sum on average to
+pi/sqrt(E) times their mean number: their mean has no length bias, only
+the O(1/lanes) bias of a ratio.  Keeping the gaps that end before T_c
+would favour short gaps, and counting crossings up to a fixed time is
+biased by O(1/T).  The stop reads only crossing times, never the block.
 
 Matrix routes.  The scaled discrete circle operator (weight n) has
 eigenvalues approximating the continuum ones, counted by a dense
@@ -74,7 +65,6 @@ phase-counting runs, which call neither, do not pay those imports.
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -85,8 +75,7 @@ if TYPE_CHECKING:
     import scipy.sparse
 
 from .beta_field import BetaField, dense_h
-from .stochastic import (RngStream, SampledPath, brownian_increments, grid_cells, map_forked,
-                         pool_workers, stream_blocks)
+from .stochastic import RngStream, SampledPath, brownian_increments, grid_cells, stream_blocks
 
 _PI = math.pi
 
@@ -122,33 +111,6 @@ _SCAN_CHUNK = 1 << 15
 _LANE_BLOCK = 256
 
 
-def _scan_cells(ratios: list[float], psi: float, dpsi: float, first: int,
-                records: list) -> float:
-    """Advance the gauge angle psi in [0, pi) across consecutive cells.
-
-    ratios[j] = log of the coefficient ratio between cell first+j and the
-    cell before it.  At a cell boundary the angle is rescaled by that
-    ratio, which stays O(1) on a Brownian grid, so no precision is lost
-    even when M^2 itself spans hundreds of e-folds.  The rescaled angle
-    is nonnegative (sin psi >= 0 on [0, pi)).  A cell whose advanced
-    angle crosses pi appends (cell, entry angle, crossings).
-    """
-    exp, sin, cos, atan2 = math.exp, math.sin, math.cos, math.atan2
-    cross_at = _CROSS_ANGLE
-    for i, d in enumerate(ratios, first):
-        psi = atan2(exp(d) * sin(psi), cos(psi))
-        x = psi + dpsi
-        if x < cross_at:
-            psi = x
-            continue
-        ncross = int((x + _CROSS_TOL) // _PI)
-        records.append((i, psi, ncross))
-        psi = x - ncross * _PI
-        if psi < 0.0:
-            psi = 0.0
-    return psi
-
-
 def _path_chunks(gbm: SampledPath, e_level: float):
     """Yield (lo, log ratios of cells lo..hi-1) of a geometric path, _SCAN_CHUNK cells at a time.
 
@@ -169,18 +131,18 @@ def _path_chunks(gbm: SampledPath, e_level: float):
         yield lo, ratios
 
 
-def _cell_ratios(blocks, h: float):
+def _cell_ratios(blocks, h: float, before=None):
     """Yield (lo, log ratios of cells lo..hi-1) of Brownian paths, from their increments.
 
     blocks yields (lo, x), x[r, j] the increment over cell lo + j of path
     r (stochastic.brownian_increments), on cells of width h.  With log M =
     B_t - t/2, the ratio between the frozen coefficients of cell i and
     cell i - 1 is log M_{i+1} - log M_{i-1} = (x_{i-1} + x_i) - h: the
-    anchor of B, the grid's origin and log sqrt(E) cancel.  The first
-    block's first cell has no predecessor here and takes ratio 0; one
-    increment carries across blocks.
+    anchor of B, the grid's origin and log sqrt(E) cancel.  before holds
+    each path's increment over the cell before the first block; without
+    it that cell has no predecessor and takes ratio 0.  One increment
+    carries across blocks.
     """
-    before = None
     for lo, x in blocks:
         d = np.empty(x.shape)
         d[:, 0] = 0.0 if before is None else before + x[:, 0] - h
@@ -190,76 +152,65 @@ def _cell_ratios(blocks, h: float):
         yield lo, d
 
 
-@dataclass
-class _Piece:
-    """The scan of cells lo..hi-1 of one path (_scan)."""
-    lo: int
-    hi: int
-    entry: float      # psi on entering cell lo
-    records: list     # _scan_cells' records of cells lo..hi-1
-    ends: dict        # chunk end e in (lo, hi] -> psi after cell e - 1
+def _scan(chunks, step: float, e_level: float) -> tuple[list, float]:
+    """Scalar route: scan a path's cells from psi = 0; its crossing records and final psi.
 
-
-def _scan(chunks, step: float, e_level: float, lo: int, hi: int, start: int = 0,
-          psi: float = 0.0, merge: _Piece | None = None) -> _Piece:
-    """Scalar route: scan cells start..hi-1 from psi, given on entering cell start.
-
-    chunks yields (c, log ratios of cells c..c'-1) for consecutive chunks
-    of cells of width step, up to cell hi - 1, the first one holding cell
-    start (_path_chunks, _renewal_chunks).  Returns the crossing records of
-    cells lo..hi-1, psi on entering lo and psi at each chunk end past lo.
-    Given merge, an earlier scan of the same cells, the scan stops at the
-    first chunk end where psi equals merge's bit for bit; merge's records
-    and ends stand from there on.  Memory is one chunk plus the records.
+    chunks yields (lo, log ratios of cells lo..hi-1) for consecutive chunks
+    of cells of width step (_path_chunks).  At a cell boundary the angle is
+    rescaled by the exp of that ratio, which stays O(1) on a Brownian grid,
+    so no precision is lost even when M^2 spans hundreds of e-folds, and
+    stays in [0, pi) (sin psi >= 0).  A cell whose advanced angle crosses
+    pi appends (cell, entry angle, crossings) to the records.  Memory is
+    one chunk plus the records.
     """
-    dpsi = math.sqrt(e_level) * step
-    records: list = []
-    entry, ends = psi, {}
-    for c, ratios in chunks:
-        first = max(start, c)
-        psi = _scan_cells(ratios[first - c:].tolist(), psi, dpsi, first, records)
-        end = c + ratios.size
-        if end <= lo:
-            entry = psi
-            continue
-        ends[end] = psi
-        if merge is not None and psi.hex() == merge.ends[end].hex():
-            records += [r for r in merge.records if r[0] >= end]
-            ends = {**merge.ends, **ends}
-            break
-    return _Piece(lo, hi, entry, [r for r in records if r[0] >= lo], ends)
+    exp, sin, cos, atan2 = math.exp, math.sin, math.cos, math.atan2
+    cross_at, dpsi = _CROSS_ANGLE, math.sqrt(e_level) * step
+    psi, records = 0.0, []
+    for lo, ratios in chunks:
+        for i, d in enumerate(ratios.tolist(), lo):
+            psi = atan2(exp(d) * sin(psi), cos(psi))
+            x = psi + dpsi
+            if x < cross_at:
+                psi = x
+                continue
+            ncross = int((x + _CROSS_TOL) // _PI)
+            records.append((i, psi, ncross))
+            psi = x - ncross * _PI
+            if psi < 0.0:
+                psi = 0.0
+    return records, psi
 
 
-def _crossing_times(records: list, step: float, e_level: float) -> np.ndarray:
-    """Times of the pi-crossings of _scan_cells' records, offsets from the path start.
+def _crossing_times(cells, psi_in, ncross, step: float, root_e) -> np.ndarray:
+    """Times from the path start of the pi-crossings in cells entered at psi_in.
 
-    Within cell i the gauge angle moves at rate sqrt(E) from its entry
-    angle, so its j-th crossing is at i*h + (j*pi - psi_in)/sqrt(E).
+    Cell i is crossed ncross[i] times.  The gauge angle moves at rate
+    root_e = sqrt(E) (one value, or one per cell), so a cell's j-th
+    crossing is at cell*h + (j*pi - psi_in)/sqrt(E).
     """
-    rec = np.array(records, dtype=float).reshape(-1, 3)
-    nc = rec[:, 2].astype(np.int64)
-    cells = np.repeat(rec[:, 0].astype(np.int64), nc)
-    psi_in = np.repeat(rec[:, 1], nc)
+    nc = np.asarray(ncross, dtype=np.int64)
+    cells = np.repeat(cells, nc)
+    psi_in = np.repeat(psi_in, nc)
+    root_e = np.repeat(root_e, nc) if np.ndim(root_e) else root_e
     j = np.arange(1, cells.size + 1) - np.repeat(np.cumsum(nc) - nc, nc)
-    return cells * step + (j * _PI - psi_in) / math.sqrt(e_level)
+    return cells * step + (j * _PI - psi_in) / root_e
 
 
 def phase_propagate(e_level: float, gbm: SampledPath) -> PhaseTrace:
     """Propagate the phase over the whole span of the geometric path gbm from theta = 0."""
     if not e_level > 0:
         raise ValueError("E must be positive")
-    n = gbm.values.size - 1
-    if n < 1:
+    if gbm.values.size < 2:
         raise ValueError("path has no cell: phase propagation needs at least two nodes")
-    scan = _scan(_path_chunks(gbm, e_level), gbm.step, e_level, 0, n)
-    psi = scan.ends[n]
+    records, psi = _scan(_path_chunks(gbm, e_level), gbm.step, e_level)
     # unwind the final gauge angle to the raw phase fraction by the last cell's logc
     logm = np.log(gbm.values[-2:])
     logc_last = 0.5 * math.log(e_level) + logm[0] + logm[1]
     phi = math.atan2(math.sin(psi), math.exp(min(logc_last, 700.0)) * math.cos(psi))
     if phi < 0.0:
         phi = 0.0
-    crossings = _crossing_times(scan.records, gbm.step, e_level)
+    rec = np.array(records, dtype=float).reshape(-1, 3)
+    crossings = _crossing_times(*rec.T, gbm.step, math.sqrt(e_level))
     return PhaseTrace(crossings.size * _PI + phi, crossings, crossings.size)
 
 
@@ -268,39 +219,57 @@ def count_states_phase(e_level: float, gbm: SampledPath) -> int:
     return phase_propagate(e_level, gbm).count
 
 
+def _lane_step(ratios, psi, dpsi, count, records=None) -> np.ndarray:
+    """Lane route: advance every lane across one block of cells, one numpy step per cell.
+
+    ratios[j, k] is the coefficient ratio (the exp of the log ratio) that
+    lane k reads at the block's cell j, psi[k] its angle on entering the
+    block and dpsi[k] = sqrt(E)*h its advance.  Each cell takes the scalar
+    route's steps on all lanes together: rescale through arctan2, advance,
+    then (only in cells where some lane crosses) floor-divide by pi with
+    the tolerance, add the crossings to count and clamp at 0.  Given
+    records, such a cell also appends (its cell index in the block per
+    crossing lane, those lanes, their entry angles, their crossings).
+    Returns the angles after the block; psi is used as scratch.
+    """
+    n_lanes = psi.size
+    sn, cs, x, nc = np.empty(n_lanes), np.empty(n_lanes), np.empty(n_lanes), np.empty(n_lanes)
+    crossing = np.empty(n_lanes, dtype=bool)
+    for j, r in enumerate(ratios):
+        np.sin(psi, out=sn)
+        np.cos(psi, out=cs)
+        np.multiply(r, sn, out=sn)
+        np.arctan2(sn, cs, out=psi)
+        np.add(psi, dpsi, out=x)
+        np.greater_equal(x, _CROSS_ANGLE, out=crossing)
+        if np.count_nonzero(crossing):
+            np.add(x, _CROSS_TOL, out=nc)
+            np.floor_divide(nc, _PI, out=nc)
+            count += nc
+            if records is not None:
+                k = np.flatnonzero(crossing)
+                records.append((np.full(k.size, j), k, psi[k], nc[k]))
+            x -= nc * _PI
+            np.maximum(x, 0.0, out=x)
+        psi, x = x, psi
+    return psi
+
+
 def _lane_counts(ratio_blocks, n_rep: int, step: float, e_list) -> np.ndarray:
-    """Lane route: pi-crossing counts of every (E, replica) lane at once.
+    """pi-crossing counts of every (E, replica) lane over the whole of its path.
 
     ratio_blocks yields (lo, log ratios of cells lo..hi-1) of the n_rep
     paths, one row each, all on the same grid, for consecutive blocks of
     cells (_cell_ratios).  The ratios do not depend on E, so each is
-    exponentiated once for all of a replica's lanes.  Each cell takes the
-    scalar route's steps on all lanes together: rescale through arctan2,
-    advance by sqrt(E)*h, then (only in cells where some lane crosses)
-    floor-divide by pi with the tolerance and clamp at 0.  Memory is
-    O(lanes x block).  Returns counts of shape (len(e_list), n_rep).
+    exponentiated once for all of a replica's lanes; lane e * n_rep + r
+    reads replica r.  Memory is O(lanes x block).  Returns counts of
+    shape (len(e_list), n_rep).
     """
     dpsi = np.repeat([math.sqrt(e) * step for e in e_list], n_rep)
-    n_lanes = dpsi.size
-    psi = np.zeros(n_lanes)
-    count = np.zeros(n_lanes)
-    sn, cs, nc = np.empty(n_lanes), np.empty(n_lanes), np.empty(n_lanes)
-    crossing = np.empty(n_lanes, dtype=bool)
+    paths = np.tile(np.arange(n_rep), len(e_list))
+    psi, count = np.zeros(dpsi.size), np.zeros(dpsi.size)
     for _, d in ratio_blocks:
-        # one row per cell; lane e * n_rep + r takes replica r's ratio
-        for r in np.tile(np.exp(d).T, len(e_list)):
-            np.sin(psi, out=sn)
-            np.cos(psi, out=cs)
-            np.multiply(r, sn, out=sn)
-            np.arctan2(sn, cs, out=psi)
-            np.add(psi, dpsi, out=psi)
-            np.greater_equal(psi, _CROSS_ANGLE, out=crossing)
-            if np.count_nonzero(crossing):
-                np.add(psi, _CROSS_TOL, out=nc)
-                np.floor_divide(nc, _PI, out=nc)
-                count += nc
-                psi -= nc * _PI
-                np.maximum(psi, 0.0, out=psi)
+        psi = _lane_step(np.take(np.exp(d).T, paths, axis=1), psi, dpsi, count)
     return count.astype(np.int64).reshape(len(e_list), n_rep)
 
 
@@ -375,141 +344,83 @@ def fd_spectrum_twisted(gbm: SampledPath, k: int = 8) -> np.ndarray:
 # Renewal gaps and the density-of-states sweep
 # ---------------------------------------------------------------------------
 
-# The warm-up before a cut, as a time: the contraction that lets a warm-up
-# land on the true angle bit for bit acts per unit of time, not per cell.
-# Measured at step 1e-3, E in {0.25, 1, 4, 16}, 36 cuts per energy: the
-# first bitwise-equal cell came after a median of 32-35k cells, at most
-# 69.4k; this is 2^17 cells at step 1e-3.
-_WARM_TIME = 131.072
-# Per-cell cost of drawing a path's increments without scanning them,
-# relative to scanning a cell (which draws it too): 19.7-22.3 ns against
-# 348-392 ns, ratios 0.052-0.064, on a 2-vCPU Xeon VM (standard_normal and
-# its scale over 32768-cell chunks, against the whole scan at E = 1 and 4).
-_DRAW_COST = 0.055
+# Lanes per energy of the renewal gaps: at the registered 4000 crossings per
+# energy each keeps about 16 gaps, about 3900 lag-1 pairs within lanes, and
+# each numpy step of a cell spreads its call overhead over 256 lanes.
+_LANES = 256
 
 
-def _warm_cells(step: float) -> int:
-    """Cells of the warm-up before a cut: _WARM_TIME on cells of width step."""
-    return math.ceil(_WARM_TIME / step)
+def renewal_statistics(e_levels, horizons, s: RngStream, step: float = 1e-3,
+                       min_count: int = 100) -> list[list[np.ndarray]]:
+    """pi-crossing gaps of _LANES independent lanes per energy: per energy, one array per lane.
 
-
-def renewal_statistics(e_levels, horizons, streams, step: float = 1e-3,
-                       min_count: int = 100) -> list[np.ndarray]:
-    """Interarrival gaps of the pi-crossing times on [0, horizons[k]], one array per energy.
-
-    Path k is B from B_0 = 0, drawn from streams[k] on cells of width step,
-    read as log M = B_t - t/2 and scanned at energy e_levels[k] from
-    theta = 0.  The gaps are those of one scan of the whole path, bit for
-    bit, whatever the pool_workers() count: the first bin of work runs in
-    this process and the others in forked children (see the module
-    docstring); with one usable CPU nothing is cut or forked.  Every energy
-    and horizon is checked before any child starts.  The streams are not
-    advanced.
+    Lane r of energy e_levels[k] reads path r, log M = B_t - t/2 with B
+    drawn from s.substream(r + 1) (stochastic.stream_blocks) on cells of
+    width step, from theta = 0, and keeps its gaps that start before
+    T_c = horizons[k] / _LANES (module docstring).  Every energy reads the
+    same paths.  The arguments are checked before any draw.  Raises
+    RuntimeError if an energy keeps fewer than min_count gaps.
     """
-    streams = list(streams)
-    sizes = []
-    for e_level, horizon, _ in zip(e_levels, horizons, streams, strict=True):
+    e_levels, horizons = list(e_levels), list(horizons)
+    for e_level, horizon in zip(e_levels, horizons, strict=True):
         if not e_level > 0:
             raise ValueError("E must be positive")
-        sizes.append(grid_cells(horizon, step)[0])
-    bins = _renewal_bins(sizes, pool_workers(), _warm_cells(step))
-    jobs = [([(e_levels[k], streams[k], step, lo, hi) for k, lo, hi in b],) for b in bins]
-    done = [piece for pieces in map_forked(_scan_bin, jobs) for piece in pieces]
-    paths = [k for b in bins for k, _, _ in b]
+        grid_cells(horizon, step)        # a positive, finite horizon and step
+    if not e_levels:
+        return []
+    t_cut = np.divide(horizons, _LANES)
+    lane, _, times = _lane_crossings(np.sqrt(e_levels), t_cut, s, step)
+    per_lane = np.split(times, np.searchsorted(lane, np.arange(1, t_cut.size * _LANES)))
     out = []
-    for k, e_level in enumerate(e_levels):
-        records: list = []
-        psi = 0.0                    # the true psi on entering the next piece
-        for piece in (piece for j, piece in zip(paths, done) if j == k):
-            if piece.entry.hex() != psi.hex():
-                chunks = _renewal_chunks(streams[k], piece.hi, step, piece.lo)
-                piece = _scan(chunks, step, e_level, piece.lo, piece.hi, piece.lo, psi, piece)
-            records += piece.records
-            psi = piece.ends[piece.hi]
-        crossings = _crossing_times(records, step, e_level)
-        gaps = np.diff(np.concatenate([[0.0], crossings]))
-        if gaps.size < min_count:
-            raise RuntimeError(f"insufficient data: {gaps.size} interarrivals < {min_count}")
+    for k, cut in enumerate(t_cut):
+        gaps = [_lane_gaps(t, cut) for t in per_lane[k * _LANES:(k + 1) * _LANES]]
+        n = sum(g.size for g in gaps)
+        if n < min_count:
+            raise RuntimeError(f"insufficient data: {n} interarrivals < {min_count}")
         out.append(gaps)
     return out
 
 
-def _piece_cost(lo: int, hi: int, warm: int) -> float:
-    """Cost of _scan_bin's scan of cells lo..hi-1, in scanned cells.
+def _lane_crossings(root_e, t_cut, s: RngStream, step: float):
+    """Run renewal_statistics' lanes: the (lane, cell, time) of each crossing, sorted by lane.
 
-    The cells, the warm-up of up to warm cells and the draw-only prefix
-    before the warm-up.
+    Lane k * _LANES + r runs at sqrt(E) = root_e[k] on path r until it has
+    a crossing at or after t_cut[k].  The paths are drawn _LANE_BLOCK cells
+    at a time, and a path is dropped once all its lanes are done.  A lane
+    done in the middle of a block runs to the block's end; _lane_gaps
+    drops the crossings after its stop, which depend on the block.
     """
-    warm = min(lo, warm)
-    return hi - lo + warm + _DRAW_COST * (lo - warm)
+    root_e, t_cut = np.repeat(root_e, _LANES), np.repeat(t_cut, _LANES)
+    gens = [path.gen for _, _, path in stream_blocks(s, _LANES, 1)]
+    lanes = np.arange(root_e.size)       # the running lanes
+    paths = np.arange(_LANES)            # the paths still drawn
+    psi, before, found, lo = np.zeros(lanes.size), None, [], 0
+    while lanes.size:
+        [(_, x)] = brownian_increments([gens[p] for p in paths], _LANE_BLOCK, step, _LANE_BLOCK)
+        [(_, d)] = _cell_ratios([(lo, x)], step, before)
+        ratios = np.take(np.exp(d, out=d).T, np.searchsorted(paths, lanes % _LANES), axis=1)
+        records = []
+        psi = _lane_step(ratios, psi, root_e[lanes] * step, np.zeros(lanes.size), records)
+        if records:
+            cells, k, entry, nc = (np.concatenate(a) for a in zip(*records))
+            nc = nc.astype(np.int64)
+            times = _crossing_times(lo + cells, entry, nc, step, root_e[lanes[k]])
+            cells, k = np.repeat(lo + cells, nc), np.repeat(k, nc)     # one entry per crossing
+            found.append((lanes[k], cells, times))
+            running = np.ones(lanes.size, dtype=bool)
+            running[k[times >= t_cut[lanes[k]]]] = False
+            lanes, psi = lanes[running], psi[running]
+        drawn = np.isin(paths, lanes % _LANES)
+        paths, before = paths[drawn], x[drawn, -1]
+        lo += _LANE_BLOCK
+    lane, cell, times = (np.concatenate(a) for a in zip(*found))
+    order = np.argsort(lane, kind="stable")
+    return lane[order], cell[order], times[order]
 
 
-def _renewal_bins(sizes: list[int], workers: int, warm: int) -> list[list]:
-    """Cut paths of sizes[k] cells into at most workers bins of about equal _piece_cost.
-
-    A bin is a list of pieces (k, lo, hi): cells lo..hi-1 of path k, with
-    lo and hi multiples of _SCAN_CHUNK unless they are a path's ends.  A
-    cut piece costs a warm-up of warm cells.  The bins are the greedy
-    fill, in path order, of the smallest bin cost (found by bisection)
-    that needs at most workers bins, so the bins in order hold every
-    path's cells in order.  One worker gets one bin of whole paths.
-    """
-    def fill(cap: float):
-        bins, cur, room = [], [], cap
-        for k, n in enumerate(sizes):
-            lo = 0
-            while lo < n:
-                if _piece_cost(lo, n, warm) <= room:
-                    hi = n
-                else:                # the longest piece from lo that fits
-                    hi = lo + int((room - _piece_cost(lo, lo, warm)) // _SCAN_CHUNK) * _SCAN_CHUNK
-                if hi > lo:
-                    cur.append((k, lo, hi))
-                    room -= _piece_cost(lo, hi, warm)
-                    lo = hi
-                if lo < n:           # the bin is full
-                    if not cur:
-                        return None
-                    bins.append(cur)
-                    cur, room = [], cap
-        return bins + [cur]
-
-    low, high = 0.0, float(sum(sizes))
-    for _ in range(50):
-        mid = (low + high) / 2
-        bins = fill(mid)
-        if bins is not None and len(bins) <= workers:
-            high = mid
-        else:
-            low = mid
-    return fill(high)
-
-
-def _renewal_chunks(s: RngStream, hi: int, step: float, start: int):
-    """Yield _scan's chunks of the path of a copy of s, cells 0..hi-1.
-
-    The increments are drawn from cell 0 (stochastic.brownian_increments),
-    so the ratios are those of the whole path bit for bit.  The chunks
-    that end before cell start - 1 are drawn only; the first one kept
-    holds cell start - 1, so every cell from start on has its true ratio.
-    """
-    incr = brownian_increments([copy.deepcopy(s.gen)], hi, step, _SCAN_CHUNK)
-    for lo, d in _cell_ratios(((lo, x) for lo, x in incr if lo + x.shape[1] >= start), step):
-        yield lo, d[0]
-
-
-def _scan_bin(pieces) -> list[_Piece]:
-    """A bin's job: _scan of each piece (e_level, s, step, lo, hi), in order.
-
-    A piece that starts at lo > 0 scans a warm-up of _warm_cells(step)
-    cells before lo from psi = 0, which is invariant under rescaling, so
-    the warm-up's first ratio does not matter.
-    """
-    out = []
-    for e_level, s, step, lo, hi in pieces:
-        start = max(0, lo - _warm_cells(step))
-        out.append(_scan(_renewal_chunks(s, hi, step, start), step, e_level, lo, hi, start))
-    return out
+def _lane_gaps(times: np.ndarray, t_cut: float) -> np.ndarray:
+    """A lane's kept gaps: those that start before t_cut, up to its first crossing from t_cut on."""
+    return np.diff(times[:np.searchsorted(times, t_cut) + 1], prepend=0.0)
 
 
 def dos_sweep(e_list, lam: float, replicas: int, s: RngStream,

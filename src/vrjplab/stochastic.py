@@ -6,9 +6,13 @@ Brownian increments (``brownian_increments``) and the
 exponential-functional walk.  The IG draw finishes its output in place, a
 cache-sized block at a time, so it needs no whole-size temporaries.  Every
 stepwise ensemble reads its per-step normals from one draw-ahead source,
-``step_normals``.  The phase-counting experiments read only the increments
-of their paths, a block of cells at a time, so their memory does not grow
-with the path length.
+``step_normals``.
+
+The phase-counting experiments read only the increments of their paths
+(``brownian_increments``), a block of cells at a time, so their memory
+does not grow with the path length.  The renewal gaps draw one path per
+lane, shared by the energies, until every lane on it has stopped at its
+first crossing at or after a cut time (spectrum: why no length bias).
 ``log_gbm_rows`` draws each row block in one call: its row blocks run on
 the worker threads, where a draw per row (as in ``brownian_increments``)
 and a new buffer per block made the matrix samplers measurably slower.
@@ -32,30 +36,11 @@ private pool (``_pool``).  A pool task either owns one stream block and
 its slice of the output, or draws the next chunk of ``step_normals``, so
 seeded output does not depend on the thread count.  Pool tasks call
 numpy and untraced helpers only, and never submit to the pool themselves.
-
-Pure-Python work holds the interpreter lock, so the pool cannot overlap
-it; ``map_forked`` runs such jobs in forked child processes instead, at
-most one fewer than the pool's workers at once, so the worker count has
-the one source, the usable CPUs.  Fork, not spawn or forkserver: a new
-interpreter imports numpy and vrjplab afresh, about 0.17 s per child on a
-2-vCPU VM against about 3 ms for a fork, about as much as the overlap
-saves on the phase scans it serves.  Forking a process with threads is
-safe only while those threads hold no lock the child needs; the pool's
-threads are idle while ``map_forked`` runs, the child builds a pool of
-its own if it needs one (``os.register_at_fork`` below), and the job
-touches only its own arguments.  The package imports scipy's
-subpackages inside the functions that call them, and none of those runs
-in a pool task or a forked job, so no thread holds the import lock at a
-fork.  Python 3.12+ warns (DeprecationWarning) on every fork of a
-process that has threads; the idle pool threads are what it sees.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-import multiprocessing
-import multiprocessing.connection
 import os
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
@@ -209,15 +194,6 @@ def _pool() -> ThreadPoolExecutor:
     return _POOL
 
 
-def _forget_pool() -> None:
-    # a forked child has none of the parent's threads; it builds its own pool
-    global _POOL
-    _POOL = None
-
-
-os.register_at_fork(after_in_child=_forget_pool)
-
-
 def pool_workers() -> int:
     """Number of threads in the worker pool."""
     return _pool()._max_workers
@@ -243,75 +219,6 @@ def map_stream_blocks(fn, s: RngStream, n_rep: int, block: int) -> None:
     wait(tasks)
     for task in tasks:
         task.result()
-
-
-def _forked_call(conn, fn, job) -> None:
-    # runs in the child: reply (True, result) or (False, the exception)
-    try:
-        reply = (True, fn(*job))
-    except Exception as exc:
-        reply = (False, exc)
-    conn.send(reply)
-    conn.close()
-
-
-def map_forked(fn, jobs) -> list:
-    """[fn(*job) for job in jobs]: jobs[0] in this process, the others in forked children.
-
-    For pure-Python work, which holds the interpreter lock, so threads
-    cannot overlap it.  At most pool_workers() - 1 children are alive at
-    once; with one worker every job runs here and nothing is forked.  A
-    child pickles back only fn's result.  Results come in job order.  A
-    child's exception is raised again here with its own type and message;
-    a child that exits without a reply raises RuntimeError.  Every child
-    is reaped before this returns, and on an error the ones still running
-    are terminated first.  Callers must not run it while pool tasks are
-    in flight (see the module docstring on fork).
-    """
-    jobs = list(jobs)
-    slots = pool_workers() - 1
-    if slots < 1 or len(jobs) < 2:
-        return [fn(*job) for job in jobs]
-    ctx = multiprocessing.get_context("fork")
-    results = [None] * len(jobs)
-    running = {}                        # reply connection -> (job index, child)
-    queued = iter(range(1, len(jobs)))
-
-    def start(i: int) -> None:
-        recv, send = ctx.Pipe(duplex=False)
-        child = ctx.Process(target=_forked_call, args=(send, fn, jobs[i]), daemon=True)
-        child.start()
-        send.close()
-        running[recv] = (i, child)
-
-    try:
-        for i in itertools.islice(queued, slots):
-            start(i)
-        results[0] = fn(*jobs[0])
-        while running:
-            for conn in multiprocessing.connection.wait(list(running)):
-                i, child = running.pop(conn)
-                try:
-                    ok, value = conn.recv()
-                except EOFError:
-                    child.join()
-                    raise RuntimeError(f"forked job {i} exited with code {child.exitcode} "
-                                       f"without a result") from None
-                finally:
-                    conn.close()
-                child.join()
-                if not ok:
-                    raise value
-                results[i] = value
-                following = next(queued, None)
-                if following is not None:
-                    start(following)
-    finally:
-        for conn, (_, child) in running.items():
-            child.terminate()
-            child.join()
-            conn.close()
-    return results
 
 
 # A draw chunk holds about this many normals (1 MB); two are alive at once.

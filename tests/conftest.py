@@ -6,8 +6,8 @@ written next to the tests; no deadline, since the numpy-heavy examples
 vary in time with the host.
 
 Every test must reap every child process it starts, directly or through
-the code under test (stochastic.map_forked forks): a child left running
-or unreaped fails the test that left it.
+the code under test (the CLI tests start the console entry point): a
+child left running or unreaped fails the test that left it.
 """
 
 import os

@@ -4,7 +4,7 @@ No experiment holds a whole Brownian path: the phase-counting experiments
 read only the increments of theirs, streamed from
 stochastic.brownian_increments.  The tests still build whole paths, to feed
 phase_propagate and the oracles, and to check the streamed routes against
-whole-path ones bit for bit.  Likewise matsumoto_yor.build_my_chains keeps
+whole-path ones.  Likewise matsumoto_yor.build_my_chains keeps
 only the chain ends; chain_arrays_from_a gives the whole chains.
 """
 
@@ -60,19 +60,27 @@ def sample_gbm_path(t0: float, t1: float, step: float, s: RngStream) -> SampledP
     return geometric(sample_brownian_path(t0, t1, step, s))
 
 
-def renewal_gaps_whole_path(e_level: float, horizon: float, s: RngStream,
-                            step: float) -> np.ndarray:
-    """renewal_statistics' gaps from one whole draw: no streaming and no cut.
+def renewal_lane_whole_path(e_level: float, t_cut: float, s: RngStream, step: float,
+                            n_cells: int):
+    """One renewal lane by the scalar route on its path drawn whole, up to the lane's stop.
 
-    The increments of all cells come from one draw, their log ratios from
-    one array operation, and one scalar scan reads them all.
+    The increments of n_cells cells come from one draw of s, their log
+    ratios from one array operation, and one scalar _scan reads them all.
+    Returns the ratios and, for each crossing up to the first at or after
+    t_cut, its cell and time; raises if no crossing within n_cells
+    reaches t_cut.
     """
-    n, _ = grid_cells(horizon, step)
-    x = s.gen.standard_normal(n) * math.sqrt(step)
+    x = s.gen.standard_normal(n_cells) * math.sqrt(step)
     ratios = np.concatenate([[0.0], x[:-1] + x[1:] - step])
-    times = sp._crossing_times(sp._scan([(0, ratios)], step, e_level, 0, n).records, step,
-                               e_level)
-    return np.diff(np.concatenate([[0.0], times]))
+    records, _ = sp._scan([(0, ratios)], step, e_level)
+    rec = np.array(records, dtype=float).reshape(-1, 3)
+    nc = rec[:, 2].astype(np.int64)
+    cells = rec[:, 0].astype(np.int64)
+    times = sp._crossing_times(cells, rec[:, 1], nc, step, math.sqrt(e_level))
+    stop = int(np.searchsorted(times, t_cut))
+    if stop == times.size:
+        raise ValueError(f"no crossing at or after {t_cut} within {n_cells} cells")
+    return ratios, np.repeat(cells, nc)[:stop + 1], times[:stop + 1]
 
 
 def chain_arrays_from_a(a: np.ndarray, m: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -11,9 +11,13 @@ ulp) must reproduce every count.  Two more reference routes check the
 closed form itself: a generic RK4 integration of the phase ODE, and the
 per-cell Riccati identity at the oracle's entry angles.
 
-renewal_statistics and dos_sweep stream their increments; they must give
-what one whole draw gives, bit for bit: the renewal gaps of one scan of
-all the ratios, and the lane counts of all the ratios held whole.
+dos_sweep and renewal_statistics stream their increments.  The lane
+counts must be those of all the ratios held whole, bit for bit, and the
+renewal gaps must not depend on the lane block, even one block that
+holds every lane's whole path.  Each renewal lane must give every
+crossing cell and count of a scalar scan of its path drawn whole, with
+crossing times inside the ratio-rounding bound; and its kept gaps must
+have no length bias.
 """
 
 import math
@@ -24,11 +28,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import vrjplab.spectrum as sp
-from vrjplab.spectrum import _CROSS_TOL, _PI, dos_sweep, phase_propagate, renewal_statistics
+from vrjplab.spectrum import (_CROSS_TOL, _LANES, _PI, dos_sweep, phase_propagate,
+                              renewal_statistics)
 from vrjplab.stochastic import (SampledPath, brownian_increments, grid_cells, log_gbm_rows,
                                 new_stream)
 
-from reference_paths import (geometric, renewal_gaps_whole_path, sample_brownian_path,
+from reference_paths import (geometric, renewal_lane_whole_path, sample_brownian_path,
                              sample_gbm_path)
 
 
@@ -93,11 +98,11 @@ def _increment_ratios(seed, n_cells, step, block):
     return ((lo, d[0]) for lo, d in sp._cell_ratios(incr, step))
 
 
-def _whole_scan(chunks, n_cells, step, e_level):
-    """_scan of cells 0..n_cells-1, and its crossing cells, entry angles and crossings."""
-    scan = sp._scan(chunks, step, e_level, 0, n_cells)
-    rec = np.array(scan.records, dtype=float).reshape(-1, 3)
-    return scan, rec[:, 0].astype(np.int64), rec[:, 1], rec[:, 2].astype(np.int64)
+def _whole_scan(chunks, step, e_level):
+    """_scan's records and final angle, and its crossing cells, entry angles and crossings."""
+    records, psi = sp._scan(chunks, step, e_level)
+    rec = np.array(records, dtype=float).reshape(-1, 3)
+    return records, psi, rec[:, 0].astype(np.int64), rec[:, 1], rec[:, 2].astype(np.int64)
 
 
 energies = st.sampled_from([0.25, 0.5, 1.0, 2.0, 4.0, 9.0, 16.0, 30.0])
@@ -110,10 +115,10 @@ def test_scalar_route_bit_identical_to_oracle(seed, e_level, lam, step):
     path = _path(seed, lam, step)
     count, psi, cells, psi_in, theta, times = _oracle(path, e_level)
     n = path.values.size - 1
-    scan, got_cells, got_psi_in, nc = _whole_scan(sp._path_chunks(path, e_level), n, path.step,
-                                                  e_level)
+    _, got_psi, got_cells, got_psi_in, nc = _whole_scan(sp._path_chunks(path, e_level),
+                                                        path.step, e_level)
     assert nc.sum() == count
-    assert scan.ends[n] == psi
+    assert got_psi == psi
     assert np.array_equal(got_cells, cells)
     assert np.array_equal(got_psi_in, psi_in)
     tr = phase_propagate(e_level, path)
@@ -134,8 +139,7 @@ def test_scalar_route_across_chunk_seams():
 def test_gbm_path_bit_identical_to_oracle():
     geo = geometric(sample_brownian_path(-3.0, 3.0, 1e-3, new_stream(8, 3)))
     for e_level in (1.0, 4.0):
-        _, _, _, nc = _whole_scan(sp._path_chunks(geo, e_level), geo.values.size - 1, geo.step,
-                                  e_level)
+        *_, nc = _whole_scan(sp._path_chunks(geo, e_level), geo.step, e_level)
         assert nc.sum() == _oracle(geo, e_level)[0]
 
 
@@ -149,19 +153,35 @@ _CELL_ROUNDING = 8 * np.spacing(2 * math.pi)
 
 
 def _entry_angle_bounds(path, e_level, d_other):
-    """Per cell, a bound on how far a scan of the ratios d_other enters from the oracle.
+    """Per cell, a bound on how far a scan of the ratios d_other enters from the oracle."""
+    logc = _oracle_logc(path, e_level)
+    d = np.concatenate([[0.0], np.diff(logc)])
+    _, psi_in, _ = _phase_core(logc, math.sqrt(e_level) * path.step)
+    return _angle_bounds(d, psi_in, math.sqrt(e_level) * path.step, np.abs(d - d_other))
+
+
+def _ratio_entry_angles(d, dpsi):
+    """The entry angle of every cell of a scalar scan of the log ratios d from psi = 0."""
+    psi_in = np.empty(d.size)
+    psi = 0.0
+    for i, di in enumerate(d.tolist()):
+        psi = math.atan2(math.exp(di) * math.sin(psi), math.cos(psi))
+        psi_in[i] = psi
+        x = psi + dpsi
+        psi = max(x - ((x + _CROSS_TOL) // _PI) * _PI, 0.0)
+    return psi_in
+
+
+def _angle_bounds(d, psi_in, dpsi, dd):
+    """Per cell, a bound on how far a scan of the ratios d + dd enters from psi_in, d's scan.
 
     To first order in the differences, the rescale psi -> atan2(e^d sin psi,
     cos psi) passes an angle error on with factor e^d / (cos^2 + e^2d sin^2)
-    and a ratio error with factor e^d |sin cos| / (cos^2 + e^2d sin^2), both
-    at the oracle's angle; each scan adds _CELL_ROUNDING per cell.
+    and a ratio error |dd| with factor e^d |sin cos| / (cos^2 + e^2d sin^2),
+    both at psi_in; each scan adds _CELL_ROUNDING per cell.
     """
-    logc = _oracle_logc(path, e_level)
-    d = np.concatenate([[0.0], np.diff(logc)])
-    dd = np.abs(d - d_other)
-    _, psi_in, _ = _phase_core(logc, math.sqrt(e_level) * path.step)
     # psi on leaving each cell: advanced, wrapped and clamped as the oracle does
-    x = psi_in + math.sqrt(e_level) * path.step
+    x = psi_in + dpsi
     out = np.maximum(x - ((x + _CROSS_TOL) // _PI) * _PI, 0.0)
     c2, s2 = np.cos(out[:-1]) ** 2, np.sin(out[:-1]) ** 2
     r = np.exp(d[1:])
@@ -187,10 +207,10 @@ def test_increment_ratios_track_the_path_ratios(seed):
     [(_, d_inc)] = list(_increment_ratios(seed, n, path.step, n))
     for e_level in (0.25, 1.0, 4.0, 16.0):
         count, _, cells, _, _, times = _oracle(path, e_level)
-        scan, got_cells, _, nc = _whole_scan(
-            _increment_ratios(seed, n, path.step, sp._SCAN_CHUNK), n, path.step, e_level)
+        _, _, got_cells, got_psi_in, nc = _whole_scan(
+            _increment_ratios(seed, n, path.step, sp._SCAN_CHUNK), path.step, e_level)
         assert nc.sum() == count and np.array_equal(got_cells, cells)
-        got = sp._crossing_times(scan.records, path.step, e_level)
+        got = sp._crossing_times(got_cells, got_psi_in, nc, path.step, math.sqrt(e_level))
         angle = _entry_angle_bounds(path, e_level, d_inc)[np.repeat(got_cells, nc)]
         assert np.all(np.abs(got - times) <= angle / math.sqrt(e_level) + 8 * np.spacing(times))
 
@@ -256,21 +276,80 @@ def test_dos_sweep_streams_the_log_gbm_rows(lam):
     assert np.array_equal(counts, [[_oracle(p, e)[0] for p in rows] for e in e_list])
 
 
-# horizons of 10038 cells (inside one scan chunk) and of 70006 cells (two
-# chunks and part of a third), neither a whole number of steps; then the
-# same with chunks of 1000 cells
+def _lanes_equal(a, b):
+    return all(np.array_equal(x, y) for ea, eb in zip(a, b, strict=True)
+               for x, y in zip(ea, eb, strict=True))
+
+
+# T_c = 5 mean gaps of 314 cells at E = 1 (step 1e-2), 10 at E = 4 and 15 at
+# E = 9: blocks of 256 and of 1000 cells cut every lane, and one block of
+# 4096 cells holds every lane's path whole
 @pytest.mark.parametrize("e_level", [1.0, 4.0, 9.0])
 def test_renewal_gaps_bit_identical_to_whole_path(e_level, monkeypatch):
-    step = 1e-2
-    for horizon in (100.3705, 700.0537):
-        want = renewal_gaps_whole_path(e_level, horizon, new_stream(40, 1), step)
-        [got] = renewal_statistics([e_level], [horizon], [new_stream(40, 1)], step, min_count=1)
-        assert np.array_equal(got, want)
+    step, t_cut, s = 1e-2, 5 * math.pi, new_stream(40, 1)
+
+    def run(block):
         with monkeypatch.context() as m:
-            m.setattr(sp, "_SCAN_CHUNK", 1000)
-            [got] = renewal_statistics([e_level], [horizon], [new_stream(40, 1)], step,
-                                       min_count=1)
-        assert np.array_equal(got, want)
+            m.setattr(sp, "_LANE_BLOCK", block)
+            return renewal_statistics([e_level], [_LANES * t_cut], s, step, min_count=1)
+
+    got = run(sp._LANE_BLOCK)
+    assert max(g.sum() for g in got[0]) < 4096 * step
+    assert _lanes_equal(got, run(1000))
+    assert _lanes_equal(got, run(4096))
+
+
+def test_renewal_lanes_track_a_scalar_scan():
+    # every lane against _scan of its path drawn whole, up to the lane's stop:
+    # every crossing cell and count equal, every time within the bound that
+    # the two routes' roundings give (the ratios are the same bits), and the
+    # gaps those of the lane's times
+    step, s = 1e-2, new_stream(41, 0)
+    e_levels = [1.0, 4.0]
+    t_cut = [2.5 * math.pi / math.sqrt(e) for e in e_levels]
+    lane, cell, times = sp._lane_crossings(np.sqrt(e_levels), np.array(t_cut), s, step)
+    gaps = renewal_statistics(e_levels, [_LANES * t for t in t_cut], s, step, min_count=1)
+    for i in range(len(e_levels) * _LANES):
+        k, r = divmod(i, _LANES)
+        mine = lane == i
+        stop = int(np.searchsorted(times[mine], t_cut[k])) + 1
+        got_cells, got = cell[mine][:stop], times[mine][:stop]
+        ratios, want_cells, want = renewal_lane_whole_path(
+            e_levels[k], t_cut[k], s.substream(r + 1), step, int(got_cells[-1]) + 1)
+        assert np.array_equal(got_cells, want_cells)
+        dpsi = math.sqrt(e_levels[k]) * step
+        psi_in = _ratio_entry_angles(ratios, dpsi)
+        angle = _angle_bounds(ratios, psi_in, dpsi, np.zeros(ratios.size))[got_cells]
+        assert np.all(np.abs(got - want)
+                      <= angle / math.sqrt(e_levels[k]) + 8 * np.spacing(want))
+        assert np.array_equal(gaps[k][r], np.diff(got, prepend=0.0))
+
+
+def _mean_within_3se(lanes, e_level):
+    gaps = np.concatenate(lanes)
+    se = math.sqrt(np.var(gaps, ddof=1) / gaps.size)
+    return abs(gaps.mean() - math.pi / math.sqrt(e_level)) <= 3 * se
+
+
+def _gaps_ending_before(times, t_cut):
+    # the length-biased rule: only the gaps that end before t_cut
+    return np.diff(times[:np.searchsorted(times, t_cut)], prepend=0.0)
+
+
+def test_renewal_mean_has_no_length_bias(monkeypatch):
+    # T_c of about one mean gap, where most lanes keep one or two gaps: the
+    # kept gaps start before T_c, so their mean is unbiased (Wald); keeping
+    # those that end before T_c favours short gaps and must fail
+    e_levels, s = [1.0, 4.0], new_stream(42, 0)
+    horizons = [_LANES * math.pi / math.sqrt(e) for e in e_levels]
+
+    def means_within_3se():
+        lanes = renewal_statistics(e_levels, horizons, s, 1e-3, min_count=1)
+        return [_mean_within_3se(g, e) for g, e in zip(lanes, e_levels)]
+
+    assert means_within_3se() == [True, True]
+    monkeypatch.setattr(sp, "_lane_gaps", _gaps_ending_before)
+    assert means_within_3se() == [False, False]
 
 
 def phase_propagate_rk4(e_level: float, gbm: SampledPath,

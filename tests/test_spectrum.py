@@ -16,7 +16,7 @@ from vrjplab.beta_field import construct_beta_circle
 from vrjplab.continuum_kernel import KernelPath
 from vrjplab.experiments import deterministic_flat_gbm
 from vrjplab.stats import mean_ci, z_two_sided
-from vrjplab.spectrum import (count_states_matrix, count_states_phase,
+from vrjplab.spectrum import (_LANES, count_states_matrix, count_states_phase,
                               discrete_spectrum_matrix, dos_sweep,
                               fd_operator_twisted, fd_spectrum_twisted, mean_t1_quadrature,
                               phase_propagate, renewal_statistics)
@@ -259,22 +259,26 @@ def _mean_se(gaps):
 
 
 def test_renewal_statistics():
-    [gaps] = renewal_statistics([4.0], [500.0], [new_stream(11, 0)], step=1e-3)
-    n = gaps.size
-    assert n >= 100 and np.all(gaps > 0)
+    [lanes] = renewal_statistics([4.0], [500.0], new_stream(11, 0), step=1e-3)
+    assert len(lanes) == _LANES and all(g.size >= 1 for g in lanes)
+    gaps = np.concatenate(lanes)
+    assert gaps.size >= 100 and np.all(gaps > 0)
     mean, se = _mean_se(gaps)
     assert abs(mean - math.pi / 2.0) < 3 * se + 0.02
-    a, b = gaps[:-1] - mean, gaps[1:] - mean
+    # lag-1 pairs within a lane only
+    a = np.concatenate([g[:-1] for g in lanes]) - mean
+    b = np.concatenate([g[1:] for g in lanes]) - mean
+    assert a.size == gaps.size - _LANES
     lag1 = float(np.sum(a * b) / math.sqrt(np.sum(a * a) * np.sum(b * b)))
-    assert abs(lag1) < 2 * z_two_sided(0.01) / math.sqrt(n - 1)
+    assert abs(lag1) < 2 * z_two_sided(0.01) / math.sqrt(a.size)
 
 
 def test_renewal_rate_matches_dos_density():
     # (mean interarrival)^-1 is the crossings-per-unit-length rate that the
     # density sweep estimates; the two must agree within joint CI
     e_level = 4.0
-    [gaps] = renewal_statistics([e_level], [1000.0], [new_stream(30, 0)], step=1e-3)
-    mean, se = _mean_se(gaps)
+    [lanes] = renewal_statistics([e_level], [1000.0], new_stream(30, 0), step=1e-3)
+    mean, se = _mean_se(np.concatenate(lanes))
     rate = 1.0 / mean
     rate_hw = se / mean ** 2 * 2.58
     counts = dos_sweep([e_level], lam=50.0, replicas=16, s=new_stream(30, 1))
@@ -292,12 +296,13 @@ def _peak_bytes(fn):
 
 
 def test_phase_counting_memory_does_not_grow_with_path_length():
-    # the paths stream through: quadrupling the renewal horizon (250k ->
-    # 1M cells) or lam (20k -> 80k cells for each of 8 replicas) adds no
-    # path memory; a whole path would add at least 6 MB and 3.8 MB.  The
+    # the paths stream through: quadrupling the renewal horizon (each
+    # lane's cut time 3.9 -> 15.6, about 4.5k -> 16k cells for each of the
+    # 256 lanes) or lam (20k -> 80k cells for each of 8 replicas) adds no
+    # path memory; whole paths would add at least 23 MB and 3.8 MB.  The
     # slack covers the crossing records.
-    renewal = [_peak_bytes(lambda: renewal_statistics([4.0], [horizon], [new_stream(31, 0)]))
-               for horizon in (250.0, 1000.0)]
+    renewal = [_peak_bytes(lambda: renewal_statistics([4.0], [horizon], new_stream(31, 0)))
+               for horizon in (1000.0, 4000.0)]
     dos = [_peak_bytes(lambda: dos_sweep([1.0, 4.0], lam, 8, new_stream(31, 1)))
            for lam in (10.0, 40.0)]
     assert renewal[1] - renewal[0] < 1e6
@@ -305,8 +310,10 @@ def test_phase_counting_memory_does_not_grow_with_path_length():
 
 
 def test_renewal_insufficient_data():
-    with pytest.raises(RuntimeError, match="insufficient"):
-        renewal_statistics([1.0], [20.0], [new_stream(11, 1)], step=1e-3)
+    # every lane keeps at least its first gap, so min_count must exceed the
+    # lane count; a cut time of 20/256 keeps only the first gaps
+    with pytest.raises(RuntimeError, match=f"insufficient data: {_LANES} interarrivals < 300"):
+        renewal_statistics([1.0], [20.0], new_stream(11, 1), step=1e-3, min_count=300)
 
 
 def test_mean_t1_quadrature_values():

@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 
 import vrjplab.continuum_kernel as ck
 import vrjplab.matsumoto_yor as my
-from vrjplab.experiments import _exp_mbg, get_experiment
+from vrjplab.experiments import _exp_mbg, _increment_corr, get_experiment
 from vrjplab.stochastic import (RngStream, exp_functional_walk, grid_cells, new_stream,
                                 step_normals, stream_blocks)
 
@@ -303,3 +303,21 @@ def test_bias_verdict_rejects_a_left_riemann_walk(monkeypatch):
     monkeypatch.setattr(ck, "exp_functional_walk", _left_riemann_walk)
     for seed in range(5):
         assert not _bias_verdict(seed, 0.05).passed
+
+
+def test_bias_verdict_covers_the_decorrelation():
+    # at step 0.15 and n = 4e4 the decorrelation's coupled gap over 3 is
+    # about eight times its 1/20 budget, more than any ln V mean's or
+    # variance's: the verdict fails on it, and reads that gap; at the
+    # registered step it passes
+    spec = get_experiment("mbg_corollary")
+    params = {**spec.defaults, "step": 0.15, "n": 40_000}
+    reports = {r.label: r for r in spec.fn(params, new_stream(0, 0)).reports}
+    _, log_v, log_v_coarse = ck.mbg_transform_check(new_stream(0, 0), (0.5, 1.0, 2.0),
+                                                    40_000, 0.15, params["tail"])
+    gap = _increment_corr(log_v_coarse) - _increment_corr(log_v)
+    bias = reports["step bias h vs 2h"]
+    assert bias.statistic == abs(gap) / (3.0 * reports["increment decorrelation"].critical)
+    assert not bias.passed and bias.statistic > 5 * bias.critical
+    reports = spec.fn(dict(spec.defaults), new_stream(0, 0)).reports
+    assert [r.passed for r in reports if r.label == "step bias h vs 2h"] == [True]

@@ -40,6 +40,20 @@ renewal_statistics runs independent lanes.  A single given path
 (phase_propagate) goes through the scalar loop _scan.  Neither experiment
 holds a whole path, so memory does not grow with the horizon or with lam.
 
+Rotation form of the lanes.  In the Pruefer vector (u, v) = rho (sin psi,
+cos psi) (Pruefer 1926) a frozen cell is linear: the gauge rescale by the
+ratio r scales u by r, and the advance rotates (u, v) by sqrt(E) h.  So a
+lane carries (u, v), not psi, across cells and blocks, and a cell takes
+multiplies and adds on all lanes; atan2 is taken only of a crossing
+lane's entry vector, and the cosine and sine of the advance once per
+block.  The crossing window and the clamp are those of the scalar route,
+so the lanes find _scan's crossing cells and counts, but the vector rounds
+differently from the angle: entry angles, and crossing times, differ from
+_scan's in their last bits.  Each vector is rescaled by a power of two at
+block ends (and more often where the ratios are extreme); that is exact
+and commutes with every later operation, so nothing overflows at long
+horizons and no bit depends on the block.
+
 Renewal gaps from lanes.  At a pi-crossing psi is 0 whatever M is, and
 from there it reads only future log ratios, which are Brownian
 increments; so a lane from theta = 0 on its own path has gaps of the same
@@ -109,6 +123,9 @@ _CROSS_ANGLE = _first_crossing_angle()
 # the lane route.  Neither changes a count.
 _SCAN_CHUNK = 1 << 15
 _LANE_BLOCK = 256
+# The most e-folds a lane's Pruefer vector may grow or shrink by between two
+# rescales: from max(|u|, |v|) in [1/2, 1) it stays within 2^(+-866).
+_RESCALE_EFOLDS = 600.0
 
 
 def _path_chunks(gbm: SampledPath, e_level: float):
@@ -219,40 +236,81 @@ def count_states_phase(e_level: float, gbm: SampledPath) -> int:
     return phase_propagate(e_level, gbm).count
 
 
-def _lane_step(ratios, psi, dpsi, count, records=None) -> np.ndarray:
+def _lane_step(ratios, uv, dpsi, count, records=None) -> np.ndarray:
     """Lane route: advance every lane across one block of cells, one numpy step per cell.
 
     ratios[j, k] is the coefficient ratio (the exp of the log ratio) that
-    lane k reads at the block's cell j, psi[k] its angle on entering the
-    block and dpsi[k] = sqrt(E)*h its advance.  Each cell takes the scalar
-    route's steps on all lanes together: rescale through arctan2, advance,
-    then (only in cells where some lane crosses) floor-divide by pi with
-    the tolerance, add the crossings to count and clamp at 0.  Given
-    records, such a cell also appends (its cell index in the block per
-    crossing lane, those lanes, their entry angles, their crossings).
-    Returns the angles after the block; psi is used as scratch.
+    lane k reads at the block's cell j, uv[:, k] its Pruefer vector (u, v),
+    proportional to (sin psi, cos psi), on entering the block and dpsi[k] =
+    sqrt(E)*h its advance.  A cell's map is linear in (u, v) (Pruefer
+    1926): the rescale psi -> atan2(r sin psi, cos psi) is u *= r and the
+    advance a rotation by dpsi, so a cell takes multiplies and adds and no
+    transcendental; the cosine and sine of dpsi are taken once per call.
+    A cell writes the rotated vectors into a spare buffer, and the two
+    buffers swap.  A lane crosses in a cell iff its rotated u < -tol v,
+    the window of _CROSS_ANGLE.  Only in cells where some lane crosses,
+    those lanes add the crossing to count, record atan2 of their vector
+    before the rotation as the entry angle, turn by -pi (flip the sign)
+    and clamp u >= 0.  A lane with dpsi >= pi adds its whole half-turns to
+    count in every cell and rotates by the rest.  Given records, a cell
+    with crossings appends (its cell index in the block per crossing lane,
+    those lanes, their entry angles, their crossings).
+
+    (u, v) carries over to the next block as it is.  A cell moves its norm
+    by a factor of at most max(r, 1/r), so each vector is rescaled by a
+    power of two, to max(|u|, |v|) in [1/2, 1), before its norm can have
+    moved by _RESCALE_EFOLDS e-folds, and at the block's end: it stays in
+    the float64 range at any horizon.  The rescale is exact, and every
+    later operation (products, sums, the crossing test, atan2) commutes
+    with it, so no bit depends on the block.  Returns the vectors after the
+    block, shape (2, lanes); uv is used as scratch.
     """
-    n_lanes = psi.size
-    sn, cs, x, nc = np.empty(n_lanes), np.empty(n_lanes), np.empty(n_lanes), np.empty(n_lanes)
-    crossing = np.empty(n_lanes, dtype=bool)
-    for j, r in enumerate(ratios):
-        np.sin(psi, out=sn)
-        np.cos(psi, out=cs)
-        np.multiply(r, sn, out=sn)
-        np.arctan2(sn, cs, out=psi)
-        np.add(psi, dpsi, out=x)
-        np.greater_equal(x, _CROSS_ANGLE, out=crossing)
-        if np.count_nonzero(crossing):
-            np.add(x, _CROSS_TOL, out=nc)
-            np.floor_divide(nc, _PI, out=nc)
-            count += nc
-            if records is not None:
-                k = np.flatnonzero(crossing)
-                records.append((np.full(k.size, j), k, psi[k], nc[k]))
-            x -= nc * _PI
-            np.maximum(x, 0.0, out=x)
-        psi, x = x, psi
-    return psi
+    turns = np.floor(dpsi / _PI)
+    wraps = turns > 0
+    any_wrap = bool(wraps.any())
+    rest = dpsi - turns * _PI
+    c, s = np.cos(rest), np.sin(rest)
+    # a buffer holds u then v: its products by (c, c) and by (-s, s) are the
+    # four products of the rotation, in two calls
+    cc, ss = np.concatenate([c, c]), np.concatenate([-s, s])
+    n = dpsi.size
+    w, u, v, rows = _halves(uv.reshape(-1))
+    w2, u2, v2, rows2 = _halves(np.empty(2 * n))
+    p, pu, pv, _ = _halves(np.empty(2 * n))
+    q, qu, qv, _ = _halves(np.empty(2 * n))
+    t, crossed = np.empty(n), np.empty(n, dtype=bool)
+    mul, add, less, nonzero = np.multiply, np.add, np.less, np.count_nonzero
+    growth = math.log(max(ratios.max(), 1.0 / ratios.min()))
+    every = max(1, int(_RESCALE_EFOLDS / growth)) if growth > 0 else len(ratios)
+    for lo in range(0, len(ratios), every):
+        for j, r in enumerate(ratios[lo:lo + every], lo):
+            mul(u, r, out=u)
+            mul(w, cc, out=p)
+            mul(w, ss, out=q)
+            add(pu, qv, out=u2)             # c u + s v
+            add(pv, qu, out=v2)             # c v - s u
+            mul(v2, -_CROSS_TOL, out=t)
+            less(u2, t, out=crossed)
+            if any_wrap or nonzero(crossed):
+                add(count, crossed, out=count)
+                if records is not None:
+                    k = np.flatnonzero(crossed | wraps)
+                    records.append((np.full(k.size, j), k, np.arctan2(u[k], v[k]),
+                                    turns[k] + crossed[k]))
+                np.negative(rows2, out=rows2, where=crossed)
+                np.maximum(u2, 0.0, out=u2, where=crossed)
+            w, u, v, rows, w2, u2, v2, rows2 = w2, u2, v2, rows2, w, u, v, rows
+        _, e = np.frexp(np.maximum(np.abs(u), np.abs(v)))
+        np.negative(e, out=e)
+        np.ldexp(rows, e, out=rows)
+    count += turns * len(ratios)
+    return rows
+
+
+def _halves(buf: np.ndarray):
+    """A buffer of lane vectors, u then v: (the buffer, u, v, the (2, lanes) rows)."""
+    n = buf.size // 2
+    return buf, buf[:n], buf[n:], buf.reshape(2, n)
 
 
 def _lane_counts(ratio_blocks, n_rep: int, step: float, e_list) -> np.ndarray:
@@ -267,10 +325,15 @@ def _lane_counts(ratio_blocks, n_rep: int, step: float, e_list) -> np.ndarray:
     """
     dpsi = np.repeat([math.sqrt(e) * step for e in e_list], n_rep)
     paths = np.tile(np.arange(n_rep), len(e_list))
-    psi, count = np.zeros(dpsi.size), np.zeros(dpsi.size)
+    uv, count = _lane_start(dpsi.size), np.zeros(dpsi.size)
     for _, d in ratio_blocks:
-        psi = _lane_step(np.take(np.exp(d).T, paths, axis=1), psi, dpsi, count)
+        uv = _lane_step(np.take(np.exp(d).T, paths, axis=1), uv, dpsi, count)
     return count.astype(np.int64).reshape(len(e_list), n_rep)
+
+
+def _lane_start(n_lanes: int) -> np.ndarray:
+    """Pruefer vectors (u, v) = (sin 0, cos 0) of n_lanes lanes at psi = 0."""
+    return np.repeat([[0.0], [1.0]], n_lanes, axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -394,13 +457,13 @@ def _lane_crossings(root_e, t_cut, s: RngStream, step: float):
     gens = [path.gen for _, _, path in stream_blocks(s, _LANES, 1)]
     lanes = np.arange(root_e.size)       # the running lanes
     paths = np.arange(_LANES)            # the paths still drawn
-    psi, before, found, lo = np.zeros(lanes.size), None, [], 0
+    uv, before, found, lo = _lane_start(lanes.size), None, [], 0
     while lanes.size:
-        [(_, x)] = brownian_increments([gens[p] for p in paths], _LANE_BLOCK, step, _LANE_BLOCK)
-        [(_, d)] = _cell_ratios([(lo, x)], step, before)
-        ratios = np.take(np.exp(d, out=d).T, np.searchsorted(paths, lanes % _LANES), axis=1)
+        ratios, before = _lane_block([gens[p] for p in paths], before, step,
+                                     np.searchsorted(paths, lanes % _LANES))
         records = []
-        psi = _lane_step(ratios, psi, root_e[lanes] * step, np.zeros(lanes.size), records)
+        uv = _lane_step(ratios, uv, root_e[lanes] * step, np.zeros(lanes.size), records)
+        del ratios                       # freed before the next block is drawn
         if records:
             cells, k, entry, nc = (np.concatenate(a) for a in zip(*records))
             nc = nc.astype(np.int64)
@@ -409,13 +472,27 @@ def _lane_crossings(root_e, t_cut, s: RngStream, step: float):
             found.append((lanes[k], cells, times))
             running = np.ones(lanes.size, dtype=bool)
             running[k[times >= t_cut[lanes[k]]]] = False
-            lanes, psi = lanes[running], psi[running]
+            lanes, uv = lanes[running], uv[:, running]
         drawn = np.isin(paths, lanes % _LANES)
-        paths, before = paths[drawn], x[drawn, -1]
+        paths, before = paths[drawn], before[drawn]
         lo += _LANE_BLOCK
     lane, cell, times = (np.concatenate(a) for a in zip(*found))
     order = np.argsort(lane, kind="stable")
     return lane[order], cell[order], times[order]
+
+
+def _lane_block(gens, before, step: float, rows):
+    """The next _LANE_BLOCK cells of one path per generator: (lane ratios, last increments).
+
+    Lane k reads path rows[k]; before holds each path's increment over the
+    cell before the block (None at the start).  The block's increments and
+    log ratios are released on return, before the next block is drawn.
+    """
+    [(_, x)] = brownian_increments(gens, _LANE_BLOCK, step, _LANE_BLOCK)
+    [(_, d)] = _cell_ratios([(0, x)], step, before)
+    last = x[:, -1].copy()
+    del x
+    return np.take(np.exp(d, out=d).T, rows, axis=1), last
 
 
 def _lane_gaps(times: np.ndarray, t_cut: float) -> np.ndarray:

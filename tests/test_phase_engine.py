@@ -6,15 +6,18 @@ same values must reproduce it bit for bit.  The experiments read the cell
 log ratios of a path from its Brownian increments instead, which round
 differently: on the same draws they must give every count of the oracle
 and its crossing times within a bound derived from the two ratio arrays.
-The lane route (numpy transcendentals, which may differ from math.* by an
-ulp) must reproduce every count.  Two more reference routes check the
-closed form itself: a generic RK4 integration of the phase ODE, and the
-per-cell Riccati identity at the oracle's entry angles.
+The lane route (a rotation of the Pruefer vector, which rounds
+differently from the angle) must reproduce every count, also where a cell
+turns the phase by pi or more, where log M drifts by a thousand e-folds,
+and on the flat path, whose count is known in closed form.  Two more
+reference routes check the closed form itself: a generic RK4 integration
+of the phase ODE, and the per-cell Riccati identity at the oracle's entry
+angles.
 
 dos_sweep and renewal_statistics stream their increments.  The lane
 counts must be those of all the ratios held whole, bit for bit, and the
-renewal gaps must not depend on the lane block, even one block that
-holds every lane's whole path.  Each renewal lane must give every
+counts and renewal gaps must not depend on the lane block, from one cell
+to one block that holds every lane's whole path.  Each renewal lane must give every
 crossing cell and count of a scalar scan of its path drawn whole, with
 crossing times inside the ratio-rounding bound; and its kept gaps must
 have no length bias.
@@ -144,11 +147,15 @@ def test_gbm_path_bit_identical_to_oracle():
 
 
 # A bound on how far apart the angles of two scans of the same cells can
-# be, each rounded in float64: every cell takes at most eight roundings
-# (exp, sin, their product, cos, atan2, the advance, the wrap's product and
-# difference).  A relative error of at most 2^-52 in an atan2 argument moves
-# the angle by at most 2^-53, and each of the others by at most one ulp of a
-# number below 2*pi, so each moves the angle by at most ulp(2*pi).
+# be, each rounded in float64: every cell of the scalar route takes at most
+# eight roundings (exp, sin, their product, cos, atan2, the advance, the
+# wrap's product and difference).  A relative error of at most 2^-52 in an
+# atan2 argument moves the angle by at most 2^-53, and each of the others by
+# at most one ulp of a number below 2*pi, so each moves the angle by at most
+# ulp(2*pi).  A lane cell rounds the scaled u and the four products and two
+# sums of its rotation, each by at most 2^-53 of the vector's norm, and its
+# entry atan2 once: about ulp(2*pi) = 2^-50 of angle in all, within the
+# eight that the bound allows.
 _CELL_ROUNDING = 8 * np.spacing(2 * math.pi)
 
 
@@ -249,11 +256,11 @@ def test_dos_sweep_spans_several_lane_blocks():
 
 # 0.3337 is not a whole number of steps: 334 cells a side of width 0.3337/334
 @pytest.mark.parametrize("lam", [1.0, 0.3337])
-def test_dos_sweep_streams_the_log_gbm_rows(lam):
+def test_dos_sweep_streams_the_log_gbm_rows(lam, monkeypatch):
     # each streamed block of ratios is its slice of the ratios of one whole
     # draw per replica, the draws of its log_gbm_rows row; the counts are
-    # the lane counts of those ratios held whole, and the oracle's counts
-    # on the log_gbm_rows rows themselves
+    # the lane counts of those ratios held whole, at lane blocks of 1 and 7
+    # cells too, and the oracle's counts on the log_gbm_rows rows themselves
     step, replicas, e_list, s = 1e-3, 3, [1.0, 4.0, 9.0], new_stream(22, 0)
     half, h = grid_cells(lam, step)
     assert 2 * half > 2 * sp._LANE_BLOCK
@@ -270,6 +277,10 @@ def test_dos_sweep_streams_the_log_gbm_rows(lam):
     assert seen == 2 * half
     counts = dos_sweep(e_list, lam, replicas, s, step)
     assert np.array_equal(counts, sp._lane_counts([(0, whole)], replicas, h, e_list))
+    for block in (1, 7):
+        with monkeypatch.context() as m:
+            m.setattr(sp, "_LANE_BLOCK", block)
+            assert np.array_equal(dos_sweep(e_list, lam, replicas, s, step), counts)
     rows = [SampledPath(-lam, h, np.exp(m[0]))
             for _, m in (next(log_gbm_rows(lam, step, 1, s.substream(r + 1)))
                          for r in range(replicas))]
@@ -282,7 +293,7 @@ def _lanes_equal(a, b):
 
 
 # T_c = 5 mean gaps of 314 cells at E = 1 (step 1e-2), 10 at E = 4 and 15 at
-# E = 9: blocks of 256 and of 1000 cells cut every lane, and one block of
+# E = 9: blocks of 1, 7, 256 and 1000 cells cut every lane, and one block of
 # 4096 cells holds every lane's path whole
 @pytest.mark.parametrize("e_level", [1.0, 4.0, 9.0])
 def test_renewal_gaps_bit_identical_to_whole_path(e_level, monkeypatch):
@@ -297,6 +308,8 @@ def test_renewal_gaps_bit_identical_to_whole_path(e_level, monkeypatch):
     assert max(g.sum() for g in got[0]) < 4096 * step
     assert _lanes_equal(got, run(1000))
     assert _lanes_equal(got, run(4096))
+    assert _lanes_equal(got, run(1))
+    assert _lanes_equal(got, run(7))
 
 
 def test_renewal_lanes_track_a_scalar_scan():
@@ -350,6 +363,73 @@ def test_renewal_mean_has_no_length_bias(monkeypatch):
     assert means_within_3se() == [True, True]
     monkeypatch.setattr(sp, "_lane_gaps", _gaps_ending_before)
     assert means_within_3se() == [False, False]
+
+
+def _lane_records(d, dpsi, block):
+    """One lane over the log ratios d, block cells at a time: crossing cells, crossings,
+    entry angles and the final Pruefer vector."""
+    uv, records = sp._lane_start(1), []
+    for lo in range(0, d.size, block):
+        part = []
+        uv = sp._lane_step(np.exp(d[lo:lo + block])[:, None], uv, np.array([dpsi]),
+                           np.zeros(1), part)
+        records += [(lo + j, entry, nc) for j, _, entry, nc in part]
+    cells, entry, nc = (np.concatenate(a) for a in zip(*records))
+    return cells, nc.astype(np.int64), entry, uv
+
+
+def test_lane_stays_finite_where_log_m_drifts_by_1000_e_folds():
+    # log M = B_t + 2.5 t on 40 000 cells of width 1e-2 rises by 1000
+    # e-folds, each cell ratio by 0.05; the Pruefer vector grows with it and
+    # would overflow unscaled.  The lane stays finite, gives every crossing
+    # cell and count of _scan, and its entry angles and final vector are the
+    # same bits at blocks of 1, 7 and 256 cells.
+    step, e_level, n = 1e-2, 16.0, 40_000
+    x = new_stream(44, 0).gen.standard_normal(n) * math.sqrt(step)
+    d = np.concatenate([[0.0], x[:-1] + x[1:]]) + 0.05
+    assert abs(d.sum()) / 2 > 800
+    _, _, want_cells, _, want_nc = _whole_scan([(0, d)], step, e_level)
+    dpsi = math.sqrt(e_level) * step
+    cells, nc, entry, uv = _lane_records(d, dpsi, sp._LANE_BLOCK)
+    assert np.all(np.isfinite(entry)) and np.all(np.isfinite(uv))
+    assert np.array_equal(cells, want_cells) and np.array_equal(nc, want_nc)
+    for block in (1, 7):
+        other = _lane_records(d, dpsi, block)
+        assert all(np.array_equal(a, b) for a, b in zip(other, (cells, nc, entry, uv)))
+
+
+@pytest.mark.parametrize("dpsi", [math.pi - 1e-3, math.pi, 2.5 * math.pi])
+def test_lanes_that_turn_half_a_circle_or_more_per_cell(dpsi):
+    # cells of width dpsi at E = 1, so a lane adds the whole half-turns to its
+    # count and rotates by the rest: every path's count is _scan's, and every
+    # renewal lane gives the crossing cells and crossings of _scan of its path
+    s, n_cells, replicas = new_stream(45, 0), 600, 4
+    gens = [s.substream(r + 1).gen for r in range(replicas)]
+    blocks = list(sp._cell_ratios(brownian_increments(gens, n_cells, dpsi, sp._LANE_BLOCK),
+                                  dpsi))
+    whole = np.concatenate([d for _, d in blocks], axis=1)
+    want = [sum(nc for *_, nc in sp._scan([(0, row)], dpsi, 1.0)[0]) for row in whole]
+    assert np.array_equal(sp._lane_counts(blocks, replicas, dpsi, [1.0])[0], want)
+    t_cut = 8 * dpsi
+    lane, cell, times = sp._lane_crossings(np.array([1.0]), np.array([t_cut]), s, dpsi)
+    for r in range(_LANES):
+        stop = int(np.searchsorted(times[lane == r], t_cut)) + 1
+        got_cells = cell[lane == r][:stop]
+        _, want_cells, _ = renewal_lane_whole_path(1.0, t_cut, s.substream(r + 1), dpsi,
+                                                   int(got_cells[-1]) + 1)
+        assert np.array_equal(got_cells, want_cells)
+
+
+@pytest.mark.parametrize("lam", [math.pi, 5.0])
+def test_lane_counts_on_the_flat_path(lam):
+    # every increment 0, so log M = -t/2 and the phase turns at the rate
+    # sqrt(E - 1/4): the count is floor(2 lam sqrt(E - 1/4) / pi), which at
+    # lam = pi and E = 1.25 lands exactly on the endpoint
+    e_list = [0.2, 1.25, 5.0, 9.0]
+    half, h = grid_cells(lam, 1e-3)
+    counts = sp._lane_counts(sp._cell_ratios([(0, np.zeros((1, 2 * half)))], h), 1, h, e_list)
+    exact = [math.floor(2 * lam * math.sqrt(max(e - 0.25, 0.0)) / math.pi) for e in e_list]
+    assert counts[:, 0].tolist() == exact
 
 
 def phase_propagate_rk4(e_level: float, gbm: SampledPath,

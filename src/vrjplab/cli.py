@@ -2,6 +2,7 @@
 
     vrjplab list
     vrjplab run --name dos_sweep --seed 7 --param lam=100 --out results/
+    vrjplab audit --seeds 0..39 [--name intertwining] --out results/
 
 Each run writes <out>/<name>/results.csv (numeric table, shortest
 round-trip decimals, byte-identical across reruns of the same config)
@@ -9,6 +10,10 @@ and manifest.json (the effective parameters, package and library
 versions, the platform, the worker-pool size and BLAS thread settings,
 timestamps, the experiment's wall and CPU seconds, the process's peak
 resident set, verdicts).
+audit runs registered experiments at their defaults over a range of seeds,
+each run in a fresh process, at most nproc at a time, and writes
+<out>/audit/runs.csv (one row per run: the failed verdicts, elapsed_s, cpu_s,
+peak_rss_mb) and <out>/audit/failures.csv (failed seeds per experiment).
 Exit code 0 when every verdict passes, 1 otherwise, 2 on usage errors,
 including parameters too small to form a statistic.
 """
@@ -148,6 +153,61 @@ def run(config: ExperimentConfig) -> RunManifest:
     return manifest
 
 
+def _audit_run(name: str, seed: int, out_dir: Path) -> dict:
+    """One audit run at the registered defaults, in a child process: its row of runs.csv."""
+    import subprocess
+
+    out = out_dir / f"seed{seed}"
+    paths = [str(Path(__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    proc = subprocess.run([sys.executable, "-m", "vrjplab.cli", "run", "--name", name,
+                           "--seed", str(seed), "--out", str(out)],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)})
+    if proc.returncode not in (0, 1):
+        raise RuntimeError(f"{name} at seed {seed}: {proc.stderr.strip()}")
+    manifest = json.loads((out / name / "manifest.json").read_text())
+    failed = [v["label"] for v in manifest["verdicts"] if v["verdict"] != "pass"]
+    return {"name": name, "seed": seed, "passed": manifest["passed"],
+            "failed": "; ".join(failed), "elapsed_s": manifest["elapsed_s"],
+            "cpu_s": manifest["cpu_s"], "peak_rss_mb": manifest["peak_rss_mb"]}
+
+
+def audit(names: list[str], seeds: range, out_dir: Path) -> list[dict]:
+    """Run every (name, seed) at the registered defaults; write runs.csv and failures.csv.
+
+    Returns the rows of failures.csv, one per experiment.
+
+    Each run is a `run` command in a fresh process, so its manifest's cpu_s
+    and peak_rss_mb are its own.  One process per usable CPU runs at a time.
+    """
+    from concurrent.futures import ThreadPoolExecutor
+
+    out_dir.mkdir(parents=True, exist_ok=True)
+    with ThreadPoolExecutor(len(os.sched_getaffinity(0))) as pool:
+        rows = list(pool.map(lambda task: _audit_run(*task, out_dir),
+                             [(name, seed) for seed in seeds for name in names]))
+    _write_csv(out_dir / "runs.csv", rows)
+    failures = []
+    for name in names:
+        failed = [str(r["seed"]) for r in rows if r["name"] == name and not r["passed"]]
+        failures.append({"name": name, "runs": len(seeds), "failed_runs": len(failed),
+                         "failed_seeds": " ".join(failed)})
+    _write_csv(out_dir / "failures.csv", failures)
+    return failures
+
+
+def _parse_seeds(text: str) -> range:
+    """Seeds A..B, both ends included."""
+    lo, _, hi = text.partition("..")
+    try:
+        seeds = range(int(lo), int(hi) + 1)
+    except ValueError:
+        seeds = range(0)
+    if not seeds:
+        raise ValueError(f"seeds '{text}' are not of the form A..B with A <= B")
+    return seeds
+
+
 def _parse_param(text: str) -> tuple[str, object]:
     if "=" not in text:
         raise ValueError(f"parameter '{text}' is not of the form key=value")
@@ -171,6 +231,13 @@ def main(argv: list[str] | None = None) -> int:
                        metavar="KEY=VALUE", help="override a default parameter")
     p_run.add_argument("--out", default=None, help="output directory "
                        f"(default ${OUTPUT_ENV_VAR} or ./vrjplab_out)")
+
+    p_audit = sub.add_parser("audit", help="run experiments over a range of seeds")
+    p_audit.add_argument("--seeds", required=True, metavar="A..B")
+    p_audit.add_argument("--name", action="append", default=None,
+                         help="an experiment to audit (default: all of them)")
+    p_audit.add_argument("--out", default=None, help="output directory "
+                         f"(default ${OUTPUT_ENV_VAR} or ./vrjplab_out)")
 
     sub.add_parser("list", help="list registered experiments")
 
@@ -208,6 +275,27 @@ def main(argv: list[str] | None = None) -> int:
                   f"stat={v['statistic']:.6g} crit={v['critical']:.6g}")
         print(f"results: {Path(out) / config.name}")
         return 0 if manifest.passed else 1
+
+    if args.command == "audit":
+        out = Path(args.out or os.environ.get(OUTPUT_ENV_VAR, "vrjplab_out")) / "audit"
+        try:
+            names = args.name or [spec.name for spec in list_experiments()]
+            for name in names:
+                get_experiment(name)
+            seeds = _parse_seeds(args.seeds)
+        except (KeyError, ValueError) as exc:
+            print(f"error: {exc.args[0]}", file=sys.stderr)
+            return 2
+        try:
+            failures = audit(names, seeds, out)
+        except RuntimeError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        for f in failures:
+            print(f"{f['name']:22s} {f['failed_runs']}/{f['runs']} failed"
+                  + (f": seeds {f['failed_seeds']}" if f["failed_runs"] else ""))
+        print(f"results: {out}")
+        return 1 if any(f["failed_runs"] for f in failures) else 0
 
     parser.print_help()
     return 2

@@ -201,8 +201,7 @@ def line_kernel_eval(k: KernelPath, t: float, t2: float) -> float:
 # output, so the output does not depend on the worker count.  A block takes
 # its paths from stochastic.log_gbm_rows one row block at a time and
 # exponentiates each in place, so memory does not grow with n_rep.  The
-# stepwise samplers walk their blocks in turn: the walk itself draws ahead
-# on the pool, and a pool task never submits to the pool.
+# stepwise samplers walk their blocks in turn, in the calling thread.
 _DIAGONAL_STREAM_BLOCK = 2000
 _QUADRATIC_STREAM_BLOCK = 1000
 _RATIO_STREAM_BLOCK = 4000
@@ -218,15 +217,32 @@ def kernel_diagonal_node(lam: float, t: float, step: float) -> tuple[int, float]
     return j, -lam + h * j
 
 
+def _coarse_trapezoid(y: np.ndarray, h: float, lo: int, hi: int) -> np.ndarray:
+    """Per row, the trapezoid of y over columns lo..hi on every second node from lo.
+
+    The cells are 2h wide; a stretch of an odd number of cells ends with
+    one cell of width h, the fine sum's, as exp_functional_walk's coarse
+    sum does.  Zero when lo == hi.
+    """
+    out = cumtrapz(y[:, lo:hi + 1:2], 2.0 * h)[:, -1]
+    if (hi - lo) % 2:
+        out += 0.5 * h * (y[:, hi - 1] + y[:, hi])
+    return out
+
+
 def sample_kernel_diagonal(lam: float, t: float, step: float, n_rep: int,
-                           s: RngStream) -> np.ndarray:
+                           s: RngStream) -> tuple[np.ndarray, np.ndarray]:
     """Replicated G(t', t') values at the node t' nearest t (kernel_diagonal_node).
 
-    Distributed as 1/(2*gamma) for every t in [-lam, lam].
+    Distributed as 1/(2*gamma) for every t in [-lam, lam].  Returns the
+    values with I = int 1/M^2 at the grid's step h, and with I summed on
+    every second node of the same paths (step 2h), afresh from the node
+    j of t' (_coarse_trapezoid); their gap estimates the step's bias
+    (exp_functional_walk).
     """
     j, _ = kernel_diagonal_node(lam, t, step)
-    _, h = grid_cells(lam, step)
-    out = np.empty(n_rep)
+    half, h = grid_cells(lam, step)
+    out = np.empty((2, n_rep))
 
     def block(first: int, count: int, block_stream: RngStream) -> None:
         for lo, m in log_gbm_rows(lam, step, count, block_stream):
@@ -236,19 +252,27 @@ def sample_kernel_diagonal(lam: float, t: float, step: float, n_rep: int,
             np.divide(1.0, m, out=m)
             ic = cumtrapz(m, h)
             total, icj = ic[:, -1], ic[:, j]
-            bracket = mr ** 2 * (total - icj) + ml ** 2 * icj
-            out[first + lo:first + lo + len(m)] = mj ** 2 * bracket / (mr - ml) ** 2
+            bracket = np.stack((mr ** 2 * (total - icj) + ml ** 2 * icj,
+                                mr ** 2 * _coarse_trapezoid(m, h, j, 2 * half)
+                                + ml ** 2 * _coarse_trapezoid(m, h, 0, j)))
+            out[:, first + lo:first + lo + len(m)] = mj ** 2 * bracket / (mr - ml) ** 2
 
     map_stream_blocks(block, s, n_rep, _DIAGONAL_STREAM_BLOCK)
-    return out
+    return out[0], out[1]
 
 
 def sample_quadratic_form(lam: float, f, step: float, n_rep: int,
-                          s: RngStream) -> np.ndarray:
-    """Replicated <f, Gf> values for a deterministic f (callable on times)."""
+                          s: RngStream) -> tuple[np.ndarray, np.ndarray]:
+    """Replicated <f, Gf> values for a deterministic f (callable on times).
+
+    Returns the values with both trapezoids at the grid's step h, and
+    with both on every second node of the same paths (step 2h; the grid
+    has an even number of cells); their gap estimates the step's bias
+    (exp_functional_walk).
+    """
     half, h = grid_cells(lam, step)
     fv = np.asarray(f(-lam + h * np.arange(2 * half + 1)), dtype=float)
-    out = np.empty(n_rep)
+    out = np.empty((2, n_rep))
 
     def block(first: int, count: int, block_stream: RngStream) -> None:
         for lo, m in log_gbm_rows(lam, step, count, block_stream):
@@ -256,6 +280,7 @@ def sample_quadratic_form(lam: float, f, step: float, n_rep: int,
             ml, mr = m[:, 0:1].copy(), m[:, -1:].copy()
             p = fv * m
             c = cumtrapz(p, h)
+            c2 = cumtrapz(p[:, ::2], 2.0 * h)
             total = c[:, -1:].copy()
             # integrand (ml (total - c) + mr c)^2 / M^2, built in p
             np.subtract(total, c, out=p)
@@ -265,11 +290,14 @@ def sample_quadratic_form(lam: float, f, step: float, n_rep: int,
             np.square(p, out=p)
             np.square(m, out=m)
             p /= m
-            out[first + lo:first + lo + len(m)] = (np.trapezoid(p, dx=h, axis=1)
-                                                   / (mr[:, 0] - ml[:, 0]) ** 2)
+            rows = slice(first + lo, first + lo + len(m))
+            dm2 = (mr[:, 0] - ml[:, 0]) ** 2
+            out[0, rows] = np.trapezoid(p, dx=h, axis=1) / dm2
+            q2 = (ml * (c2[:, -1:] - c2) + mr * c2) ** 2 / m[:, ::2]
+            out[1, rows] = np.trapezoid(q2, dx=2.0 * h, axis=1) / dm2
 
     map_stream_blocks(block, s, n_rep, _QUADRATIC_STREAM_BLOCK)
-    return out
+    return out[0], out[1]
 
 
 def _walk_ends(span: float, step: float, n_rep: int, s: RngStream,

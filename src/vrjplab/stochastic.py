@@ -5,8 +5,8 @@ builder of two-sided log-geometric paths (``log_gbm_rows``), the streamed
 Brownian increments (``brownian_increments``) and the
 exponential-functional walk.  The IG draw finishes its output in place, a
 cache-sized block at a time, so it needs no whole-size temporaries.  Every
-stepwise ensemble reads its per-step normals from one draw-ahead source,
-``step_normals``.
+stepwise ensemble reads its per-step normals from one source,
+``step_normals``, which draws them in the calling thread.
 
 The phase-counting experiments read only the increments of their paths
 (``brownian_increments``), a block of cells at a time, so their memory
@@ -31,11 +31,11 @@ Inverse Gaussian and the law of 1/(2*gamma)) live here as closed-form
 CDFs; they import scipy.special when called, so that runs which never
 call them do not pay its import.
 
-The ensemble samplers use up to one thread per usable CPU, through one
-private pool (``_pool``).  A pool task either owns one stream block and
-its slice of the output, or draws the next chunk of ``step_normals``, so
-seeded output does not depend on the thread count.  Pool tasks call
-numpy and untraced helpers only, and never submit to the pool themselves.
+The matrix samplers use up to one thread per usable CPU, through one
+private pool (``_pool``).  A pool task owns one stream block and its
+slice of the output, so seeded output does not depend on the thread
+count.  Pool tasks call numpy and untraced helpers only, and never submit
+to the pool themselves.
 """
 
 from __future__ import annotations
@@ -221,9 +221,8 @@ def map_stream_blocks(fn, s: RngStream, n_rep: int, block: int) -> None:
         task.result()
 
 
-# A draw chunk holds about this many normals (1 MB); two are alive at once.
-# Larger chunks cost resident memory, smaller ones more hand-offs between
-# the threads.
+# A draw chunk holds about this many normals (1 MB): fewer, larger draw
+# calls, and resident memory that does not grow with the step count.
 _DRAW_CHUNK_ELEMS = 1 << 17
 
 
@@ -231,26 +230,16 @@ def step_normals(gen: np.random.Generator, n: int, nsteps: int):
     """Yield the nsteps (n,) blocks of standard normals of a stepwise loop, in order.
 
     The step-k block is the k-th (n,) block of normals from ``gen``.  They
-    are drawn (steps x n) chunks at a time on the pool, one chunk ahead of
-    the steps; numpy fills a chunk in row order, so the draws are those of
-    one (n,) draw per step.  A yielded block may be overwritten once the
-    next one is taken, so a loop uses each block before it takes the next.
-    Read the generator to its end: only then has the last chunk been drawn.
+    are drawn (steps x n) chunks at a time, in the calling thread, into one
+    buffer; numpy fills a chunk in row order, so the draws are those of
+    one (n,) draw per step.  A yielded block is overwritten once the next
+    chunk is drawn, so a loop uses each block before it takes the next.
     """
     rows = max(1, min(nsteps, _DRAW_CHUNK_ELEMS // max(n, 1)))
-    bufs = (np.empty((rows, n)), np.empty((rows, n)))
-
-    def draw(j: int) -> np.ndarray:
-        z = bufs[j % 2][:min(rows, nsteps - j * rows)]
-        gen.standard_normal(out=z)
-        return z
-
-    chunks = -(-nsteps // rows)
-    pending = _pool().submit(draw, 0)
-    for j in range(chunks):
-        normals = pending.result()
-        if j + 1 < chunks:
-            pending = _pool().submit(draw, j + 1)
+    buf = np.empty((rows, n))
+    for lo in range(0, nsteps, rows):
+        normals = buf[:min(rows, nsteps - lo)]
+        gen.standard_normal(out=normals)
         yield from normals
 
 

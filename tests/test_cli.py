@@ -1,5 +1,6 @@
 """CLI registry, persistence, reproducibility, exit codes, import cost."""
 
+import csv
 import dataclasses
 import json
 import os
@@ -283,3 +284,42 @@ print(json.dumps({"before": before}))
     assert sorted(first.files) == sorted(here["out"])
     for name, value in here["out"].items():
         assert np.array_equal(first[name], value), name
+
+
+def test_audit_writes_runs_and_failures(tmp_path, capsys):
+    # explicit_inverse fails at seed 3 (its fixed 1e-10 tolerance against a
+    # dim-379-like conditioning) and passes at seed 2
+    names = ["explicit_inverse", "matsumoto_yor_kernel"]
+    argv = ["audit", "--seeds", "2..3", "--out", str(tmp_path)]
+    assert main(argv + [a for name in names for a in ("--name", name)]) == 1
+    out = tmp_path / "audit"
+    runs = list(csv.DictReader((out / "runs.csv").open()))
+    assert [(r["name"], r["seed"]) for r in runs] == [(n, s) for s in ("2", "3") for n in names]
+    for r in runs:
+        manifest = json.loads((out / f"seed{r['seed']}" / r["name"] / "manifest.json").read_text())
+        assert r["passed"] == str(manifest["passed"])
+        assert r["failed"] == "; ".join(v["label"] for v in manifest["verdicts"]
+                                        if v["verdict"] == "fail")
+        for key in ("elapsed_s", "cpu_s", "peak_rss_mb"):
+            assert float(r[key]) == manifest[key] > 0
+    failures = {r["name"]: r for r in csv.DictReader((out / "failures.csv").open())}
+    assert failures["explicit_inverse"]["failed_seeds"] == "3"
+    assert failures["matsumoto_yor_kernel"]["failed_runs"] == "0"
+    assert "explicit_inverse       1/2 failed: seeds 3" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("args", [["--seeds", "5..2"], ["--seeds", "a..b"], ["--seeds", "3"],
+                                  ["--seeds", "0..1", "--name", "nope"]])
+def test_audit_usage_errors(tmp_path, args):
+    assert main(["audit", "--out", str(tmp_path)] + args) == 2
+    assert not (tmp_path / "audit").exists()
+
+
+def test_audit_pool_is_imported_only_by_the_command():
+    got = _fresh_python("""
+import json
+import vrjplab.cli
+print(json.dumps({"loaded": [m for m in ("multiprocessing", "concurrent.futures.process")
+                             if m in sys.modules]}))
+""")
+    assert got["loaded"] == []

@@ -70,8 +70,8 @@ def test_kernel_range_and_degenerate_errors():
 
 
 def test_diagonal_law_and_t_invariance():
-    s0 = sample_kernel_diagonal(1.0, 0.0, 1e-3, 4000, new_stream(3, 0))
-    s_half = sample_kernel_diagonal(1.0, 0.5, 1e-3, 4000, new_stream(3, 50))
+    s0, _ = sample_kernel_diagonal(1.0, 0.0, 1e-3, 4000, new_stream(3, 0))
+    s_half, _ = sample_kernel_diagonal(1.0, 0.5, 1e-3, 4000, new_stream(3, 50))
     assert ks_one_sample(s0, inverse_gamma_half_cdf, 0.01).passed
     assert ks_two_sample(s0, s_half, 0.01).passed
 
@@ -89,25 +89,25 @@ def test_quadratic_form_zero_and_positive():
     # replica 0 of the sampler reads the path KernelPath.sample draws from
     # s.substream(1), the stream of its first block
     s = new_stream(4, 0)
-    assert sample_quadratic_form(1.0, np.zeros_like, 1e-3, 1, s)[0] == 0.0
+    assert sample_quadratic_form(1.0, np.zeros_like, 1e-3, 1, s)[0][0] == 0.0
     for f in (lambda t: np.sin(np.pi * t), lambda t: t ** 2,
               lambda t: np.cos(3 * t) + 0.1):
-        assert sample_quadratic_form(1.0, f, 1e-3, 1, s)[0] > 0
+        assert sample_quadratic_form(1.0, f, 1e-3, 1, s)[0][0] > 0
 
 
 def test_quadratic_form_double_route_oracle():
     s = new_stream(5, 3)
     k = KernelPath.sample(1.0, 1e-3, s.substream(1))
     f = lambda t: np.cos(np.pi * t) + 2.0
-    q1 = sample_quadratic_form(1.0, f, 1e-3, 1, s)[0]
+    q1 = sample_quadratic_form(1.0, f, 1e-3, 1, s)[0][0]
     q2 = quadratic_form_double_route(k, f(path_times(k.gbm)))
     assert abs(q1 - q2) / abs(q2) < 1e-6
 
 
 def test_quadratic_form_law_f_one():
     lam = 1.0
-    qf = sample_quadratic_form(lam, lambda t: np.ones_like(t), 1e-3, 4000,
-                               new_stream(6, 0))
+    qf, _ = sample_quadratic_form(lam, lambda t: np.ones_like(t), 1e-3, 4000,
+                                  new_stream(6, 0))
     cdf = lambda x: inverse_gamma_half_cdf(x / (2 * lam) ** 2)
     assert ks_one_sample(qf, cdf, 0.01).passed
 

@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
+import vrjplab.matsumoto_yor as my
 from vrjplab.beta_field import dense_h, GraphShape, WeightedGraph1D
+from vrjplab.experiments import get_experiment
 from vrjplab.matsumoto_yor import (build_my_chains, euler_maruyama_z, kernel_step,
                                    sample_z_pathwise)
 from vrjplab.stats import ks_two_sample, mean_ci
@@ -123,6 +125,23 @@ def test_conditional_variance_matches_z():
     z_mid = float(np.median(zn[(zn >= lo) & (zn < hi)]))
     var = float(np.var(sel, ddof=1))
     assert abs(var - z_mid) / z_mid < 0.15
+
+
+@pytest.mark.parametrize("shape, passes", [(1.0, True), (0.8, False)])
+def test_variance_verdict_on_exact_and_widened_conditional_laws(monkeypatch, shape, passes):
+    # the chains' z with psi redrawn from IG(1, shape/z): the exact law at
+    # shape 1, and at 0.8 a conditional variance 1.25 z, which the weighted
+    # mean of (psi-1)^2/z reads about 2.2 to 3.6 critical values off
+    def chains(m, length, n_rep, s):
+        _, z = build_my_chains(m, length, n_rep, s)
+        return sample_inverse_gaussian(shape / z, s.substream(99), z.size), z
+
+    monkeypatch.setattr(my, "build_my_chains", chains)
+    spec = get_experiment("intertwining")
+    for seed in range(2):
+        reports = spec.fn(dict(spec.defaults), new_stream(seed, 0)).reports
+        (var_rep,) = [r for r in reports if r.label.startswith("conditional variance")]
+        assert var_rep.passed == passes
 
 
 def test_scaled_chain_marginal_matches_gbm():

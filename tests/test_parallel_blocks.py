@@ -1,9 +1,10 @@
 """The worker pool: seeded output for any worker count, one span per traced call.
 
-The matrix samplers run their stream blocks on stochastic's private pool,
-and step_normals (read by exp_functional_walk and euler_maruyama_z) draws
-its normals on it one chunk ahead of the steps.  The phase-counting lane
-runs (dos_sweep, renewal_statistics) use no pool.  Swapping the pool for
+The matrix samplers run their stream blocks on stochastic's private pool.
+step_normals (read by exp_functional_walk and euler_maruyama_z) draws its
+normals in the calling thread, a chunk of steps at a time, and the
+phase-counting lane runs (dos_sweep, renewal_statistics) use no pool; the
+walks must still equal a loop of one draw per step.  Swapping the pool for
 one of 1, 2 or 3 threads must not move a single bit.  Pool tasks call
 only untraced helpers (the path builder log_gbm_rows), so a traced
 sampler records one span per call however many threads work for it.
@@ -64,8 +65,8 @@ def test_matrix_samplers_identical_for_any_worker_count():
     lam, step = 1.0, 1e-2
 
     def run():
-        return (ck.sample_kernel_diagonal(lam, 0.3, step, 4500, new_stream(5, 1)),
-                ck.sample_quadratic_form(lam, np.cos, step, 2500, new_stream(5, 2)))
+        return (*ck.sample_kernel_diagonal(lam, 0.3, step, 4500, new_stream(5, 1)),
+                *ck.sample_quadratic_form(lam, np.cos, step, 2500, new_stream(5, 2)))
 
     _assert_all_equal(_for_each_worker_count(run))
 
@@ -89,7 +90,7 @@ def test_dos_sweep_identical_for_any_worker_count():
 
 
 def _walk_serial(gen, n, h, nsteps, snaps):
-    """One (n,) draw per step: the walk without draw-ahead."""
+    """One (n,) draw per step: the walk without draw chunks."""
     alpha, integ, prev, seen = np.zeros(n), np.zeros(n), np.ones(n), {}
     for k in range(1, nsteps + 1):
         alpha += gen.standard_normal(n) * math.sqrt(h)
@@ -122,7 +123,7 @@ def test_walk_identical_for_any_worker_count(n, nsteps):
 
 
 def _euler_serial(tmax, step, n_rep, s):
-    """euler_maruyama_z as it was: one (n_rep,) draw per step, no draw-ahead."""
+    """euler_maruyama_z as it was: one (n_rep,) draw per step, no draw chunks."""
     nsteps = int(round(tmax / step))
     z = np.zeros(n_rep)
     sq = math.sqrt(step)

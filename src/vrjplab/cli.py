@@ -126,7 +126,11 @@ def _write_csv(path: Path, rows: list[dict]) -> None:
 
 
 def run(config: ExperimentConfig) -> RunManifest:
-    """Execute a registered experiment and persist its results."""
+    """Execute a registered experiment and persist its results.
+
+    Raises ValueError, before writing anything, on an unknown parameter or
+    when the experiment forms no verdict.
+    """
     spec = get_experiment(config.name)
     params = dict(spec.defaults)
     for k, v in config.params.items():
@@ -138,6 +142,8 @@ def run(config: ExperimentConfig) -> RunManifest:
     wall0, cpu0 = time.perf_counter(), time.process_time()
     result: ExperimentResult = spec.fn(params, new_stream(config.seed, 0))
     elapsed_s, cpu_s = time.perf_counter() - wall0, time.process_time() - cpu0
+    if not result.reports:             # no verdict is not a pass
+        raise ValueError(f"parameters of '{config.name}' form no verdict: {params}")
     finished = datetime.now(timezone.utc).isoformat()
 
     out_dir = Path(config.output_dir) / config.name

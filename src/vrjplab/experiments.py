@@ -470,6 +470,8 @@ def _exp_spectrum_oracle(p: dict, s: RngStream) -> ExperimentResult:
           "one-sample KS at alpha = 0.01 rejects at most 4% of 200 null runs",
           {"reps": 200, "n": 10_000, "alpha": 0.01, "max_rate": 0.04})
 def _exp_null_calibration(p: dict, s: RngStream) -> ExperimentResult:
+    if int(p["reps"]) < 1:
+        raise ValueError("null calibration needs reps >= 1")
     rejects = 0
     for i in range(int(p["reps"])):
         u = s.substream(i + 1).gen.uniform(size=int(p["n"]))

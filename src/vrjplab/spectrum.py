@@ -17,18 +17,18 @@ which under a frozen coefficient moves linearly at the constant rate
 sqrt(E); crossings of multiples of pi by psi and theta coincide branch
 by branch.  This per-cell closed form is exact and unconditionally
 stable; the only approximation is the piecewise-constant coefficient.
-Gauge re-projection at each cell boundary goes through atan2, which
-saturates gracefully where tan(theta) overflows.
+Gauge re-projection at each cell boundary is a product in the rotation
+form below, which stays finite where tan(theta) overflows.
 
 The recurrence sees the path only through each cell's log coefficient
 ratio logc_i - logc_{i-1} = log M_{i+1} - log M_{i-1}.  For a geometric
-path given by its values (a SampledPath) the ratios are differences of
-the cells' logc.  For log M = B_t - t/2 they are x_{i-1} + x_i - h, with x
-the Brownian increments and h the cell width: the anchor of B, the grid's
-origin and log sqrt(E) cancel, so the phase-counting experiments never
-build B and read the increments as they are drawn
+path given by its values (a SampledPath) they are differences of its
+log values, free of E.  For log M = B_t - t/2 they are x_{i-1} + x_i - h,
+with x the Brownian increments and h the cell width: the anchor of B, the
+grid's origin and log sqrt(E) cancel, so the phase-counting experiments
+never build B and read the increments as they are drawn
 (stochastic.brownian_increments).  That form is also the more accurate
-one: it adds two O(sqrt(h)) numbers, where a difference of two logc
+one: it adds two O(sqrt(h)) numbers, where a difference of two log M
 values loses the digits of their magnitude, which grows along a path.
 
 The cell recurrence is sequential along a path, so the batching runs
@@ -37,22 +37,24 @@ read at one energy, by one numpy step per cell over blocks of _LANE_BLOCK
 cells.  It is the one counting engine of the experiments: dos_sweep runs
 a lane per (replica, E) over the circle and keeps the counts, and
 renewal_statistics runs independent lanes.  A single given path
-(phase_propagate) goes through the scalar loop _scan.  Neither experiment
-holds a whole path, so memory does not grow with the horizon or with lam.
+(phase_propagate) goes through the scalar loop _scan, one lane in Python
+floats, about 20 times faster than a numpy step per cell on one lane.
+Neither experiment holds a whole path, so memory does not grow with the
+horizon or with lam.
 
-Rotation form of the lanes.  In the Pruefer vector (u, v) = rho (sin psi,
-cos psi) (Pruefer 1926) a frozen cell is linear: the gauge rescale by the
-ratio r scales u by r, and the advance rotates (u, v) by sqrt(E) h.  So a
-lane carries (u, v), not psi, across cells and blocks, and a cell takes
-multiplies and adds on all lanes; atan2 is taken only of a crossing
-lane's entry vector, and the cosine and sine of the advance once per
-block.  The crossing window and the clamp are those of the scalar route,
-so the lanes find _scan's crossing cells and counts, but the vector rounds
-differently from the angle: entry angles, and crossing times, differ from
-_scan's in their last bits.  Each vector is rescaled by a power of two at
-block ends (and more often where the ratios are extreme); that is exact
-and commutes with every later operation, so nothing overflows at long
-horizons and no bit depends on the block.
+Rotation form.  In the Pruefer vector (u, v) = rho (sin psi, cos psi)
+(Pruefer 1926) a frozen cell is linear: the gauge rescale by the ratio r
+scales u by r, and the advance rotates (u, v) by sqrt(E) h.  So a lane
+carries (u, v), not psi, across cells and blocks, and a cell takes
+multiplies and adds; atan2 is taken only of a crossing's entry vector, and
+the cosine and sine of the advance once per call.  The scalar scan and the
+lanes run the same arithmetic: the same float operations in the same
+order, on ratios, cosines, sines and entry angles from the same numpy
+calls, so _scan's crossing cells, entry angles and counts are a lane's,
+bit for bit.  Each vector is rescaled by a power of two at block ends (and
+more often where the ratios are extreme); that is exact and commutes with
+every later operation, so nothing overflows at long horizons and no bit
+depends on the block.
 
 Renewal gaps from lanes.  At a pi-crossing psi is 0 whatever M is, and
 from there it reads only future log ratios, which are Brownian
@@ -102,50 +104,12 @@ class PhaseTrace:
 
 
 _CROSS_TOL = 1e-10   # endpoint-exact crossings round to the crossed side
-
-
-def _first_crossing_angle() -> float:
-    """Smallest advanced angle x whose crossing count (x + tol) // pi is >= 1.
-
-    fl(x + tol) is monotone in x, so x < this bound is exactly the test
-    (x + tol) // pi == 0, with one comparison instead of an add and a divide.
-    """
-    x = _PI - _CROSS_TOL
-    while x + _CROSS_TOL >= _PI:
-        x = math.nextafter(x, 0.0)
-    while x + _CROSS_TOL < _PI:
-        x = math.nextafter(x, 4.0)
-    return x
-
-
-_CROSS_ANGLE = _first_crossing_angle()
-# Cells per chunk of the scalar route (one tolist() each) and per block of
-# the lane route.  Neither changes a count.
-_SCAN_CHUNK = 1 << 15
+# Cells per block of the lane route, and the most cells the scalar route
+# reads between two rescales.  Neither changes a bit.
 _LANE_BLOCK = 256
-# The most e-folds a lane's Pruefer vector may grow or shrink by between two
+# The most e-folds a Pruefer vector may grow or shrink by between two
 # rescales: from max(|u|, |v|) in [1/2, 1) it stays within 2^(+-866).
 _RESCALE_EFOLDS = 600.0
-
-
-def _path_chunks(gbm: SampledPath, e_level: float):
-    """Yield (lo, log ratios of cells lo..hi-1) of a geometric path, _SCAN_CHUNK cells at a time.
-
-    Cell i's log coefficient is logc_i = log sqrt(E) + log M_i + log
-    M_{i+1} (the frozen M^2), and its ratio is logc_i - logc_{i-1}; the
-    first cell has no predecessor and takes ratio 0.
-    """
-    c0 = 0.5 * math.log(e_level)
-    n = gbm.values.size - 1
-    prev = None                  # logc of the cell before the chunk
-    for lo in range(0, n, _SCAN_CHUNK):
-        logm = np.log(gbm.values[lo:min(n, lo + _SCAN_CHUNK) + 1])
-        logc = c0 + logm[:-1] + logm[1:]
-        ratios = np.empty(logc.size)
-        ratios[0] = 0.0 if prev is None else logc[0] - prev
-        np.subtract(logc[1:], logc[:-1], out=ratios[1:])
-        prev = logc[-1]
-        yield lo, ratios
 
 
 def _cell_ratios(blocks, h: float, before=None):
@@ -169,33 +133,37 @@ def _cell_ratios(blocks, h: float, before=None):
         yield lo, d
 
 
-def _scan(chunks, step: float, e_level: float) -> tuple[list, float]:
-    """Scalar route: scan a path's cells from psi = 0; its crossing records and final psi.
+def _scan(d: np.ndarray, dpsi: float):
+    """Scalar route: one lane of _lane_step over the log ratios d from psi = 0, in a Python loop.
 
-    chunks yields (lo, log ratios of cells lo..hi-1) for consecutive chunks
-    of cells of width step (_path_chunks).  At a cell boundary the angle is
-    rescaled by the exp of that ratio, which stays O(1) on a Brownian grid,
-    so no precision is lost even when M^2 spans hundreds of e-folds, and
-    stays in [0, pi) (sin psi >= 0).  A cell whose advanced angle crosses
-    pi appends (cell, entry angle, crossings) to the records.  Memory is
-    one chunk plus the records.
+    A cell does the lane's multiplies, adds and compares, in its order and
+    on the same numbers: the ratios are np.exp of d, the advance's turns,
+    cosine and sine come from _rotation, and the entry angles from one
+    np.arctan2 over the vectors (u, v) recorded at the crossings.  So its
+    crossing cells, entry angles and crossings are a lane's, bit for bit.
+    The vector is rescaled like a lane's, at least every _LANE_BLOCK cells.
+    Returns the crossing cells, their entry angles and crossings, and the
+    final (u, v).
     """
-    exp, sin, cos, atan2 = math.exp, math.sin, math.cos, math.atan2
-    cross_at, dpsi = _CROSS_ANGLE, math.sqrt(e_level) * step
-    psi, records = 0.0, []
-    for lo, ratios in chunks:
-        for i, d in enumerate(ratios.tolist(), lo):
-            psi = atan2(exp(d) * sin(psi), cos(psi))
-            x = psi + dpsi
-            if x < cross_at:
-                psi = x
-                continue
-            ncross = int((x + _CROSS_TOL) // _PI)
-            records.append((i, psi, ncross))
-            psi = x - ncross * _PI
-            if psi < 0.0:
-                psi = 0.0
-    return records, psi
+    ratios = np.exp(d)
+    turns, c, s = (float(a[0]) for a in _rotation(np.array([dpsi])))
+    ms, tol = -s, -_CROSS_TOL
+    u, v, records = 0.0, 1.0, []
+    every = min(_LANE_BLOCK, _rescale_every(ratios))
+    for lo in range(0, ratios.size, every):
+        for j, r in enumerate(ratios[lo:lo + every].tolist(), lo):
+            u *= r
+            x, y = c * u + s * v, c * v + ms * u
+            if x < tol * y:
+                records.append((j, u, v, turns + 1.0))
+                x, y = (-x if x < 0.0 else 0.0), -y     # np.maximum(-x, 0.0): -0.0 gives +0.0
+            elif turns:
+                records.append((j, u, v, turns))
+            u, v = x, y
+        e = math.frexp(max(abs(u), abs(v)))[1]
+        u, v = math.ldexp(u, -e), math.ldexp(v, -e)
+    cells, u_in, v_in, nc = np.array(records, dtype=float).reshape(-1, 4).T
+    return cells.astype(np.int64), np.arctan2(u_in, v_in), nc.astype(np.int64), (u, v)
 
 
 def _crossing_times(cells, psi_in, ncross, step: float, root_e) -> np.ndarray:
@@ -214,20 +182,25 @@ def _crossing_times(cells, psi_in, ncross, step: float, root_e) -> np.ndarray:
 
 
 def phase_propagate(e_level: float, gbm: SampledPath) -> PhaseTrace:
-    """Propagate the phase over the whole span of the geometric path gbm from theta = 0."""
+    """Propagate the phase over the whole span of the geometric path gbm from theta = 0.
+
+    Cell i reads the log ratio log M_{i+1} - log M_{i-1}, which does not
+    depend on E; the first cell has no predecessor and reads 0, as in
+    _cell_ratios.  The final vector is unwound to theta by the last cell's
+    coefficient.
+    """
     if not e_level > 0:
         raise ValueError("E must be positive")
     if gbm.values.size < 2:
         raise ValueError("path has no cell: phase propagation needs at least two nodes")
-    records, psi = _scan(_path_chunks(gbm, e_level), gbm.step, e_level)
-    # unwind the final gauge angle to the raw phase fraction by the last cell's logc
-    logm = np.log(gbm.values[-2:])
-    logc_last = 0.5 * math.log(e_level) + logm[0] + logm[1]
-    phi = math.atan2(math.sin(psi), math.exp(min(logc_last, 700.0)) * math.cos(psi))
-    if phi < 0.0:
-        phi = 0.0
-    rec = np.array(records, dtype=float).reshape(-1, 3)
-    crossings = _crossing_times(*rec.T, gbm.step, math.sqrt(e_level))
+    logm = np.log(gbm.values)
+    d = np.zeros(logm.size - 1)
+    np.subtract(logm[2:], logm[:-2], out=d[1:])
+    root_e = math.sqrt(e_level)
+    cells, entry, nc, (u, v) = _scan(d, root_e * gbm.step)
+    logc_last = 0.5 * math.log(e_level) + logm[-2] + logm[-1]
+    phi = max(math.atan2(u, math.exp(min(logc_last, 700.0)) * v), 0.0)
+    crossings = _crossing_times(cells, entry, nc, gbm.step, root_e)
     return PhaseTrace(crossings.size * _PI + phi, crossings, crossings.size)
 
 
@@ -247,11 +220,11 @@ def _lane_step(ratios, uv, dpsi, count, records=None) -> np.ndarray:
     advance a rotation by dpsi, so a cell takes multiplies and adds and no
     transcendental; the cosine and sine of dpsi are taken once per call.
     A cell writes the rotated vectors into a spare buffer, and the two
-    buffers swap.  A lane crosses in a cell iff its rotated u < -tol v,
-    the window of _CROSS_ANGLE.  Only in cells where some lane crosses,
-    those lanes add the crossing to count, record atan2 of their vector
-    before the rotation as the entry angle, turn by -pi (flip the sign)
-    and clamp u >= 0.  A lane with dpsi >= pi adds its whole half-turns to
+    buffers swap.  A lane crosses in a cell iff its rotated u < -tol v:
+    an advance that ends within about tol of pi crosses.  Only in cells
+    where some lane crosses, those lanes add the crossing to count, record
+    atan2 of their vector before the rotation as the entry angle, turn by
+    -pi (flip the sign) and clamp u >= 0.  A lane with dpsi >= pi adds its whole half-turns to
     count in every cell and rotates by the rest.  Given records, a cell
     with crossings appends (its cell index in the block per crossing lane,
     those lanes, their entry angles, their crossings).
@@ -265,11 +238,9 @@ def _lane_step(ratios, uv, dpsi, count, records=None) -> np.ndarray:
     with it, so no bit depends on the block.  Returns the vectors after the
     block, shape (2, lanes); uv is used as scratch.
     """
-    turns = np.floor(dpsi / _PI)
+    turns, c, s = _rotation(dpsi)
     wraps = turns > 0
     any_wrap = bool(wraps.any())
-    rest = dpsi - turns * _PI
-    c, s = np.cos(rest), np.sin(rest)
     # a buffer holds u then v: its products by (c, c) and by (-s, s) are the
     # four products of the rotation, in two calls
     cc, ss = np.concatenate([c, c]), np.concatenate([-s, s])
@@ -280,8 +251,7 @@ def _lane_step(ratios, uv, dpsi, count, records=None) -> np.ndarray:
     q, qu, qv, _ = _halves(np.empty(2 * n))
     t, crossed = np.empty(n), np.empty(n, dtype=bool)
     mul, add, less, nonzero = np.multiply, np.add, np.less, np.count_nonzero
-    growth = math.log(max(ratios.max(), 1.0 / ratios.min()))
-    every = max(1, int(_RESCALE_EFOLDS / growth)) if growth > 0 else len(ratios)
+    every = _rescale_every(ratios)
     for lo in range(0, len(ratios), every):
         for j, r in enumerate(ratios[lo:lo + every], lo):
             mul(u, r, out=u)
@@ -305,6 +275,19 @@ def _lane_step(ratios, uv, dpsi, count, records=None) -> np.ndarray:
         np.ldexp(rows, e, out=rows)
     count += turns * len(ratios)
     return rows
+
+
+def _rotation(dpsi: np.ndarray):
+    """The whole half-turns of each advance dpsi, and the cosine and sine of the rest."""
+    turns = np.floor(dpsi / _PI)
+    rest = dpsi - turns * _PI
+    return turns, np.cos(rest), np.sin(rest)
+
+
+def _rescale_every(ratios: np.ndarray) -> int:
+    """Cells over which a Pruefer vector reading these ratios moves by <= _RESCALE_EFOLDS e-folds."""
+    growth = math.log(max(ratios.max(), 1.0 / ratios.min()))
+    return max(1, int(_RESCALE_EFOLDS / growth)) if growth > 0 else len(ratios)
 
 
 def _halves(buf: np.ndarray):

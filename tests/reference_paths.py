@@ -66,21 +66,17 @@ def renewal_lane_whole_path(e_level: float, t_cut: float, s: RngStream, step: fl
 
     The increments of n_cells cells come from one draw of s, their log
     ratios from one array operation, and one scalar _scan reads them all.
-    Returns the ratios and, for each crossing up to the first at or after
-    t_cut, its cell and time; raises if no crossing within n_cells
-    reaches t_cut.
+    Returns, for each crossing up to the first at or after t_cut, its cell
+    and time; raises if no crossing within n_cells reaches t_cut.
     """
     x = s.gen.standard_normal(n_cells) * math.sqrt(step)
     ratios = np.concatenate([[0.0], x[:-1] + x[1:] - step])
-    records, _ = sp._scan([(0, ratios)], step, e_level)
-    rec = np.array(records, dtype=float).reshape(-1, 3)
-    nc = rec[:, 2].astype(np.int64)
-    cells = rec[:, 0].astype(np.int64)
-    times = sp._crossing_times(cells, rec[:, 1], nc, step, math.sqrt(e_level))
+    cells, entry, nc, _ = sp._scan(ratios, math.sqrt(e_level) * step)
+    times = sp._crossing_times(cells, entry, nc, step, math.sqrt(e_level))
     stop = int(np.searchsorted(times, t_cut))
     if stop == times.size:
         raise ValueError(f"no crossing at or after {t_cut} within {n_cells} cells")
-    return ratios, np.repeat(cells, nc)[:stop + 1], times[:stop + 1]
+    return np.repeat(cells, nc)[:stop + 1], times[:stop + 1]
 
 
 def chain_arrays_from_a(a: np.ndarray, m: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

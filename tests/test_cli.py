@@ -160,6 +160,9 @@ def test_main_key_error_inside_an_experiment_is_not_a_usage_error(tmp_path, monk
     ("z_diffusion", "step=0 n=200", "positive and finite"),
     ("z_diffusion", "tmax=NaN n=200", "positive and finite"),
     ("mbg_corollary", "step=0 n=200", "positive and finite"),
+    ("renewal_mean", "e_list=[]", "form no verdict"),
+    ("mean_t1_quadrature", "e_list=[]", "form no verdict"),
+    ("null_calibration", "reps=0", "reps >= 1"),
 ])
 def test_main_params_too_small_exit_2(tmp_path, capsys, name, param, message):
     # parameters too small to form a statistic, a grid that cannot be built,

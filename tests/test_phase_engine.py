@@ -1,26 +1,27 @@
 """The phase-counting engine against a reference per-cell loop.
 
-_phase_core below is the original scalar propagation, kept verbatim as
-the oracle; it reads a geometric path's values.  The scalar route on the
-same values must reproduce it bit for bit.  The experiments read the cell
-log ratios of a path from its Brownian increments instead, which round
-differently: on the same draws they must give every count of the oracle
-and its crossing times within a bound derived from the two ratio arrays.
-The lane route (a rotation of the Pruefer vector, which rounds
-differently from the angle) must reproduce every count, also where a cell
-turns the phase by pi or more, where log M drifts by a thousand e-folds,
-and on the flat path, whose count is known in closed form.  Two more
-reference routes check the closed form itself: a generic RK4 integration
-of the phase ODE, and the per-cell Riccati identity at the oracle's entry
-angles.
+_phase_core below is the original scalar propagation in the angle form,
+kept verbatim as the oracle; it reads a geometric path's values.  The
+engine runs the rotation form (a Pruefer vector), which rounds
+differently: the scalar route on the same path must give every count and
+crossing cell of the oracle, and its crossing times and theta within a
+bound derived from the two routes' ratio arrays and roundings.  The
+experiments read the cell log ratios of a path from its Brownian
+increments, and must meet the oracle in the same way.  The scalar route
+is one lane of the lane route, run in Python floats: on the same ratios
+the two must give the same crossing cells, entry angles, crossings and
+times bit for bit, also where a cell turns the phase by pi or more and
+where log M drifts by a thousand e-folds.  The lane counts must be the
+closed-form count on the flat path.  Two more reference routes check the
+closed form itself: a generic RK4 integration of the phase ODE, and the
+per-cell Riccati identity at the oracle's entry angles.
 
 dos_sweep and renewal_statistics stream their increments.  The lane
 counts must be those of all the ratios held whole, bit for bit, and the
 counts and renewal gaps must not depend on the lane block, from one cell
-to one block that holds every lane's whole path.  Each renewal lane must give every
-crossing cell and count of a scalar scan of its path drawn whole, with
-crossing times inside the ratio-rounding bound; and its kept gaps must
-have no length bias.
+to one block that holds every lane's whole path.  Each renewal lane must
+give the crossing cells and times of a scalar scan of its path drawn
+whole, bit for bit; and its kept gaps must have no length bias.
 """
 
 import math
@@ -31,8 +32,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import vrjplab.spectrum as sp
-from vrjplab.spectrum import (_CROSS_TOL, _LANES, _PI, dos_sweep, phase_propagate,
-                              renewal_statistics)
+from vrjplab.spectrum import (_CROSS_TOL, _LANES, _PI, count_states_phase, dos_sweep,
+                              phase_propagate, renewal_statistics)
 from vrjplab.stochastic import (SampledPath, brownian_increments, grid_cells, log_gbm_rows,
                                 new_stream)
 
@@ -78,7 +79,7 @@ def _oracle_logc(path, e_level):
 
 
 def _oracle(path, e_level):
-    """(count, final gauge angle, crossing cells, their entry angles, theta, times)."""
+    """(count, the cell of each crossing, theta, the crossing times)."""
     logc = _oracle_logc(path, e_level)
     kcum, psi_in, psi = _phase_core(logc, math.sqrt(e_level) * path.step)
     phi = math.atan2(math.sin(psi), math.exp(min(logc[-1], 700.0)) * math.cos(psi))
@@ -88,11 +89,17 @@ def _oracle(path, e_level):
     times = [i * path.step + (np.arange(1, dk[i] + 1) * _PI - psi_in[i]) / math.sqrt(e_level)
              for i in cells]
     times = np.concatenate(times) if times else np.empty(0)
-    return int(kcum[-1]), psi, cells, psi_in[cells], theta, times
+    return int(kcum[-1]), np.repeat(cells, dk[cells]), theta, times
 
 
 def _path(seed, lam, step):
     return sample_gbm_path(-lam, lam, step, new_stream(seed, 3))
+
+
+def _path_ratios(path):
+    """phase_propagate's log ratios of a geometric path: log M_{i+1} - log M_{i-1}, 0 first."""
+    logm = np.log(path.values)
+    return np.concatenate([[0.0], logm[2:] - logm[:-2]])
 
 
 def _increment_ratios(seed, n_cells, step, block):
@@ -101,82 +108,46 @@ def _increment_ratios(seed, n_cells, step, block):
     return ((lo, d[0]) for lo, d in sp._cell_ratios(incr, step))
 
 
-def _whole_scan(chunks, step, e_level):
-    """_scan's records and final angle, and its crossing cells, entry angles and crossings."""
-    records, psi = sp._scan(chunks, step, e_level)
-    rec = np.array(records, dtype=float).reshape(-1, 3)
-    return records, psi, rec[:, 0].astype(np.int64), rec[:, 1], rec[:, 2].astype(np.int64)
+def _scan_times(d, step, e_level):
+    """The cell and time of each crossing of _scan over the log ratios d."""
+    cells, entry, nc, _ = sp._scan(d, math.sqrt(e_level) * step)
+    return np.repeat(cells, nc), sp._crossing_times(cells, entry, nc, step, math.sqrt(e_level))
 
 
 energies = st.sampled_from([0.25, 0.5, 1.0, 2.0, 4.0, 9.0, 16.0, 30.0])
 steps = st.sampled_from([1e-3, 4e-3, 1e-2])
 
 
-@given(seed=st.integers(0, 2 ** 32 - 1), e_level=energies,
-       lam=st.floats(0.05, 5.0), step=steps)
-def test_scalar_route_bit_identical_to_oracle(seed, e_level, lam, step):
-    path = _path(seed, lam, step)
-    count, psi, cells, psi_in, theta, times = _oracle(path, e_level)
-    n = path.values.size - 1
-    _, got_psi, got_cells, got_psi_in, nc = _whole_scan(sp._path_chunks(path, e_level),
-                                                        path.step, e_level)
-    assert nc.sum() == count
-    assert got_psi == psi
-    assert np.array_equal(got_cells, cells)
-    assert np.array_equal(got_psi_in, psi_in)
-    tr = phase_propagate(e_level, path)
-    assert tr.count == count and tr.theta_final == theta
-    assert np.array_equal(tr.crossings, times)
-
-
-def test_scalar_route_across_chunk_seams():
-    path = _path(17, 20.0, 1e-3)
-    assert path.values.size - 1 > sp._SCAN_CHUNK
-    for e_level in (1.0, 9.0):
-        count, psi, cells, psi_in, theta, times = _oracle(path, e_level)
-        tr = phase_propagate(e_level, path)
-        assert (tr.count, tr.theta_final) == (count, theta)
-        assert np.array_equal(tr.crossings, times)
-
-
-def test_gbm_path_bit_identical_to_oracle():
-    geo = geometric(sample_brownian_path(-3.0, 3.0, 1e-3, new_stream(8, 3)))
-    for e_level in (1.0, 4.0):
-        *_, nc = _whole_scan(sp._path_chunks(geo, e_level), geo.step, e_level)
-        assert nc.sum() == _oracle(geo, e_level)[0]
-
-
 # A bound on how far apart the angles of two scans of the same cells can
-# be, each rounded in float64: every cell of the scalar route takes at most
-# eight roundings (exp, sin, their product, cos, atan2, the advance, the
-# wrap's product and difference).  A relative error of at most 2^-52 in an
-# atan2 argument moves the angle by at most 2^-53, and each of the others by
-# at most one ulp of a number below 2*pi, so each moves the angle by at most
-# ulp(2*pi).  A lane cell rounds the scaled u and the four products and two
-# sums of its rotation, each by at most 2^-53 of the vector's norm, and its
-# entry atan2 once: about ulp(2*pi) = 2^-50 of angle in all, within the
-# eight that the bound allows.
+# be, each rounded in float64: every cell of the oracle takes at most eight
+# roundings (exp, sin, their product, cos, atan2, the advance, the wrap's
+# product and difference).  A relative error of at most 2^-52 in an atan2
+# argument moves the angle by at most 2^-53, and each of the others by at
+# most one ulp of a number below 2*pi, so each moves the angle by at most
+# ulp(2*pi).  A cell of the rotation form (the scalar route and the lanes)
+# rounds the scaled u and the four products and two sums of its rotation,
+# each by at most 2^-53 of the vector's norm, and its entry atan2 once:
+# about ulp(2*pi) = 2^-50 of angle in all, within the eight that the bound
+# allows.
 _CELL_ROUNDING = 8 * np.spacing(2 * math.pi)
 
 
-def _entry_angle_bounds(path, e_level, d_other):
-    """Per cell, a bound on how far a scan of the ratios d_other enters from the oracle."""
+def _oracle_bounds(path, e_level, d_other):
+    """Bounds on how far a scan of the ratios d_other lands from the oracle.
+
+    Returns, per cell, a bound on the distance of its entry angles, and a
+    bound on that of theta.  theta unwinds the final angle psi by the last
+    cell's coefficient C = e^logc, with d theta / d psi = C / (cos^2 psi +
+    C^2 sin^2 psi); the last cell's advance and the unwinding round twice
+    each.
+    """
     logc = _oracle_logc(path, e_level)
     d = np.concatenate([[0.0], np.diff(logc)])
-    _, psi_in, _ = _phase_core(logc, math.sqrt(e_level) * path.step)
-    return _angle_bounds(d, psi_in, math.sqrt(e_level) * path.step, np.abs(d - d_other))
-
-
-def _ratio_entry_angles(d, dpsi):
-    """The entry angle of every cell of a scalar scan of the log ratios d from psi = 0."""
-    psi_in = np.empty(d.size)
-    psi = 0.0
-    for i, di in enumerate(d.tolist()):
-        psi = math.atan2(math.exp(di) * math.sin(psi), math.cos(psi))
-        psi_in[i] = psi
-        x = psi + dpsi
-        psi = max(x - ((x + _CROSS_TOL) // _PI) * _PI, 0.0)
-    return psi_in
+    _, psi_in, psi = _phase_core(logc, math.sqrt(e_level) * path.step)
+    entry = _angle_bounds(d, psi_in, math.sqrt(e_level) * path.step, np.abs(d - d_other))
+    big_c = math.exp(min(logc[-1], 700.0))
+    gain = big_c / (math.cos(psi) ** 2 + (big_c * math.sin(psi)) ** 2)
+    return entry, gain * (entry[-1] + 2 * _CELL_ROUNDING) + 2 * _CELL_ROUNDING
 
 
 def _angle_bounds(d, psi_in, dpsi, dd):
@@ -202,24 +173,79 @@ def _angle_bounds(d, psi_in, dpsi, dd):
     return bound
 
 
+def _assert_tracks_oracle(path, e_level, d, cells, times, theta=None):
+    """A scan of the log ratios d of path against the oracle: every count and crossing
+    cell equal, every crossing time and theta within _oracle_bounds (plus eight ulps of
+    a time, the two routes' rounding of i*h + (j*pi - psi)/sqrt(E))."""
+    count, want_cells, want_theta, want = _oracle(path, e_level)
+    assert cells.size == count and np.array_equal(cells, want_cells)
+    entry, theta_bound = _oracle_bounds(path, e_level, d)
+    assert np.all(np.abs(times - want)
+                  <= entry[cells] / math.sqrt(e_level) + 8 * np.spacing(want))
+    assert theta is None or abs(theta - want_theta) <= theta_bound
+
+
+def _propagate_tracks_oracle(path, e_level):
+    # the oracle reads the differences of logc, phase_propagate the E-free
+    # log ratios and the Pruefer vector: the counts and cells are the same
+    # bits, the times and theta within the bound of the two roundings
+    tr = phase_propagate(e_level, path)
+    cells, times = _scan_times(_path_ratios(path), path.step, e_level)
+    assert np.array_equal(tr.crossings, times)
+    _assert_tracks_oracle(path, e_level, _path_ratios(path), cells, times, tr.theta_final)
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), e_level=energies,
+       lam=st.floats(0.05, 5.0), step=steps)
+def test_scalar_route_bit_identical_to_oracle(seed, e_level, lam, step):
+    _propagate_tracks_oracle(_path(seed, lam, step), e_level)
+
+
+def test_scalar_route_across_chunk_seams():
+    # more cells than one rescale interval, read _LANE_BLOCK cells at a time
+    path = _path(17, 20.0, 1e-3)
+    assert path.values.size - 1 > sp._rescale_every(np.exp(_path_ratios(path)))
+    for e_level in (1.0, 9.0):
+        _propagate_tracks_oracle(path, e_level)
+
+
+def test_gbm_path_bit_identical_to_oracle():
+    geo = geometric(sample_brownian_path(-3.0, 3.0, 1e-3, new_stream(8, 3)))
+    for e_level in (1.0, 4.0):
+        _propagate_tracks_oracle(geo, e_level)
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), e_level=energies,
+       lam=st.floats(0.05, 5.0), step=steps, block=st.sampled_from([1, 7, 256]))
+def test_scalar_route_is_one_lane_bit_for_bit(seed, e_level, lam, step, block):
+    # phase_propagate and one lane of _lane_step fed the same ratios, block
+    # cells at a time: the same crossing cells, entry angles, crossings and
+    # times, and the lane count of _lane_counts is count_states_phase
+    path = _path(seed, lam, step)
+    d, dpsi = _path_ratios(path), math.sqrt(e_level) * path.step
+    cells, nc, entry, _ = _lane_records(d, dpsi, block)
+    got = sp._scan(d, dpsi)
+    assert all(np.array_equal(a, b) for a, b in zip(got, (cells, entry, nc)))
+    tr = phase_propagate(e_level, path)
+    assert tr.count == nc.sum()
+    assert np.array_equal(tr.crossings,
+                          sp._crossing_times(cells, entry, nc, path.step, math.sqrt(e_level)))
+    lanes = sp._lane_counts([(0, d[None])], 1, path.step, [e_level])
+    assert lanes[0, 0] == count_states_phase(e_level, path)
+
+
 @pytest.mark.parametrize("seed", [5, 6])
 def test_increment_ratios_track_the_path_ratios(seed):
     # the experiments' ratios x_{i-1} + x_i - h of a path's increments and the
     # oracle's logc differences of its geometric values, on the same draws:
-    # every count equal, and every crossing time within the bound that the two
-    # ratio arrays give (plus eight ulps of the time, the two routes' rounding
-    # of i*h + (j*pi - psi)/sqrt(E))
+    # every count and cell equal, and every crossing time within the bound
+    # that the two ratio arrays give
     path = _path(seed, 50.0, 1e-3)
     n = path.values.size - 1
     [(_, d_inc)] = list(_increment_ratios(seed, n, path.step, n))
     for e_level in (0.25, 1.0, 4.0, 16.0):
-        count, _, cells, _, _, times = _oracle(path, e_level)
-        _, _, got_cells, got_psi_in, nc = _whole_scan(
-            _increment_ratios(seed, n, path.step, sp._SCAN_CHUNK), path.step, e_level)
-        assert nc.sum() == count and np.array_equal(got_cells, cells)
-        got = sp._crossing_times(got_cells, got_psi_in, nc, path.step, math.sqrt(e_level))
-        angle = _entry_angle_bounds(path, e_level, d_inc)[np.repeat(got_cells, nc)]
-        assert np.all(np.abs(got - times) <= angle / math.sqrt(e_level) + 8 * np.spacing(times))
+        cells, times = _scan_times(d_inc, path.step, e_level)
+        _assert_tracks_oracle(path, e_level, d_inc, cells, times)
 
 
 def _lane_case(seed, lam, step, replicas, e_list, block):
@@ -314,9 +340,8 @@ def test_renewal_gaps_bit_identical_to_whole_path(e_level, monkeypatch):
 
 def test_renewal_lanes_track_a_scalar_scan():
     # every lane against _scan of its path drawn whole, up to the lane's stop:
-    # every crossing cell and count equal, every time within the bound that
-    # the two routes' roundings give (the ratios are the same bits), and the
-    # gaps those of the lane's times
+    # every crossing cell and time the same bits, and the gaps those of the
+    # lane's times
     step, s = 1e-2, new_stream(41, 0)
     e_levels = [1.0, 4.0]
     t_cut = [2.5 * math.pi / math.sqrt(e) for e in e_levels]
@@ -327,14 +352,9 @@ def test_renewal_lanes_track_a_scalar_scan():
         mine = lane == i
         stop = int(np.searchsorted(times[mine], t_cut[k])) + 1
         got_cells, got = cell[mine][:stop], times[mine][:stop]
-        ratios, want_cells, want = renewal_lane_whole_path(
-            e_levels[k], t_cut[k], s.substream(r + 1), step, int(got_cells[-1]) + 1)
-        assert np.array_equal(got_cells, want_cells)
-        dpsi = math.sqrt(e_levels[k]) * step
-        psi_in = _ratio_entry_angles(ratios, dpsi)
-        angle = _angle_bounds(ratios, psi_in, dpsi, np.zeros(ratios.size))[got_cells]
-        assert np.all(np.abs(got - want)
-                      <= angle / math.sqrt(e_levels[k]) + 8 * np.spacing(want))
+        want_cells, want = renewal_lane_whole_path(e_levels[k], t_cut[k], s.substream(r + 1),
+                                                   step, int(got_cells[-1]) + 1)
+        assert np.array_equal(got_cells, want_cells) and np.array_equal(got, want)
         assert np.array_equal(gaps[k][r], np.diff(got, prepend=0.0))
 
 
@@ -368,7 +388,7 @@ def test_renewal_mean_has_no_length_bias(monkeypatch):
 def _lane_records(d, dpsi, block):
     """One lane over the log ratios d, block cells at a time: crossing cells, crossings,
     entry angles and the final Pruefer vector."""
-    uv, records = sp._lane_start(1), []
+    uv, records = sp._lane_start(1), [(np.empty(0, np.int64), np.empty(0), np.empty(0))]
     for lo in range(0, d.size, block):
         part = []
         uv = sp._lane_step(np.exp(d[lo:lo + block])[:, None], uv, np.array([dpsi]),
@@ -378,21 +398,26 @@ def _lane_records(d, dpsi, block):
     return cells, nc.astype(np.int64), entry, uv
 
 
+def _scan_is_the_lane(d, dpsi, block):
+    """_scan over the log ratios d equals one lane read block cells at a time, bit for bit."""
+    cells, nc, entry, _ = _lane_records(d, dpsi, block)
+    return all(np.array_equal(a, b) for a, b in zip(sp._scan(d, dpsi), (cells, entry, nc)))
+
+
 def test_lane_stays_finite_where_log_m_drifts_by_1000_e_folds():
     # log M = B_t + 2.5 t on 40 000 cells of width 1e-2 rises by 1000
     # e-folds, each cell ratio by 0.05; the Pruefer vector grows with it and
-    # would overflow unscaled.  The lane stays finite, gives every crossing
-    # cell and count of _scan, and its entry angles and final vector are the
-    # same bits at blocks of 1, 7 and 256 cells.
+    # would overflow unscaled.  The lane stays finite, its entry angles and
+    # final vector are the same bits at blocks of 1, 7 and 256 cells, and
+    # _scan gives its crossing cells, entry angles and crossings bit for bit.
     step, e_level, n = 1e-2, 16.0, 40_000
     x = new_stream(44, 0).gen.standard_normal(n) * math.sqrt(step)
     d = np.concatenate([[0.0], x[:-1] + x[1:]]) + 0.05
     assert abs(d.sum()) / 2 > 800
-    _, _, want_cells, _, want_nc = _whole_scan([(0, d)], step, e_level)
     dpsi = math.sqrt(e_level) * step
     cells, nc, entry, uv = _lane_records(d, dpsi, sp._LANE_BLOCK)
     assert np.all(np.isfinite(entry)) and np.all(np.isfinite(uv))
-    assert np.array_equal(cells, want_cells) and np.array_equal(nc, want_nc)
+    assert _scan_is_the_lane(d, dpsi, sp._LANE_BLOCK)
     for block in (1, 7):
         other = _lane_records(d, dpsi, block)
         assert all(np.array_equal(a, b) for a, b in zip(other, (cells, nc, entry, uv)))
@@ -401,23 +426,25 @@ def test_lane_stays_finite_where_log_m_drifts_by_1000_e_folds():
 @pytest.mark.parametrize("dpsi", [math.pi - 1e-3, math.pi, 2.5 * math.pi])
 def test_lanes_that_turn_half_a_circle_or_more_per_cell(dpsi):
     # cells of width dpsi at E = 1, so a lane adds the whole half-turns to its
-    # count and rotates by the rest: every path's count is _scan's, and every
-    # renewal lane gives the crossing cells and crossings of _scan of its path
+    # count and rotates by the rest: on every path _scan is the lane bit for
+    # bit, every count is _scan's, and every renewal lane gives the crossing
+    # cells and times of _scan of its path
     s, n_cells, replicas = new_stream(45, 0), 600, 4
     gens = [s.substream(r + 1).gen for r in range(replicas)]
     blocks = list(sp._cell_ratios(brownian_increments(gens, n_cells, dpsi, sp._LANE_BLOCK),
                                   dpsi))
     whole = np.concatenate([d for _, d in blocks], axis=1)
-    want = [sum(nc for *_, nc in sp._scan([(0, row)], dpsi, 1.0)[0]) for row in whole]
+    assert all(_scan_is_the_lane(row, dpsi, sp._LANE_BLOCK) for row in whole)
+    want = [sp._scan(row, dpsi)[2].sum() for row in whole]
     assert np.array_equal(sp._lane_counts(blocks, replicas, dpsi, [1.0])[0], want)
     t_cut = 8 * dpsi
     lane, cell, times = sp._lane_crossings(np.array([1.0]), np.array([t_cut]), s, dpsi)
     for r in range(_LANES):
         stop = int(np.searchsorted(times[lane == r], t_cut)) + 1
-        got_cells = cell[lane == r][:stop]
-        _, want_cells, _ = renewal_lane_whole_path(1.0, t_cut, s.substream(r + 1), dpsi,
+        got_cells, got = cell[lane == r][:stop], times[lane == r][:stop]
+        want_cells, want = renewal_lane_whole_path(1.0, t_cut, s.substream(r + 1), dpsi,
                                                    int(got_cells[-1]) + 1)
-        assert np.array_equal(got_cells, want_cells)
+        assert np.array_equal(got_cells, want_cells) and np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("lam", [math.pi, 5.0])

@@ -14,8 +14,9 @@ audit runs registered experiments at their defaults over a range of seeds,
 each run in a fresh process, at most nproc at a time, and writes
 <out>/audit/runs.csv (one row per run: the failed verdicts, elapsed_s, cpu_s,
 peak_rss_mb) and <out>/audit/failures.csv (failed seeds per experiment).
-Exit code 0 when every verdict passes, 1 otherwise, 2 on usage errors,
-including parameters too small to form a statistic.
+--param takes a JSON number or list, typed against the registered default
+(_typed).  Exit code 0 when every verdict passes, 1 otherwise, 2 on usage errors:
+malformed values, parameters too small to form a statistic, verdicts on no data.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import numbers
 import os
 import platform
 import resource
@@ -72,7 +74,7 @@ class RunManifest:
         return {
             "name": self.config.name,
             "seed": self.config.seed,
-            "params": _jsonable(self.params),
+            "params": self.params,
             "output_dir": str(self.config.output_dir),
             "artifact_version": self.artifact_version,
             # bit streams are pinned per numpy release
@@ -97,16 +99,6 @@ class RunManifest:
         }
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if hasattr(obj, "item"):
-        return obj.item()
-    return obj
-
-
 def _format_cell(v) -> str:
     if hasattr(v, "item"):    # numpy scalar; np.float64's repr names its type
         v = v.item()
@@ -125,11 +117,25 @@ def _write_csv(path: Path, rows: list[dict]) -> None:
             w.writerow([_format_cell(row.get(k, "")) for k in fields])
 
 
+def _typed(key: str, value, default):
+    """value as the type of default: an int takes an integral number (1e4 is 10000), a float
+    any real, a tuple a real or a list of them, as floats.  NaN and inf pass: layers refuse."""
+    items = value if isinstance(value, (list, tuple)) else [value]
+    if all(isinstance(v, numbers.Real) and not isinstance(v, bool) for v in items):
+        if isinstance(default, tuple):
+            return tuple(float(v) for v in items)
+        if items is not value and (isinstance(default, float)
+                                   or isinstance(value, numbers.Integral)
+                                   or float(value).is_integer()):
+            return type(default)(value)
+    raise ValueError(f"parameter '{key}' takes the type of its default {default!r}, not {value!r}")
+
+
 def run(config: ExperimentConfig) -> RunManifest:
     """Execute a registered experiment and persist its results.
 
-    Raises ValueError, before writing anything, on an unknown parameter or
-    when the experiment forms no verdict.
+    Raises ValueError, before writing anything, on an unknown or ill-typed parameter
+    (_typed), and on no verdict or one on no data (n < 1 or a critical not finite).
     """
     spec = get_experiment(config.name)
     params = dict(spec.defaults)
@@ -137,13 +143,13 @@ def run(config: ExperimentConfig) -> RunManifest:
         if k not in params:
             raise ValueError(f"unknown parameter '{k}' for experiment '{config.name}' "
                              f"(accepts: {sorted(params)})")
-        params[k] = v
+        params[k] = _typed(k, v, params[k])
     started = datetime.now(timezone.utc).isoformat()
     wall0, cpu0 = time.perf_counter(), time.process_time()
     result: ExperimentResult = spec.fn(params, new_stream(config.seed, 0))
     elapsed_s, cpu_s = time.perf_counter() - wall0, time.process_time() - cpu0
-    if not result.reports:             # no verdict is not a pass
-        raise ValueError(f"parameters of '{config.name}' form no verdict: {params}")
+    if not result.reports or any(r.n < 1 or not np.isfinite(r.critical) for r in result.reports):
+        raise ValueError(f"parameters of '{config.name}' form no verdict on data: {params}")
     finished = datetime.now(timezone.utc).isoformat()
 
     out_dir = Path(config.output_dir) / config.name
@@ -215,13 +221,11 @@ def _parse_seeds(text: str) -> range:
 
 
 def _parse_param(text: str) -> tuple[str, object]:
-    if "=" not in text:
-        raise ValueError(f"parameter '{text}' is not of the form key=value")
-    key, raw = text.split("=", 1)
+    key, eq, raw = text.partition("=")
     try:
-        return key, json.loads(raw)
+        return key, json.loads(raw if eq else "")    # no '=' is malformed too
     except json.JSONDecodeError:
-        return key, raw
+        raise ValueError(f"parameter '{text}' is not of the form key=<JSON value>") from None
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -268,10 +272,6 @@ def main(argv: list[str] | None = None) -> int:
         try:
             params = dict(_parse_param(p) for p in args.param)
             config = ExperimentConfig(args.name, args.seed, params, Path(out))
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        try:
             manifest = run(config)
         except (ValueError, RuntimeError) as exc:
             print(f"error: {exc}", file=sys.stderr)

@@ -4,7 +4,7 @@ Each experiment is a pure function of (params, stream) returning CSV
 rows plus pass/fail reports, so a run with identical config reproduces
 byte-identical numeric output.  The registry entries carry a one-line
 description and the mathematical identity they exercise; the CLI lists
-and runs them.
+and runs them, each parameter typed as its registered default (cli.run).
 
 The layers return samples; the registry judges.  Every statistic, target
 and critical value is formed here, from the samples a layer returns, and
@@ -121,14 +121,13 @@ def _exp_dufresne_diagonal(p: dict, s: RngStream) -> ExperimentResult:
     on every run (_step_bias).
     """
     samples, coarse = continuum_kernel.sample_kernel_diagonal(p["lam"], p["t"], p["step"],
-                                                              int(p["n"]), s)
+                                                              p["n"], s)
     # the verdict names the grid node the sampler read, not the requested t
     _, t_node = continuum_kernel.kernel_diagonal_node(p["lam"], p["t"], p["step"])
     rep = ks_one_sample(samples, inverse_gamma_half_cdf, p["alpha"],
                         label=f"kernel-diagonal lam={p['lam']} t={t_node}")
     gap = np.mean(inverse_gamma_half_cdf(coarse) - inverse_gamma_half_cdf(samples))
-    return ExperimentResult([rep.as_row()], [rep, _step_bias([gap], [rep.critical],
-                                                             int(p["n"]))])
+    return ExperimentResult([rep.as_row()], [rep, _step_bias([gap], [rep.critical], p["n"])])
 
 
 @register("dufresne_ratio",
@@ -151,16 +150,15 @@ def _exp_dufresne_ratio(p: dict, s: RngStream) -> ExperimentResult:
     against the budget (_step_bias).
     """
     rows, reps, gaps = [], [], []
-    for i, lam in enumerate(tuple(np.atleast_1d(p["lams"]))):
-        lam = float(lam)
-        samples, coarse = continuum_kernel.sample_dufresne_ratio(lam, p["step"], int(p["n"]),
+    for i, lam in enumerate(p["lams"]):
+        samples, coarse = continuum_kernel.sample_dufresne_ratio(lam, p["step"], p["n"],
                                                                  s.substream(i))
         rep = ks_one_sample(samples, inverse_gamma_half_cdf, p["alpha"],
                             label=f"dufresne-ratio lam={lam}")
         reps.append(rep)
         rows.append({"lam": lam, **rep.as_row()})
         gaps.append(np.mean(inverse_gamma_half_cdf(coarse) - inverse_gamma_half_cdf(samples)))
-    reps.append(_step_bias(gaps, [r.critical for r in reps], int(p["n"])))
+    reps.append(_step_bias(gaps, [r.critical for r in reps], p["n"]))
     return ExperimentResult(rows, reps)
 
 
@@ -188,14 +186,14 @@ def _exp_functional_identity(p: dict, s: RngStream) -> ExperimentResult:
     }
     rows, reps, gaps = [], [], []
     for i, (label, (f, integral)) in enumerate(cases.items()):
-        samples, coarse = continuum_kernel.sample_quadratic_form(lam, f, p["step"],
-                                                                 int(p["n"]), s.substream(i))
+        samples, coarse = continuum_kernel.sample_quadratic_form(lam, f, p["step"], p["n"],
+                                                                 s.substream(i))
         cdf = lambda x, c=integral ** 2: inverse_gamma_half_cdf(x / c)
         rep = ks_one_sample(samples, cdf, p["alpha"], label=f"quadratic-form {label}")
         reps.append(rep)
         rows.append({"f": label, "integral": integral, **rep.as_row()})
         gaps.append(np.mean(cdf(coarse) - cdf(samples)))
-    reps.append(_step_bias(gaps, [r.critical for r in reps], int(p["n"])))
+    reps.append(_step_bias(gaps, [r.critical for r in reps], p["n"]))
     return ExperimentResult(rows, reps)
 
 
@@ -204,12 +202,12 @@ def _exp_functional_identity(p: dict, s: RngStream) -> ExperimentResult:
           "G(i,i) ~ 1/(2 gamma) on any circle field",
           {"n_weight": 8, "lam": 1.0, "n": 10_000, "alpha": 0.01})
 def _exp_discrete_green(p: dict, s: RngStream) -> ExperimentResult:
-    n_w = int(p["n_weight"])
-    size = int(math.ceil(p["lam"] * n_w))
+    n_w = p["n_weight"]
+    size = math.ceil(p["lam"] * n_w)
     dim = 2 * size + 1
     # one row of multipliers per replica, diagonal entry via the O(dim) path
-    a = sample_inverse_gaussian(float(n_w), s, size=int(p["n"]) * dim).reshape(int(p["n"]), dim)
-    g00 = green_circle.green_entries_from_a(a, float(n_w), size, size)
+    a = sample_inverse_gaussian(n_w, s, size=p["n"] * dim).reshape(p["n"], dim)
+    g00 = green_circle.green_entries_from_a(a, n_w, size, size)
     rep = ks_one_sample(g00, inverse_gamma_half_cdf, p["alpha"],
                         label=f"discrete-green-diagonal n={n_w} lam={p['lam']}")
     return ExperimentResult([rep.as_row()], [rep])
@@ -222,7 +220,7 @@ def _exp_discrete_green(p: dict, s: RngStream) -> ExperimentResult:
 def _exp_explicit_inverse(p: dict, s: RngStream) -> ExperimentResult:
     rows, reps = [], []
     worst = 0.0
-    sizes = np.linspace(3, (int(p["max_dim"]) - 1) // 2, int(p["n_fields"])).astype(int)
+    sizes = np.linspace(3, (p["max_dim"] - 1) // 2, p["n_fields"]).astype(int)
     for i, size in enumerate(sizes):
         f = beta_field.sample_circle_field(int(size), p["weight"], s.substream(i + 1))
         ge = green_circle.green_from_field(f, green_circle.Provenance.EXPLICIT_FORMULA)
@@ -230,7 +228,7 @@ def _exp_explicit_inverse(p: dict, s: RngStream) -> ExperimentResult:
         dev = float(np.max(np.abs(ge - gd) / np.abs(gd)))
         worst = max(worst, dev)
         rows.append({"dim": 2 * int(size) + 1, "max_rel_dev": dev})
-    rep = TestReport(worst, int(p["n_fields"]), 0.0, p["tol"], "explicit-vs-dense inverse")
+    rep = TestReport(worst, p["n_fields"], 0.0, p["tol"], "explicit-vs-dense inverse")
     # exact 3-vertex case u = 2
     inv = green_circle.invert_R_explicit(np.full(3, 2.0))
     exact_dev = max(abs(inv[0, 0] - 3.0 / 7.0), abs(inv[0, 1] - 2.0 / 7.0))
@@ -244,7 +242,7 @@ def _exp_explicit_inverse(p: dict, s: RngStream) -> ExperimentResult:
           "z is Markov: z' = (z/m) / IG(1/(m + 1/z), 1)",
           {"m": 5, "length": 20, "n": 10_000, "alpha": 0.01})
 def _exp_my_kernel(p: dict, s: RngStream) -> ExperimentResult:
-    m, length, n = int(p["m"]), int(p["length"]), int(p["n"])
+    m, length, n = p["m"], p["length"], p["n"]
     _, z_con = matsumoto_yor.build_my_chains(m, length, n, s)
     z_ker = np.full(n, 1.0 / m)          # z_1 = 1/m identically
     ker_stream = s.substream(1)
@@ -277,7 +275,7 @@ def _exp_intertwining(p: dict, s: RngStream) -> ExperimentResult:
     rejects all 20.  The deciles partition the samples, so the sums are
     taken bin by bin, and each row's y_mean is its bin's weighted mean.
     """
-    m, length, n = int(p["m"]), int(p["length"]), int(p["n"])
+    m, length, n = p["m"], p["length"], p["n"]
     psi_n, z_n = matsumoto_yor.build_my_chains(m, length, n, s)
     edges = np.quantile(z_n, np.linspace(0, 1, 11))
     rows, reps = [], []
@@ -299,7 +297,7 @@ def _exp_intertwining(p: dict, s: RngStream) -> ExperimentResult:
         rows.append({"bin": b, "z_median": float(np.median(z_sel)), "n_bin": int(sel.size),
                      "y_mean": bin_wy / bin_w, **rep.as_row()})
         reps.append(rep)
-    bin_rep = TestReport(10 - n_pass, n, p["alpha"], 10 - math.ceil(p["min_pass"]) + 0.5,
+    bin_rep = TestReport(10 - n_pass, n, p["alpha"], 10 - p["min_pass"] + 0.5,
                          f"bins passed: {n_pass}/10")
     var_rep = TestReport(abs(sum_wy / sum_w - 1.0), n, p["alpha"],
                          z_two_sided(p["alpha"]) / math.sqrt(sum_w),
@@ -315,7 +313,7 @@ def _exp_intertwining(p: dict, s: RngStream) -> ExperimentResult:
           # run is 13% of the critical value, past a 1/20 budget
           {"tmax": 1.0, "n": 10_000, "step": 1e-3, "alpha": 0.01})
 def _exp_z_diffusion(p: dict, s: RngStream) -> ExperimentResult:
-    n = int(p["n"])
+    n = p["n"]
     za = matsumoto_yor.sample_z_pathwise(p["tmax"], p["step"], n, s)
     zb = matsumoto_yor.euler_maruyama_z(p["tmax"], p["step"], n, s.substream(1))
     rep = ks_two_sample(za, zb, p["alpha"], label=f"z-diffusion t={p['tmax']}")
@@ -344,7 +342,7 @@ def _exp_mbg(p: dict, s: RngStream) -> ExperimentResult:
     The decorrelation's gap counts too: 1.4e-4 at h = 1e-2 (seed 25),
     against 3/20 of its critical value, 3.9e-3 at n = 1e4.
     """
-    n = int(p["n"])
+    n = p["n"]
     taus, log_v, log_v_coarse = continuum_kernel.mbg_transform_check(
         s, (0.5, 1.0, 2.0), n, p["step"], p["tail"])
     mean_log = log_v.mean(axis=1)
@@ -377,11 +375,11 @@ def _exp_mbg(p: dict, s: RngStream) -> ExperimentResult:
           {"e_list": (1.0, 2.0, 4.0, 9.0), "tol": 1e-4})
 def _exp_t1_quad(p: dict, s: RngStream) -> ExperimentResult:
     rows, reps = [], []
-    for e in tuple(np.atleast_1d(p["e_list"])):
-        val = spectrum.mean_t1_quadrature(float(e))
+    for e in p["e_list"]:
+        val = spectrum.mean_t1_quadrature(e)
         target = math.pi / math.sqrt(e)
         rel = abs(val - target) / target
-        rows.append({"E": float(e), "value": val, "target": target, "rel_err": rel})
+        rows.append({"E": e, "value": val, "target": target, "rel_err": rel})
         reps.append(TestReport(rel, 1, 0.0, p["tol"], f"mean-T1 quadrature E={e}"))
     return ExperimentResult(rows, reps)
 
@@ -394,12 +392,11 @@ def _exp_t1_quad(p: dict, s: RngStream) -> ExperimentResult:
 def _exp_renewal(p: dict, s: RngStream) -> ExperimentResult:
     """Mean and lag-1 correlation of the n gaps of an energy's spectrum.renewal_statistics lanes."""
     rows, reps = [], []
-    e_list = [float(e) for e in np.atleast_1d(p["e_list"])]
-    if any(not e > 0 for e in e_list):
+    if any(not e > 0 for e in p["e_list"]):
         raise ValueError("E must be positive")    # before the horizons divide by sqrt(E)
-    horizons = [p["horizon_crossings"] * math.pi / math.sqrt(e) for e in e_list]
-    all_lanes = spectrum.renewal_statistics(e_list, horizons, s, p["step"], min_count=1000)
-    for e, lanes in zip(e_list, all_lanes):
+    horizons = [p["horizon_crossings"] * math.pi / math.sqrt(e) for e in p["e_list"]]
+    all_lanes = spectrum.renewal_statistics(p["e_list"], horizons, s, p["step"], min_count=1000)
+    for e, lanes in zip(p["e_list"], all_lanes):
         gaps = np.concatenate(lanes)
         n = gaps.size
         mean = float(np.mean(gaps))
@@ -410,7 +407,7 @@ def _exp_renewal(p: dict, s: RngStream) -> ExperimentResult:
         b = np.concatenate([g[1:] for g in lanes]) - mean
         lag1 = float(np.sum(a * b) / math.sqrt(np.sum(a * a) * np.sum(b * b)))
         corr_ci = z_two_sided(0.01) / math.sqrt(a.size)
-        rows.append({"E": float(e), "n": n, "mean": mean, "target": target,
+        rows.append({"E": e, "n": n, "mean": mean, "target": target,
                      "rel_err": rel, "lag1_corr": lag1, "corr_ci": corr_ci})
         reps.append(TestReport(rel, n, 0.0, p["tol"], f"renewal mean E={e}"))
         reps.append(TestReport(abs(lag1), n, 0.0, corr_ci, f"lag-1 corr E={e}"))
@@ -423,7 +420,7 @@ def _exp_renewal(p: dict, s: RngStream) -> ExperimentResult:
           {"e_list": (1.0, 4.0, 9.0), "lam": 200.0, "replicas": 50,
            "step": 1e-3, "tol": 0.05})
 def _exp_dos(p: dict, s: RngStream) -> ExperimentResult:
-    e_list, lam, replicas = tuple(np.atleast_1d(p["e_list"])), p["lam"], int(p["replicas"])
+    e_list, lam, replicas = p["e_list"], p["lam"], p["replicas"]
     counts = spectrum.dos_sweep(e_list, lam, replicas, s, p["step"])
     rows, reps = [], []
     for e, c in zip(e_list, counts):
@@ -435,6 +432,8 @@ def _exp_dos(p: dict, s: RngStream) -> ExperimentResult:
         reps.append(TestReport(rel, replicas, 0.0, p["tol"], f"dos density E={e}"))
     if len(rows) >= 2 and rows[0]["E"] == 1.0 and rows[1]["E"] == 4.0:
         lo, hi = rows[0], rows[1]
+        if lo["density"] == 0:    # the ratio divides by it
+            raise ValueError(f"lam={lam} leaves no replica an eigenvalue below E = 1")
         ratio = hi["density"] / lo["density"]
         rel_hw = hi["half_width"] / hi["density"] + lo["half_width"] / lo["density"]
         crit = max(2.0 * 2.0 * rel_hw, 0.1)
@@ -460,7 +459,7 @@ def _exp_spectrum_oracle(p: dict, s: RngStream) -> ExperimentResult:
     for e_level, n_true in exact_counts.items():
         c = spectrum.count_states_phase(e_level, gbm)
         rows.append({"k": -1, "eig_fd": float(c), "eig_exact": float(n_true)})
-        reps.append(TestReport(abs(c - n_true), 1, 0.0, int(p["bracket"]) + 0.5,
+        reps.append(TestReport(abs(c - n_true), 1, 0.0, p["bracket"] + 0.5,
                                f"phase count bracket E={e_level}"))
     return ExperimentResult(rows, reps)
 
@@ -470,15 +469,15 @@ def _exp_spectrum_oracle(p: dict, s: RngStream) -> ExperimentResult:
           "one-sample KS at alpha = 0.01 rejects at most 4% of 200 null runs",
           {"reps": 200, "n": 10_000, "alpha": 0.01, "max_rate": 0.04})
 def _exp_null_calibration(p: dict, s: RngStream) -> ExperimentResult:
-    if int(p["reps"]) < 1:
+    if p["reps"] < 1:
         raise ValueError("null calibration needs reps >= 1")
     rejects = 0
-    for i in range(int(p["reps"])):
-        u = s.substream(i + 1).gen.uniform(size=int(p["n"]))
+    for i in range(p["reps"]):
+        u = s.substream(i + 1).gen.uniform(size=p["n"])
         rep = ks_one_sample(u, lambda x: np.clip(x, 0.0, 1.0), p["alpha"])
         rejects += not rep.passed
-    rate = rejects / int(p["reps"])
-    rep = TestReport(rate, int(p["reps"]), p["alpha"], p["max_rate"],
+    rate = rejects / p["reps"]
+    rep = TestReport(rate, p["reps"], p["alpha"], p["max_rate"],
                      f"null rejection rate {rate:.3f}")
-    return ExperimentResult([{"reps": int(p["reps"]), "rejections": rejects,
+    return ExperimentResult([{"reps": p["reps"], "rejections": rejects,
                               "rate": rate}], [rep])

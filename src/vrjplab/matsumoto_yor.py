@@ -37,8 +37,8 @@ def build_my_chains(m: int, length: int, n_rep: int, s: RngStream):
     then run one multiplier column at a time: the float operations of a
     cumulative product and sum, in the same order, in O(n_rep) beside them.
     """
-    if m < 1 or length < 1:
-        raise ValueError("need m >= 1 and length >= 1")
+    if m < 1 or length < 1 or n_rep < 1:
+        raise ValueError("need m >= 1, length >= 1 and n_rep >= 1")
     a = sample_inverse_gaussian(float(m), s, size=n_rep * length).reshape(n_rep, length)
     psi, g11 = np.ones(n_rep), np.zeros(n_rep)
     for col in a.T:

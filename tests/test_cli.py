@@ -1,5 +1,6 @@
-"""CLI registry, persistence, reproducibility, exit codes, import cost."""
+"""CLI registry, persistence, reproducibility, parameter typing, exit codes, import cost."""
 
+import ast
 import csv
 import dataclasses
 import json
@@ -147,7 +148,7 @@ def test_main_key_error_inside_an_experiment_is_not_a_usage_error(tmp_path, monk
     ("intertwining", "length=0", "length >= 1"),
     ("dos_sweep", "lam=1.0 replicas=1", "at least 2 samples"),
     ("dufresne_diagonal", "t=-1.5 n=500 step=0.01", "t=-1.5 outside"),
-    ("dufresne_diagonal", "t=2", "t=2 outside"),
+    ("dufresne_diagonal", "t=2", "t=2.0 outside"),
     ("dufresne_diagonal", "step=-0.01", "positive and finite"),
     ("functional_identity", "lam=0", "positive and finite"),
     ("dos_sweep", "lam=0", "positive and finite"),
@@ -163,16 +164,82 @@ def test_main_key_error_inside_an_experiment_is_not_a_usage_error(tmp_path, monk
     ("renewal_mean", "e_list=[]", "form no verdict"),
     ("mean_t1_quadrature", "e_list=[]", "form no verdict"),
     ("null_calibration", "reps=0", "reps >= 1"),
+    ("explicit_inverse", "n_fields=0", "form no verdict on data"),
+    ("mbg_corollary", "n=1", "form no verdict on data"),
+    ("intertwining", "n=0", "n_rep >= 1"),
+    ("dos_sweep", "lam=abc", "not of the form key=<JSON value>"),
+    ("functional_identity", "n=2.5", "type of its default 10000, not 2.5"),
+    ("dos_sweep", 'e_list=["a"]', "type of its default (1.0, 4.0, 9.0), not ['a']"),
+    ("dos_sweep", "lam=true", "type of its default 200.0, not True"),
+    ("dos_sweep", "lam=0.05 replicas=3", "no replica an eigenvalue below E = 1"),
 ])
 def test_main_params_too_small_exit_2(tmp_path, capsys, name, param, message):
-    # parameters too small to form a statistic, a grid that cannot be built,
-    # a node off the grid and an energy E that is not > 0 are usage errors, not verdicts
+    # parameters too small to form a statistic or that form a verdict on no
+    # data, a grid that cannot be built, a node off the grid, an energy E that
+    # is not > 0 and a value that is not of its default's type are usage
+    # errors, not verdicts
     overrides = [arg for kv in param.split() for arg in ("--param", kv)]
     rc = main(["run", "--name", name, *overrides, "--out", str(tmp_path)])
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
     assert not (tmp_path / name).exists()
+
+
+def test_params_typed_against_the_defaults(tmp_path):
+    # an int takes an integral float; a tuple takes a number, stored as floats
+    def params_and_csv(sub, name, *params):
+        args = [arg for kv in params for arg in ("--param", kv)]
+        assert main(["run", "--name", name, *args, "--out", str(tmp_path / sub)]) == 0
+        out = tmp_path / sub / name
+        return (json.loads((out / "manifest.json").read_text())["params"],
+                (out / "results.csv").read_bytes())
+
+    p_float, csv_float = params_and_csv("a", "null_calibration", "reps=2", "n=1e4")
+    p_int, csv_int = params_and_csv("b", "null_calibration", "reps=2", "n=10000")
+    assert p_float["n"] == 10000 and isinstance(p_float["n"], int)
+    assert p_float == p_int and csv_float == csv_int
+    assert params_and_csv("c", "mean_t1_quadrature", "e_list=4")[0]["e_list"] == [4.0]
+    # numpy scalars from a programmatic caller pass, as the defaults' types
+    manifest = run(ExperimentConfig("null_calibration", seed=0, output_dir=tmp_path / "d",
+                                    params={"reps": np.int64(2), "n": np.float64(100.0),
+                                            "max_rate": np.float32(0.5)}))
+    assert type(manifest.params["reps"]) is int and type(manifest.params["n"]) is int
+    assert type(manifest.params["max_rate"]) is float
+
+
+# conversions that cli._typed makes once for every run
+_CONVERSIONS = ("int", "float", "np.atleast_1d", "math.ceil")
+
+
+def _param_conversions(source: str) -> tuple[int, list[str]]:
+    """(registered bodies, calls of a conversion on a p[...] subscript in them), by AST."""
+    bodies, found = 0, []
+    for fn in ast.walk(ast.parse(source)):
+        if not (isinstance(fn, ast.FunctionDef) and any(
+                isinstance(d, ast.Call) and ast.unparse(d.func) == "register"
+                for d in fn.decorator_list)):
+            continue
+        bodies += 1
+        p = fn.args.args[0].arg
+        for node in ast.walk(fn):
+            if (isinstance(node, ast.Call) and ast.unparse(node.func) in _CONVERSIONS
+                    and any(isinstance(a, ast.Subscript) and ast.unparse(a.value) == p
+                            for a in node.args)):
+                found.append(f"{fn.name}:{node.lineno}")
+    return bodies, found
+
+
+def test_experiment_bodies_do_not_convert_their_params():
+    source = Path(experiments.__file__).read_text()
+    assert _param_conversions(source) == (len(list_experiments()), [])
+    # the census sees a conversion where one is written
+    for old, new in (('p["n"], s)', 'int(p["n"]), s)'),
+                     ('enumerate(p["lams"])', 'enumerate(np.atleast_1d(p["lams"]))'),
+                     ('10 - p["min_pass"]', '10 - math.ceil(p["min_pass"])'),
+                     ('p["bracket"] + 0.5', 'float(p["bracket"]) + 0.5')):
+        assert source.count(old) == 1
+        assert len(_param_conversions(source.replace(old, new))[1]) == 1
 
 
 def test_output_env_var(tmp_path, monkeypatch, capsys):

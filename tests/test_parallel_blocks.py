@@ -168,7 +168,7 @@ def test_renewal_gaps_identical_for_any_worker_count():
 
 @pytest.mark.parametrize("e_level, horizon", [(-1.0, 50.0), (0.0, 50.0), (1.0, 0.0),
                                               (1.0, math.inf), (1.0, math.nan)])
-def test_bad_renewal_argument_raises_before_any_fork(monkeypatch, e_level, horizon):
+def test_bad_renewal_argument_raises_before_any_draw(monkeypatch, e_level, horizon):
     # nothing is drawn, let alone run, before every energy and horizon is checked
     def no_draw(*args):
         raise AssertionError("drew before the arguments were checked")

@@ -202,14 +202,16 @@ def _exp_functional_identity(p: dict, s: RngStream) -> ExperimentResult:
           "G(i,i) ~ 1/(2 gamma) on any circle field",
           {"n_weight": 8, "lam": 1.0, "n": 10_000, "alpha": 0.01})
 def _exp_discrete_green(p: dict, s: RngStream) -> ExperimentResult:
-    n_w = p["n_weight"]
-    size = math.ceil(p["lam"] * n_w)
+    n_w, lam = p["n_weight"], p["lam"]
+    if not 0 < lam < math.inf:
+        raise ValueError(f"lam must be positive and finite, got lam={lam}")
+    size = math.ceil(lam * n_w)
     dim = 2 * size + 1
     # one row of multipliers per replica, diagonal entry via the O(dim) path
     a = sample_inverse_gaussian(n_w, s, size=p["n"] * dim).reshape(p["n"], dim)
     g00 = green_circle.green_entries_from_a(a, n_w, size, size)
     rep = ks_one_sample(g00, inverse_gamma_half_cdf, p["alpha"],
-                        label=f"discrete-green-diagonal n={n_w} lam={p['lam']}")
+                        label=f"discrete-green-diagonal n={n_w} lam={lam}")
     return ExperimentResult([rep.as_row()], [rep])
 
 
@@ -343,6 +345,8 @@ def _exp_mbg(p: dict, s: RngStream) -> ExperimentResult:
     against 3/20 of its critical value, 3.9e-3 at n = 1e4.
     """
     n = p["n"]
+    if n < 2:
+        raise ValueError(f"n={n} replicas form no verdict on data: the variances need n >= 2")
     taus, log_v, log_v_coarse = continuum_kernel.mbg_transform_check(
         s, (0.5, 1.0, 2.0), n, p["step"], p["tail"])
     mean_log = log_v.mean(axis=1)
@@ -370,7 +374,7 @@ def _exp_mbg(p: dict, s: RngStream) -> ExperimentResult:
 
 
 @register("mean_t1_quadrature",
-          "Adaptive 2-D quadrature of the mean first crossing time",
+          "Double-exponential 2-D quadrature of the mean first crossing time",
           "E[T_1] double integral evaluates to pi/sqrt(E)",
           {"e_list": (1.0, 2.0, 4.0, 9.0), "tol": 1e-4})
 def _exp_t1_quad(p: dict, s: RngStream) -> ExperimentResult:

@@ -74,9 +74,12 @@ eigenvalues approximating the continuum ones, counted by a dense
 eigensolve.  A conservative finite-difference operator built from a
 sampled path (fluxes from the trapezoid resistances, boundary seam
 implementing g(-lam) = g(lam) and the twisted flux matching) provides
-the deterministic spectral oracle.  It and the quadrature of the renewal
-mean import scipy.sparse and scipy.integrate when called, so the
-phase-counting runs, which call neither, do not pay those imports.
+the deterministic spectral oracle.  It imports scipy.sparse when called,
+so the phase-counting runs, which never call it, do not pay that import.
+
+The renewal mean.  The mean first crossing time pi/sqrt(E) is checked as
+a double integral over the quadrant by a tensor double-exponential rule
+in numpy (mean_t1_quadrature), which imports nothing from scipy.
 """
 
 from __future__ import annotations
@@ -504,40 +507,73 @@ def dos_sweep(e_list, lam: float, replicas: int, s: RngStream,
 
 
 # ---------------------------------------------------------------------------
-# The interarrival mean by quadrature
+# The interarrival mean by a double-exponential rule
 # ---------------------------------------------------------------------------
 
-_QUAD_EPSREL = 1e-8   # relative tolerance of the adaptive quadrature
+_DE_LEVEL = 6          # step h = 2^-6 in s
+_DE_HALF_WIDTH = 4.5   # nodes on |s| <= 4.5: 577 a side
+_DE_ROWS = 32          # u-rows of the integrand evaluated at a time
 
 
 def mean_t1_quadrature(e_level: float) -> float:
-    """Mean first pi-crossing time by adaptive 2-D quadrature.
+    """Mean first pi-crossing time by a tensor exp-sinh rule on the quadrant.
 
-    Evaluates (1/2) iint exp(-t/(2u(t+u)) - E t/2) / (sqrt(u) sqrt(t+u))
-    * (2u+t)/(u(t+u)) du dt over the positive quadrant, mapped to the
-    unit square by u = x/(1-x), t = y/(1-y); equals pi/sqrt(E).
+    Evaluates (1/2) iint exp(-t/(2u(t+u)) - E t/2) (2u+t) / (u^{3/2}
+    (t+u)^{3/2}) du dt over u, t > 0; it equals pi/sqrt(E).  Both axes take
+    the double-exponential nodes of Takahasi & Mori (1974) for the half-line,
+    x = exp(pi/2 sinh s) with weight h x pi/2 cosh s, at s = k h for
+    |s| <= _DE_HALF_WIDTH = 4.5 and h = 2^-_DE_LEVEL = 2^-6: 577 nodes from
+    2.0e-31 to 5.0e30.  The integrand is evaluated _DE_ROWS u-rows at a
+    time, so no temporary holds more than 32 x 577 values.
+
+    Node range.  The cut leaves out most at small t: as t -> 0 the
+    u-integral grows like sqrt(pi/(2t)), so the strip t < tau holds
+    sqrt(2 pi tau), 1.1e-15 at tau = 2.0e-31, or 3.6e-16 sqrt(E) relative
+    to pi/sqrt(E) (3.6e-13 at E = 1e6 and 3.6e-10 at E = 1e12, where the
+    measured errors were 2.7e-13 and 2.9e-10).  As u -> 0 the t-integral
+    tends to 2, so u < 2.0e-31 holds 4e-31; for large u it is 2/(E u^2), so
+    u > 5.0e30 holds 4e-31/E; exp(-E t/2) leaves nothing beyond t = 5.0e30
+    for E above 1e-28.
+
+    Step.  At E = 4 the relative error was 2.2e-5 at level 3 (h = 1/8),
+    4.2e-8 at level 4 and 5.5e-12 at level 5, and is 5.7e-16 at level 6,
+    rounding.  A double-exponential rule's error falls like exp(-c/h), so
+    each halving of h raises it to a power above 1.  From E = 1e-6 to
+    E = 1e6 level 6 was within 3e-13 relative of pi/sqrt(E).
+
+    Error estimate.  The level-5 rule is nested in this one: every second
+    node on each axis, with doubled weights.  Its gap from the level-6 sum
+    costs no extra evaluation, and since level 5's error is 1e3 to 1e4
+    times level 6's, the gap bounds the level-6 error (at E = 4, 5.5e-12
+    against 5.7e-16).  It does not see the cut of the node range, bounded
+    above.  Raises RuntimeError when the gap exceeds 1e-4 of the value.
     """
-    import scipy.integrate
-
     if not e_level > 0:
         raise ValueError("E must be positive")
-
-    def integrand(x: float, y: float) -> float:
-        u = x / (1.0 - x)
-        t = y / (1.0 - y)
-        if u <= 0.0 or t <= 0.0:
-            return 0.0
-        jac = 1.0 / ((1.0 - x) ** 2 * (1.0 - y) ** 2)
-        expo = -t / (2.0 * u * (t + u)) - 0.5 * e_level * t
-        if expo < -700.0:
-            return 0.0
-        core = math.exp(expo) / (math.sqrt(u) * math.sqrt(t + u)) \
-            * (2.0 * u + t) / (u * (t + u))
-        return 0.5 * core * jac
-
-    val, err = scipy.integrate.dblquad(integrand, 0.0, 1.0, 0.0, 1.0,
-                                       epsabs=1e-12, epsrel=_QUAD_EPSREL)
-    rel = err / max(abs(val), 1e-300)
+    val, val_coarse = _mean_t1_sums(e_level)
+    rel = abs(val - val_coarse) / max(abs(val), 1e-300)
     if rel > 1e-4:
         raise RuntimeError(f"quadrature did not converge: rel err {rel:.2e}")
     return val
+
+
+def _mean_t1_sums(e_level: float) -> tuple[float, float]:
+    """The mean-T1 integral by the rule at _DE_LEVEL and by its nested rule."""
+    h = 2.0 ** -_DE_LEVEL
+    k = round(_DE_HALF_WIDTH / h)
+    s = np.arange(-k, k + 1) * h
+    t = np.exp(0.5 * _PI * np.sinh(s))         # the nodes of both axes
+    w = h * 0.5 * _PI * np.cosh(s) * t
+    half_et = 0.5 * e_level * t
+    fine = coarse = 0.0
+    for a in range(0, t.size, _DE_ROWS):       # a is even, as the nested nodes are
+        u = t[a:a + _DE_ROWS, None]
+        q = t + u
+        f = q + u                               # 2u + t
+        q *= u                                  # u (t + u)
+        f /= q * np.sqrt(q)
+        f *= np.exp(-0.5 * t / q - half_et)
+        fine += w[a:a + _DE_ROWS] @ (f @ w)
+        coarse += w[a:a + _DE_ROWS:2] @ (f[::2, ::2] @ w[::2])
+    # the integrand's factor 1/2; the nested rule doubles each axis's weights
+    return 0.5 * fine, 2.0 * coarse

@@ -10,6 +10,7 @@ import resource
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -167,6 +168,8 @@ def test_main_key_error_inside_an_experiment_is_not_a_usage_error(tmp_path, monk
     ("explicit_inverse", "n_fields=0", "form no verdict on data"),
     ("mbg_corollary", "n=1", "form no verdict on data"),
     ("intertwining", "n=0", "n_rep >= 1"),
+    ("discrete_green_law", "lam=Infinity", "positive and finite"),
+    ("discrete_green_law", "lam=NaN", "positive and finite"),
     ("dos_sweep", "lam=abc", "not of the form key=<JSON value>"),
     ("functional_identity", "n=2.5", "type of its default 10000, not 2.5"),
     ("dos_sweep", 'e_list=["a"]', "type of its default (1.0, 4.0, 9.0), not ['a']"),
@@ -177,9 +180,12 @@ def test_main_params_too_small_exit_2(tmp_path, capsys, name, param, message):
     # parameters too small to form a statistic or that form a verdict on no
     # data, a grid that cannot be built, a node off the grid, an energy E that
     # is not > 0 and a value that is not of its default's type are usage
-    # errors, not verdicts
+    # errors, not verdicts, refused before any computation warns
     overrides = [arg for kv in param.split() for arg in ("--param", kv)]
-    rc = main(["run", "--name", name, *overrides, "--out", str(tmp_path)])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(["run", "--name", name, *overrides, "--out", str(tmp_path)])
+    assert [str(w.message) for w in caught] == []
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
@@ -333,7 +339,6 @@ out = {
     "gaussian": stochastic.inverse_gaussian_cdf(x, 1.0, np.linspace(0.5, 40.0, 101)),
     "dense": green_circle.green_from_field(field, green_circle.Provenance.DENSE_SOLVE),
     "fd": spectrum.fd_spectrum_twisted(deterministic_flat_gbm(math.pi, 1e-2)),
-    "quadrature": spectrum.mean_t1_quadrature(4.0),
 }
 """
 
@@ -354,6 +359,19 @@ print(json.dumps({"before": before}))
     assert sorted(first.files) == sorted(here["out"])
     for name, value in here["out"].items():
         assert np.array_equal(first[name], value), name
+
+
+def test_mean_t1_quadrature_far_energies_run_without_scipy(tmp_path):
+    # the double-exponential rule is numpy alone, and holds far from the
+    # registered energies (an adaptive dblquad failed at both)
+    got = _fresh_python("""
+import json
+from vrjplab.cli import main
+codes = [main(["run", "--name", "mean_t1_quadrature", "--param", p, "--out", sys.argv[1]])
+         for p in ("e_list=1e6", "e_list=1e-6")]
+print(json.dumps({"codes": codes, "loaded": heavy_loaded()}))
+""", str(tmp_path))
+    assert got == {"codes": [0, 0], "loaded": []}
 
 
 def test_audit_writes_runs_and_failures(tmp_path, capsys):

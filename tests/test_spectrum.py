@@ -16,7 +16,8 @@ from vrjplab.beta_field import construct_beta_circle
 from vrjplab.continuum_kernel import KernelPath
 from vrjplab.experiments import deterministic_flat_gbm
 from vrjplab.stats import mean_ci, z_two_sided
-from vrjplab.spectrum import (_LANES, count_states_matrix, count_states_phase,
+from vrjplab import spectrum
+from vrjplab.spectrum import (_LANES, _mean_t1_sums, count_states_matrix, count_states_phase,
                               discrete_spectrum_matrix, dos_sweep,
                               fd_operator_twisted, fd_spectrum_twisted, mean_t1_quadrature,
                               phase_propagate, renewal_statistics)
@@ -325,6 +326,39 @@ def test_mean_t1_quadrature_values():
 def test_mean_t1_scaling():
     vals = [mean_t1_quadrature(e) * math.sqrt(e) for e in (1.0, 2.0, 4.0, 9.0)]
     assert max(vals) - min(vals) < 1e-4
+
+
+# energies far from the registered ones, where an adaptive 2-D quadrature
+# raised (1e-6, 1e4) or missed the mass near t ~ 1/E (1e6)
+@pytest.mark.parametrize("e_level", (1e-6, 1e-3, 1.0, 1e3, 1e4, 1e6))
+def test_mean_t1_quadrature_far_from_the_registered_energies(e_level):
+    val, val_coarse = _mean_t1_sums(e_level)
+    assert val == mean_t1_quadrature(e_level)
+    target = math.pi / math.sqrt(e_level)
+    err = abs(val - target)
+    assert err <= 1e-9 * target
+    # the nested rule's gap is an honest estimate of the error
+    assert err <= abs(val - val_coarse) + 1e-15 * val
+
+
+def test_mean_t1_quadrature_refuses_a_rule_too_coarse(monkeypatch):
+    # at level 2 (h = 1/4) the nested level-1 rule is 6e-3 of the value away at E = 1
+    monkeypatch.setattr(spectrum, "_DE_LEVEL", 2)
+    with pytest.raises(RuntimeError, match="quadrature did not converge: rel err 6.25e-03"):
+        mean_t1_quadrature(1.0)
+    with pytest.raises(ValueError, match="E must be positive"):
+        mean_t1_quadrature(0.0)
+
+
+def test_mean_t1_quadrature_memory():
+    mean_t1_quadrature(4.0)
+    tracemalloc.start()
+    try:
+        mean_t1_quadrature(4.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2e6
 
 
 def test_mean_t1_f_star_cross_check():

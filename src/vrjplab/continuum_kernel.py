@@ -337,9 +337,8 @@ def sample_line_diagonal(horizon: float, step: float, n_rep: int, s: RngStream) 
     return _walk_ends(horizon, step, n_rep, s, _LINE_STREAM_BLOCK)[1]
 
 
-def mbg_transform_check(s: RngStream, t_grid: tuple[float, ...] = (0.5, 1.0, 2.0),
-                        n_rep: int = 10_000, step: float = 1e-3,
-                        tail: float = 40.0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def mbg_transform_check(s: RngStream, t_grid: tuple[float, ...], n_rep: int, step: float,
+                        tail: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(tau, ln V, ln V on every second node): ln V per snapshot and replica.
 
     The walk runs on the grid_cells grid of [0, max(t_grid) + tail] and
@@ -350,18 +349,18 @@ def mbg_transform_check(s: RngStream, t_grid: tuple[float, ...] = (0.5, 1.0, 2.0
         V_tau = e^{-a_tau + tau/2} int_tau^inf e^{2a-s} ds / int_0^inf e^{2a-s} ds
 
     at tau[i] per replica (columns), the integrals truncated at the
-    horizon.  V is a geometric Brownian motion from 1, so
-    ln V_tau ~ N(-tau/2, tau) with independent increments.  The third
-    array is ln V with the integrals on every second node of the same
-    paths (step 2h); its gap to ln V estimates the step's bias
-    (exp_functional_walk).
+    horizon, which every tau precedes (at it the tail integral is empty).
+    V is a geometric Brownian motion from 1, so ln V_tau ~ N(-tau/2, tau)
+    with independent increments.  The third array is ln V with the
+    integrals on every second node of the same paths (step 2h); its gap
+    to ln V estimates the step's bias (exp_functional_walk).
     """
     t_grid = tuple(sorted(t_grid))
     nsteps, h = grid_cells(t_grid[-1] + tail, step)
     nodes = tuple(int(round(t / h)) for t in t_grid)
-    if len(t_grid) != 3 or not 0 < nodes[0] < nodes[1] < nodes[2] <= nsteps:
+    if len(t_grid) != 3 or not 0 < nodes[0] < nodes[1] < nodes[2] < nsteps:
         raise ValueError("mbg check needs three positive snapshot times on distinct steps "
-                         "within the horizon")
+                         "before the horizon")
     _, integ, coarse, at = exp_functional_walk(s.gen, n_rep, h, nsteps, nodes)
     tau = np.array(nodes) * h
     log_v = np.empty((2, len(nodes), n_rep))

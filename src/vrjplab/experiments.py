@@ -91,6 +91,17 @@ def _step_bias(gaps, criticals, n: int) -> TestReport:
     return TestReport(stat, n, 0.0, _BIAS_BUDGET, "step bias h vs 2h")
 
 
+def _ks_with_step_bias(cases, alpha: float, n: int) -> ExperimentResult:
+    """A KS verdict of u = cdf(samples) per (row, label, samples, coarse, cdf) case, then
+    the step-bias verdict of the gaps mean(cdf(coarse) - cdf(samples)) (_step_bias)."""
+    rows, reps, gaps = [], [], []
+    for row, label, samples, coarse, cdf in cases:
+        reps.append(ks_one_sample(samples, cdf, alpha, label=label))
+        rows.append({**row, **reps[-1].as_row()})
+        gaps.append(np.mean(cdf(coarse) - cdf(samples)))
+    return ExperimentResult(rows, reps + [_step_bias(gaps, [r.critical for r in reps], n)])
+
+
 def _increment_corr(log_v: np.ndarray) -> float:
     """Correlation of the ln V increments over [t_0, t_1] and [t_1, t_2] (rows of log_v)."""
     return float(np.corrcoef(log_v[1] - log_v[0], log_v[2] - log_v[1])[0, 1])
@@ -124,10 +135,9 @@ def _exp_dufresne_diagonal(p: dict, s: RngStream) -> ExperimentResult:
                                                               p["n"], s)
     # the verdict names the grid node the sampler read, not the requested t
     _, t_node = continuum_kernel.kernel_diagonal_node(p["lam"], p["t"], p["step"])
-    rep = ks_one_sample(samples, inverse_gamma_half_cdf, p["alpha"],
-                        label=f"kernel-diagonal lam={p['lam']} t={t_node}")
-    gap = np.mean(inverse_gamma_half_cdf(coarse) - inverse_gamma_half_cdf(samples))
-    return ExperimentResult([rep.as_row()], [rep, _step_bias([gap], [rep.critical], p["n"])])
+    label = f"kernel-diagonal lam={p['lam']} t={t_node}"
+    return _ks_with_step_bias([({}, label, samples, coarse, inverse_gamma_half_cdf)],
+                              p["alpha"], p["n"])
 
 
 @register("dufresne_ratio",
@@ -149,17 +159,10 @@ def _exp_dufresne_ratio(p: dict, s: RngStream) -> ExperimentResult:
     the gap of mean u between every second node and every node over 3,
     against the budget (_step_bias).
     """
-    rows, reps, gaps = [], [], []
-    for i, lam in enumerate(p["lams"]):
-        samples, coarse = continuum_kernel.sample_dufresne_ratio(lam, p["step"], p["n"],
-                                                                 s.substream(i))
-        rep = ks_one_sample(samples, inverse_gamma_half_cdf, p["alpha"],
-                            label=f"dufresne-ratio lam={lam}")
-        reps.append(rep)
-        rows.append({"lam": lam, **rep.as_row()})
-        gaps.append(np.mean(inverse_gamma_half_cdf(coarse) - inverse_gamma_half_cdf(samples)))
-    reps.append(_step_bias(gaps, [r.critical for r in reps], p["n"]))
-    return ExperimentResult(rows, reps)
+    cases = (({"lam": lam}, f"dufresne-ratio lam={lam}",
+              *continuum_kernel.sample_dufresne_ratio(lam, p["step"], p["n"], s.substream(i)),
+              inverse_gamma_half_cdf) for i, lam in enumerate(p["lams"]))
+    return _ks_with_step_bias(cases, p["alpha"], p["n"])
 
 
 @register("functional_identity",
@@ -180,21 +183,15 @@ def _exp_functional_identity(p: dict, s: RngStream) -> ExperimentResult:
     run (_step_bias).
     """
     lam = p["lam"]
-    cases = {
+    forms = {
         "f=1": (lambda t: np.ones_like(t), 2.0 * lam),
         "f=cos(pi t/lam)+2": (lambda t: np.cos(np.pi * t / lam) + 2.0, 4.0 * lam),
     }
-    rows, reps, gaps = [], [], []
-    for i, (label, (f, integral)) in enumerate(cases.items()):
-        samples, coarse = continuum_kernel.sample_quadratic_form(lam, f, p["step"], p["n"],
-                                                                 s.substream(i))
-        cdf = lambda x, c=integral ** 2: inverse_gamma_half_cdf(x / c)
-        rep = ks_one_sample(samples, cdf, p["alpha"], label=f"quadratic-form {label}")
-        reps.append(rep)
-        rows.append({"f": label, "integral": integral, **rep.as_row()})
-        gaps.append(np.mean(cdf(coarse) - cdf(samples)))
-    reps.append(_step_bias(gaps, [r.critical for r in reps], p["n"]))
-    return ExperimentResult(rows, reps)
+    cases = (({"f": label, "integral": integral}, f"quadratic-form {label}",
+              *continuum_kernel.sample_quadratic_form(lam, f, p["step"], p["n"], s.substream(i)),
+              lambda x, c=integral ** 2: inverse_gamma_half_cdf(x / c))
+             for i, (label, (f, integral)) in enumerate(forms.items()))
+    return _ks_with_step_bias(cases, p["alpha"], p["n"])
 
 
 @register("discrete_green_law",
@@ -239,13 +236,21 @@ def _exp_explicit_inverse(p: dict, s: RngStream) -> ExperimentResult:
     return ExperimentResult(rows, [rep, rep2])
 
 
+def _my_chains(m: int, length: int, n: int, s: RngStream):
+    """build_my_chains, refused before any draw below length 2: z_1 = 1/m is deterministic."""
+    if length < 2:
+        raise ValueError(f"length={length}: a chain needs length >= 1, and a verdict on "
+                         "z_length needs length >= 2, as z_1 = 1/m is deterministic")
+    return matsumoto_yor.build_my_chains(m, length, n, s)
+
+
 @register("matsumoto_yor_kernel",
           "Two-sample KS between construction-chain z and kernel-iterated z",
           "z is Markov: z' = (z/m) / IG(1/(m + 1/z), 1)",
           {"m": 5, "length": 20, "n": 10_000, "alpha": 0.01})
 def _exp_my_kernel(p: dict, s: RngStream) -> ExperimentResult:
     m, length, n = p["m"], p["length"], p["n"]
-    _, z_con = matsumoto_yor.build_my_chains(m, length, n, s)
+    _, z_con = _my_chains(m, length, n, s)
     z_ker = np.full(n, 1.0 / m)          # z_1 = 1/m identically
     ker_stream = s.substream(1)
     for _ in range(length - 1):
@@ -278,7 +283,7 @@ def _exp_intertwining(p: dict, s: RngStream) -> ExperimentResult:
     taken bin by bin, and each row's y_mean is its bin's weighted mean.
     """
     m, length, n = p["m"], p["length"], p["n"]
-    psi_n, z_n = matsumoto_yor.build_my_chains(m, length, n, s)
+    psi_n, z_n = _my_chains(m, length, n, s)
     edges = np.quantile(z_n, np.linspace(0, 1, 11))
     rows, reps = [], []
     n_pass = 0
@@ -388,18 +393,25 @@ def _exp_t1_quad(p: dict, s: RngStream) -> ExperimentResult:
     return ExperimentResult(rows, reps)
 
 
+_RENEWAL_MIN_GAPS = 1000    # gaps per energy; the registered horizon keeps about 4000
+
+
 @register("renewal_mean",
           "Interarrival statistics of the phase pi-crossings on independent lanes",
           "crossing interarrivals are i.i.d. with mean pi/sqrt(E)",
           {"e_list": (1.0, 4.0), "horizon_crossings": 4000.0, "step": 1e-3,
            "tol": 0.02})
 def _exp_renewal(p: dict, s: RngStream) -> ExperimentResult:
-    """Mean and lag-1 correlation of the n gaps of an energy's spectrum.renewal_statistics lanes."""
+    """Mean and lag-1 correlation of the n gaps of an energy's spectrum.renewal_statistics lanes;
+    RuntimeError before any verdict if an energy keeps fewer than _RENEWAL_MIN_GAPS."""
     rows, reps = [], []
     if any(not e > 0 for e in p["e_list"]):
         raise ValueError("E must be positive")    # before the horizons divide by sqrt(E)
     horizons = [p["horizon_crossings"] * math.pi / math.sqrt(e) for e in p["e_list"]]
-    all_lanes = spectrum.renewal_statistics(p["e_list"], horizons, s, p["step"], min_count=1000)
+    all_lanes = spectrum.renewal_statistics(p["e_list"], horizons, s, p["step"])
+    for n in (sum(g.size for g in lanes) for lanes in all_lanes):
+        if n < _RENEWAL_MIN_GAPS:
+            raise RuntimeError(f"insufficient data: {n} interarrivals < {_RENEWAL_MIN_GAPS}")
     for e, lanes in zip(p["e_list"], all_lanes):
         gaps = np.concatenate(lanes)
         n = gaps.size

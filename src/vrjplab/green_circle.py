@@ -97,7 +97,7 @@ def invert_R_explicit(u) -> np.ndarray:
     return inv
 
 
-def green_from_field(field: BetaField, method: Provenance = Provenance.EXPLICIT_FORMULA) -> np.ndarray:
+def green_from_field(field: BetaField, method: Provenance) -> np.ndarray:
     """Green matrix G = H^-1 by the closed form or by dense factorization."""
     if method is Provenance.EXPLICIT_FORMULA:
         rinv = invert_R_explicit(u_sequence(field))

@@ -375,15 +375,17 @@ def fd_operator_twisted(gbm: SampledPath) -> scipy.sparse.csr_matrix:
     return a / h
 
 
-def fd_spectrum_twisted(gbm: SampledPath, k: int = 8) -> np.ndarray:
+def fd_spectrum_twisted(gbm: SampledPath, k: int) -> np.ndarray:
     """Lowest k eigenvalues of the twisted FD operator (shift-invert).
 
     ARPACK starts from the fixed vector of ones, not a random one, so the
-    eigenvalues repeat to the last digit on every run.
+    eigenvalues repeat to the last digit on every run.  k must be below the node count.
     """
     import scipy.sparse.linalg
 
     a = fd_operator_twisted(gbm).tocsc()
+    if not k < a.shape[0]:
+        raise ValueError(f"k={k} eigenvalues need more than the {a.shape[0]} circle nodes")
     vals = scipy.sparse.linalg.eigsh(a, k=k, sigma=0.0, which="LM",
                                      v0=np.ones(a.shape[0]), return_eigenvectors=False)
     return np.sort(vals)
@@ -399,16 +401,15 @@ def fd_spectrum_twisted(gbm: SampledPath, k: int = 8) -> np.ndarray:
 _LANES = 256
 
 
-def renewal_statistics(e_levels, horizons, s: RngStream, step: float = 1e-3,
-                       min_count: int = 100) -> list[list[np.ndarray]]:
+def renewal_statistics(e_levels, horizons, s: RngStream, step: float) -> list[list[np.ndarray]]:
     """pi-crossing gaps of _LANES independent lanes per energy: per energy, one array per lane.
 
     Lane r of energy e_levels[k] reads path r, log M = B_t - t/2 with B
     drawn from s.substream(r + 1) (stochastic.stream_blocks) on cells of
     width step, from theta = 0, and keeps its gaps that start before
     T_c = horizons[k] / _LANES (module docstring).  Every energy reads the
-    same paths.  The arguments are checked before any draw.  Raises
-    RuntimeError if an energy keeps fewer than min_count gaps.
+    same paths.  The arguments are checked before any draw; whether the
+    gaps suffice is for the caller to judge (experiments._exp_renewal).
     """
     e_levels, horizons = list(e_levels), list(horizons)
     for e_level, horizon in zip(e_levels, horizons, strict=True):
@@ -420,14 +421,8 @@ def renewal_statistics(e_levels, horizons, s: RngStream, step: float = 1e-3,
     t_cut = np.divide(horizons, _LANES)
     lane, _, times = _lane_crossings(np.sqrt(e_levels), t_cut, s, step)
     per_lane = np.split(times, np.searchsorted(lane, np.arange(1, t_cut.size * _LANES)))
-    out = []
-    for k, cut in enumerate(t_cut):
-        gaps = [_lane_gaps(t, cut) for t in per_lane[k * _LANES:(k + 1) * _LANES]]
-        n = sum(g.size for g in gaps)
-        if n < min_count:
-            raise RuntimeError(f"insufficient data: {n} interarrivals < {min_count}")
-        out.append(gaps)
-    return out
+    return [[_lane_gaps(t, cut) for t in per_lane[k * _LANES:(k + 1) * _LANES]]
+            for k, cut in enumerate(t_cut)]
 
 
 def _lane_crossings(root_e, t_cut, s: RngStream, step: float):
@@ -486,8 +481,7 @@ def _lane_gaps(times: np.ndarray, t_cut: float) -> np.ndarray:
     return np.diff(times[:np.searchsorted(times, t_cut) + 1], prepend=0.0)
 
 
-def dos_sweep(e_list, lam: float, replicas: int, s: RngStream,
-              step: float = 1e-3) -> np.ndarray:
+def dos_sweep(e_list, lam: float, replicas: int, s: RngStream, step: float) -> np.ndarray:
     """Eigenvalue counts N_lam(E) by the phase route, shape (len(e_list), replicas).
 
     One path per replica, shared across the E values (the counts are

@@ -70,7 +70,7 @@ class RngStream:
         return RngStream(self.seed, self.stream_id + k)
 
 
-def new_stream(seed: int, stream_id: int = 0) -> RngStream:
+def new_stream(seed: int, stream_id: int) -> RngStream:
     return RngStream(seed, stream_id)
 
 

@@ -147,6 +147,11 @@ def test_main_key_error_inside_an_experiment_is_not_a_usage_error(tmp_path, monk
     ("renewal_mean", "horizon_crossings=10", "insufficient data"),
     ("renewal_mean", "horizon_crossings=500", "insufficient data"),
     ("intertwining", "length=0", "length >= 1"),
+    ("intertwining", "length=1", "length >= 2"),
+    ("matsumoto_yor_kernel", "length=1", "length >= 2"),
+    ("spectrum_oracle", "step=2", "need more than the 4 circle nodes"),
+    ("spectrum_oracle", "step=5", "need more than the 2 circle nodes"),
+    ("mbg_corollary", "tail=0", "before the horizon"),
     ("dos_sweep", "lam=1.0 replicas=1", "at least 2 samples"),
     ("dufresne_diagonal", "t=-1.5 n=500 step=0.01", "t=-1.5 outside"),
     ("dufresne_diagonal", "t=2", "t=2.0 outside"),
@@ -248,6 +253,81 @@ def test_experiment_bodies_do_not_convert_their_params():
         assert len(_param_conversions(source.replace(old, new))[1]) == 1
 
 
+def _dead_defaults(sources: dict[str, str]) -> list[str]:
+    """module.function(parameter) for each default that every call site passes, by AST.
+
+    sources maps module names to their text.  A function's call sites are the
+    calls of its name, bare or as an attribute, in any module; a function
+    with none is not judged.  A call passes a parameter by keyword, or by
+    position before any *args.  label is exempt: it is display text, not a run value.
+    """
+    defs, sites = [], {}
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        # a method's first parameter is bound, so its call sites do not pass it
+        methods = {id(f) for c in ast.walk(tree) if isinstance(c, ast.ClassDef) for f in c.body
+                   if isinstance(f, ast.FunctionDef)
+                   and "staticmethod" not in map(ast.unparse, f.decorator_list)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef):
+                defs.append((module, node, int(id(node) in methods)))
+            elif isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                sites.setdefault(name, []).append(node)
+    found = []
+    for module, fn, bound in defs:
+        a, calls = fn.args, sites.get(fn.name, [])
+        positional = a.posonlyargs + a.args
+        defaulted = [(i - bound, p.arg) for i, p in enumerate(positional)
+                     if i >= len(positional) - len(a.defaults)]
+        defaulted += [(None, p.arg) for p, d in zip(a.kwonlyargs, a.kw_defaults) if d]
+        for i, arg in defaulted:
+            def passes(call):
+                n_pos = next((k for k, x in enumerate(call.args) if isinstance(x, ast.Starred)),
+                             len(call.args))
+                return (i is not None and i < n_pos) or arg in (k.arg for k in call.keywords)
+            if calls and arg != "label" and all(map(passes, calls)):
+                found.append(f"{module}.{fn.name}({arg})")
+    return sorted(found)
+
+
+def test_no_layer_default_that_every_caller_overrides():
+    # the registry holds every run value's default; a layer default that
+    # every call site in the package passes is dead, and can go stale
+    package = Path(vrjplab.__file__).parent
+    sources = {p.stem: p.read_text() for p in sorted(package.glob("*.py"))}
+    assert _dead_defaults(sources) == []
+    # the census sees each default that every caller passes where one is written
+    restored = {
+        "stochastic": [("stream_id: int)", "stream_id: int = 0)")],
+        "green_circle": [("method: Provenance)",
+                          "method: Provenance = Provenance.EXPLICIT_FORMULA)")],
+        "continuum_kernel": [("t_grid: tuple[float, ...], n_rep: int, step: float,\n"
+                              "                        tail: float)",
+                              "t_grid=(0.5, 1.0, 2.0), n_rep=10_000, step=1e-3, tail=40.0)")],
+        "spectrum": [("twisted(gbm: SampledPath, k: int)", "twisted(gbm: SampledPath, k=8)"),
+                     ("s: RngStream, step: float) -> list",
+                      "s: RngStream, step=1e-3, min_count=100) -> list"),
+                     ("s: RngStream, step: float) -> np.ndarray:",
+                      "s: RngStream, step=1e-3) -> np.ndarray:")],
+        "experiments": [('horizons, s, p["step"])', 'horizons, s, p["step"], min_count=1000)')],
+    }
+    mutated = dict(sources)
+    for module, edits in restored.items():
+        for old, new in edits:
+            assert mutated[module].count(old) == 1, old
+            mutated[module] = mutated[module].replace(old, new)
+    assert _dead_defaults(mutated) == [
+        "continuum_kernel.mbg_transform_check(n_rep)", "continuum_kernel.mbg_transform_check(step)",
+        "continuum_kernel.mbg_transform_check(t_grid)", "continuum_kernel.mbg_transform_check(tail)",
+        "green_circle.green_from_field(method)", "spectrum.dos_sweep(step)",
+        "spectrum.fd_spectrum_twisted(k)", "spectrum.renewal_statistics(min_count)",
+        "spectrum.renewal_statistics(step)", "stochastic.new_stream(stream_id)"]
+    # and none that a call site leaves to its default
+    mutated["cli"] = mutated["cli"].replace("new_stream(config.seed, 0)", "new_stream(config.seed)")
+    assert "stochastic.new_stream(stream_id)" not in _dead_defaults(mutated)
+
+
 def test_output_env_var(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("VRJPLAB_OUT", str(tmp_path / "envout"))
     rc = main(["run", "--name", "mean_t1_quadrature", "--seed", "1",
@@ -338,7 +418,7 @@ out = {
     "gamma_half": stochastic.inverse_gamma_half_cdf(x),
     "gaussian": stochastic.inverse_gaussian_cdf(x, 1.0, np.linspace(0.5, 40.0, 101)),
     "dense": green_circle.green_from_field(field, green_circle.Provenance.DENSE_SOLVE),
-    "fd": spectrum.fd_spectrum_twisted(deterministic_flat_gbm(math.pi, 1e-2)),
+    "fd": spectrum.fd_spectrum_twisted(deterministic_flat_gbm(math.pi, 1e-2), k=8),
 }
 """
 

@@ -197,7 +197,8 @@ def test_dufresne_ratio_small_lambda():
 
 def test_mbg_transform():
     # ln V_t ~ N(-t/2, t) with independent increments
-    _, log_v, _ = mbg_transform_check(new_stream(17, 0), n_rep=4000, step=2e-3, tail=30.0)
+    _, log_v, _ = mbg_transform_check(new_stream(17, 0), (0.5, 1.0, 2.0), n_rep=4000,
+                                      step=2e-3, tail=30.0)
     assert log_v.shape == (3, 4000)
     mean_log = log_v.mean(axis=1)
     se = log_v.std(axis=1, ddof=1) / math.sqrt(4000)
@@ -215,8 +216,11 @@ def test_mbg_snapshots_must_fall_on_distinct_positive_steps():
     for t_grid in ((0.0004, 1.0, 2.0), (0.5, 0.5004, 2.0), (0.0, 1.0, 2.0), (1.0, 2.0)):
         with pytest.raises(ValueError):
             mbg_transform_check(new_stream(21, 0), t_grid, n_rep=10, step=1e-3, tail=1.0)
-    with pytest.raises(ValueError):     # the last snapshot lies past the horizon 2 - 1
-        mbg_transform_check(new_stream(21, 0), (0.5, 1.0, 2.0), n_rep=10, step=1e-3, tail=-1.0)
+    # the last snapshot lies past the horizon 2 - 1, or at the horizon 2 + 0,
+    # where its tail integral is empty
+    for tail in (-1.0, 0.0):
+        with pytest.raises(ValueError):
+            mbg_transform_check(new_stream(21, 0), (0.5, 1.0, 2.0), n_rep=10, step=1e-3, tail=tail)
 
 
 def test_interpolated_discrete_matches_kernel_law():

@@ -136,7 +136,7 @@ def test_green_routes_agree():
 
 def test_green_single_entry_matches_full():
     f = sample_circle_field(7, 2.0, new_stream(4, 0))
-    g = green_from_field(f)
+    g = green_from_field(f, Provenance.EXPLICIT_FORMULA)
     n = g.shape[0]
     for (i, j) in ((0, 0), (3, 3), (2, 9), (14, 1), (9, 2)):
         val = green_entries_from_a(f.a_seq[None, :], f.weight, i, j)[0]

@@ -157,12 +157,12 @@ def test_renewal_gaps_identical_for_any_worker_count():
     e_levels, horizons, step = [1.0, 4.0, 9.0], [4000.0] * 3, 1e-2
 
     def run():
-        return [g for lanes in sp.renewal_statistics(e_levels, horizons, new_stream(7, 0), step, 1)
+        return [g for lanes in sp.renewal_statistics(e_levels, horizons, new_stream(7, 0), step)
                 for g in lanes]
 
     results = _for_each_worker_count(run)
     results.append([g for e, h in zip(e_levels, horizons)
-                    for g in sp.renewal_statistics([e], [h], new_stream(7, 0), step, 1)[0]])
+                    for g in sp.renewal_statistics([e], [h], new_stream(7, 0), step)[0]])
     _assert_all_equal(results)
 
 
@@ -176,7 +176,7 @@ def test_bad_renewal_argument_raises_before_any_draw(monkeypatch, e_level, horiz
     monkeypatch.setattr(sp, "brownian_increments", no_draw)
     monkeypatch.setattr(sp, "stream_blocks", no_draw)
     with pytest.raises(ValueError):
-        sp.renewal_statistics([1.0, e_level], [50.0, horizon], new_stream(7, 0), 1e-2, 1)
+        sp.renewal_statistics([1.0, e_level], [50.0, horizon], new_stream(7, 0), 1e-2)
 
 
 THREADED_SAMPLERS = [
@@ -192,7 +192,7 @@ THREADED_SAMPLERS = [
     (my, "euler_maruyama_z", lambda f: f(1.0, 1e-3, 1000, new_stream(1, 0))),
     (sp, "dos_sweep", lambda f: f([1.0, 4.0], 2.0, 7, new_stream(1, 0), 1e-2)),
     (sp, "renewal_statistics",
-     lambda f: f([1.0, 4.0, 9.0], [500.0] * 3, new_stream(1, 0), 1e-2, 1)),
+     lambda f: f([1.0, 4.0, 9.0], [500.0] * 3, new_stream(1, 0), 1e-2)),
 ]
 
 

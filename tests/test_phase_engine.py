@@ -328,7 +328,7 @@ def test_renewal_gaps_bit_identical_to_whole_path(e_level, monkeypatch):
     def run(block):
         with monkeypatch.context() as m:
             m.setattr(sp, "_LANE_BLOCK", block)
-            return renewal_statistics([e_level], [_LANES * t_cut], s, step, min_count=1)
+            return renewal_statistics([e_level], [_LANES * t_cut], s, step)
 
     got = run(sp._LANE_BLOCK)
     assert max(g.sum() for g in got[0]) < 4096 * step
@@ -346,7 +346,7 @@ def test_renewal_lanes_track_a_scalar_scan():
     e_levels = [1.0, 4.0]
     t_cut = [2.5 * math.pi / math.sqrt(e) for e in e_levels]
     lane, cell, times = sp._lane_crossings(np.sqrt(e_levels), np.array(t_cut), s, step)
-    gaps = renewal_statistics(e_levels, [_LANES * t for t in t_cut], s, step, min_count=1)
+    gaps = renewal_statistics(e_levels, [_LANES * t for t in t_cut], s, step)
     for i in range(len(e_levels) * _LANES):
         k, r = divmod(i, _LANES)
         mine = lane == i
@@ -377,7 +377,7 @@ def test_renewal_mean_has_no_length_bias(monkeypatch):
     horizons = [_LANES * math.pi / math.sqrt(e) for e in e_levels]
 
     def means_within_3se():
-        lanes = renewal_statistics(e_levels, horizons, s, 1e-3, min_count=1)
+        lanes = renewal_statistics(e_levels, horizons, s, 1e-3)
         return [_mean_within_3se(g, e) for g, e in zip(lanes, e_levels)]
 
     assert means_within_3se() == [True, True]

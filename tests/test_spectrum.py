@@ -14,7 +14,7 @@ import scipy.sparse
 
 from vrjplab.beta_field import construct_beta_circle
 from vrjplab.continuum_kernel import KernelPath
-from vrjplab.experiments import deterministic_flat_gbm
+from vrjplab.experiments import _RENEWAL_MIN_GAPS, deterministic_flat_gbm, get_experiment
 from vrjplab.stats import mean_ci, z_two_sided
 from vrjplab import spectrum
 from vrjplab.spectrum import (_LANES, _mean_t1_sums, count_states_matrix, count_states_phase,
@@ -282,7 +282,7 @@ def test_renewal_rate_matches_dos_density():
     mean, se = _mean_se(np.concatenate(lanes))
     rate = 1.0 / mean
     rate_hw = se / mean ** 2 * 2.58
-    counts = dos_sweep([e_level], lam=50.0, replicas=16, s=new_stream(30, 1))
+    counts = dos_sweep([e_level], lam=50.0, replicas=16, s=new_stream(30, 1), step=1e-3)
     density, half_width = mean_ci(counts[0] / 100.0, 0.01)
     assert abs(rate - density) < 3 * (rate_hw + half_width) + 2 / 100.0
 
@@ -302,19 +302,22 @@ def test_phase_counting_memory_does_not_grow_with_path_length():
     # 256 lanes) or lam (20k -> 80k cells for each of 8 replicas) adds no
     # path memory; whole paths would add at least 23 MB and 3.8 MB.  The
     # slack covers the crossing records.
-    renewal = [_peak_bytes(lambda: renewal_statistics([4.0], [horizon], new_stream(31, 0)))
+    renewal = [_peak_bytes(lambda: renewal_statistics([4.0], [horizon], new_stream(31, 0), 1e-3))
                for horizon in (1000.0, 4000.0)]
-    dos = [_peak_bytes(lambda: dos_sweep([1.0, 4.0], lam, 8, new_stream(31, 1)))
+    dos = [_peak_bytes(lambda: dos_sweep([1.0, 4.0], lam, 8, new_stream(31, 1), 1e-3))
            for lam in (10.0, 40.0)]
     assert renewal[1] - renewal[0] < 1e6
     assert dos[1] - dos[0] < 1e6
 
 
 def test_renewal_insufficient_data():
-    # every lane keeps at least its first gap, so min_count must exceed the
-    # lane count; a cut time of 20/256 keeps only the first gaps
-    with pytest.raises(RuntimeError, match=f"insufficient data: {_LANES} interarrivals < 300"):
-        renewal_statistics([1.0], [20.0], new_stream(11, 1), step=1e-3, min_count=300)
+    # every lane keeps at least its first gap, so the experiment's floor must
+    # exceed the lane count; a cut time of 20/256 keeps only the first gaps
+    spec = get_experiment("renewal_mean")
+    params = {**spec.defaults, "e_list": (1.0,), "horizon_crossings": 20.0 / math.pi}
+    match = f"insufficient data: {_LANES} interarrivals < {_RENEWAL_MIN_GAPS}"
+    with pytest.raises(RuntimeError, match=match):
+        spec.fn(params, new_stream(11, 1))
 
 
 def test_mean_t1_quadrature_values():
@@ -379,7 +382,7 @@ def test_f_star_negative_branch():
 
 
 def test_dos_sweep_small():
-    counts = dos_sweep([1.0, 4.0], lam=40.0, replicas=12, s=new_stream(12, 0))
+    counts = dos_sweep([1.0, 4.0], lam=40.0, replicas=12, s=new_stream(12, 0), step=1e-3)
     assert counts.shape == (2, 12)
     density = np.mean(counts / 80.0, axis=1)
     for d, e_level in zip(density, (1.0, 4.0)):

@@ -13,7 +13,9 @@ resident set, verdicts).
 audit runs registered experiments at their defaults over a range of seeds,
 each run in a fresh process, at most nproc at a time, and writes
 <out>/audit/runs.csv (one row per run: the failed verdicts, elapsed_s, cpu_s,
-peak_rss_mb) and <out>/audit/failures.csv (failed seeds per experiment).
+peak_rss_mb and the sha256 of its results.csv, so that two audits' outputs
+compare by a diff of their runs.csv) and <out>/audit/failures.csv (failed
+seeds per experiment).
 --param takes a JSON number or list, typed against the registered default
 (_typed).  Exit code 0 when every verdict passes, 1 otherwise, 2 on usage errors:
 malformed values, parameters too small to form a statistic, verdicts on no data.
@@ -167,6 +169,7 @@ def run(config: ExperimentConfig) -> RunManifest:
 
 def _audit_run(name: str, seed: int, out_dir: Path) -> dict:
     """One audit run at the registered defaults, in a child process: its row of runs.csv."""
+    import hashlib
     import subprocess
 
     out = out_dir / f"seed{seed}"
@@ -179,9 +182,11 @@ def _audit_run(name: str, seed: int, out_dir: Path) -> dict:
         raise RuntimeError(f"{name} at seed {seed}: {proc.stderr.strip()}")
     manifest = json.loads((out / name / "manifest.json").read_text())
     failed = [v["label"] for v in manifest["verdicts"] if v["verdict"] != "pass"]
+    results = hashlib.sha256((out / name / "results.csv").read_bytes()).hexdigest()
     return {"name": name, "seed": seed, "passed": manifest["passed"],
             "failed": "; ".join(failed), "elapsed_s": manifest["elapsed_s"],
-            "cpu_s": manifest["cpu_s"], "peak_rss_mb": manifest["peak_rss_mb"]}
+            "cpu_s": manifest["cpu_s"], "peak_rss_mb": manifest["peak_rss_mb"],
+            "results_sha256": results}
 
 
 def audit(names: list[str], seeds: range, out_dir: Path) -> list[dict]:

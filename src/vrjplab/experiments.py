@@ -437,6 +437,9 @@ def _exp_renewal(p: dict, s: RngStream) -> ExperimentResult:
            "step": 1e-3, "tol": 0.05})
 def _exp_dos(p: dict, s: RngStream) -> ExperimentResult:
     e_list, lam, replicas = p["e_list"], p["lam"], p["replicas"]
+    if replicas < 2:    # before the sweep draws
+        raise ValueError(f"replicas={replicas}: a density CI needs at least 2 samples, "
+                         "so replicas >= 2")
     counts = spectrum.dos_sweep(e_list, lam, replicas, s, p["step"])
     rows, reps = [], []
     for e, c in zip(e_list, counts):

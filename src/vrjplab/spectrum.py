@@ -31,16 +31,17 @@ never build B and read the increments as they are drawn
 one: it adds two O(sqrt(h)) numbers, where a difference of two log M
 values loses the digits of their magnitude, which grows along a path.
 
-The cell recurrence is sequential along a path, so the batching runs
-across paths: the lane route (_lane_step) advances every lane, one path
-read at one energy, by one numpy step per cell over blocks of _LANE_BLOCK
-cells.  It is the one counting engine of the experiments: dos_sweep runs
-a lane per (replica, E) over the circle and keeps the counts, and
-renewal_statistics runs independent lanes.  A single given path
-(phase_propagate) goes through the scalar loop _scan, one lane in Python
-floats, about 20 times faster than a numpy step per cell on one lane.
-Neither experiment holds a whole path, so memory does not grow with the
-horizon or with lam.
+The lane route (_lane_step) advances every lane, one path read at one
+energy, by one numpy step per cell over blocks of _LANE_BLOCK cells; each
+path's ratio is broadcast over the lanes that read it.  It is the one
+per-cell step of the experiments.  renewal_statistics needs the time of
+every crossing, so its lanes run cell by cell along their paths.
+dos_sweep needs only counts, so it cuts each path into segments and runs
+the lanes wider across the segments of every path at once (segment
+counts, below).  A single given path (phase_propagate) goes through the
+scalar loop _scan, one lane in Python floats, about 20 times faster than
+a numpy step per cell on one lane.  Neither experiment holds a whole
+path, so memory does not grow with the horizon or with lam.
 
 Rotation form.  In the Pruefer vector (u, v) = rho (sin psi, cos psi)
 (Pruefer 1926) a frozen cell is linear: the gauge rescale by the ratio r
@@ -55,6 +56,31 @@ bit for bit.  Each vector is rescaled by a power of two at block ends (and
 more often where the ratios are extreme); that is exact and commutes with
 every later operation, so nothing overflows at long horizons and no bit
 depends on the block.
+
+Segment counts.  A cell is linear in (u, v), so a segment of cells is
+a 2x2 transfer matrix T.  Two basis lanes over the segment, from psi = 0,
+(u, v) = (0, 1), and from psi = pi/2, (1, 0), give its columns: a lane
+ends at (-1)^c 2^-e times the image of its start, c its count (each
+crossing and each whole half-turn negates the vector) and e the sum of
+its rescale exponents, which _lane_step reports, so the two columns come
+to one scale.  The lift of the phase map is increasing and commutes with
+a turn by pi (Sturm oscillation), so from any entry angle psi in [0, pi)
+the count is c0 or c0 + 1, where c0 is the psi = 0 lane's count.  With w
+= (-1)^c0 T (u, v) for the entry vector (u, v), it is c0 + 1 iff w has
+turned past pi, w_u < -tol w_v: the cells' own crossing test, so an end
+within tol of a crossing rounds to the crossed side as a lane's does (the
+tie rule).  The next entry vector is w, or -w clamped to u >= 0 after a
+crossing, rescaled by a power of two; no atan2 is taken.  dos_sweep runs
+the basis lanes of every (E, segment, path) of a window of _WINDOW cells
+in one wide _lane_step and then chains the segments in order, a numpy
+step per segment: about twice as fast as its lanes cell by cell, whose
+numpy calls on 150 lanes cost more than their arithmetic.  Its counts
+are the lanes' unless a crossing ends a segment within rounding of the
+tie rule's threshold, which the chain reaches through T's rounding and
+not the lane's.  A window whose ratios could move a vector by more than
+_RESCALE_EFOLDS / 2 e-folds within a segment, where T's columns might not
+share a float64 scale, runs its lanes cell by cell, as do a window's last
+cells short of a segment.
 
 Renewal gaps from lanes.  At a pi-crossing psi is 0 whatever M is, and
 from there it reads only future log ratios, which are Brownian
@@ -110,6 +136,12 @@ _CROSS_TOL = 1e-10   # endpoint-exact crossings round to the crossed side
 # Cells per block of the lane route, and the most cells the scalar route
 # reads between two rescales.  Neither changes a bit.
 _LANE_BLOCK = 256
+# Cells per window of dos_sweep: every path's increments are drawn, and its
+# ratios formed and counted by segments, a window at a time.  At the
+# registered 50 replicas the increments and the ratios take 0.8 MB each;
+# 8192 cells ran slower (1.45-1.6 s against 1.2-1.3 s at the registered
+# sizes, 2-vCPU Xeon VM) and raised the peak resident set by 6 MB more.
+_WINDOW = 2048
 # The most e-folds a Pruefer vector may grow or shrink by between two
 # rescales: from max(|u|, |v|) in [1/2, 1) it stays within 2^(+-866).
 _RESCALE_EFOLDS = 600.0
@@ -134,6 +166,7 @@ def _cell_ratios(blocks, h: float, before=None):
         d[:, 1:] -= h
         before = x[:, -1].copy()
         yield lo, d
+        del d                           # the caller's to keep or free before the next block
 
 
 def _scan(d: np.ndarray, dpsi: float):
@@ -212,25 +245,30 @@ def count_states_phase(e_level: float, gbm: SampledPath) -> int:
     return phase_propagate(e_level, gbm).count
 
 
-def _lane_step(ratios, uv, dpsi, count, records=None) -> np.ndarray:
+def _lane_step(ratios, uv, dpsi, count, records=None, log2_scale=None) -> np.ndarray:
     """Lane route: advance every lane across one block of cells, one numpy step per cell.
 
-    ratios[j, k] is the coefficient ratio (the exp of the log ratio) that
-    lane k reads at the block's cell j, uv[:, k] its Pruefer vector (u, v),
-    proportional to (sin psi, cos psi), on entering the block and dpsi[k] =
-    sqrt(E)*h its advance.  A cell's map is linear in (u, v) (Pruefer
-    1926): the rescale psi -> atan2(r sin psi, cos psi) is u *= r and the
-    advance a rotation by dpsi, so a cell takes multiplies and adds and no
-    transcendental; the cosine and sine of dpsi are taken once per call.
-    A cell writes the rotated vectors into a spare buffer, and the two
-    buffers swap.  A lane crosses in a cell iff its rotated u < -tol v:
-    an advance that ends within about tol of pi crosses.  Only in cells
-    where some lane crosses, those lanes add the crossing to count, record
-    atan2 of their vector before the rotation as the entry angle, turn by
-    -pi (flip the sign) and clamp u >= 0.  A lane with dpsi >= pi adds its whole half-turns to
-    count in every cell and rotates by the rest.  Given records, a cell
-    with crossings appends (its cell index in the block per crossing lane,
-    those lanes, their entry angles, their crossings).
+    ratios[j] holds the coefficient ratios (the exp of the log ratios) that
+    the paths read at the block's cell j, over one or more path axes; lane
+    g * P + p reads path p (flat index over the P paths), so a ratio is
+    broadcast over the lane groups g and never copied per lane.  uv[:, k]
+    is lane k's Pruefer vector (u, v), proportional to (sin psi, cos psi),
+    on entering the block and dpsi[k] = sqrt(E)*h its advance.  A cell's
+    map is linear in (u, v) (Pruefer 1926): the rescale psi -> atan2(r sin
+    psi, cos psi) is u *= r and the advance a rotation by dpsi, so a cell
+    takes multiplies and adds and no transcendental; the cosine and sine of
+    dpsi are taken once per call.  A cell writes the rotated vectors into a
+    spare buffer, and the two buffers swap.  A lane crosses in a cell iff
+    its rotated u < -tol v: an advance that ends within about tol of pi
+    crosses.  Only in cells where some lane crosses, those lanes add the
+    crossing to count, record atan2 of their vector before the rotation as
+    the entry angle, turn by -pi (flip the sign) and clamp u >= 0.  A lane
+    with dpsi >= pi adds its whole half-turns to count in every cell and
+    rotates by the rest.  So a lane's vector is (-1)^count times the image
+    of its entry vector under the cells' linear maps, up to a positive
+    factor.  Given records, a cell with crossings appends (its cell index
+    in the block per crossing lane, those lanes, their entry angles, their
+    crossings).
 
     (u, v) carries over to the next block as it is.  A cell moves its norm
     by a factor of at most max(r, 1/r), so each vector is rescaled by a
@@ -238,8 +276,10 @@ def _lane_step(ratios, uv, dpsi, count, records=None) -> np.ndarray:
     moved by _RESCALE_EFOLDS e-folds, and at the block's end: it stays in
     the float64 range at any horizon.  The rescale is exact, and every
     later operation (products, sums, the crossing test, atan2) commutes
-    with it, so no bit depends on the block.  Returns the vectors after the
-    block, shape (2, lanes); uv is used as scratch.
+    with it, so no bit depends on the block.  Given log2_scale, each lane's
+    rescale exponents are added to it: the vector times 2^log2_scale is
+    the unrescaled one.  Returns the vectors after the block, shape
+    (2, lanes); uv is used as scratch.
     """
     turns, c, s = _rotation(dpsi)
     wraps = turns > 0
@@ -247,9 +287,13 @@ def _lane_step(ratios, uv, dpsi, count, records=None) -> np.ndarray:
     # a buffer holds u then v: its products by (c, c) and by (-s, s) are the
     # four products of the rotation, in two calls
     cc, ss = np.concatenate([c, c]), np.concatenate([-s, s])
-    n = dpsi.size
+    n, paths = dpsi.size, ratios.shape[1:]
     w, u, v, rows = _halves(uv.reshape(-1))
     w2, u2, v2, rows2 = _halves(np.empty(2 * n))
+    # u by lane group and path; one group takes the paths' shape, as a
+    # broadcast multiply costs about 0.5 us more per cell
+    shape = paths if n == math.prod(paths) else (-1, *paths)
+    g, g2 = u.reshape(shape), u2.reshape(shape)
     p, pu, pv, _ = _halves(np.empty(2 * n))
     q, qu, qv, _ = _halves(np.empty(2 * n))
     t, crossed = np.empty(n), np.empty(n, dtype=bool)
@@ -257,7 +301,7 @@ def _lane_step(ratios, uv, dpsi, count, records=None) -> np.ndarray:
     every = _rescale_every(ratios)
     for lo in range(0, len(ratios), every):
         for j, r in enumerate(ratios[lo:lo + every], lo):
-            mul(u, r, out=u)
+            mul(g, r, out=g)
             mul(w, cc, out=p)
             mul(w, ss, out=q)
             add(pu, qv, out=u2)             # c u + s v
@@ -272,8 +316,10 @@ def _lane_step(ratios, uv, dpsi, count, records=None) -> np.ndarray:
                                     turns[k] + crossed[k]))
                 np.negative(rows2, out=rows2, where=crossed)
                 np.maximum(u2, 0.0, out=u2, where=crossed)
-            w, u, v, rows, w2, u2, v2, rows2 = w2, u2, v2, rows2, w, u, v, rows
+            w, u, v, rows, g, w2, u2, v2, rows2, g2 = w2, u2, v2, rows2, g2, w, u, v, rows, g
         _, e = np.frexp(np.maximum(np.abs(u), np.abs(v)))
+        if log2_scale is not None:
+            log2_scale += e
         np.negative(e, out=e)
         np.ldexp(rows, e, out=rows)
     count += turns * len(ratios)
@@ -299,22 +345,78 @@ def _halves(buf: np.ndarray):
     return buf, buf[:n], buf[n:], buf.reshape(2, n)
 
 
-def _lane_counts(ratio_blocks, n_rep: int, step: float, e_list) -> np.ndarray:
-    """pi-crossing counts of every (E, replica) lane over the whole of its path.
+def _segment_counts(ratio_windows, n_rep: int, step: float, e_list) -> np.ndarray:
+    """pi-crossing counts of every (E, replica) lane over the whole of its path, by segments.
 
-    ratio_blocks yields (lo, log ratios of cells lo..hi-1) of the n_rep
-    paths, one row each, all on the same grid, for consecutive blocks of
-    cells (_cell_ratios).  The ratios do not depend on E, so each is
-    exponentiated once for all of a replica's lanes; lane e * n_rep + r
-    reads replica r.  Memory is O(lanes x block).  Returns counts of
-    shape (len(e_list), n_rep).
+    ratio_windows yields (lo, log ratios of cells lo..hi-1) of the n_rep
+    paths, one row each, all on the same grid, for consecutive windows of
+    cells (_cell_ratios); each window is exponentiated in place, once for
+    every energy.  A window's whole segments of _LANE_BLOCK cells go
+    through _segment_step, and its last cells, fewer than a segment,
+    through the lanes themselves (_lane_step); so does every cell of a
+    window whose ratios could move a vector by more than _RESCALE_EFOLDS /
+    2 e-folds within a segment.  Lane e * n_rep + r reads replica r.
+    Memory is O(lanes x window).  Returns counts of shape (len(e_list),
+    n_rep).
     """
-    dpsi = np.repeat([math.sqrt(e) * step for e in e_list], n_rep)
-    paths = np.tile(np.arange(n_rep), len(e_list))
-    uv, count = _lane_start(dpsi.size), np.zeros(dpsi.size)
-    for _, d in ratio_blocks:
-        uv = _lane_step(np.take(np.exp(d).T, paths, axis=1), uv, dpsi, count)
-    return count.astype(np.int64).reshape(len(e_list), n_rep)
+    dpsi = np.array([math.sqrt(e) * step for e in e_list])
+    uv, count = _lane_start(dpsi.size * n_rep), np.zeros(dpsi.size * n_rep)
+    for _, d in ratio_windows:
+        cells = np.exp(d, out=d).T                   # a cell-major view of the window
+        n_seg = len(cells) // _LANE_BLOCK if _rescale_every(cells) >= 2 * _LANE_BLOCK else 0
+        cut = n_seg * _LANE_BLOCK
+        if n_seg:      # the ratios by (cell of the segment, segment, path): a view
+            uv = _segment_step(d[:, :cut].reshape(n_rep, n_seg, _LANE_BLOCK).transpose(2, 1, 0),
+                               uv, dpsi, count)
+        if cut < len(cells):
+            uv = _lane_step(cells[cut:], uv, np.repeat(dpsi, n_rep), count)
+        del d, cells                                 # freed before the next window is drawn
+    return count.astype(np.int64).reshape(dpsi.size, n_rep)
+
+
+def _segment_step(ratios, uv, dpsi, count) -> np.ndarray:
+    """Advance the lanes uv, one per (E, path), across consecutive segments, by transfer matrices.
+
+    ratios[j, k, r] is path r's ratio at cell j of segment k; lane e * paths
+    + r runs at dpsi[e] with Pruefer vector uv[:, e * paths + r] and adds
+    its crossings to count.  One wide _lane_step runs two basis lanes per
+    (E, segment, path), from psi = 0, (u, v) = (0, 1), and from psi = pi/2,
+    (1, 0); by linearity they give the segment's 2x2 transfer matrix T
+    (module docstring), and the segments are then chained in order, a
+    numpy step per segment.  Returns the vectors after the last segment.
+    """
+    n_seg, n_path = ratios.shape[1:]
+    n_e = dpsi.size
+    basis = np.zeros((2, n_e, 2, n_seg, n_path))
+    basis[1, :, 0] = 1.0                             # psi = 0
+    basis[0, :, 1] = 1.0                             # psi = pi/2
+    crossings, scale = np.zeros(basis[0].size), np.zeros(basis[0].size, dtype=np.int64)
+    ends = _lane_step(ratios, basis.reshape(2, -1), np.repeat(dpsi, 2 * n_seg * n_path),
+                      crossings, log2_scale=scale)
+    # by segment first: (segment, 2 or 1, E, basis lane, path)
+    ends, crossings, scale = (np.moveaxis(a.reshape(-1, n_e, 2, n_seg, n_path), 3, 0)
+                              for a in (ends, crossings, scale))
+    # T's columns (-1)^c 2^scale (end vector), in units of the psi = 0 lane's
+    # (-1)^c0 2^scale0: the psi = pi/2 column changes sign with c0 + c1
+    col_v = ends[:, :, :, 0]
+    col_u = np.ldexp(ends[:, :, :, 1], scale[:, :, :, 1] - scale[:, :, :, 0])
+    np.negative(col_u, out=col_u, where=(crossings[:, :, :, 0] + crossings[:, :, :, 1]) % 2 == 1)
+    c0 = crossings[:, 0, :, 0]
+    lanes = uv.reshape(2, n_e, n_path)
+    n = count.reshape(n_e, n_path)
+    for k in range(n_seg):
+        # w = (-1)^c0 T (u, v) up to a positive factor: the lane's count is
+        # c0, plus one if w has turned past pi
+        w = lanes[1] * col_v[k]
+        w += lanes[0] * col_u[k]
+        crossed = w[0] < -_CROSS_TOL * w[1]
+        n += c0[k]
+        n += crossed
+        np.negative(w, out=w, where=crossed)
+        np.maximum(w[0], 0.0, out=w[0], where=crossed)
+        _, e = np.frexp(np.maximum(np.abs(w[0]), np.abs(w[1])))
+        lanes = np.ldexp(w, -e)
+    return lanes.reshape(2, -1)
 
 
 def _lane_start(n_lanes: int) -> np.ndarray:
@@ -429,51 +531,57 @@ def _lane_crossings(root_e, t_cut, s: RngStream, step: float):
     """Run renewal_statistics' lanes: the (lane, cell, time) of each crossing, sorted by lane.
 
     Lane k * _LANES + r runs at sqrt(E) = root_e[k] on path r until it has
-    a crossing at or after t_cut[k].  The paths are drawn _LANE_BLOCK cells
-    at a time, and a path is dropped once all its lanes are done.  A lane
-    done in the middle of a block runs to the block's end; _lane_gaps
-    drops the crossings after its stop, which depend on the block.
+    a crossing at or after t_cut[k].  The lanes run as a grid, every energy
+    with a running lane on every path with one, so that each path's ratios
+    are broadcast over the energies.  The paths are drawn _LANE_BLOCK cells
+    at a time; a path leaves the grid once all its lanes are done, and an
+    energy once all of its lanes are.  A done lane runs on while the grid
+    holds it; _lane_gaps drops the crossings after its stop, which depend
+    on the block and on the other lanes.
     """
-    root_e, t_cut = np.repeat(root_e, _LANES), np.repeat(t_cut, _LANES)
     gens = [path.gen for _, _, path in stream_blocks(s, _LANES, 1)]
-    lanes = np.arange(root_e.size)       # the running lanes
-    paths = np.arange(_LANES)            # the paths still drawn
-    uv, before, found, lo = _lane_start(lanes.size), None, [], 0
-    while lanes.size:
-        ratios, before = _lane_block([gens[p] for p in paths], before, step,
-                                     np.searchsorted(paths, lanes % _LANES))
+    energies = np.arange(root_e.size)    # the energies with a running lane
+    paths = np.arange(_LANES)            # the paths with a running lane, still drawn
+    done = np.zeros((root_e.size, _LANES), dtype=bool)
+    uv, before, found, lo = _lane_start(done.size), None, [], 0
+    while paths.size:
+        ratios, before = _lane_block([gens[p] for p in paths], before, step)
         records = []
-        uv = _lane_step(ratios, uv, root_e[lanes] * step, np.zeros(lanes.size), records)
+        uv = _lane_step(ratios, uv, np.repeat(root_e[energies] * step, paths.size),
+                        np.zeros(uv.shape[1]), records)
         del ratios                       # freed before the next block is drawn
         if records:
             cells, k, entry, nc = (np.concatenate(a) for a in zip(*records))
             nc = nc.astype(np.int64)
-            times = _crossing_times(lo + cells, entry, nc, step, root_e[lanes[k]])
-            cells, k = np.repeat(lo + cells, nc), np.repeat(k, nc)     # one entry per crossing
-            found.append((lanes[k], cells, times))
-            running = np.ones(lanes.size, dtype=bool)
-            running[k[times >= t_cut[lanes[k]]]] = False
-            lanes, uv = lanes[running], uv[:, running]
-        drawn = np.isin(paths, lanes % _LANES)
-        paths, before = paths[drawn], before[drawn]
+            e, p = energies[k // paths.size], paths[k % paths.size]
+            times = _crossing_times(lo + cells, entry, nc, step, root_e[e])
+            cells, e, p = (np.repeat(a, nc) for a in (lo + cells, e, p))   # one per crossing
+            found.append((e * _LANES + p, cells, times))
+            stop = times >= t_cut[e]
+            done[e[stop], p[stop]] = True
+        running = ~done[np.ix_(energies, paths)]
+        on_e, on_p = running.any(axis=1), running.any(axis=0)
+        uv = uv.reshape(2, energies.size, paths.size)[:, on_e][:, :, on_p].reshape(2, -1)
+        energies, paths, before = energies[on_e], paths[on_p], before[on_p]
         lo += _LANE_BLOCK
     lane, cell, times = (np.concatenate(a) for a in zip(*found))
     order = np.argsort(lane, kind="stable")
     return lane[order], cell[order], times[order]
 
 
-def _lane_block(gens, before, step: float, rows):
-    """The next _LANE_BLOCK cells of one path per generator: (lane ratios, last increments).
+def _lane_block(gens, before, step: float):
+    """The next _LANE_BLOCK cells of one path per generator: (ratios by cell, last increments).
 
-    Lane k reads path rows[k]; before holds each path's increment over the
-    cell before the block (None at the start).  The block's increments and
-    log ratios are released on return, before the next block is drawn.
+    before holds each path's increment over the cell before the block (None
+    at the start).  The ratios are copied to one contiguous row per cell,
+    which the lane step reads faster than a strided row.  The block's
+    increments are released on return, before the next block is drawn.
     """
     [(_, x)] = brownian_increments(gens, _LANE_BLOCK, step, _LANE_BLOCK)
     [(_, d)] = _cell_ratios([(0, x)], step, before)
     last = x[:, -1].copy()
     del x
-    return np.take(np.exp(d, out=d).T, rows, axis=1), last
+    return np.ascontiguousarray(np.exp(d, out=d).T), last
 
 
 def _lane_gaps(times: np.ndarray, t_cut: float) -> np.ndarray:
@@ -487,17 +595,23 @@ def dos_sweep(e_list, lam: float, replicas: int, s: RngStream, step: float) -> n
     One path per replica, shared across the E values (the counts are
     then monotone-coupled, which tightens ratio comparisons).  Replica r's
     path is log_gbm_rows' path of s.substream(r + 1) on the grid_cells
-    grid of [-lam, lam]; the lane route reads only its cells' log ratios,
-    in which its anchor B_0 = 0 cancels, so its increments stream in a
-    lane block at a time (stochastic.brownian_increments, _cell_ratios).
+    grid of [-lam, lam]; the lanes read only its cells' log ratios, in
+    which its anchor B_0 = 0 cancels, so its increments stream in a window
+    of _WINDOW cells at a time (stochastic.brownian_increments,
+    _cell_ratios) and are counted by segments (_segment_counts).  The sizes
+    are checked before any draw.
     """
     e_list = list(e_list)
+    if not e_list:
+        raise ValueError("dos_sweep needs an energy: e_list is empty")
+    if replicas < 1:
+        raise ValueError(f"dos_sweep needs replicas >= 1, got {replicas}")
     if any(not e > 0 for e in e_list):
         raise ValueError("E must be positive")
     half, h = grid_cells(lam, step)
     gens = [path_stream.gen for _, _, path_stream in stream_blocks(s, replicas, 1)]
-    blocks = brownian_increments(gens, 2 * half, h, _LANE_BLOCK)
-    return _lane_counts(_cell_ratios(blocks, h), replicas, h, e_list)
+    windows = brownian_increments(gens, 2 * half, h, _WINDOW)
+    return _segment_counts(_cell_ratios(windows, h), replicas, h, e_list)
 
 
 # ---------------------------------------------------------------------------

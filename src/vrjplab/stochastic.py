@@ -9,8 +9,10 @@ stepwise ensemble reads its per-step normals from one source,
 ``step_normals``, which draws them in the calling thread.
 
 The phase-counting experiments read only the increments of their paths
-(``brownian_increments``), a block of cells at a time, so their memory
-does not grow with the path length.  The renewal gaps draw one path per
+(``brownian_increments``), a block of cells at a time (a window of
+spectrum._WINDOW cells of every replica's path for the density of states,
+spectrum._LANE_BLOCK cells of every running path for the renewal gaps), so
+their memory does not grow with the path length.  The renewal gaps draw one path per
 lane, shared by the energies, until every lane on it has stopped at its
 first crossing at or after a cut time (spectrum: why no length bias).
 ``log_gbm_rows`` draws each row block in one call: its row blocks run on

@@ -5,7 +5,9 @@ read only the increments of theirs, streamed from
 stochastic.brownian_increments.  The tests still build whole paths, to feed
 phase_propagate and the oracles, and to check the streamed routes against
 whole-path ones.  Likewise matsumoto_yor.build_my_chains keeps
-only the chain ends; chain_arrays_from_a gives the whole chains.
+only the chain ends; chain_arrays_from_a gives the whole chains.  And
+dos_sweep counts by segment transfer matrices; lane_counts runs every lane
+cell by cell, as dos_sweep did before.
 """
 
 import math
@@ -77,6 +79,24 @@ def renewal_lane_whole_path(e_level: float, t_cut: float, s: RngStream, step: fl
     if stop == times.size:
         raise ValueError(f"no crossing at or after {t_cut} within {n_cells} cells")
     return np.repeat(cells, nc)[:stop + 1], times[:stop + 1]
+
+
+def lane_counts(ratio_blocks, n_rep: int, step: float, e_list) -> np.ndarray:
+    """pi-crossing counts of every (E, replica) lane over the whole of its path, cell by cell.
+
+    ratio_blocks yields (lo, log ratios of cells lo..hi-1) of the n_rep
+    paths, one row each, all on the same grid, for consecutive blocks of
+    cells (spectrum._cell_ratios).  Lane e * n_rep + r reads replica r,
+    from its own copy of the ratios, and runs the block's cells one numpy
+    step each (spectrum._lane_step).  Returns counts of shape
+    (len(e_list), n_rep).
+    """
+    dpsi = np.repeat([math.sqrt(e) * step for e in e_list], n_rep)
+    paths = np.tile(np.arange(n_rep), len(e_list))
+    uv, count = sp._lane_start(dpsi.size), np.zeros(dpsi.size)
+    for _, d in ratio_blocks:
+        uv = sp._lane_step(np.take(np.exp(d).T, paths, axis=1), uv, dpsi, count)
+    return count.astype(np.int64).reshape(len(e_list), n_rep)
 
 
 def chain_arrays_from_a(a: np.ndarray, m: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

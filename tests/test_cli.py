@@ -3,6 +3,7 @@
 import ast
 import csv
 import dataclasses
+import hashlib
 import json
 import os
 import platform
@@ -153,6 +154,8 @@ def test_main_key_error_inside_an_experiment_is_not_a_usage_error(tmp_path, monk
     ("spectrum_oracle", "step=5", "need more than the 2 circle nodes"),
     ("mbg_corollary", "tail=0", "before the horizon"),
     ("dos_sweep", "lam=1.0 replicas=1", "at least 2 samples"),
+    ("dos_sweep", "replicas=0", "replicas >= 2"),
+    ("dos_sweep", "e_list=[]", "e_list is empty"),
     ("dufresne_diagonal", "t=-1.5 n=500 step=0.01", "t=-1.5 outside"),
     ("dufresne_diagonal", "t=2", "t=2.0 outside"),
     ("dufresne_diagonal", "step=-0.01", "positive and finite"),
@@ -470,6 +473,8 @@ def test_audit_writes_runs_and_failures(tmp_path, capsys):
                                         if v["verdict"] == "fail")
         for key in ("elapsed_s", "cpu_s", "peak_rss_mb"):
             assert float(r[key]) == manifest[key] > 0
+        results = (out / f"seed{r['seed']}" / r["name"] / "results.csv").read_bytes()
+        assert r["results_sha256"] == hashlib.sha256(results).hexdigest()
     failures = {r["name"]: r for r in csv.DictReader((out / "failures.csv").open())}
     assert failures["explicit_inverse"]["failed_seeds"] == "3"
     assert failures["matsumoto_yor_kernel"]["failed_runs"] == "0"

@@ -23,7 +23,10 @@ import vrjplab.continuum_kernel as ck
 import vrjplab.matsumoto_yor as my
 import vrjplab.spectrum as sp
 import vrjplab.stochastic as st
+from vrjplab.experiments import get_experiment
 from vrjplab.stochastic import exp_functional_walk, new_stream
+
+from reference_paths import lane_counts
 
 WORKER_COUNTS = (1, 2, 3)
 
@@ -85,7 +88,7 @@ def test_dos_sweep_identical_for_any_worker_count():
     x = np.array([s.substream(r + 1).gen.standard_normal(2 * half) * math.sqrt(h)
                   for r in range(replicas)])
     ratios = np.concatenate([np.zeros((replicas, 1)), x[:, :-1] + x[:, 1:] - h], axis=1)
-    results.append((sp._lane_counts([(0, ratios)], replicas, h, e_list),))
+    results.append((lane_counts([(0, ratios)], replicas, h, e_list),))
     _assert_all_equal(results)
 
 
@@ -177,6 +180,35 @@ def test_bad_renewal_argument_raises_before_any_draw(monkeypatch, e_level, horiz
     monkeypatch.setattr(sp, "stream_blocks", no_draw)
     with pytest.raises(ValueError):
         sp.renewal_statistics([1.0, e_level], [50.0, horizon], new_stream(7, 0), 1e-2)
+
+
+@pytest.mark.parametrize("params, message", [
+    ({"e_list": []}, "e_list is empty"),
+    ({"replicas": 0}, "replicas >= 1"),
+    ({"e_list": [1.0, 0.0]}, "E must be positive"),
+    ({"lam": 0.0}, "positive and finite"),
+])
+def test_bad_dos_sweep_argument_raises_before_any_draw(monkeypatch, params, message):
+    # the sizes, energies and grid are checked before any path is drawn
+    def no_draw(*args):
+        raise AssertionError("drew before the arguments were checked")
+
+    monkeypatch.setattr(sp, "brownian_increments", no_draw)
+    monkeypatch.setattr(sp, "stream_blocks", no_draw)
+    args = {"e_list": [1.0], "lam": 2.0, "replicas": 3, **params}
+    with pytest.raises(ValueError, match=message):
+        sp.dos_sweep(args["e_list"], args["lam"], args["replicas"], new_stream(7, 0), 1e-2)
+
+
+def test_dos_sweep_experiment_refuses_one_replica_before_any_draw(monkeypatch):
+    # a density CI needs two replicas; the experiment says so before the sweep
+    def no_sweep(*args):
+        raise AssertionError("swept before replicas was checked")
+
+    monkeypatch.setattr(sp, "dos_sweep", no_sweep)
+    spec = get_experiment("dos_sweep")
+    with pytest.raises(ValueError, match="replicas >= 2"):
+        spec.fn({**spec.defaults, "replicas": 1}, new_stream(7, 0))
 
 
 THREADED_SAMPLERS = [

@@ -22,8 +22,16 @@ counts and renewal gaps must not depend on the lane block, from one cell
 to one block that holds every lane's whole path.  Each renewal lane must
 give the crossing cells and times of a scalar scan of its path drawn
 whole, bit for bit; and its kept gaps must have no length bias.
+
+dos_sweep counts by segment transfer matrices.  Its counts must be those
+of every lane run cell by cell (reference_paths.lane_counts): with a
+short last window and segment, where a cell turns the phase by more than
+pi, on the flat path, where log M drifts by a thousand e-folds, where a
+segment ends on a crossing, and where a window's ratios are too wide for
+one float64 scale.  Its counts at lam = 5 are pinned.
 """
 
+import hashlib
 import math
 
 import numpy as np
@@ -37,8 +45,8 @@ from vrjplab.spectrum import (_CROSS_TOL, _LANES, _PI, count_states_phase, dos_s
 from vrjplab.stochastic import (SampledPath, brownian_increments, grid_cells, log_gbm_rows,
                                 new_stream)
 
-from reference_paths import (geometric, renewal_lane_whole_path, sample_brownian_path,
-                             sample_gbm_path)
+from reference_paths import (geometric, lane_counts, renewal_lane_whole_path,
+                             sample_brownian_path, sample_gbm_path)
 
 
 def _phase_core(logc, dpsi):
@@ -230,7 +238,7 @@ def test_scalar_route_is_one_lane_bit_for_bit(seed, e_level, lam, step, block):
     assert tr.count == nc.sum()
     assert np.array_equal(tr.crossings,
                           sp._crossing_times(cells, entry, nc, path.step, math.sqrt(e_level)))
-    lanes = sp._lane_counts([(0, d[None])], 1, path.step, [e_level])
+    lanes = lane_counts([(0, d[None])], 1, path.step, [e_level])
     assert lanes[0, 0] == count_states_phase(e_level, path)
 
 
@@ -253,7 +261,7 @@ def _lane_case(seed, lam, step, replicas, e_list, block):
     paths = [_path(seed + r, lam, step) for r in range(replicas)]
     gens = [new_stream(seed + r, 3).gen for r in range(replicas)]
     incr = brownian_increments(gens, paths[0].values.size - 1, step, block)
-    lanes = sp._lane_counts(sp._cell_ratios(incr, step), replicas, step, e_list)
+    lanes = lane_counts(sp._cell_ratios(incr, step), replicas, step, e_list)
     oracle = np.array([[_oracle(p, e)[0] for p in paths] for e in e_list])
     return lanes, oracle
 
@@ -302,7 +310,7 @@ def test_dos_sweep_streams_the_log_gbm_rows(lam, monkeypatch):
         seen += d.shape[1]
     assert seen == 2 * half
     counts = dos_sweep(e_list, lam, replicas, s, step)
-    assert np.array_equal(counts, sp._lane_counts([(0, whole)], replicas, h, e_list))
+    assert np.array_equal(counts, lane_counts([(0, whole)], replicas, h, e_list))
     for block in (1, 7):
         with monkeypatch.context() as m:
             m.setattr(sp, "_LANE_BLOCK", block)
@@ -421,6 +429,10 @@ def test_lane_stays_finite_where_log_m_drifts_by_1000_e_folds():
     for block in (1, 7):
         other = _lane_records(d, dpsi, block)
         assert all(np.array_equal(a, b) for a, b in zip(other, (cells, nc, entry, uv)))
+    # the segments' transfer matrices, 12.8 e-folds of drift each, count alike
+    assert sp._rescale_every(np.exp(d)) >= 2 * sp._LANE_BLOCK
+    windows = [(lo, d[None, lo:lo + sp._WINDOW].copy()) for lo in range(0, n, sp._WINDOW)]
+    assert sp._segment_counts(windows, 1, step, [e_level])[0, 0] == nc.sum()
 
 
 @pytest.mark.parametrize("dpsi", [math.pi - 1e-3, math.pi, 2.5 * math.pi])
@@ -436,7 +448,11 @@ def test_lanes_that_turn_half_a_circle_or_more_per_cell(dpsi):
     whole = np.concatenate([d for _, d in blocks], axis=1)
     assert all(_scan_is_the_lane(row, dpsi, sp._LANE_BLOCK) for row in whole)
     want = [sp._scan(row, dpsi)[2].sum() for row in whole]
-    assert np.array_equal(sp._lane_counts(blocks, replicas, dpsi, [1.0])[0], want)
+    assert np.array_equal(lane_counts(blocks, replicas, dpsi, [1.0])[0], want)
+    # ratios this wide leave no segment a shared float64 scale: the segment
+    # route runs these lanes cell by cell, and gives the same counts
+    assert sp._rescale_every(np.exp(whole).T) < 2 * sp._LANE_BLOCK
+    assert np.array_equal(sp._segment_counts([(0, whole.copy())], replicas, dpsi, [1.0])[0], want)
     t_cut = 8 * dpsi
     lane, cell, times = sp._lane_crossings(np.array([1.0]), np.array([t_cut]), s, dpsi)
     for r in range(_LANES):
@@ -454,9 +470,12 @@ def test_lane_counts_on_the_flat_path(lam):
     # lam = pi and E = 1.25 lands exactly on the endpoint
     e_list = [0.2, 1.25, 5.0, 9.0]
     half, h = grid_cells(lam, 1e-3)
-    counts = sp._lane_counts(sp._cell_ratios([(0, np.zeros((1, 2 * half)))], h), 1, h, e_list)
+    counts = lane_counts(sp._cell_ratios([(0, np.zeros((1, 2 * half)))], h), 1, h, e_list)
     exact = [math.floor(2 * lam * math.sqrt(max(e - 0.25, 0.0)) / math.pi) for e in e_list]
     assert counts[:, 0].tolist() == exact
+    windows = ((lo, np.zeros((1, min(sp._WINDOW, 2 * half - lo))))
+               for lo in range(0, 2 * half, sp._WINDOW))
+    assert np.array_equal(sp._segment_counts(sp._cell_ratios(windows, h), 1, h, e_list), counts)
 
 
 def phase_propagate_rk4(e_level: float, gbm: SampledPath,
@@ -543,3 +562,66 @@ def test_phase_rk4_oracle():
 def test_riccati_cell_identity():
     gbm = sample_gbm_path(-5.0, 5.0, 1e-3, new_stream(5, 0))
     assert riccati_cell_check(1.0, gbm) < 0.01
+
+
+# 10 000 cells at lam = 5: four whole windows and one of 1808 cells, seven
+# segments and 16 cells; 80 000 at lam = 40: 39 whole windows and 128 cells.
+# E = 1.2e7 turns the phase by 3.46 > pi per cell of 1e-3.
+@pytest.mark.parametrize("lam", [5.0, 40.0])
+def test_segment_counts_equal_the_lane_oracle(lam):
+    # the seeded streams of dos_sweep, counted cell by cell by every lane
+    step, replicas, e_list, s = 1e-3, 4, [0.5, 1.0, 9.0, 1.2e7], new_stream(46, 0)
+    half, h = grid_cells(lam, step)
+    assert (2 * half) % sp._WINDOW and (2 * half) % sp._WINDOW % sp._LANE_BLOCK
+    assert math.sqrt(e_list[-1]) * h > math.pi
+    gens = [s.substream(r + 1).gen for r in range(replicas)]
+    oracle = lane_counts(sp._cell_ratios(brownian_increments(gens, 2 * half, h, sp._LANE_BLOCK),
+                                         h), replicas, h, e_list)
+    assert np.array_equal(dos_sweep(e_list, lam, replicas, s, step), oracle)
+
+
+def _digest(counts):
+    return hashlib.sha256(np.ascontiguousarray(counts, dtype="<i8").tobytes()).hexdigest()[:16]
+
+
+# dos_sweep's counts as the lane route gave them before the segments: at
+# lam = 5 over the registered energies and replicas (sha256 of the int64
+# array), and at the benchmark's smallest size
+_PINNED_LAM5 = ["8242839496354be6", "c4f793a81b319e9d", "3500e568a39cd265",
+                "e2b66c72baec8ed1", "04d1817891611a5a"]
+_PINNED_TINY = [[99, 103, 101, 100, 99, 104], [101, 104, 100, 101, 103, 98],
+                [102, 101, 101, 102, 100, 105]]
+
+
+def test_dos_sweep_counts_pinned():
+    got = [_digest(dos_sweep([1.0, 4.0, 9.0], 5.0, 50, new_stream(seed, 0), 1e-3))
+           for seed in range(5)]
+    assert got == _PINNED_LAM5
+    tiny = [dos_sweep([16.0], 40.0, 6, new_stream(seed, 0), 1e-3)[0].tolist()
+            for seed in range(3)]
+    assert tiny == _PINNED_TINY
+
+
+# Ratios of 1 make each cell a rotation by dpsi.  At dpsi = (pi - short) / 512
+# every second segment of 256 cells ends on a crossing, short of pi by 0 (up
+# to rounding) or by 0.6 tol: the lanes count each, within tol, and restart
+# from psi = 0 exactly; so must the chain.  4608 cells: two windows and two
+# segments, the last ending on the ninth crossing.
+@pytest.mark.parametrize("short", [0.0, 0.6 * _CROSS_TOL])
+def test_segment_ends_on_a_crossing_round_as_the_lanes_do(short):
+    step, n = (math.pi - short) / 512, 2 * sp._WINDOW + 2 * sp._LANE_BLOCK
+    windows = [(lo, np.zeros((1, min(sp._WINDOW, n - lo)))) for lo in range(0, n, sp._WINDOW)]
+    assert lane_counts(windows, 1, step, [1.0])[0, 0] == n // 512
+    assert sp._segment_counts(windows, 1, step, [1.0])[0, 0] == n // 512
+
+
+def test_segments_too_wide_for_one_float64_scale_run_cell_by_cell():
+    # quarter turns and log ratios of +-10 by turns: over two cells u grows
+    # by e^10 and v shrinks by e^10, so a segment's two columns would differ
+    # by 2^3693; the window runs its lanes cell by cell, as the oracle does
+    n, step = 2 * sp._WINDOW + 100, math.pi / 2
+    d = np.tile([10.0, -10.0], n // 2)[None]
+    assert sp._rescale_every(np.exp(d).T) < 2 * sp._LANE_BLOCK
+    want = lane_counts([(0, d.copy())], 1, step, [1.0])
+    windows = [(lo, d[:, lo:lo + sp._WINDOW].copy()) for lo in range(0, n, sp._WINDOW)]
+    assert np.array_equal(sp._segment_counts(windows, 1, step, [1.0]), want)

@@ -240,6 +240,21 @@ def test_phase_fd_bracket_on_shared_path():
             assert abs(cp - cf) <= 3, (seed, e_level, cp, cf)
 
 
+def test_phase_count_brackets_the_twisted_fd_count_pathwise():
+    # per path, not in the mean: on 25 paths at lam = 2 (800 cells of 5e-3)
+    # and 4 energies, the phase count minus the number of eigenvalues below E
+    # of the twisted FD operator (dense eigvalsh) is 0 or -1 in all 100 cases
+    lam, step, seen = 2.0, 5e-3, set()
+    for seed in range(25):
+        geo = sample_gbm_path(-lam, lam, step, new_stream(seed, 3))
+        vals = np.linalg.eigvalsh(fd_operator_twisted(geo).toarray())
+        for e_level in (1.0, 4.0, 9.0, 16.0):
+            gap = count_states_phase(e_level, geo) - int(np.searchsorted(vals, e_level))
+            assert gap in (0, -1), (seed, e_level, gap)
+            seen.add(gap)
+    assert seen == {0, -1}
+
+
 def test_matrix_vs_phase_mean_counts():
     # the two routes approximate the same count; each carries a documented
     # O(1) offset (floor bracket for the phase, finite-n for the matrix),

@@ -6,8 +6,9 @@
 
 Each run writes <out>/<name>/results.csv (numeric table, shortest
 round-trip decimals, byte-identical across reruns of the same config)
-and manifest.json (the effective parameters, package and library
-versions, the platform, the worker-pool size and BLAS thread settings,
+and manifest.json (the effective parameters, the stream epoch and bit
+generator, package and library versions, the platform, the worker-pool
+size and BLAS thread settings,
 timestamps, the experiment's wall and CPU seconds, the process's peak
 resident set, verdicts).
 audit runs registered experiments at their defaults over a range of seeds,
@@ -41,7 +42,7 @@ import scipy
 
 from . import __version__
 from .experiments import ExperimentResult, get_experiment, list_experiments
-from .stochastic import new_stream, pool_workers
+from .stochastic import BIT_GENERATOR, STREAM_EPOCH, new_stream, pool_workers
 
 OUTPUT_ENV_VAR = "VRJPLAB_OUT"
 BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS")
@@ -79,15 +80,16 @@ class RunManifest:
             "params": self.params,
             "output_dir": str(self.config.output_dir),
             "artifact_version": self.artifact_version,
-            # bit streams are pinned per numpy release
+            # seeded draws are pinned per stream epoch, bit generator and numpy release
+            "stream_epoch": STREAM_EPOCH,
+            "bit_generator": BIT_GENERATOR,
             "versions": {"numpy": np.__version__, "scipy": scipy.__version__,
                          "python": platform.python_version()},
             # not platform.platform(), whose `uname -p` child process, a copy
             # of this one, would count in RUSAGE_CHILDREN
             "platform": {"system": platform.system(), "release": platform.release(),
                          "machine": platform.machine()},
-            # seeded draws do not depend on the worker count; the dense
-            # inverse of explicit_inverse depends on the BLAS thread count
+            # seeded draws do not depend on the worker count
             "workers": pool_workers(),
             "thread_env": {v: os.environ.get(v) for v in BLAS_THREAD_VARS},
             "started": self.started,

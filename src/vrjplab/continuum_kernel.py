@@ -29,8 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .stochastic import (RngStream, SampledPath, cumtrapz, exp_functional_walk,
-                         grid_cells, log_gbm_rows, map_stream_blocks, stream_blocks)
+from .stochastic import (RngStream, SampledPath, cumtrapz, exp_functional_walk, grid_cells,
+                         log_gbm_rows, map_stream_blocks, stream_blocks, walk_ends)
 
 _DEGENERATE_REL_TOL = 1e-12
 
@@ -194,7 +194,7 @@ def line_kernel_eval(k: KernelPath, t: float, t2: float) -> float:
 # Ensemble samplers (vectorized across replicas)
 # ---------------------------------------------------------------------------
 
-# The four samplers below take their replica streams from stream_blocks.
+# The five samplers below take their replica streams from stream_blocks.
 # The block sizes fix the seeded output, so they are constants, not memory
 # knobs.  The matrix samplers run their stream blocks on the worker pool
 # (stochastic.map_stream_blocks), each block writing its own slice of the
@@ -206,6 +206,7 @@ _DIAGONAL_STREAM_BLOCK = 2000
 _QUADRATIC_STREAM_BLOCK = 1000
 _RATIO_STREAM_BLOCK = 4000
 _LINE_STREAM_BLOCK = 2000
+_MBG_STREAM_BLOCK = 5000
 
 
 def kernel_diagonal_node(lam: float, t: float, step: float) -> tuple[int, float]:
@@ -300,22 +301,6 @@ def sample_quadratic_form(lam: float, f, step: float, n_rep: int,
     return out[0], out[1]
 
 
-def _walk_ends(span: float, step: float, n_rep: int, s: RngStream,
-               block: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(a_span, I, J) per replica on the grid_cells grid of [0, span].
-
-    I is the trapezoid of int_0^span e^{2a_s - s} ds at the grid's step h
-    and J the trapezoid of the same path on every second node (step 2h),
-    as exp_functional_walk returns them.
-    """
-    nsteps, h = grid_cells(span, step)
-    ends = np.empty((3, n_rep))
-    for first, count, block_stream in stream_blocks(s, n_rep, block):
-        ends[:, first:first + count] = exp_functional_walk(block_stream.gen, count,
-                                                           h, nsteps)[:3]
-    return ends[0], ends[1], ends[2]
-
-
 def sample_dufresne_ratio(lam: float, step: float, n_rep: int,
                           s: RngStream) -> tuple[np.ndarray, np.ndarray]:
     """int_0^lam e^{2a_s - s} ds / (e^{a_lam - lam/2} - 1)^2 per replica.
@@ -324,7 +309,7 @@ def sample_dufresne_ratio(lam: float, step: float, n_rep: int,
     integral on every second node of the same paths (step 2h); their gap
     estimates the step's bias (exp_functional_walk).
     """
-    alpha, integ, coarse = _walk_ends(lam, step, n_rep, s, _RATIO_STREAM_BLOCK)
+    alpha, integ, coarse = walk_ends(lam, step, n_rep, s, _RATIO_STREAM_BLOCK)
     denom = (np.exp(alpha - 0.5 * lam) - 1.0) ** 2
     return integ / denom, coarse / denom
 
@@ -334,7 +319,7 @@ def sample_line_diagonal(horizon: float, step: float, n_rep: int, s: RngStream) 
 
     Integrating backward from 0, s -> -s turns 1/M^2 into e^{2w_s - s}.
     """
-    return _walk_ends(horizon, step, n_rep, s, _LINE_STREAM_BLOCK)[1]
+    return walk_ends(horizon, step, n_rep, s, _LINE_STREAM_BLOCK)[1]
 
 
 def mbg_transform_check(s: RngStream, t_grid: tuple[float, ...], n_rep: int, step: float,
@@ -361,11 +346,13 @@ def mbg_transform_check(s: RngStream, t_grid: tuple[float, ...], n_rep: int, ste
     if len(t_grid) != 3 or not 0 < nodes[0] < nodes[1] < nodes[2] < nsteps:
         raise ValueError("mbg check needs three positive snapshot times on distinct steps "
                          "before the horizon")
-    _, integ, coarse, at = exp_functional_walk(s.gen, n_rep, h, nsteps, nodes)
     tau = np.array(nodes) * h
     log_v = np.empty((2, len(nodes), n_rep))
-    for ti, (alpha_t, integ_t, coarse_t) in enumerate(at):
-        drift = -alpha_t + tau[ti] / 2.0
-        log_v[0, ti] = drift + np.log(integ - integ_t) - np.log(integ)
-        log_v[1, ti] = drift + np.log(coarse - coarse_t) - np.log(coarse)
+    for first, count, block_stream in stream_blocks(s, n_rep, _MBG_STREAM_BLOCK):
+        _, integ, coarse, at = exp_functional_walk(block_stream.gen, count, h, nsteps, nodes)
+        cols = slice(first, first + count)
+        for ti, (alpha_t, integ_t, coarse_t) in enumerate(at):
+            drift = -alpha_t + tau[ti] / 2.0
+            log_v[0, ti, cols] = drift + np.log(integ - integ_t) - np.log(integ)
+            log_v[1, ti, cols] = drift + np.log(coarse - coarse_t) - np.log(coarse)
     return tau, log_v[0], log_v[1]

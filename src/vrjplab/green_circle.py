@@ -6,7 +6,12 @@ u_i = sqrt(A_i A_{i+1}) (diagonal 1 + u_i^2, off-diagonals -u_i).  R has
 a closed-form inverse whose entries are directed products and sums of
 the u_i around the circle over the common denominator (prod u - 1)^2,
 so the Green matrix G = H^-1 = (1/w) D R^-1 D is available without any
-linear solve.  A dense Cholesky route is kept as the oracle.
+linear solve.  The oracle it is judged by (oracle_deviation) solves H
+from the A's in long double, in a form with no cancellation but one
+exact determinant, and exactly, in Fractions, for any column whose
+verdict the long double cannot decide.  A dense Cholesky route of the
+float64 beta is kept as a cross-check: its error grows as cond(H) * 1e-16,
+past the closed form's own.
 
 All indices here are array coordinates 0..dim-1; the circle orientation
 is the +1 increment, and every directed product/sum is read from the
@@ -25,6 +30,7 @@ import numpy as np
 from .beta_field import BetaField, dense_h
 
 _DEGENERATE_TOL = 1e-12
+LONGDOUBLE_EPS = float(np.finfo(np.longdouble).eps)
 
 
 class Provenance(Enum):
@@ -85,15 +91,22 @@ def invert_R_explicit(u) -> np.ndarray:
     logs = np.log(u)
     if abs(np.sum(logs)) < _DEGENERATE_TOL:
         raise ValueError("degenerate u sequence: prod(u) = 1")
-    s, cl, log_den = _arcs(u * u, logs, np.arange(n), n - 1)
-    idx_i, idx_j = np.indices((n, n))
-    # P(i..j-1): the ((j-i-1) mod n) + 1 elements from i
-    log_p = cl[idx_i + (idx_j - idx_i - 1) % n + 1] - cl[idx_i]
-    # S(j+1..i-1): the (i-j-1) mod n elements ending at i-1
-    s_val = s[(idx_i - idx_j - 1) % n, (idx_i - 1) % n]
+    # column i of the S table ends at i - 1
+    s, cl, log_den = _arcs(u * u, logs, (np.arange(n) - 1) % n, n - 1)
+    # P(i..j-1) = exp(cl[j'] - cl[i]) with j' = j above the diagonal and
+    # j + n on and below it (the (j-i-1) mod n + 1 elements from i)
+    above = np.arange(n) > np.arange(n)[:, None]
+    log_p = np.where(above, cl[:n], cl[n:2 * n]) - cl[:n, None]
+    # S(j+1..i-1), the (i-j-1) mod n elements ending at i-1: rows i-1, i-2, ...
+    # of column i, cyclically; on the table stacked twice, row i-1-j+n, so
+    # a view with step (one row + one column, -one row) reads it in place
+    twice = np.concatenate([s, s])
+    rs, cs = twice.strides
+    s_val = np.lib.stride_tricks.as_strided(twice[n - 1:], (n, n), (rs + cs, -rs),
+                                            writeable=False)
     half = np.exp(log_p - log_den) * s_val
     inv = half + half.T
-    np.fill_diagonal(inv, s[n - 1, (np.arange(n) - 1) % n] * math.exp(-log_den))
+    np.fill_diagonal(inv, s[n - 1] * math.exp(-log_den))
     return inv
 
 
@@ -112,6 +125,144 @@ def green_from_field(field: BetaField, method: Provenance) -> np.ndarray:
         g = chol_inv.T @ chol_inv
         return 0.5 * (g + g.T)
     raise ValueError(f"unsupported method {method}")
+
+
+# ---------------------------------------------------------------------------
+# The oracle: H^-1 from the A's in long double, exact where it cannot decide
+# ---------------------------------------------------------------------------
+
+def _det_ratio(a: np.ndarray) -> tuple[int, int]:
+    """(num, den) of det H / w^n = (prod A - 1)^2 / prod A, exactly.
+
+    The A's are binary fractions, so prod A = N/D with integers N and D;
+    this is the one difference of nearly equal numbers in H^-1.
+    """
+    num = den = 1
+    for x in a.tolist():
+        x_num, x_den = x.as_integer_ratio()
+        num *= x_num
+        den *= x_den
+    return (num - den) ** 2, num * den
+
+
+def _longdouble_quotient(num: int, den: int) -> np.longdouble:
+    """num/den > 0 in long double, within one unit in its last place."""
+    shift = 64 - (num.bit_length() - den.bit_length())
+    q = (num << shift) // den if shift >= 0 else num // (den << -shift)
+    return np.ldexp(np.longdouble(q >> 32) * np.longdouble(1 << 32)
+                    + np.longdouble(q & 0xFFFFFFFF), -shift)
+
+
+def _inverse_columns(a: np.ndarray, w, ratio, cols: np.ndarray) -> np.ndarray:
+    """Columns ``cols`` of H^-1 in the dtype of a, w and ratio = _det_ratio's quotient.
+
+    H has diagonal d_i = w (A_{i+1} + 1/A_i) and -w on the edges of the
+    circle, the corner (n-1, 0) included.  Border it: H_o is H on nodes
+    0..m-1, m = n - 1, a tridiagonal M-matrix, and node m couples to it by
+    h = -w (e_0 + e_{m-1}).
+
+    * A Thomas sweep of H_o from node 0 has the pivots
+      p_k = w (A_{k+1} + 1/s_k), s_0 = A_0, s_k = A_k^2 s_{k-1} + A_k, and
+      one from node m-1 has q_k = w (1/A_k + 1/r_k), r_{m-1} = 1/A_m,
+      r_k = r_{k+1} / A_{k+1}^2 + 1/A_{k+1} (substitute into
+      p_k = d_k - w^2/p_{k-1}).  For i <= j, with U_k = prod_{l<k} w/p_l
+      and V_j = prod_{l>j} q_l/p_l,
+      (H_o^-1)_ij = U_j V_j / (p_j U_i)  (Usmani 1994).
+    * With y = H_o^-1 (e_0 + e_{m-1}) and the Schur complement
+      sigma = det H / det H_o = w * ratio * U_m, the bordered inverse is
+      [[H_o^-1 + (w^2/sigma) y y^T, (w/sigma) y], [(w/sigma) y^T, 1/sigma]].
+
+    Every step adds, multiplies or divides positive numbers, and sigma's
+    cancellation is taken exactly in ratio, so in floating point each
+    entry is within 20 n^2 eps (first order: s_k and r_k gather up to
+    4 k eps, each of U, V up to 2 n^2 eps, and the rest a few eps more).
+    The same code runs on np.longdouble arrays and on object arrays of
+    Fractions.
+    """
+    m = a.size - 1
+    s, r = a[:m].copy(), a[:m].copy()
+    r[m - 1] = 1 / a[m]
+    for k in range(1, m):
+        s[k] = a[k] * a[k] * s[k - 1] + a[k]
+        j = m - 1 - k
+        r[j] = r[j + 1] / (a[j + 1] * a[j + 1]) + 1 / a[j + 1]
+    p = w * (a[1:] + 1 / s)
+    q = w * (1 / a[:m] + 1 / r)
+    one = a[:1] / a[:1]     # 1 in a's dtype: an int 1 would divide to a float
+    u = np.concatenate([one, np.cumprod(w / p)])
+    v = np.concatenate([np.cumprod((q / p)[:0:-1])[::-1], one])
+    sigma = w * ratio * u[m]
+    col = u[:m] * v / p
+
+    def h_o(i, j):
+        """(H_o^-1)[i, j] for index vectors i, j."""
+        return np.where(i[:, None] <= j[None, :], np.outer(1 / u[i], col[j]),
+                        np.outer(col[i], 1 / u[j]))
+
+    nodes = np.arange(m)
+    inner = np.minimum(cols, m - 1)
+    y = h_o(nodes, np.array([0, m - 1])).sum(axis=1)
+    out = np.empty((m + 1, cols.size), dtype=p.dtype)
+    out[:m] = h_o(nodes, inner) + (w * w / sigma) * np.outer(y, y[inner])
+    out[m] = (w / sigma) * y[inner]
+    last = cols == m
+    out[:m, last] = (w / sigma) * y[:, None]
+    out[m, last] = 1 / sigma
+    return out
+
+
+def require_longdouble() -> None:
+    """Refuse a long double too short for the oracle to judge a 1e-10 deviation."""
+    if LONGDOUBLE_EPS > 1e-18:
+        raise ValueError(f"np.longdouble has eps {LONGDOUBLE_EPS:.3g} here; the inverse "
+                         "oracle needs the 80-bit type or wider (eps <= 1e-18)")
+
+
+def green_longdouble(field: BetaField) -> tuple[np.ndarray, float]:
+    """(G, bound): G = H^-1 in np.longdouble, built from the field's A's, and
+    20 n^2 eps, the relative error bound of its every entry (_inverse_columns)."""
+    require_longdouble()
+    a = field.a_seq.astype(np.longdouble)
+    ratio = _longdouble_quotient(*_det_ratio(field.a_seq))
+    g = _inverse_columns(a, np.longdouble(field.weight), ratio, np.arange(a.size))
+    return g, 20.0 * a.size ** 2 * LONGDOUBLE_EPS
+
+
+def green_exact_columns(field: BetaField, cols) -> np.ndarray:
+    """Columns ``cols`` of G = H^-1 exactly: an object array of Fractions, dim x len(cols).
+
+    The A's and the weight are binary fractions, so this is G itself.  It
+    takes about 10 s for three columns at dim 201.
+    """
+    from fractions import Fraction   # and decimal: 3.5 ms of import, for a rare route
+
+    a = np.array([Fraction(x) for x in field.a_seq.tolist()], dtype=object)
+    return _inverse_columns(a, Fraction(field.weight), Fraction(*_det_ratio(field.a_seq)),
+                            np.asarray(cols))
+
+
+def oracle_deviation(field: BetaField, g: np.ndarray, tol: float) -> tuple[float, float, int]:
+    """(max_ij |g_ij - G_ij| / G_ij, the oracle's bound, columns solved exactly).
+
+    G = H^-1 is read from green_longdouble.  An entry whose deviation lies
+    within twice the oracle's bound of ``tol`` cannot be judged against
+    ``tol`` from it, so its column is read from green_exact_columns
+    instead; the verdict never rests on an oracle error.
+    """
+    gl, bound = green_longdouble(field)
+    dev = np.subtract(g, gl)         # in long double
+    np.abs(dev, out=dev)
+    dev /= gl
+    if dev.max() < tol - 2.0 * bound:
+        return float(dev.max()), bound, 0
+    unsure = np.flatnonzero(np.any(np.abs(dev - tol) <= 2.0 * bound, axis=0))
+    if unsure.size:
+        from fractions import Fraction
+
+        exact = green_exact_columns(field, unsure)
+        gx = np.array([[Fraction(x) for x in row] for row in g[:, unsure].tolist()], dtype=object)
+        dev[:, unsure] = (abs(gx - exact) / exact).astype(float)
+    return float(np.max(dev)), bound, int(unsure.size)
 
 
 def green_entries_from_a(a2d: np.ndarray, weight: float, i: int, j: int) -> np.ndarray:

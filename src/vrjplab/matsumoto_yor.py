@@ -17,7 +17,8 @@ step 1/m, the pair converges to the geometric Brownian motion e_t and
 Z_t = (int e^2) / e.  Z_t has two ensemble samplers here: pathwise, from
 the exponential-functional walk, and the Euler-Maruyama scheme of its
 diffusion.  Both walk the grid_cells grid of [0, tmax] and take their
-per-step normals from stochastic.step_normals.
+per-step normals from stochastic.step_normals, a stream block of
+replicas at a time.
 """
 
 from __future__ import annotations
@@ -26,24 +27,33 @@ import math
 
 import numpy as np
 
-from .stochastic import (RngStream, exp_functional_walk, grid_cells, sample_inverse_gaussian,
-                         step_normals)
+from .stochastic import (RngStream, grid_cells, sample_inverse_gaussian, step_normals,
+                         stream_blocks, walk_ends)
+
+# Replicas per stream block (stochastic.stream_blocks).  The block sizes fix
+# the seeded output, so they are constants; 5000 splits the registered
+# 10 000 replicas in two.  The blocks run in turn, in the calling thread.
+_CHAIN_STREAM_BLOCK = 5000
+_Z_STREAM_BLOCK = 5000
 
 
 def build_my_chains(m: int, length: int, n_rep: int, s: RngStream):
     """(psi_L, z_L), L = ``length``: the ends of n_rep chains, one per replica.
 
-    The multipliers are drawn in one call, row r for replica r.  The chains
-    then run one multiplier column at a time: the float operations of a
-    cumulative product and sum, in the same order, in O(n_rep) beside them.
+    Each stream block draws its multipliers in one call, row r for its
+    replica r.  The chains then run one multiplier column at a time: the
+    float operations of a cumulative product and sum, in the same order,
+    in O(block) beside them.
     """
     if m < 1 or length < 1 or n_rep < 1:
         raise ValueError("need m >= 1, length >= 1 and n_rep >= 1")
-    a = sample_inverse_gaussian(float(m), s, size=n_rep * length).reshape(n_rep, length)
     psi, g11 = np.ones(n_rep), np.zeros(n_rep)
-    for col in a.T:
-        g11 += psi ** 2 * col
-        psi *= col
+    for first, count, block_stream in stream_blocks(s, n_rep, _CHAIN_STREAM_BLOCK):
+        a = sample_inverse_gaussian(float(m), block_stream, size=count * length)
+        p, g = psi[first:first + count], g11[first:first + count]
+        for col in a.reshape(count, length).T:
+            g += p ** 2 * col
+            p *= col
     g11 /= m
     return psi, g11 / psi
 
@@ -65,16 +75,19 @@ def kernel_step(z: np.ndarray, m: int, s: RngStream) -> np.ndarray:
 def sample_z_pathwise(tmax: float, step: float, n_rep: int, s: RngStream) -> np.ndarray:
     """Ensemble of Z_tmax = int_0^tmax e^2 / e_tmax, e_t = e^{a_t - t/2} (O(n_rep) memory)."""
     nsteps, h = grid_cells(tmax, step)
-    alpha, integ, _, _ = exp_functional_walk(s.gen, n_rep, h, nsteps)
+    alpha, integ, _ = walk_ends(tmax, step, n_rep, s, _Z_STREAM_BLOCK)
     return integ / np.exp(alpha - nsteps * h / 2)
 
 
 def euler_maruyama_z(tmax: float, step: float, n_rep: int, s: RngStream) -> np.ndarray:
     """Euler-Maruyama ensemble for dZ = Z dW + (1 + Z) dt from Z_0 = 0."""
     nsteps, h = grid_cells(tmax, step)
-    z = np.zeros(n_rep)
     sq = math.sqrt(h)
-    for w in step_normals(s.gen, n_rep, nsteps):
-        dw = sq * w
-        z = z + z * dw + (1.0 + z) * h
-    return z
+    out = np.empty(n_rep)
+    for first, count, block_stream in stream_blocks(s, n_rep, _Z_STREAM_BLOCK):
+        z = np.zeros(count)
+        for w in step_normals(block_stream.gen, count, nsteps):
+            dw = sq * w
+            z = z + z * dw + (1.0 + z) * h
+        out[first:first + count] = z
+    return out

@@ -3,10 +3,12 @@
 Each draw primitive lives here once: the mean-1 Inverse Gaussian draw, the
 builder of two-sided log-geometric paths (``log_gbm_rows``), the streamed
 Brownian increments (``brownian_increments``) and the
-exponential-functional walk.  The IG draw finishes its output in place, a
-cache-sized block at a time, so it needs no whole-size temporaries.  Every
-stepwise ensemble reads its per-step normals from one source,
-``step_normals``, which draws them in the calling thread.
+exponential-functional walk.  The IG draw takes its chi^2_1 variate as Z^2
+and finishes its output in place, a cache-sized block at a time, so it
+needs no whole-size temporaries.  Every stepwise ensemble reads its
+per-step normals from one source, ``step_normals``, which draws them in
+the calling thread.  Every ensemble sampler maps its replicas to streams
+by one rule, ``stream_blocks``.
 
 The phase-counting experiments read only the increments of their paths
 (``brownian_increments``), a block of cells at a time (a window of
@@ -21,12 +23,18 @@ and a new buffer per block made the matrix samplers measurably slower.
 Both keep one buffer for the whole call.
 
 Every stochastic routine in this package consumes an explicit
-:class:`RngStream`.  A stream is identified by a ``(seed, stream_id)``
-pair and is backed by the counter-based Philox generator, so distinct
-``stream_id`` values give statistically independent substreams and the
-same pair reproduces the identical draw sequence bit for bit (per numpy
-release; Gaussian draws use numpy's ziggurat and are not guaranteed
-stable across numpy versions).
+:class:`RngStream`.  A stream is keyed by a seed and a path of integers:
+``new_stream(seed, id)`` has the path ``(id,)`` and ``substream(k)``
+appends k, so the children of one stream never meet its siblings'.
+numpy's ``SeedSequence(seed, spawn_key=path)`` hashes the key into the
+state of an SFC64 generator, so distinct paths give independent streams,
+and the same key reproduces the same draws bit for bit within one stream
+epoch (``STREAM_EPOCH``, written to every run's manifest) and numpy
+release (Gaussian draws use numpy's ziggurat and are not guaranteed stable
+across numpy versions).  Epoch 1 keyed Philox by (seed, id) and made
+``substream(k)`` the stream id + k.  SFC64 draws a normal in 11-13 ns
+where Philox took 20-22 ns, and a uniform in 2-3.4 ns where it took
+6-8.6 ns (2-vCPU x86_64 VM, numpy 2.4, 8192 to 2M draws per call).
 
 Reference distributions used throughout the verification suites (the
 Inverse Gaussian and the law of 1/(2*gamma)) live here as closed-form
@@ -50,30 +58,37 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
+# Bumped whenever seeded draws move on purpose, and written to every run's
+# manifest with the bit generator: epoch 2 keys SFC64 streams by
+# SeedSequence spawn paths and draws the IG variate from Z^2.
+STREAM_EPOCH = 2
+BIT_GENERATOR = "SFC64"    # by name: np.random is imported on first use, not with this module
+
+
 @dataclass
 class RngStream:
-    """Single-consumer source of uniform randomness.
+    """Single-consumer source of uniform randomness, keyed by (seed, path).
 
-    Distinct ``stream_id`` values under the same seed are independent;
-    parallel replicas must each get their own stream.
+    The generator is SFC64 seeded by SeedSequence(seed, spawn_key=path), a
+    negative seed taken mod 2^64.  Distinct paths under the same seed are
+    independent, so parallel replicas must each get their own stream.
     """
 
     seed: int
-    stream_id: int
+    path: tuple[int, ...]
     gen: np.random.Generator = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        bits = np.random.Philox(key=np.array(
-            [self.seed % (1 << 64), self.stream_id % (1 << 64)], dtype=np.uint64))
-        self.gen = np.random.Generator(bits)
+        key = np.random.SeedSequence(self.seed % (1 << 64), spawn_key=self.path)
+        self.gen = np.random.Generator(getattr(np.random, BIT_GENERATOR)(key))
 
     def substream(self, k: int) -> "RngStream":
-        """Derive the k-th sibling stream (same seed, shifted stream_id)."""
-        return RngStream(self.seed, self.stream_id + k)
+        """The k-th child stream: path + (k,), so children of distinct streams never meet."""
+        return RngStream(self.seed, self.path + (k,))
 
 
 def new_stream(seed: int, stream_id: int) -> RngStream:
-    return RngStream(seed, stream_id)
+    return RngStream(seed, (stream_id,))
 
 
 @dataclass
@@ -107,15 +122,16 @@ def sample_inverse_gaussian(lam, s: RngStream, size: int) -> np.ndarray:
     """``size`` draws from IG(1, lam); ``lam`` > 0 is a scalar or an array of ``size`` shapes.
 
     Every mean reduces to mean 1 by the scale relation
-    IG(mu, lam) = mu * IG(1, lam/mu).  The root construction: with
-    y = 2*gamma (gamma ~ Gamma(1/2,1)),
+    IG(mu, lam) = mu * IG(1, lam/mu).  The root construction of Michael,
+    Schucany & Haas (1976): with y = Z^2 (Z ~ N(0, 1), so y ~ chi^2_1,
+    the law of 2*gamma, gamma ~ Gamma(1/2, 1)), the IG quadratic has the
+    roots x+ = 1 + (y + sqrt(4 lam y + y^2)) / (2 lam) and x- = 1/x+.
+    Return x- with probability 1/(1 + x-) = x+/(1 + x+), else x+.  Exact,
+    no rejection loop.  x- is taken as 1/x+, never as the difference
+    1 + y/(2 lam) - sqrt(...)/(2 lam), which cancels to 0 or below when
+    y/lam is large.
 
-        x = 1 + y/(2 lam) - (1/(2 lam)) sqrt(4 lam y + y^2)
-
-    is the smaller root of the IG quadratic; accept x with probability
-    1/(1 + x), else return 1/x.  Exact, no rejection loop.
-
-    Every gamma is drawn first, straight into the output; then each block
+    Every normal is drawn first, straight into the output; then each block
     of ``_ROW_BLOCK_ELEMS`` draws its uniforms and is finished in place.
     numpy fills element by element and each element meets the same float
     operations as in a whole-array pass, so the draws do not depend on the
@@ -131,27 +147,26 @@ def sample_inverse_gaussian(lam, s: RngStream, size: int) -> np.ndarray:
     elif lam.shape != (size,):
         raise ValueError(f"IG shape lam must be a scalar or of length {size}, "
                          f"got shape {lam.shape}")
-    y = s.gen.standard_gamma(0.5, size=size)
+    y = s.gen.standard_normal(size)
     block = max(1, min(size, _ROW_BLOCK_ELEMS))
-    root, u, reject = np.empty(block), np.empty(block), np.empty(block, dtype=bool)
+    root, u, small = np.empty(block), np.empty(block), np.empty(block, dtype=bool)
     for lo in range(0, size, block):
         n = min(block, size - lo)
-        x, r, ub, rej = y[lo:lo + n], root[:n], u[:n], reject[:n]
+        x, r, ub, sm = y[lo:lo + n], root[:n], u[:n], small[:n]
         lb = lam if lam.ndim == 0 else lam[lo:lo + n]
-        x *= 2.0                          # y
+        np.square(x, out=x)               # y
         np.multiply(4.0 * lb, x, out=r)
         np.multiply(x, x, out=ub)
         r += ub
         np.sqrt(r, out=r)
-        r *= 1.0 / (2.0 * lb)
-        x /= 2.0 * lb
-        x += 1.0
-        x -= r                            # the smaller root
+        r += x
+        r /= 2.0 * lb
+        np.add(r, 1.0, out=x)             # the larger root x+
         s.gen.random(out=ub)              # the bits of uniform(size=n)
         np.add(x, 1.0, out=r)
-        np.divide(1.0, r, out=r)
-        np.greater(ub, r, out=rej)        # not u <= 1/(1 + x)
-        np.divide(1.0, x, out=x, where=rej)
+        np.divide(x, r, out=r)
+        np.less_equal(ub, r, out=sm)      # u <= x+/(1 + x+): the smaller root
+        np.divide(1.0, x, out=x, where=sm)
     return y
 
 
@@ -206,7 +221,9 @@ def stream_blocks(s: RngStream, n_rep: int, block: int):
 
     The one rule that maps replicas to streams: blocks of ``block`` replicas,
     the block at ``first`` drawing from s.substream(first + 1).  The block
-    size fixes the seeded output, so callers pass a constant.
+    size fixes the seeded output, so callers pass a constant.  The blocks
+    are children of s, so a caller that hands s to stream_blocks takes no
+    other child of s.
     """
     for first in range(0, n_rep, block):
         yield first, min(block, n_rep - first), s.substream(first + 1)
@@ -292,6 +309,23 @@ def exp_functional_walk(gen: np.random.Generator, n: int, h: float, nsteps: int,
             start = k
             seen[k] = (alpha.copy(), integ.copy(), coarse.copy())
     return alpha, integ, coarse, [seen[k] for k in snaps]
+
+
+def walk_ends(span: float, step: float, n_rep: int, s: RngStream,
+              block: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(a_span, I, J) per replica of exp_functional_walk on the grid_cells grid of [0, span].
+
+    I is the trapezoid of int_0^span e^{2a_s - s} ds at the grid's step h
+    and J the trapezoid of the same path on every second node (step 2h).
+    The replicas walk in stream_blocks of ``block``, one after another in
+    the calling thread.
+    """
+    nsteps, h = grid_cells(span, step)
+    ends = np.empty((3, n_rep))
+    for first, count, block_stream in stream_blocks(s, n_rep, block):
+        ends[:, first:first + count] = exp_functional_walk(block_stream.gen, count,
+                                                           h, nsteps)[:3]
+    return ends[0], ends[1], ends[2]
 
 
 def brownian_increments(gens, n_cells: int, step: float, block: int):

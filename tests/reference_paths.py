@@ -7,7 +7,10 @@ phase_propagate and the oracles, and to check the streamed routes against
 whole-path ones.  Likewise matsumoto_yor.build_my_chains keeps
 only the chain ends; chain_arrays_from_a gives the whole chains.  And
 dos_sweep counts by segment transfer matrices; lane_counts runs every lane
-cell by cell, as dos_sweep did before.
+cell by cell, as dos_sweep did before.  And green_circle.invert_R_explicit
+reads its entries through a skewed view of the arc table;
+invert_R_explicit_indexed reads them through n x n index arrays, as it did
+before.
 """
 
 import math
@@ -16,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 import vrjplab.spectrum as sp
+from vrjplab.green_circle import _arcs
 from vrjplab.stochastic import RngStream, SampledPath, grid_cells
 
 
@@ -106,3 +110,20 @@ def chain_arrays_from_a(a: np.ndarray, m: float) -> tuple[np.ndarray, np.ndarray
     psi_prev = np.concatenate([np.ones_like(a[..., :1]), psi[..., :-1]], axis=-1)
     g11 = np.cumsum(psi_prev ** 2 * a, axis=-1) / m
     return psi, g11, g11 / psi
+
+
+def invert_R_explicit_indexed(u) -> np.ndarray:
+    """green_circle.invert_R_explicit with its entries gathered by index arrays."""
+    u = np.asarray(u, dtype=float)
+    n = u.size
+    logs = np.log(u)
+    s, cl, log_den = _arcs(u * u, logs, np.arange(n), n - 1)
+    idx_i, idx_j = np.indices((n, n))
+    # P(i..j-1): the ((j-i-1) mod n) + 1 elements from i
+    log_p = cl[idx_i + (idx_j - idx_i - 1) % n + 1] - cl[idx_i]
+    # S(j+1..i-1): the (i-j-1) mod n elements ending at i-1
+    s_val = s[(idx_i - idx_j - 1) % n, (idx_i - 1) % n]
+    half = np.exp(log_p - log_den) * s_val
+    inv = half + half.T
+    np.fill_diagonal(inv, s[n - 1, (np.arange(n) - 1) % n] * math.exp(-log_den))
+    return inv

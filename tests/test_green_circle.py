@@ -1,10 +1,12 @@
 """Explicit circle inverse against oracles, path sums, the interpolated law.
 
 The truncated path-sum expansion of G and the loop that built the arc
-table of the closed form are reference routes, kept here as oracles.
+table of the closed form are reference routes, kept here as oracles, and
+reference_paths.invert_R_explicit_indexed the closed form's index reads.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,6 +17,8 @@ from vrjplab.green_circle import (Provenance, green_entries_from_a,
                                   green_from_field, invert_R_explicit, u_sequence)
 from vrjplab.stats import ks_two_sample
 from vrjplab.stochastic import new_stream, sample_inverse_gaussian
+
+from reference_paths import invert_R_explicit_indexed
 
 
 def _r_dense(u):
@@ -160,14 +164,19 @@ def test_path_sum_below_distance_is_zero():
 
 
 def test_path_sum_converges_to_green():
-    # the truncation tail is geometric with the field-dependent spectral
-    # radius of the step matrix; this seed gives rho ~ 0.73 so 31 terms
-    # leave a sub-1e-3 gap (near-singular fields converge far slower)
+    # the 31 terms fall short of G(0, 1) by exactly the geometric tail
+    # sum_{k > 30} (q^k)_{01} / (2 beta_0) = (q^31 (I - q)^-1)_{01} / (2 beta_0)
+    # of the step matrix q, whose spectral radius is below 1; the tail's
+    # size depends on the field (near-singular fields converge far slower)
     f = sample_circle_field(1, 1.0, new_stream(10, 3))
     gd = green_from_field(f, Provenance.DENSE_SOLVE)
     val = path_sum_green(f, 0, 1, 30)
-    assert abs(val - gd[0, 1]) / gd[0, 1] < 1e-3
+    h = dense_h(f.graph, f.beta)
+    q = (-np.triu(h, 1) - np.tril(h, -1)) / (2.0 * f.beta)[None, :]
+    assert np.max(np.abs(np.linalg.eigvals(q))) < 1.0
+    tail = (np.linalg.matrix_power(q, 31) @ np.linalg.inv(np.eye(3) - q))[0, 1] / (2.0 * f.beta[0])
     assert val <= gd[0, 1]
+    assert abs(val + tail - gd[0, 1]) <= 1e-12 * gd[0, 1]
 
 
 def test_path_sum_monotone():
@@ -205,3 +214,63 @@ def test_interpolated_law_stabilizes_in_n():
 
     rep = ks_two_sample(samples(64, 3000, 14), samples(256, 3000, 15), 0.01)
     assert rep.passed, rep
+
+
+def test_invert_r_explicit_equals_the_indexed_reads():
+    # the skewed view of the arc table reads the entries that n x n index
+    # arrays gather, bit for bit, from dim 7 to dim 401
+    for size in (3, 4, 10, 57, 131, 200):
+        u = u_sequence(sample_circle_field(size, 8.0, new_stream(32, size)))
+        assert np.array_equal(invert_R_explicit(u), invert_R_explicit_indexed(u))
+
+
+def _near_singular_field():
+    # 21 vertices at weight 8 whose A's multiply to within 5.2e-4 of 1:
+    # cond(H) = 1.07e10
+    return sample_circle_field(10, 8.0, new_stream(7163, 0))
+
+
+def _rel(x, exact) -> float:
+    """Largest |x - exact| / exact, exactly, over long-double or float x and Fraction exact."""
+    return float(max(abs(Fraction(*v.as_integer_ratio()) - e) / e for v, e in zip(x, exact)))
+
+
+def test_exact_column_of_a_near_singular_field():
+    f = _near_singular_field()
+    assert np.linalg.cond(dense_h(f.graph, f.beta)) >= 1e9
+    (col,) = gc.green_exact_columns(f, [0]).T
+    # H col = e_0 with not a bit to spare
+    a, w, n = [Fraction(x) for x in f.a_seq.tolist()], Fraction(f.weight), f.a_seq.size
+    assert [w * (a[(i + 1) % n] + 1 / a[i]) * col[i] - w * col[i - 1] - w * col[(i + 1) % n]
+            for i in range(n)] == [1] + [0] * (n - 1)
+    assert (float(col[0]), float(col[10])) == (34142739.45229357, 22293849.64323509)
+    # the long-double oracle holds to its bound, here a few eps; the closed
+    # form holds to 3.1e-13; the float64 dense solve of the rounded beta
+    # misses by 4.6e-8, past the 1e-10 that explicit_inverse asks
+    gl, bound = gc.green_longdouble(f)
+    assert _rel(gl[:, 0], col) <= min(bound, 1e-17)
+    assert _rel(green_from_field(f, Provenance.EXPLICIT_FORMULA)[:, 0], col) < 1e-12
+    assert _rel(green_from_field(f, Provenance.DENSE_SOLVE)[:, 0], col) > 1e-10
+
+
+def test_oracle_solves_exactly_each_column_it_cannot_judge():
+    f = _near_singular_field()
+    ge = green_from_field(f, Provenance.EXPLICIT_FORMULA)
+    dev, bound, exact_cols = gc.oracle_deviation(f, ge, 1e-10)
+    assert (exact_cols, dev < 1e-12, bound < 1e-15) == (0, True, True)
+    # judged against its own deviation, every column is within the bound
+    # of tol, so all of them are solved exactly
+    dev_exact, _, exact_cols = gc.oracle_deviation(f, ge, dev)
+    assert exact_cols == 21
+    exact = gc.green_exact_columns(f, range(21))
+    assert dev_exact == max(_rel(ge[:, j], exact[:, j]) for j in range(21))
+
+
+def test_oracle_agrees_with_the_dense_solve_on_well_conditioned_fields():
+    for i in range(5):
+        f = sample_circle_field(4 + 3 * i, 3.0, new_stream(3, i))
+        gl, _ = gc.green_longdouble(f)
+        h = dense_h(f.graph, f.beta)
+        assert np.linalg.cond(h) < 1e5
+        gd = green_from_field(f, Provenance.DENSE_SOLVE)
+        assert np.max(np.abs(gl - gd) / gl) < 1e-11

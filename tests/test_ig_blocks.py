@@ -1,13 +1,13 @@
-"""The blocked IG sampler and the chain ends against the originals.
+"""The blocked IG sampler and the chain ends against whole-array versions.
 
-sample_inverse_gaussian and build_my_chains below are the original
-implementations, kept verbatim as the oracle: the sampler finishes the
-whole output in several full-size temporaries, and the chain builder
-returns whole (n_rep x length) arrays.  The library draws the same gammas
-and uniforms in the same order and gives each element the same float
-operations, the IG draws a block at a time and the chains one multiplier
-column at a time, keeping only the chain ends, so its outputs must equal
-the oracle's (last columns) bit for bit.
+sample_inverse_gaussian and build_my_chains below are the whole-array
+forms, kept as the oracle: the sampler finishes the whole output in
+several full-size temporaries, and the chain builder returns whole
+(n_rep x length) arrays.  The library draws the same normals and uniforms
+in the same order and gives each element the same float operations, the
+IG draws a block at a time and the chains one multiplier column at a time,
+keeping only the chain ends, so its outputs must equal the oracle's (last
+columns) bit for bit.
 """
 
 import tracemalloc
@@ -29,26 +29,33 @@ def sample_inverse_gaussian(lam, s: RngStream, size: int) -> np.ndarray:
 
     Every mean reduces to mean 1 by the scale relation
     IG(mu, lam) = mu * IG(1, lam/mu).  The root construction: with
-    y = 2*gamma (gamma ~ Gamma(1/2,1)),
+    y = Z^2 (Z ~ N(0, 1)),
 
-        x = 1 + y/(2 lam) - (1/(2 lam)) sqrt(4 lam y + y^2)
+        x+ = 1 + (y + sqrt(4 lam y + y^2)) / (2 lam)
 
-    is the smaller root of the IG quadratic; accept x with probability
-    1/(1 + x), else return 1/x.  Exact, no rejection loop.
+    is the larger root of the IG quadratic and 1/x+ the smaller; return
+    1/x+ with probability x+/(1 + x+), else x+.  Exact, no rejection loop.
     """
     if not np.all(np.asarray(lam) > 0):
         raise ValueError("IG shape lam must be positive")
-    y = 2.0 * s.gen.standard_gamma(0.5, size=size)
-    x = 1.0 + y / (2.0 * lam) - (1.0 / (2.0 * lam)) * np.sqrt(4.0 * lam * y + y * y)
+    y = np.square(s.gen.standard_normal(size))
+    x = 1.0 + (y + np.sqrt(4.0 * lam * y + y * y)) / (2.0 * lam)
     u = s.gen.uniform(size=size)
-    return np.where(u <= 1.0 / (1.0 + x), x, 1.0 / x)
+    return np.where(u <= x / (x + 1.0), 1.0 / x, x)
 
 
-def build_my_chains(m: int, length: int, n_rep: int, s: RngStream):
-    """(psi, g11, z) arrays of shape (n_rep, length), one chain per replica."""
+def build_my_chains(m: int, length: int, n_rep: int, s: RngStream, batch: int = 5000):
+    """(psi, g11, z) arrays of shape (n_rep, length), one chain per replica.
+
+    Replicas done .. done + batch - 1 draw their multipliers from
+    s.substream(done + 1), row r for replica r.
+    """
     if m < 1 or length < 1:
         raise ValueError("need m >= 1 and length >= 1")
-    a = sample_inverse_gaussian(float(m), s, size=n_rep * length).reshape(n_rep, length)
+    a = np.concatenate([
+        sample_inverse_gaussian(float(m), s.substream(done + 1),
+                                size=min(batch, n_rep - done) * length)
+        for done in range(0, n_rep, batch)]).reshape(n_rep, length)
     return chain_arrays_from_a(a, float(m))
 
 
@@ -87,7 +94,8 @@ def test_ig_bit_identical_to_oracle(seed, size, kind, value):
 @given(seed=st.integers(0, 2 ** 32 - 1), m=st.integers(1, 300), length=st.integers(1, 40),
        blocks=st.integers(0, 2), extra=st.integers(1, 300))
 def test_chain_ends_bit_identical_to_oracle(seed, m, length, blocks, extra):
-    # n_rep * length draws under one IG block, or across one or two block ends
+    # n_rep * length draws under one IG block, or across one or two block
+    # ends; short chains then span several stream blocks of replicas
     rows = BLOCK // length
     _assert_chain_ends_match(m, length, blocks * rows + extra, seed)
 

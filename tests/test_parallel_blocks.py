@@ -125,19 +125,27 @@ def test_walk_identical_for_any_worker_count(n, nsteps):
     _assert_all_equal(results)
 
 
-def _euler_serial(tmax, step, n_rep, s):
-    """euler_maruyama_z as it was: one (n_rep,) draw per step, no draw chunks."""
+def _euler_serial(tmax, step, n_rep, s, batch=5000):
+    """euler_maruyama_z without draw chunks: one draw per step and stream block.
+
+    Replicas done .. done + batch - 1 draw from s.substream(done + 1).
+    """
     nsteps = int(round(tmax / step))
-    z = np.zeros(n_rep)
+    out = np.empty(n_rep)
     sq = math.sqrt(step)
-    for _ in range(nsteps):
-        dw = sq * s.gen.standard_normal(n_rep)
-        z = z + z * dw + (1.0 + z) * step
-    return z
+    for done in range(0, n_rep, batch):
+        b = min(batch, n_rep - done)
+        gen = s.substream(done + 1).gen
+        z = np.zeros(b)
+        for _ in range(nsteps):
+            dw = sq * gen.standard_normal(b)
+            z = z + z * dw + (1.0 + z) * step
+        out[done:done + b] = z
+    return out
 
 
-# the same chunk shapes as the walk test: 600 steps of 1000 replicas, and
-# three one-step chunks of more replicas than a chunk holds
+# 600 steps of 1000 replicas in one stream block, in chunks of 131 steps;
+# and three steps of more replicas than a chunk holds, over 27 stream blocks
 @pytest.mark.parametrize("n, tmax", [(1000, 0.6), (st._DRAW_CHUNK_ELEMS + 7, 0.003)])
 def test_euler_maruyama_identical_for_any_worker_count(n, tmax):
     step = 1e-3

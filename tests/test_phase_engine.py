@@ -584,13 +584,13 @@ def _digest(counts):
     return hashlib.sha256(np.ascontiguousarray(counts, dtype="<i8").tobytes()).hexdigest()[:16]
 
 
-# dos_sweep's counts as the lane route gave them before the segments: at
-# lam = 5 over the registered energies and replicas (sha256 of the int64
-# array), and at the benchmark's smallest size
-_PINNED_LAM5 = ["8242839496354be6", "c4f793a81b319e9d", "3500e568a39cd265",
-                "e2b66c72baec8ed1", "04d1817891611a5a"]
-_PINNED_TINY = [[99, 103, 101, 100, 99, 104], [101, 104, 100, 101, 103, 98],
-                [102, 101, 101, 102, 100, 105]]
+# dos_sweep's counts at stream epoch 2, which the lane route (lane_counts)
+# gives alike: at lam = 5 over the registered energies and replicas (sha256
+# of the int64 array), and at the benchmark's smallest size
+_PINNED_LAM5 = ["384381a7d4f4dd68", "1a5dd488e1ab8328", "e87aceefbb3ac878",
+                "8966fbd6f05fd3f9", "4e7fdba4ac837aae"]
+_PINNED_TINY = [[100, 102, 102, 100, 102, 99], [101, 103, 103, 101, 98, 103],
+                [102, 97, 99, 100, 103, 102]]
 
 
 def test_dos_sweep_counts_pinned():

@@ -9,7 +9,7 @@ grid_cells, as every sampler does, and forms ln V at the node time k*h it
 read, not at the requested t).  The library now runs all
 four on one walk,
 stochastic.exp_functional_walk, with replica streams from
-stochastic.stream_blocks.  The first three do the same steps in the same
+stochastic.stream_blocks; the oracles take theirs by the same rule.  The first three do the same steps in the same
 order, so they must match bit for bit.  The pathwise Z oracle carries e as
 a running product, where the walk computes e^2 as exp(2a - kh), so it may
 differ in the last digits but must sort the same.
@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 
 import vrjplab.continuum_kernel as ck
 import vrjplab.matsumoto_yor as my
+import vrjplab.stochastic as stochastic
 from vrjplab.experiments import _exp_mbg, _increment_corr, get_experiment
 from vrjplab.stochastic import (RngStream, exp_functional_walk, grid_cells, new_stream,
                                 step_normals, stream_blocks)
@@ -77,7 +78,7 @@ def sample_line_diagonal(horizon: float, step: float, n_rep: int, s: RngStream,
 
 def mbg_statistics(s: RngStream, t_grid: tuple[float, ...] = (0.5, 1.0, 2.0),
                    n_rep: int = 10_000, step: float = 1e-3,
-                   tail: float = 40.0):
+                   tail: float = 40.0, batch: int = 5000):
     """(mean_log, se, var_log, corr) of the original mbg_transform_check."""
     t_grid = tuple(sorted(t_grid))
     if len(t_grid) != 3 or t_grid[0] <= 0:
@@ -85,27 +86,29 @@ def mbg_statistics(s: RngStream, t_grid: tuple[float, ...] = (0.5, 1.0, 2.0),
     horizon = t_grid[-1] + tail
     nsteps, step = grid_cells(horizon, step)
     snap_idx = {int(round(t / step)): ti for ti, t in enumerate(t_grid)}
-    gen = s.gen
-    alpha = np.zeros(n_rep)
-    integ = np.zeros(n_rep)
-    prev = np.ones(n_rep)
-    alpha_at = np.empty((len(t_grid), n_rep))
-    integ_at = np.empty((len(t_grid), n_rep))
-    sq = math.sqrt(step)
-    for k in range(1, nsteps + 1):
-        alpha += gen.standard_normal(n_rep) * sq
-        cur = np.exp(2.0 * alpha - k * step)
-        integ += 0.5 * step * (prev + cur)
-        prev = cur
-        if k in snap_idx:
-            ti = snap_idx[k]
-            alpha_at[ti] = alpha
-            integ_at[ti] = integ
     log_v = np.empty((len(t_grid), n_rep))
-    for ti, k in enumerate(snap_idx):
-        tau = k * step                  # the node time the walk read
-        log_v[ti] = (-alpha_at[ti] + tau / 2.0
-                     + np.log(integ - integ_at[ti]) - np.log(integ))
+    for done in range(0, n_rep, batch):
+        b = min(batch, n_rep - done)
+        gen = s.substream(done + 1).gen
+        alpha = np.zeros(b)
+        integ = np.zeros(b)
+        prev = np.ones(b)
+        alpha_at = np.empty((len(t_grid), b))
+        integ_at = np.empty((len(t_grid), b))
+        sq = math.sqrt(step)
+        for k in range(1, nsteps + 1):
+            alpha += gen.standard_normal(b) * sq
+            cur = np.exp(2.0 * alpha - k * step)
+            integ += 0.5 * step * (prev + cur)
+            prev = cur
+            if k in snap_idx:
+                ti = snap_idx[k]
+                alpha_at[ti] = alpha
+                integ_at[ti] = integ
+        for ti, k in enumerate(snap_idx):
+            tau = k * step                  # the node time the walk read
+            log_v[ti, done:done + b] = (-alpha_at[ti] + tau / 2.0
+                                        + np.log(integ - integ_at[ti]) - np.log(integ))
     mean_log = log_v.mean(axis=1)
     se = log_v.std(axis=1, ddof=1) / math.sqrt(n_rep)
     var_log = log_v.var(axis=1, ddof=1)
@@ -115,22 +118,29 @@ def mbg_statistics(s: RngStream, t_grid: tuple[float, ...] = (0.5, 1.0, 2.0),
     return mean_log, se, var_log, corr
 
 
-def sample_z_pathwise(tmax: float, step: float, n_rep: int, s: RngStream) -> np.ndarray:
+def sample_z_pathwise(tmax: float, step: float, n_rep: int, s: RngStream,
+                      batch: int = 5000) -> np.ndarray:
     """Ensemble of Z_tmax from the pathwise construction (stepwise, O(n_rep) memory)."""
     nsteps = int(round(tmax / step))
-    e = np.ones(n_rep)
-    t_acc = np.zeros(n_rep)
+    out = np.empty(n_rep)
     sq = math.sqrt(step)
-    for _ in range(nsteps):
-        e_new = e * np.exp(sq * s.gen.standard_normal(n_rep) - 0.5 * step)
-        t_acc += 0.5 * step * (e * e + e_new * e_new)
-        e = e_new
-    return t_acc / e
+    for done in range(0, n_rep, batch):
+        b = min(batch, n_rep - done)
+        gen = s.substream(done + 1).gen
+        e = np.ones(b)
+        t_acc = np.zeros(b)
+        for _ in range(nsteps):
+            e_new = e * np.exp(sq * gen.standard_normal(b) - 0.5 * step)
+            t_acc += 0.5 * step * (e * e + e_new * e_new)
+            e = e_new
+        out[done:done + b] = t_acc / e
+    return out
 
 
 # Up to 20 cells per walk keeps the examples fast; n_rep is drawn both
 # inside one stream block and across the first boundary of each sampler's
-# block (4000 for the ratio, 2000 for the line diagonal).
+# block (4000 for the ratio, 2000 for the line diagonal, 5000 for the mbg
+# and Z walks).
 seeds = st.integers(0, 2 ** 32 - 1)
 spans = st.sampled_from([0.1, 0.37, 2.0, 5.0])
 cells = st.integers(1, 20)
@@ -168,7 +178,7 @@ def test_ratio_and_line_span_several_stream_blocks():
 
 # Steps of 0.02 to 0.2 keep the snapshots at t = 0.5, 1, 2 on distinct steps.
 @given(seed=seeds, step=st.floats(0.02, 0.2), tail=st.floats(0.5, 3.0),
-       n_rep=st.integers(10, 3000))
+       n_rep=st.one_of(st.integers(10, 3000), st.integers(4990, 5300)))
 def test_mbg_statistics_bit_identical_to_oracle(seed, step, tail, n_rep):
     res = _exp_mbg({"n": n_rep, "step": step, "tail": tail}, new_stream(seed, 7))
     mean_log, se, var_log, corr = mbg_statistics(new_stream(seed, 7), (0.5, 1.0, 2.0),
@@ -183,7 +193,7 @@ def test_mbg_statistics_bit_identical_to_oracle(seed, step, tail, n_rep):
 
 
 @given(seed=seeds, tmax=st.sampled_from([0.1, 0.5, 1.0, 3.0]), n_steps=st.integers(1, 60),
-       n_rep=st.integers(1, 2000))
+       n_rep=st.one_of(st.integers(1, 2000), st.integers(4990, 5300)))
 def test_z_pathwise_matches_oracle_to_roundoff(seed, tmax, n_steps, n_rep):
     step = tmax / n_steps
     got = my.sample_z_pathwise(tmax, step, n_rep, new_stream(seed, 8))
@@ -196,7 +206,7 @@ def test_z_pathwise_matches_oracle_to_roundoff(seed, tmax, n_steps, n_rep):
 # cells of width 2.5/3 that end at t = 2.5
 def test_euler_maruyama_z_ends_at_an_off_grid_span():
     n, h = 500, 2.5 / 3
-    gen = new_stream(3, 4).gen
+    gen = new_stream(3, 4).substream(1).gen     # the one stream block
     z = np.zeros(n)
     for _ in range(3):
         dw = math.sqrt(h) * gen.standard_normal(n)
@@ -206,7 +216,7 @@ def test_euler_maruyama_z_ends_at_an_off_grid_span():
 
 def test_z_pathwise_ends_at_an_off_grid_span():
     n, h = 500, 2.5 / 3
-    alpha, integ, _, _ = exp_functional_walk(new_stream(3, 5).gen, n, h, 3)
+    alpha, integ, _, _ = exp_functional_walk(new_stream(3, 5).substream(1).gen, n, h, 3)
     want = integ / np.exp(alpha - 3 * h / 2)
     assert np.array_equal(my.sample_z_pathwise(2.5, 1.0, n, new_stream(3, 5)), want)
 
@@ -217,7 +227,7 @@ def test_stream_blocks_cover_each_replica_once(n_rep, block):
     covered = []
     for first, count, stream in stream_blocks(s, n_rep, block):
         assert 1 <= count <= block
-        assert (stream.seed, stream.stream_id) == (3, 10 + first + 1)
+        assert (stream.seed, stream.path) == (3, (10, first + 1))
         covered.extend(range(first, first + count))
     assert covered == list(range(n_rep))
 
@@ -300,7 +310,7 @@ def test_bias_verdict_rejects_a_left_riemann_walk(monkeypatch):
     for seed in range(5):
         assert _bias_verdict(seed, 0.05).passed
         assert _bias_verdict(seed, get_experiment("dufresne_ratio").defaults["step"]).passed
-    monkeypatch.setattr(ck, "exp_functional_walk", _left_riemann_walk)
+    monkeypatch.setattr(stochastic, "exp_functional_walk", _left_riemann_walk)
     for seed in range(5):
         assert not _bias_verdict(seed, 0.05).passed
 

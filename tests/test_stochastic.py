@@ -38,6 +38,34 @@ def test_substreams_uncorrelated():
     assert abs(np.corrcoef(u, v)[0, 1]) < 0.01
 
 
+def test_substream_keys_are_paths():
+    # a child's children are not its siblings: with a stream id that adds k,
+    # s.substream(1).substream(1) was s.substream(2)
+    s = new_stream(42, 3)
+    assert (s.path, s.substream(1).path, s.substream(1).substream(1).path) == (
+        (3,), (3, 1), (3, 1, 1))
+    a = s.substream(1).substream(1).gen.standard_normal(1000)
+    b = s.substream(2).gen.standard_normal(1000)
+    assert not np.any(a == b)
+    assert type(s.gen.bit_generator).__name__ == st.BIT_GENERATOR
+
+
+def test_sibling_streams_of_stream_blocks_are_uncorrelated():
+    # 64 stream blocks of one replica: under independence each pairwise
+    # correlation of N normals is about N(0, 1/N).  Of the 2016 pairs, the
+    # number outside the 99% band z_0.995 / sqrt(N) is Binomial(2016, 0.01)
+    # (mean 20, 99.9% quantile 36), and none is outside the band that holds
+    # all 2016 pairs at once with probability 0.99 (Bonferroni)
+    from scipy import stats
+
+    n_draw = 20_000
+    x = np.array([b.gen.standard_normal(n_draw)
+                  for _, _, b in st.stream_blocks(new_stream(5, 0), 64, 1)])
+    z = np.abs(np.corrcoef(x)[np.triu_indices(64, 1)]) * math.sqrt(n_draw)
+    assert np.sum(z > stats.norm.isf(0.005)) <= stats.binom.ppf(0.999, z.size, 0.01)
+    assert z.max() < stats.norm.isf(0.005 / z.size)
+
+
 def test_ig_params_validation():
     with pytest.raises(ValueError):
         sample_inverse_gaussian(0.0, new_stream(1, 0), 3)
@@ -62,6 +90,20 @@ def test_ig_moments():
     m2, h2 = mean_ci(x ** 2, 0.01)
     assert abs(m1 - 1.0) < h1
     assert abs(m2 - 1.25) < h2
+
+
+def test_ig_small_shape_roots_stay_positive():
+    # y/lam reaches 1e9 and more: the smaller root taken as a difference
+    # cancelled to 0 or below in 22 333 of these 1e5 draws; as 1/x+ it cannot
+    x = sample_inverse_gaussian(1e-8, new_stream(3, 0), 100_000)
+    assert np.all(x > 0) and np.all(np.isfinite(x))
+
+
+@pytest.mark.parametrize("lam", [1e-2, 1.0, 1e2])
+def test_ig_ks_across_shapes(lam):
+    x = sample_inverse_gaussian(lam, new_stream(9, 1), 20_000)
+    rep = ks_one_sample(x, lambda v: inverse_gaussian_cdf(v, 1.0, lam), 0.01)
+    assert rep.passed, rep
 
 
 def test_ig_large_shape_concentration():
@@ -149,17 +191,30 @@ def test_brownian_blocks_equal_the_whole_path(block):
     assert seen == n_cells
 
 
-def test_walk_steps():
+def test_walk_steps(monkeypatch):
     # the stepwise walks on [0, tmax] take the grid_cells steps, one (n,)
-    # draw of normals per step, and refuse a bad (span, step) before any draw
-    from vrjplab.matsumoto_yor import euler_maruyama_z, sample_z_pathwise
+    # draw of normals per step from their one stream block, none from s
+    # itself, and refuse a bad (span, step) before any draw
+    import vrjplab.matsumoto_yor as my
+    blocks, stream_blocks = [], st.stream_blocks
+
+    def recording(s, n_rep, block):
+        for b in stream_blocks(s, n_rep, block):
+            blocks.append(b[2])
+            yield b
+
+    for module in (my, st):     # st for walk_ends
+        monkeypatch.setattr(module, "stream_blocks", recording)
     n = 3
-    for walk in (euler_maruyama_z, sample_z_pathwise):
+    for walk in (my.euler_maruyama_z, my.sample_z_pathwise):
         for span, step, nsteps in ((1.0, 1e-3, 1000), (2.5, 1.0, 3), (1e-4, 1e-3, 1)):
-            s, ref = new_stream(5, 2), new_stream(5, 2).gen
+            s, ref = new_stream(5, 2), new_stream(5, 2).substream(1).gen
+            blocks.clear()
             walk(span, step, n, s)
             ref.standard_normal(n * nsteps)
-            assert s.gen.uniform() == ref.uniform()
+            assert [b.path for b in blocks] == [(2, 1)]
+            assert blocks[0].gen.uniform() == ref.uniform()
+            assert s.gen.uniform() == new_stream(5, 2).gen.uniform()
         for span, step in ((-1.0, 1e-3), (1.0, 0.0), (0.0, 1e-3), (math.inf, 1.0),
                            (math.nan, 1.0)):
             s = new_stream(5, 2)
